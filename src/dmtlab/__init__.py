@@ -17,8 +17,7 @@ from .lattice import (Codebook, MatrixLattice, ResourceLimitError,
                       lattice_to_json, codebook_to_json, load_lattice,
                       matrix_lattice, min_det, shape_codebook,
                       structure_check)
-from .linalg import (IterationError, conj_transpose, determinant,
-                     frobenius_norm, hermitian_eigenvalues)
+from .linalg import determinant, frobenius_norm
 from .sim import (EigenProfile, SlopeEstimate, check_mismatched_bound,
                   check_nvd_product_bound, chi2_tail,
                   density_ratio_check_real, estimate_error_prob,

@@ -5,18 +5,25 @@ Conventions fixed here and used everywhere else:
   * received block  Y = sqrt(rho/n) H X + W, noise entries unit variance;
   * rates in bits (log base 2), so a rate threshold is r*log2(rho);
   * the quaternionic equivalent channel also carries the 1/sqrt(n) factor.
+
+Each channel computation is defined once, on a leading batch axis, and the
+Monte Carlo estimators in `sim` call it; the per-sample functions validate
+one matrix and run it as a batch of one.  Draws consume the generator in a
+fixed order: h before w, the real part of a block before its imaginary part.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, cmatmul, conj_transpose, frobenius_norm, hermitian_eigenvalues
+from .linalg import as_matrix, frobenius_norm
 
 LOG2 = np.log(2.0)
+PAIR_TOL = 1e-8  # largest lifted-Gram eigenvalue pairing gap, relative to the top one
 
 
 @dataclass(frozen=True)
@@ -56,26 +63,100 @@ class ChannelSample:
     w: np.ndarray
 
 
+def draw_real(rng, shape):
+    """i.i.d. real N(0, 1/2) entries: the stacked-real channel or noise."""
+    return rng.standard_normal(shape) * math.sqrt(0.5)
+
+
+def draw_complex(rng, shape):
+    """i.i.d. circularly symmetric CN(0, 1) entries (variance 1/2 per part)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
+
+def lift_batch(m1, m2):
+    """Lift b x m x p blocks (M1 M2) to [[M1, M2], [-conj(M2), conj(M1)]].
+
+    The lift is multiplicative against quaternionic codewords, which is what
+    turns the plain channel into its quaternionic equivalent form.
+    """
+    b, m, p = m1.shape
+    out = np.empty((b, 2 * m, 2 * p), dtype=complex)
+    out[:, :m, :p] = m1
+    out[:, :m, p:] = m2
+    out[:, m:, :p] = -m2.conj()
+    out[:, m:, p:] = m1.conj()
+    return out
+
+
+def draw_lifted(rng, count, m, p):
+    """`count` lifted 2m x 2p quaternionic channels (or noise blocks)."""
+    shape = (count, m, p)
+    return lift_batch(draw_complex(rng, shape), draw_complex(rng, shape))
+
+
+def receive(h, x, scale, w):
+    """Received blocks scale * H X + W, one product per batch row."""
+    return scale * np.einsum("bij,bjk->bik", h, x) + w
+
+
+def mutual_info_real_batch(h, rho, n, hq=None):
+    """0.5 * log2 det(I + (rho/n) (H Q) H^T) per stacked-real channel.
+
+    `hq` is H Q; it defaults to H, the identity input covariance.
+    """
+    hq = h if hq is None else hq
+    g = np.eye(h.shape[1]) + (rho / n) * np.einsum("bij,bkj->bik", hq, h)
+    _, logdet = np.linalg.slogdet(g)
+    return logdet / (2.0 * LOG2)
+
+
+def lifted_gram_spectrum(hq):
+    """Distinct eigenvalues of H^dag H per lifted channel, descending.
+
+    Each of the min(m, p) values is a multiplicity-2 eigenvalue of the Gram
+    matrix; a pairing gap beyond PAIR_TOL relative to the top one is a fault.
+    """
+    g = np.einsum("bji,bjk->bik", hq.conj(), hq)
+    lam = np.linalg.eigvalsh(g)[:, ::-1]
+    l = min(hq.shape[1], hq.shape[2]) // 2
+    top, bot = lam[:, 0:2 * l:2], lam[:, 1:2 * l:2]
+    ref = np.maximum(lam[:, 0], 1e-30)
+    if np.any((top - bot) > PAIR_TOL * ref[:, None]):
+        raise RuntimeError("quaternionic eigenvalue pairing violated")
+    return top
+
+
+def capacity_quaternion_batch(lam, rho):
+    """2 * sum(log2(1 + rho * lambda_i)) over each row of distinct eigenvalues."""
+    return 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
+
+
 def sample_channel(cfg, rng):
     """Draw i.i.d. circularly symmetric complex Gaussian H and W.
 
     Each entry has variance 1/2 per real dimension (unit total variance).
     Draw order is h then w, so a given generator state fixes the sample.
     """
-    shape = (cfg.m, cfg.n)
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+    shape = (1, cfg.m, cfg.n)
+    h = draw_complex(rng, shape)[0]
+    w = draw_complex(rng, shape)[0]
     h.flags.writeable = False
     w.flags.writeable = False
     return ChannelSample(h=h, w=w)
 
 
-def apply_channel(cfg, sample, xbar):
-    """Received block sqrt(rho/n) * H sXbar + W for an n x n codeword."""
+def _codeword(cfg, xbar):
     x = as_matrix(xbar)
     if x.shape != (cfg.n, cfg.n):
         raise ValueError(f"codeword must be {cfg.n}x{cfg.n}, got {x.shape}")
-    return np.sqrt(cfg.rho / cfg.n) * cmatmul(sample.h, x) + sample.w
+    return x
+
+
+def apply_channel(cfg, sample, xbar):
+    """Received block sqrt(rho/n) * H sXbar + W for an n x n codeword."""
+    x = _codeword(cfg, xbar)
+    return receive(as_matrix(sample.h)[None], x[None], math.sqrt(cfg.rho / cfg.n),
+                   sample.w)[0]
 
 
 def realify(m):
@@ -88,35 +169,24 @@ def apply_channel_real(cfg, sample, xbar):
     """Received block of the equivalent stacked-real system (2m x n real).
 
     For a real codeword this equals realify(apply_channel(...)) exactly, not
-    just to rounding: both paths evaluate the same per-block real products.
+    just to rounding: a zero imaginary part leaves every complex product
+    term equal to the real one.
     """
-    x = as_matrix(xbar)
-    if x.shape != (cfg.n, cfg.n):
-        raise ValueError(f"codeword must be {cfg.n}x{cfg.n}, got {x.shape}")
+    x = _codeword(cfg, xbar)
     if np.any(x.imag != 0.0):
         raise ValueError("the stacked-real system carries real codewords only")
-    scale = np.sqrt(cfg.rho / cfg.n)
-    h, w = sample.h, sample.w
-    top = scale * (h.real @ x.real) + w.real
-    bot = scale * (h.imag @ x.real) + w.imag
-    return np.vstack([top, bot])
+    return receive(realify(sample.h)[None], x.real[None], math.sqrt(cfg.rho / cfg.n),
+                   realify(sample.w))[0]
 
 
 def quaternion_lift(m):
-    """Lift an m x 2p block (M1 M2) to [[M1, M2], [-conj(M2), conj(M1)]].
-
-    The lift is multiplicative against quaternionic codewords, which is what
-    turns the plain channel into its quaternionic equivalent form.
-    """
+    """Lift an m x 2p block (M1 M2) to [[M1, M2], [-conj(M2), conj(M1)]]."""
     a = as_matrix(m)
-    rows, cols = a.shape
+    cols = a.shape[1]
     if cols % 2:
         raise ValueError(f"quaternion lift needs an even column count, got {cols}")
     p = cols // 2
-    m1, m2 = a[:, :p], a[:, p:]
-    top = np.hstack([m1, m2])
-    bot = np.hstack([-m2.conj(), m1.conj()])
-    return np.vstack([top, bot])
+    return lift_batch(a[None, :, :p], a[None, :, p:])[0]
 
 
 def quaternionic_defect(m):
@@ -147,9 +217,8 @@ def mutual_info_real(h, q, rho, n):
         raise ValueError("Q must be symmetric")
     if np.trace(q) > n + 1e-9:
         warnings.warn(f"trace(Q)={np.trace(q):.6g} exceeds n={n}", stacklevel=2)
-    a = np.eye(h.shape[0]) + (rho / n) * (h @ q @ h.T)
-    _, logdet = np.linalg.slogdet(a)
-    return max(logdet, 0.0) / (2.0 * LOG2)
+    info = mutual_info_real_batch(h[None], rho, n, hq=(h @ q)[None])[0]
+    return max(float(info), 0.0)
 
 
 def capacity_quaternion(h, rho):
@@ -161,14 +230,7 @@ def capacity_quaternion(h, rho):
     a = as_matrix(h)
     if quaternionic_defect(a) > 1e-10 * (1.0 + frobenius_norm(a)):
         raise ValueError("channel does not have quaternionic block structure")
-    lam = hermitian_eigenvalues(cmatmul(conj_transpose(a), a))
-    pairs_hi, pairs_lo = lam[0::2], lam[1::2]
-    gap = np.abs(pairs_hi - pairs_lo)
-    ref = max(float(lam[0]), 1e-30)
-    if gap.size and gap.max() > 1e-8 * ref:
-        raise ValueError(f"eigenvalue pairing violated: gap {gap.max():.3e}")
-    lam_distinct = np.clip(pairs_hi, 0.0, None)
-    return float(2.0 * np.sum(np.log2(1.0 + rho * lam_distinct)))
+    return float(capacity_quaternion_batch(lifted_gram_spectrum(a[None]), rho)[0])
 
 
 def power_check(cb, tol=1e-12):

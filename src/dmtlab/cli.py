@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class RunConfig:
     lattice: str | None = None
     out: str | None = None
     summary: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _parse_float_list(text):

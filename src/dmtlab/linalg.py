@@ -1,11 +1,10 @@
-"""Small dense complex/real matrix kernels.
+"""Small dense matrix helpers.
 
 Everything downstream (channel models, lattices, Monte Carlo checks) runs on
-plain numpy arrays; this module owns the few numerical primitives whose
-behavior we need to control precisely: an order-independent Frobenius norm,
-a partial-pivot determinant, and a cyclic Jacobi eigensolver for Hermitian
-matrices.  Matrices here are tiny (at most ~16x16), so clarity and high
-relative accuracy beat asymptotic speed.
+plain numpy arrays; this module owns the few primitives whose behavior we
+need to control precisely: finite-matrix coercion, an order-independent
+Frobenius norm, and a square-checked determinant.  Products, eigenvalues and
+log-determinants come straight from numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-class IterationError(RuntimeError):
-    """An iterative kernel failed to converge within its sweep budget."""
 
 
 def as_matrix(m, dtype=complex):
@@ -41,103 +36,14 @@ def frobenius_norm(m):
     return math.sqrt(math.fsum(sq))
 
 
-def conj_transpose(m):
-    """Conjugate transpose (an involution)."""
-    return as_matrix(m).conj().T.copy()
-
-
-def cmatmul(a, b):
-    """Complex matrix product built from four real products.
-
-    Splitting into real blocks makes identities like
-    Re(A B) == Re(A) @ B (for real B) hold exactly, not just to rounding:
-    the same real dgemm call produces both sides.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    re = a.real @ b.real - a.imag @ b.imag
-    im = a.real @ b.imag + a.imag @ b.real
-    return re + 1j * im
-
-
 def determinant(m):
-    """Determinant via Gaussian elimination with partial pivoting.
+    """Determinant of a square matrix (LAPACK LU with partial pivoting).
 
-    Exact to ~1e-9 relative error for integer-entry matrices up to 8x8.
-    """
-    a = as_matrix(m).copy()
-    n, c = a.shape
-    if n != c:
-        raise ValueError(f"determinant needs a square matrix, got {n}x{c}")
-    det = 1.0 + 0.0j
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0:
-            return 0.0 + 0.0j
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        det *= a[k, k]
-        if k + 1 < n:
-            a[k + 1:, k:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k:])
-    return complex(det)
-
-
-def _jacobi_symmetric(a, off_threshold=1e-12, max_sweeps=100):
-    """Cyclic Jacobi on a real symmetric matrix; returns eigenvalues descending.
-
-    Convergence: off-diagonal Frobenius norm below off_threshold relative to
-    the Frobenius norm of the input.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    scale = math.sqrt(float((a * a).sum()))
-    if scale == 0.0:
-        return np.zeros(n)
-    stop = off_threshold * scale
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-        if off <= stop:
-            return np.sort(np.diag(a))[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    raise IterationError(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-
-def hermitian_eigenvalues(m, tol=1e-10, max_sweeps=100):
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    A complex Hermitian M is embedded as the real symmetric
-    [[Re M, -Im M], [Im M, Re M]], whose spectrum is that of M with every
-    eigenvalue doubled; the Jacobi result is collapsed back to multiplicity
-    one.  Jacobi keeps high relative accuracy on the small eigenvalues that
-    drive the near-singular channel statistics we care about.
+    Integer-entry lattice points up to 8x8 come out within ~1e-13 of an
+    integer, well inside the 1e-9 the NVD audits allow.
     """
     a = as_matrix(m)
     n, c = a.shape
     if n != c:
-        raise ValueError(f"eigenvalues need a square matrix, got {n}x{c}")
-    nrm = frobenius_norm(a)
-    defect = frobenius_norm(a - conj_transpose(a))
-    if defect > tol * max(nrm, 1e-300):
-        raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e}")
-    if np.all(a.imag == 0.0):
-        sym = 0.5 * (a.real + a.real.T)
-        return _jacobi_symmetric(sym, max_sweeps=max_sweeps)
-    emb = np.block([[a.real, -a.imag], [a.imag, a.real]])
-    emb = 0.5 * (emb + emb.T)
-    doubled = _jacobi_symmetric(emb, max_sweeps=max_sweeps)
-    return doubled[0::2].copy()
+        raise ValueError(f"determinant needs a square matrix, got {n}x{c}")
+    return complex(np.linalg.det(a))

@@ -1,6 +1,8 @@
 """Monte Carlo machinery: Wishart spectra, outage and ML-error estimation,
 tail bounds, and log-log slope fits that turn probability sweeps into
-empirical diversity estimates.
+empirical diversity estimates.  Channel draws, lifts, received blocks,
+log-determinants and capacities all come from the batched layer in
+`channel`.
 
 Determinism: every estimator takes a root generator (or integer seed) and
 derives one substream per SNR point and per fixed-size work chunk with
@@ -18,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import channel, linalg
 from .lattice import ResourceLimitError, fixed_codebook, shape_codebook
-
-LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,26 @@ def _as_generator(rng):
     return np.random.default_rng(rng)
 
 
-def _worker_count(n_jobs):
-    env = os.environ.get("DMTLAB_THREADS", "")
-    if env.strip():
-        cap = max(1, int(env))
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
+def _thread_cap():
+    """The worker-thread cap: DMTLAB_THREADS when set, else the available
+    parallelism.  A value that is not an integer >= 1 is rejected."""
+    env = os.environ.get("DMTLAB_THREADS", "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"DMTLAB_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
-def _run_chunks(point_rng, trials, chunk, fn):
+def _run_chunks(point_rng, trials, chunk, fn, cap):
     """Split `trials` into fixed-size chunks with spawned substreams and sum
-    fn(stream, size) over them; the split is independent of the pool size."""
+    fn(stream, size) over them on at most `cap` threads; the split is
+    independent of the pool size."""
     sizes = [chunk] * (trials // chunk)
     if trials % chunk:
         sizes.append(trials % chunk)
     streams = point_rng.spawn(len(sizes))
-    workers = _worker_count(len(sizes))
+    workers = min(cap, len(sizes))
     if workers == 1:
         return sum(fn(st, sz) for st, sz in zip(streams, sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -100,7 +103,7 @@ def _profile(lambdas, l, delta, rho):
 
 def sample_wishart_real_batch(n, m, count, rng):
     """Spectra of H^T H for `count` stacked-real channels (descending rows)."""
-    h = rng.standard_normal((count, 2 * m, n)) * math.sqrt(0.5)
+    h = channel.draw_real(rng, (count, 2 * m, n))
     if n <= 2 * m:
         g = np.einsum("bji,bjk->bik", h, h)
     else:
@@ -119,35 +122,9 @@ def sample_wishart_real(n, m, rng, rho=1e4):
     return _profile(lam, min(2 * m, n), abs(n - 2 * m), rho)
 
 
-def _lift_batch(h1, h2):
-    b, m, p = h1.shape
-    out = np.empty((b, 2 * m, 2 * p), dtype=complex)
-    out[:, :m, :p] = h1
-    out[:, :m, p:] = h2
-    out[:, m:, :p] = -h2.conj()
-    out[:, m:, p:] = h1.conj()
-    return out
-
-
-def sample_wishart_quaternion_batch(p, m, count, rng, pair_tol=1e-8):
-    """Distinct spectra of H^dag H for lifted quaternionic channels.
-
-    Returns the min(m, p) distinct values per row (each is a multiplicity-2
-    eigenvalue of the 2p x 2p Gram matrix); a pairing gap beyond pair_tol
-    relative to the top eigenvalue flags a numerical fault.
-    """
-    shape = (count, m, p)
-    h1 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
-    h2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
-    hq = _lift_batch(h1, h2)
-    g = np.einsum("bji,bjk->bik", hq.conj(), hq)
-    lam = np.linalg.eigvalsh(g)[:, ::-1]
-    l = min(m, p)
-    top, bot = lam[:, 0:2 * l:2], lam[:, 1:2 * l:2]
-    ref = np.maximum(lam[:, 0], 1e-30)
-    if np.any((top - bot) > pair_tol * ref[:, None]):
-        raise RuntimeError("quaternionic eigenvalue pairing violated")
-    return top
+def sample_wishart_quaternion_batch(p, m, count, rng):
+    """Distinct lifted-Gram eigenvalues per quaternionic channel (pairing checked)."""
+    return channel.lifted_gram_spectrum(channel.draw_lifted(rng, count, m, p))
 
 
 def sample_wishart_quaternion(p, m, rng, rho=1e4):
@@ -393,20 +370,17 @@ def fit_slope(snr_db, probs, trials, min_events=50, weighting="events"):
                          events=events, slope=slope, stderr=stderr, flagged=flagged)
 
 
-def _nan_estimate(snr_db, probs, trials, events, min_events):
-    return SlopeEstimate(snr_db=tuple(snr_db), probs=tuple(probs),
-                         trials=tuple(trials), events=tuple(events),
-                         slope=math.nan, stderr=math.nan,
-                         flagged=tuple(e < min_events for e in events))
-
-
 def _finish_estimate(snr_db, probs, trials, events, min_events=50,
                      weighting="events"):
+    """The fitted estimate, or a NaN slope when the fit has too few points."""
     try:
         return fit_slope(snr_db, probs, trials, min_events=min_events,
                          weighting=weighting)
     except ValueError:
-        return _nan_estimate(snr_db, probs, trials, events, min_events)
+        return SlopeEstimate(snr_db=tuple(snr_db), probs=tuple(probs),
+                             trials=tuple(trials), events=tuple(events),
+                             slope=math.nan, stderr=math.nan,
+                             flagged=tuple(e < min_events for e in events))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +410,7 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
     _validate_mode_r(mode, cfg)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    threads = _thread_cap()
     root = _as_generator(rng)
     snr_db = [float(v) for v in snr_grid_db]
     streams = root.spawn(len(snr_db))
@@ -447,20 +422,16 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
             thresh = cfg.r * math.log2(rho)
 
             def count(st, size, rho=rho, thresh=thresh):
-                h = st.standard_normal((size, 2 * m, n)) * math.sqrt(0.5)
-                g = np.eye(2 * m) + (rho / n) * np.einsum("bij,bkj->bik", h, h)
-                _, logdet = np.linalg.slogdet(g)
-                return int(np.sum(logdet / (2 * LOG2) <= thresh))
+                h = channel.draw_real(st, (size, 2 * m, n))
+                return int(np.sum(channel.mutual_info_real_batch(h, rho, n) <= thresh))
         else:
-            p = cfg.p
             thresh = 2 * cfg.r * math.log2(rho)
 
-            def count(st, size, rho=rho, thresh=thresh, p=p):
-                lam = sample_wishart_quaternion_batch(p, m, size, st)
-                cap = 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
-                return int(np.sum(cap <= thresh))
+            def count(st, size, rho=rho, thresh=thresh):
+                lam = sample_wishart_quaternion_batch(cfg.p, m, size, st)
+                return int(np.sum(channel.capacity_quaternion_batch(lam, rho) <= thresh))
 
-        events.append(_run_chunks(point_rng, int(trials), chunk, count))
+        events.append(_run_chunks(point_rng, int(trials), chunk, count, threads))
     trials_t = [int(trials)] * len(snr_db)
     probs = [e / t for e, t in zip(events, trials_t)]
     return _finish_estimate(snr_db, probs, trials_t, events, min_events, weighting)
@@ -495,45 +466,37 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
         raise ValueError("trials list must match the SNR grid")
     if min(trials_t) < 1:
         raise ValueError("trials must be >= 1")
+    threads = _thread_cap()
     root = _as_generator(rng)
     streams = root.spawn(len(snr_db))
     n, m = cfg.n, cfg.m
     fixed_cb = fixed_codebook(lat, fixed_size) if cfg.r == 0 else None
+    if mode == "real":
+        def draw(st, size):
+            return channel.draw_real(st, (size, 2 * m, n))
+    else:
+        def draw(st, size):
+            return channel.draw_lifted(st, size, m, cfg.p)
     events = []
     for db, point_rng, n_trials in zip(snr_db, streams, trials_t):
         rho = 10.0 ** (db / 10.0)
         cb = fixed_cb if fixed_cb is not None else shape_codebook(lat, rho, cfg.r, cap=cap)
         cwords = _codebook_array(cb)
+        cwords = cwords.real if mode == "real" else cwords
         scale = math.sqrt(rho / n)
 
-        if mode == "real":
-            creal = cwords.real
-
-            def count(st, size, creal=creal, scale=scale):
-                h = st.standard_normal((size, 2 * m, n)) * math.sqrt(0.5)
-                w = st.standard_normal((size, 2 * m, n)) * math.sqrt(0.5) * noise_scale
-                tx = st.integers(0, len(creal), size=size)
-                y = scale * np.einsum("bij,bjk->bik", h, creal[tx]) + w
-                cand = scale * np.einsum("bij,kjl->bkil", h, creal)
+        def count(st, size, cwords=cwords, scale=scale):
+            h = draw(st, size)
+            w = draw(st, size) * noise_scale
+            tx = st.integers(0, len(cwords), size=size)
+            y = channel.receive(h, cwords[tx], scale, w)
+            cand = scale * np.einsum("bij,kjl->bkil", h, cwords)
+            if mode == "real":
                 dist = np.sum((y[:, None] - cand) ** 2, axis=(-2, -1))
-                return int(np.sum(np.argmin(dist, axis=1) != tx))
-        else:
-            p = cfg.p
-
-            def count(st, size, cwords=cwords, scale=scale, p=p):
-                shape = (size, m, p)
-                h1 = (st.standard_normal(shape) + 1j * st.standard_normal(shape)) * math.sqrt(0.5)
-                h2 = (st.standard_normal(shape) + 1j * st.standard_normal(shape)) * math.sqrt(0.5)
-                w1 = (st.standard_normal(shape) + 1j * st.standard_normal(shape)) * math.sqrt(0.5)
-                w2 = (st.standard_normal(shape) + 1j * st.standard_normal(shape)) * math.sqrt(0.5)
-                hq = _lift_batch(h1, h2)
-                wq = _lift_batch(w1, w2) * noise_scale
-                tx = st.integers(0, len(cwords), size=size)
-                y = scale * np.einsum("bij,bjk->bik", hq, cwords[tx]) + wq
-                cand = scale * np.einsum("bij,kjl->bkil", hq, cwords)
+            else:
                 dist = np.sum(np.abs(y[:, None] - cand) ** 2, axis=(-2, -1))
-                return int(np.sum(np.argmin(dist, axis=1) != tx))
+            return int(np.sum(np.argmin(dist, axis=1) != tx))
 
-        events.append(_run_chunks(point_rng, n_trials, chunk, count))
+        events.append(_run_chunks(point_rng, n_trials, chunk, count, threads))
     probs = [e / t for e, t in zip(events, trials_t)]
     return _finish_estimate(snr_db, probs, trials_t, events, min_events, weighting)

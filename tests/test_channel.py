@@ -57,6 +57,37 @@ def test_sample_channel_shapes():
     assert s.h.shape == (2, 4) and s.w.shape == (2, 4)
 
 
+def test_sample_channel_is_batch_row_zero():
+    cfg = SystemConfig(n=3, m=2)
+    s = sample_channel(cfg, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    h = channel.draw_complex(rng, (1, 2, 3))
+    w = channel.draw_complex(rng, (1, 2, 3))
+    assert np.array_equal(s.h, h[0]) and np.array_equal(s.w, w[0])
+
+
+def test_per_sample_functions_match_batch_rows():
+    rng = np.random.default_rng(22)
+    cfg = SystemConfig(n=4, m=2, rho=6.0)
+    scale = np.sqrt(cfg.rho / cfg.n)
+    h = channel.draw_complex(rng, (20, 2, 4))
+    w = channel.draw_complex(rng, (20, 2, 4))
+    x = random_complex(rng, (20, 4, 4))
+    y = channel.receive(h, x, scale, w)
+    hr = channel.draw_real(rng, (20, 4, 4))
+    info = channel.mutual_info_real_batch(hr, cfg.rho, cfg.n)
+    hq = channel.draw_lifted(rng, 20, 2, 2)
+    cap = channel.capacity_quaternion_batch(channel.lifted_gram_spectrum(hq), cfg.rho)
+    for i in range(20):
+        s = ChannelSample(h=h[i], w=w[i])
+        assert np.max(np.abs(apply_channel(cfg, s, x[i]) - y[i])) <= 1e-12
+        assert mutual_info_real(hr[i], np.eye(4), cfg.rho, cfg.n) == pytest.approx(
+            info[i], abs=1e-12)
+        assert capacity_quaternion(hq[i], cfg.rho) == pytest.approx(cap[i], abs=1e-12)
+        assert np.array_equal(quaternion_lift(np.hstack([hq[i, :2, :2], hq[i, :2, 2:]])),
+                              hq[i])
+
+
 # ---------------------------------------------------------------------------
 # apply_channel
 
@@ -110,17 +141,19 @@ def test_realify_identity_exact():
     # Re/Im of sqrt(rho/n) H X + W equals the stacked-real computation
     # bit-for-bit when X is real (shared real matrix products), and matches
     # an independent full-matrix evaluation to rounding.
-    cfg = SystemConfig(n=3, m=2, rho=5.0)
+    # n = 4 and 8 reach the vector width of numpy's real einsum loop.
     rng = np.random.default_rng(4)
-    scale = np.sqrt(cfg.rho / cfg.n)
-    for _ in range(100):
-        s = sample_channel(cfg, rng)
-        x = rng.standard_normal((3, 3))
-        lhs = realify(apply_channel(cfg, s, x))
-        rhs = channel.apply_channel_real(cfg, s, x)
-        assert np.array_equal(lhs, rhs)
-        indep = scale * (realify(s.h) @ x) + realify(s.w)
-        assert np.max(np.abs(lhs - indep)) <= 1e-12
+    for n in (3, 4, 8):
+        cfg = SystemConfig(n=n, m=2, rho=5.0)
+        scale = np.sqrt(cfg.rho / cfg.n)
+        for _ in range(100):
+            s = sample_channel(cfg, rng)
+            x = rng.standard_normal((n, n))
+            lhs = realify(apply_channel(cfg, s, x))
+            rhs = channel.apply_channel_real(cfg, s, x)
+            assert np.array_equal(lhs, rhs)
+            indep = scale * (realify(s.h) @ x) + realify(s.w)
+            assert np.max(np.abs(lhs - indep)) <= 1e-12
 
 
 def test_apply_channel_real_rejects_complex_codeword():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dmtlab import sim
 from dmtlab.cli import run
 
 
@@ -223,3 +224,19 @@ def test_unwritable_output_exit_3():
 
 def test_missing_required_flag_exit_2():
     assert run(["lattice-audit", "--radius", "2"]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_exit_2(value, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("codebook shaped before the thread count was checked")
+
+    monkeypatch.setenv("DMTLAB_THREADS", value)
+    monkeypatch.setattr(sim, "shape_codebook", never)
+    out = tmp_path / "e.csv"
+    rc = run(["error", "--mode", "quaternion", "--lattice", "hamilton", "--n", "2",
+              "--m", "1", "--r", "0.5", "--snr-db", "10", "--trials", "100",
+              "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "DMTLAB_THREADS" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dmtlab import linalg
 
@@ -102,98 +100,3 @@ def test_determinant_multiplicative():
 def test_determinant_rejects_non_square():
     with pytest.raises(ValueError):
         linalg.determinant(np.ones((2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# hermitian_eigenvalues
-
-def test_eigen_identity():
-    assert np.allclose(linalg.hermitian_eigenvalues(np.eye(3)), [1, 1, 1], atol=1e-12)
-
-
-def test_eigen_2x2_characteristic_roots():
-    # roots of lambda^2 - 4 lambda + 3, computed independently
-    roots = sorted(np.roots([1.0, -4.0, 3.0]), reverse=True)
-    got = linalg.hermitian_eigenvalues([[2, 1], [1, 2]])
-    assert np.allclose(got, roots, atol=1e-10)
-
-
-def test_eigen_gram_psd():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a = random_complex(rng, (4, 4))
-        gram = a.conj().T @ a
-        lam = linalg.hermitian_eigenvalues(gram)
-        assert np.all(lam >= -1e-10)
-
-
-def test_eigen_trace_det_consistency_1000():
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        a = random_complex(rng, (n, n))
-        m = a + a.conj().T
-        lam = linalg.hermitian_eigenvalues(m)
-        assert lam.shape == (n,)
-        assert np.all(np.diff(lam) <= 1e-12)
-        tr = float(np.trace(m).real)
-        assert np.sum(lam) == pytest.approx(tr, rel=1e-8, abs=1e-8)
-        det = linalg.determinant(m)
-        prod = float(np.prod(lam))
-        assert abs(prod - det.real) <= 1e-8 * max(abs(det), 1e-8)
-        assert abs(det.imag) <= 1e-8 * max(abs(det), 1.0)
-
-
-def test_eigen_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        linalg.hermitian_eigenvalues([[0, 1], [0, 0]])
-
-
-def test_eigen_rejects_non_square():
-    with pytest.raises(ValueError):
-        linalg.hermitian_eigenvalues(np.ones((2, 3)))
-
-
-def test_eigen_iteration_error():
-    rng = np.random.default_rng(7)
-    a = random_complex(rng, (6, 6))
-    m = a + a.conj().T
-    with pytest.raises(linalg.IterationError):
-        linalg.hermitian_eigenvalues(m, max_sweeps=0)
-
-
-def test_eigen_zero_matrix():
-    assert np.allclose(linalg.hermitian_eigenvalues(np.zeros((4, 4))), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# conj_transpose
-
-def test_conj_transpose_scalar():
-    assert linalg.conj_transpose([[1j]])[0, 0] == -1j
-
-
-def test_conj_transpose_real_is_transpose():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 4))
-    assert np.array_equal(linalg.conj_transpose(a), a.T)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_conj_transpose_involution(rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, (rows, cols))
-    assert np.array_equal(linalg.conj_transpose(linalg.conj_transpose(a)), a)
-
-
-# ---------------------------------------------------------------------------
-# cmatmul
-
-def test_cmatmul_matches_entrywise():
-    rng = np.random.default_rng(9)
-    a = random_complex(rng, (3, 4))
-    b = random_complex(rng, (4, 2))
-    expect = np.array([[sum(a[i, k] * b[k, j] for k in range(4))
-                        for j in range(2)] for i in range(3)])
-    assert np.allclose(linalg.cmatmul(a, b), expect, atol=1e-12)

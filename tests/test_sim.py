@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmtlab import lattice, sim
-from dmtlab.channel import SystemConfig, mutual_info_real
+from dmtlab import channel, lattice, sim
+from dmtlab.channel import SystemConfig, capacity_quaternion, mutual_info_real
 from dmtlab.sim import (chi2_tail, check_mismatched_bound,
                         check_nvd_product_bound, density_ratio_check_real,
                         estimate_error_prob, estimate_outage, fit_slope,
@@ -324,6 +324,21 @@ def test_outage_real_event_matches_mutual_info_op():
         g = np.eye(2) + (rho / 2) * (h @ h.T)
         _, logdet = np.linalg.slogdet(g)
         assert via_op == pytest.approx(logdet / (2 * math.log(2)), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,m,r", [(2, 1, 0.5), (4, 2, 2.0)])
+def test_outage_quaternion_event_matches_capacity_op(n, m, r):
+    # the batched event rule reproduces the per-sample capacity on the same
+    # draws: one chunk, so the chunk stream is the point stream's first child
+    cfg = SystemConfig(n=n, m=m, r=r)
+    db, trials, seed = 12.0, 3000, 31
+    est = estimate_outage("quaternion", cfg, [db], trials, seed, chunk=trials)
+    rho = 10.0 ** (db / 10.0)
+    stream = np.random.default_rng(seed).spawn(1)[0].spawn(1)[0]
+    hq = channel.draw_lifted(stream, trials, m, cfg.p)
+    caps = np.array([capacity_quaternion(h, rho) for h in hq])
+    expect = int(np.sum(caps <= 2 * cfg.r * math.log2(rho)))
+    assert est.events == (expect,) and expect > 0
 
 
 def test_outage_quaternion_runs():
