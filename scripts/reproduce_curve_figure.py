@@ -2,32 +2,27 @@
 
 Writes results/curves_n4_m2.csv (r, d_star, d1, d2 sampled at step 0.01)
 and results/curves_n4_m2_anchors.json, the data behind the usual
-three-curve comparison plot.
+three-curve comparison plot.  Runs the `dmtlab curves` command, so both
+files are the command's own.
 """
 
-import json
 import pathlib
+import sys
 
-from dmtlab import dmt
+from dmtlab.cli import run
 
-N, M = 4, 2
-STEP = 0.01
 OUTDIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def main():
     OUTDIR.mkdir(exist_ok=True)
-    rows = dmt.sample_curves(N, M, step=STEP)
-    csv_path = OUTDIR / f"curves_n{N}_m{M}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("r,d_star,d1,d2\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    fam = dmt.curve_family(N, M)
-    anchors = [fam[name].to_json(name) for name in ("d_star", "d1", "d2")]
-    json_path = OUTDIR / f"curves_n{N}_m{M}_anchors.json"
-    json_path.write_text(json.dumps(anchors, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {csv_path} ({len(rows)} rows) and {json_path}")
+    csv_path = OUTDIR / "curves_n4_m2.csv"
+    json_path = OUTDIR / "curves_n4_m2_anchors.json"
+    rc = run(["curves", "--n", "4", "--m", "2", "--step", "0.01",
+              "--out", str(csv_path), "--anchors-out", str(json_path)])
+    if rc:
+        sys.exit(rc)
+    print(f"wrote {csv_path} and {json_path}")
 
 
 if __name__ == "__main__":

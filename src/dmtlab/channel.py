@@ -235,8 +235,7 @@ def capacity_quaternion(h, rho):
 
 def power_check(cb, tol=1e-12):
     """Average power (1/|C|)(1/n^2) sum ||X||^2 and whether it is <= 1."""
-    if not cb.points:
+    if not len(cb.points):
         raise ValueError("empty codebook")
-    n = cb.points[0].shape[0]
-    avg = sum(frobenius_norm(x) ** 2 for x in cb.points) / (len(cb.points) * n * n)
+    avg = float(np.mean(np.abs(cb.points) ** 2))
     return avg, avg <= 1.0 + tol

@@ -243,15 +243,11 @@ def _cmd_lattice_audit(args):
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
     lat = lattice.load_lattice(args.lattice)
-    coords = lattice.shell_coordinates(lat, args.radius)
-    dets = []
-    for c in coords:
-        if np.any(c):
-            dets.append(abs(lattice.linalg.determinant(
-                lattice.point_from_coordinates(lat, c))))
-    nvd = bool(dets) and all(abs(d - round(d)) <= 1e-9 and round(d) >= 1 for d in dets)
-    report = {"points": int(len(coords)),
-              "min_det": float(min(dets)) if dets else None,
+    points, dets = lattice.shell_determinants(lat, args.radius)
+    nearest = np.round(dets)
+    nvd = bool(dets.size) and bool(np.all((np.abs(dets - nearest) <= 1e-9) & (nearest >= 1)))
+    report = {"points": points,
+              "min_det": float(dets.min()) if dets.size else None,
               "nvd": nvd}
     _write_text(args.out, json.dumps(report, sort_keys=True) + "\n")
     return 0

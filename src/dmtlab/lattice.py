@@ -11,6 +11,10 @@ Two concrete rank-4 orders in 2x2 matrices are built in:
 
 Both have minimum determinant 1 over the nonzero points (reduced norms of
 an order are rational integers), which the enumeration-based audits verify.
+
+A set of matrices is one read-only complex (N, n, n) array: a lattice's
+generators, a shell's points (`point_from_coordinates` of (N, k) coordinates)
+and a codebook's words.  A shell's determinants come from one stacked call.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatrixLattice:
-    """Integer span of real-linearly-independent n x n generator matrices."""
+    """Integer span of real-linearly-independent n x n generator matrices,
+    held as one read-only (k, n, n) complex array `basis`."""
 
     ambient_n: int
-    basis: tuple
+    basis: np.ndarray
     flavor: str
     gram: np.ndarray
 
@@ -49,9 +54,10 @@ class MatrixLattice:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Finite scaled constellation: points X/M for shell points X, |X| <= M."""
+    """Finite scaled constellation: points X/M for shell points X, |X| <= M,
+    held as one read-only (|C|, n, n) complex array `points`."""
 
-    points: tuple
+    points: np.ndarray
     radius_m: float
     rho: float
     r: float
@@ -76,7 +82,7 @@ def matrix_lattice(basis, flavor):
     """Validate generators, compute the Gram matrix, and freeze the lattice."""
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}")
-    mats = tuple(linalg.as_matrix(b) for b in basis)
+    mats = [linalg.as_matrix(b) for b in basis]
     if not mats:
         raise ValueError("empty generator list")
     n = mats[0].shape[0]
@@ -89,20 +95,15 @@ def matrix_lattice(basis, flavor):
     max_rank = 2 * n * n if flavor == "complex" else n * n
     if k > max_rank:
         raise ValueError(f"rank {k} exceeds {max_rank} for flavor {flavor}")
-    gram = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = float(np.sum(mats[i].real * mats[j].real
-                                      + mats[i].imag * mats[j].imag))
-    gram = 0.5 * (gram + gram.T)
+    mats = np.stack(mats)
+    gram = (np.einsum("kab,lab->kl", mats.real, mats.real)
+            + np.einsum("kab,lab->kl", mats.imag, mats.imag))  # exactly symmetric
     spectrum = np.linalg.eigvalsh(gram)
     if spectrum[0] <= 1e-10 * max(spectrum[-1], 1e-300):
         raise ValueError("generators are linearly dependent (Gram not positive definite)")
-    for b in mats:
-        b.flags.writeable = False
-    frozen = gram.copy()
-    frozen.flags.writeable = False
-    return MatrixLattice(ambient_n=n, basis=mats, flavor=flavor, gram=frozen)
+    mats.flags.writeable = False
+    gram.flags.writeable = False
+    return MatrixLattice(ambient_n=n, basis=mats, flavor=flavor, gram=gram)
 
 
 def build_hamilton_order():
@@ -186,16 +187,14 @@ def shell_coordinates(lat, radius, cap=1_000_000):
 
 
 def point_from_coordinates(lat, coords):
-    x = np.zeros((lat.ambient_n, lat.ambient_n), dtype=complex)
-    for c, b in zip(coords, lat.basis):
-        if c:
-            x = x + int(c) * b
+    """The lattice point sum_k c_k B_k: (k,) coordinates give one (n, n)
+    matrix, (N, k) coordinates an (N, n, n) stack.  The terms are added in
+    basis order, so a row of a stack equals the point of that row alone."""
+    c = np.asarray(coords)
+    x = np.zeros(c.shape[:-1] + lat.basis.shape[1:], dtype=complex)
+    for k, b in enumerate(lat.basis):
+        x += c[..., k, None, None] * b
     return x
-
-
-def enumerate_shell(lat, radius, cap=1_000_000):
-    """All lattice points of Frobenius norm <= radius (the zero point included)."""
-    return [point_from_coordinates(lat, c) for c in shell_coordinates(lat, radius, cap=cap)]
 
 
 def coordinates_of(lat, x):
@@ -205,14 +204,20 @@ def coordinates_of(lat, x):
     return np.linalg.solve(lat.gram, rhs)
 
 
+def shell_determinants(lat, radius, cap=1_000_000):
+    """(points, dets): the number of lattice points of norm <= radius and
+    the |det| of each nonzero one, in enumeration order."""
+    coords = shell_coordinates(lat, radius, cap=cap)
+    nonzero = coords[np.any(coords != 0, axis=1)]
+    return len(coords), np.abs(linalg.determinant(point_from_coordinates(lat, nonzero)))
+
+
 def min_det(lat, radius, cap=1_000_000):
     """Minimum |det| over the nonzero lattice points of norm <= radius."""
-    coords = shell_coordinates(lat, radius, cap=cap)
-    vals = [abs(linalg.determinant(point_from_coordinates(lat, c)))
-            for c in coords if np.any(c)]
-    if not vals:
+    _, dets = shell_determinants(lat, radius, cap=cap)
+    if not dets.size:
         raise ValueError("no nonzero lattice point within the given radius")
-    return min(vals)
+    return float(dets.min())
 
 
 def shape_codebook(lat, rho, r, cap=1_000_000):
@@ -226,12 +231,9 @@ def shape_codebook(lat, rho, r, cap=1_000_000):
     if est > cap:
         raise ResourceLimitError(
             f"estimated shell size {est:.3g} exceeds the cap {cap}")
-    pts = []
-    for x in enumerate_shell(lat, m_radius, cap=cap):
-        scaled = x / m_radius
-        scaled.flags.writeable = False
-        pts.append(scaled)
-    return Codebook(points=tuple(pts), radius_m=m_radius, rho=float(rho),
+    pts = point_from_coordinates(lat, shell_coordinates(lat, m_radius, cap=cap)) / m_radius
+    pts.flags.writeable = False
+    return Codebook(points=pts, radius_m=m_radius, rho=float(rho),
                     r=float(r), source=lat)
 
 
@@ -266,14 +268,11 @@ def fixed_codebook(lat, size=16):
             break
     if chosen is None:
         chosen = [c for _, c in norms[:size]]
-    pts = [point_from_coordinates(lat, np.array(c)) for c in chosen]
+    pts = point_from_coordinates(lat, np.array(chosen))
     m_fix = max(linalg.frobenius_norm(x) for x in pts)
-    scaled = []
-    for x in pts:
-        y = x / m_fix
-        y.flags.writeable = False
-        scaled.append(y)
-    return Codebook(points=tuple(scaled), radius_m=m_fix, rho=1.0, r=0.0, source=lat)
+    pts = pts / m_fix
+    pts.flags.writeable = False
+    return Codebook(points=pts, radius_m=m_fix, rho=1.0, r=0.0, source=lat)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Everything downstream (channel models, lattices, Monte Carlo checks) runs on
 plain numpy arrays; this module owns the few primitives whose behavior we
 need to control precisely: finite-matrix coercion, an order-independent
-Frobenius norm, and a square-checked determinant.  Products, eigenvalues and
-log-determinants come straight from numpy.
+Frobenius norm, and a square-checked determinant of one matrix or of an
+(N, n, n) stack.  Products, eigenvalues and log-determinants come straight
+from numpy.
 """
 
 from __future__ import annotations
@@ -37,13 +38,17 @@ def frobenius_norm(m):
 
 
 def determinant(m):
-    """Determinant of a square matrix (LAPACK LU with partial pivoting).
+    """Determinant of a square matrix, or the (N,) determinants of an
+    (N, n, n) stack (LAPACK LU with partial pivoting, matrix by matrix).
 
     Integer-entry lattice points up to 8x8 come out within ~1e-13 of an
     integer, well inside the 1e-9 the NVD audits allow.
     """
-    a = as_matrix(m)
-    n, c = a.shape
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or not np.all(np.isfinite(a)):
+        raise ValueError(f"expected a finite matrix or (N, n, n) stack, got ndim={a.ndim}")
+    n, c = a.shape[-2:]
     if n != c:
         raise ValueError(f"determinant needs a square matrix, got {n}x{c}")
-    return complex(np.linalg.det(a))
+    d = np.linalg.det(a)
+    return complex(d) if a.ndim == 2 else d

@@ -136,12 +136,8 @@ def sample_wishart_quaternion(p, m, rng, rho=1e4):
 # ---------------------------------------------------------------------------
 # Eigenvalue densities (unnormalized; constants cancel in ratios)
 
-def log_eigenvalue_density_real(lambdas, n, m):
-    """log of e^(-sum lam) * prod lam^((Delta-1)/2) * prod_{i<j}(lam_i - lam_j),
-    up to the normalization constant.  -inf when eigenvalues coincide."""
-    lam = np.asarray(lambdas, dtype=float)
-    delta = abs(n - 2 * m)
-    val = -lam.sum() + 0.5 * (delta - 1) * np.log(lam).sum()
+def _add_log_vandermonde(val, lam):
+    """val + sum_{i<j} log(lam_i - lam_j), or -inf on a non-positive gap."""
     for i in range(lam.size):
         for j in range(i + 1, lam.size):
             gap = lam[i] - lam[j]
@@ -149,6 +145,14 @@ def log_eigenvalue_density_real(lambdas, n, m):
                 return -math.inf
             val += math.log(gap)
     return float(val)
+
+
+def log_eigenvalue_density_real(lambdas, n, m):
+    """log of e^(-sum lam) * prod lam^((Delta-1)/2) * prod_{i<j}(lam_i - lam_j),
+    up to the normalization constant.  -inf when eigenvalues coincide."""
+    lam = np.asarray(lambdas, dtype=float)
+    delta = abs(n - 2 * m)
+    return _add_log_vandermonde(-lam.sum() + 0.5 * (delta - 1) * np.log(lam).sum(), lam)
 
 
 def density_ratio_check_real(profile_a, profile_b, n, m):
@@ -173,14 +177,8 @@ def log_alpha_density_real(alphas, n, m, rho):
     delta = abs(n - 2 * m)
     logr = math.log(rho)
     lam = rho ** (-a)
-    val = a.size * math.log(logr) - lam.sum() - logr * 0.5 * (delta + 1) * a.sum()
-    for i in range(a.size):
-        for j in range(i + 1, a.size):
-            gap = lam[i] - lam[j]
-            if gap <= 0:
-                return -math.inf
-            val += math.log(gap)
-    return float(val)
+    return _add_log_vandermonde(
+        a.size * math.log(logr) - lam.sum() - logr * 0.5 * (delta + 1) * a.sum(), lam)
 
 
 def log_alpha_density_upper(alphas, n, m, rho):
@@ -230,16 +228,15 @@ def chi2_tail(x, half_dof):
 
 def min_received_distance(h_equiv, cb, rho, n, pair_cap=10_000_000):
     """rho * min over distinct codeword pairs of ||H (X - X')||^2."""
-    pts = cb.points
+    pts = np.asarray(cb.points, dtype=complex)
     if len(pts) < 2:
         raise ValueError("need at least 2 codewords")
-    if pts[0].shape != (n, n):
-        raise ValueError(f"codewords must be {n}x{n}, got {pts[0].shape}")
+    if pts.shape[1:] != (n, n):
+        raise ValueError(f"codewords must be {n}x{n}, got {pts.shape[1:]}")
     n_pairs = len(pts) * (len(pts) - 1) // 2
     if n_pairs > pair_cap:
         raise ResourceLimitError(f"{n_pairs} pairs exceed the cap {pair_cap}")
-    h = linalg.as_matrix(h_equiv)
-    imgs = np.stack([h @ np.asarray(p, dtype=complex) for p in pts])
+    imgs = linalg.as_matrix(h_equiv) @ pts
     best = math.inf
     for i in range(len(pts) - 1):
         diff = imgs[i + 1:] - imgs[i]
@@ -275,7 +272,7 @@ class NvdCheckResult:
         return self.ok
 
 
-def check_nvd_product_bound(cb, rho, r, n, k_index=None, tol=1e-6):
+def check_nvd_product_bound(cb, rho, r, n, tol=1e-6):
     """Eigenvalue-product bounds behind the NVD error-exponent argument.
 
     For every distinct pair of unscaled shell points, with mu the ascending
@@ -292,7 +289,7 @@ def check_nvd_product_bound(cb, rho, r, n, k_index=None, tol=1e-6):
     pair when a bound fails.
     """
     lat = cb.source
-    pts = [np.asarray(p, dtype=complex) * cb.radius_m for p in cb.points]
+    pts = np.asarray(cb.points, dtype=complex) * cb.radius_m
     if len(pts) < 2:
         raise ValueError("need at least 2 codewords")
     if lat.ambient_n != n:
@@ -314,10 +311,7 @@ def check_nvd_product_bound(cb, rho, r, n, k_index=None, tol=1e-6):
             if np.any(mu > cap * (1.0 + tol)):
                 return NvdCheckResult(False, {"pair": (i, j), "kind": "upper",
                                               "mu_max": float(mu.max()), "cap": cap})
-            ks = range(1, n_mu + 1) if k_index is None else [k_index]
-            for k in ks:
-                if not 1 <= k <= n_mu:
-                    raise ValueError(f"k_index={k} outside 1..{n_mu}")
+            for k in range(1, n_mu + 1):
                 prod = float(np.prod(mu[:k]))
                 bound = cap ** (-(n_mu - k))
                 if prod < bound * (1.0 - tol):
@@ -440,8 +434,10 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
 # ---------------------------------------------------------------------------
 # ML error-rate estimation
 
-def _codebook_array(cb):
-    return np.stack([np.asarray(p, dtype=complex) for p in cb.points])
+# Bytes of candidates (rows x |C| x 2m x n) one decode sub-batch may build,
+# per worker, before about 1.5x more in temporaries.  Sub-batches split an
+# RNG chunk's rows after it is drawn, so events do not depend on this value.
+DECODE_BUDGET_BYTES = 64 * 2**20
 
 
 def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
@@ -481,8 +477,7 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
     for db, point_rng, n_trials in zip(snr_db, streams, trials_t):
         rho = 10.0 ** (db / 10.0)
         cb = fixed_cb if fixed_cb is not None else shape_codebook(lat, rho, cfg.r, cap=cap)
-        cwords = _codebook_array(cb)
-        cwords = cwords.real if mode == "real" else cwords
+        cwords = cb.points.real if mode == "real" else cb.points
         scale = math.sqrt(rho / n)
 
         def count(st, size, cwords=cwords, scale=scale):
@@ -490,12 +485,17 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
             w = draw(st, size) * noise_scale
             tx = st.integers(0, len(cwords), size=size)
             y = channel.receive(h, cwords[tx], scale, w)
-            cand = scale * np.einsum("bij,kjl->bkil", h, cwords)
-            if mode == "real":
-                dist = np.sum((y[:, None] - cand) ** 2, axis=(-2, -1))
-            else:
-                dist = np.sum(np.abs(y[:, None] - cand) ** 2, axis=(-2, -1))
-            return int(np.sum(np.argmin(dist, axis=1) != tx))
+            rows = max(1, DECODE_BUDGET_BYTES // (len(cwords) * h[0].nbytes))
+            errors = 0
+            for lo in range(0, size, rows):
+                part = slice(lo, lo + rows)
+                cand = scale * np.einsum("bij,kjl->bkil", h[part], cwords)
+                if mode == "real":
+                    dist = np.sum((y[part, None] - cand) ** 2, axis=(-2, -1))
+                else:
+                    dist = np.sum(np.abs(y[part, None] - cand) ** 2, axis=(-2, -1))
+                errors += int(np.sum(np.argmin(dist, axis=1) != tx[part]))
+            return errors
 
         events.append(_run_chunks(point_rng, n_trials, chunk, count, threads))
     probs = [e / t for e, t in zip(events, trials_t)]

@@ -183,6 +183,12 @@ def test_lattice_audit(tmp_path):
     assert data == {"min_det": 1.0, "nvd": True, "points": 33}
 
 
+def test_lattice_audit_empty_shell(capsys):
+    # only the origin lies within radius 0.5: no nonzero point to audit
+    assert run(["lattice-audit", "--lattice", "hamilton", "--radius", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"min_det": None, "nvd": False, "points": 1}
+
+
 def test_lattice_audit_split(tmp_path):
     out = tmp_path / "audit.json"
     assert run(["lattice-audit", "--lattice", "split", "--radius", "3",

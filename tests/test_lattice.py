@@ -30,7 +30,7 @@ def box_search_coordinates(lat, radius):
 # enumeration
 
 def test_shell_zero_radius():
-    pts = lattice.enumerate_shell(HAMILTON, 0.0)
+    pts = lattice.point_from_coordinates(HAMILTON, lattice.shell_coordinates(HAMILTON, 0.0))
     assert len(pts) == 1 and np.all(pts[0] == 0)
 
 
@@ -43,12 +43,12 @@ def test_shell_counts_match_box_oracle():
 
 def test_hamilton_shell_sqrt2():
     # 0 plus the 8 unit quaternions: ||X||^2 = 2(a^2+b^2+c^2+d^2)
-    assert len(lattice.enumerate_shell(HAMILTON, np.sqrt(2))) == 9
+    assert len(lattice.shell_coordinates(HAMILTON, np.sqrt(2))) == 9
 
 
 def test_hamilton_shell_radius2():
     # integer solutions of a^2+b^2+c^2+d^2 <= 2: 1 + 8 + 24 (box oracle)
-    assert len(lattice.enumerate_shell(HAMILTON, 2.0)) == 33
+    assert len(lattice.shell_coordinates(HAMILTON, 2.0)) == 33
     assert len(box_search_coordinates(HAMILTON, 2.0)) == 33
 
 
@@ -139,7 +139,7 @@ def test_split_form_anisotropic_box20():
 def test_orders_ring_closure():
     # products of shell points have integer coordinates: orders are rings
     for lat in (HAMILTON, SPLIT):
-        pts = lattice.enumerate_shell(lat, 2.0)
+        pts = lattice.point_from_coordinates(lat, lattice.shell_coordinates(lat, 2.0))
         for a in pts[:12]:
             for b in pts[:12]:
                 coords = lattice.coordinates_of(lat, np.asarray(a) @ np.asarray(b))
@@ -159,9 +159,12 @@ def test_nvd_integrality():
 def test_gram_consistency():
     rng = np.random.default_rng(2)
     for lat in (HAMILTON, SPLIT):
-        for _ in range(100):
-            c = rng.integers(-5, 6, size=lat.rank)
+        coords = rng.integers(-5, 6, size=(100, lat.rank))
+        stack = lattice.point_from_coordinates(lat, coords)
+        assert stack.shape == (100, lat.ambient_n, lat.ambient_n)
+        for c, row in zip(coords, stack):
             x = lattice.point_from_coordinates(lat, c)
+            assert x.tobytes() == row.tobytes()  # a stack row is its point, bit for bit
             quad = float(c @ lat.gram @ c)
             assert linalg.frobenius_norm(x) ** 2 == pytest.approx(quad, abs=1e-9 * max(1, quad))
 
@@ -218,6 +221,8 @@ def test_shape_codebook_power_and_norms():
     for lat in (HAMILTON, SPLIT):
         cb = lattice.shape_codebook(lat, 60.0, 0.6)
         assert len(cb.points) > 1
+        assert isinstance(cb.points, np.ndarray) and not cb.points.flags.writeable
+        assert cb.points.shape == (len(cb.points), lat.ambient_n, lat.ambient_n)
         _, ok = power_check(cb)
         assert ok
         for p in cb.points:
@@ -239,6 +244,7 @@ def test_shape_codebook_validation():
 def test_fixed_codebook_equal_norm_shell():
     cb = lattice.fixed_codebook(HAMILTON, 16)
     assert len(cb.points) == 16
+    assert isinstance(cb.points, np.ndarray) and not cb.points.flags.writeable
     norms = {round(linalg.frobenius_norm(p), 9) for p in cb.points}
     assert norms == {1.0}  # one shell, scaled to the unit sphere
     again = lattice.fixed_codebook(HAMILTON, 16)

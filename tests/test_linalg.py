@@ -71,11 +71,14 @@ def test_determinant_permutation_sign():
 
 def test_determinant_matches_cofactor_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        a = rng.integers(-5, 6, size=(3, 3)).astype(complex)
+    stack = rng.integers(-5, 6, size=(50, 3, 3)).astype(complex)
+    for a in stack:
         expect = cofactor_det(a)
         got = linalg.determinant(a)
         assert got == pytest.approx(expect, abs=1e-9)
+    stacked = linalg.determinant(stack)
+    assert stacked.shape == (50,)
+    assert all(d == linalg.determinant(a) for d, a in zip(stacked, stack))
 
 
 def test_determinant_complex_vs_oracle():

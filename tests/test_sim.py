@@ -373,6 +373,19 @@ def test_error_deterministic():
     assert a.events == b.events
 
 
+@pytest.mark.parametrize("mode,name,r", [("quaternion", "hamilton", 0.0),
+                                         ("quaternion", "hamilton", 0.5),
+                                         ("real", "split", 0.5)])
+def test_error_events_independent_of_decode_budget(monkeypatch, mode, name, r):
+    # a budget of one byte decodes row by row; events must not change
+    cfg = SystemConfig(n=2, m=1, r=r)
+    args = (mode, lattice.load_lattice(name), cfg, [12.0, 18.0], 3000, 21)
+    default = estimate_error_prob(*args, chunk=1300)
+    monkeypatch.setattr(sim, "DECODE_BUDGET_BYTES", 1)
+    tiny = estimate_error_prob(*args, chunk=1300)
+    assert tiny.events == default.events and sum(default.events) > 0
+
+
 def test_error_flavor_mode_mismatch():
     cfg = SystemConfig(n=2, m=1, r=0.0)
     with pytest.raises(ValueError):
