@@ -41,7 +41,7 @@ class RunConfig:
     m: int
     r: float
     snr_db: list
-    trials: list
+    trials: int | list
     seed: int
     lattice: str | None = None
     out: str | None = None
@@ -52,17 +52,6 @@ def _parse_float_list(text):
     vals = [float(v) for v in str(text).split(",") if v.strip()]
     if not vals:
         raise ValueError("empty numeric list")
-    return vals
-
-
-def _parse_trials(text, n_points):
-    vals = [int(float(v)) for v in str(text).split(",") if v.strip()]
-    if len(vals) == 1:
-        vals = vals * n_points
-    if len(vals) != n_points:
-        raise ValueError("trials list must have one entry or one per SNR point")
-    if min(vals) < 1:
-        raise ValueError("trials must be >= 1")
     return vals
 
 
@@ -129,10 +118,11 @@ def _run_config(args, need_lattice=False):
               if not isinstance(merged["snr-db"], list) else
               [float(v) for v in merged["snr-db"]])
     trials = merged["trials"]
-    trials = (_parse_trials(trials, len(snr_db)) if not isinstance(trials, list)
-              else [int(v) for v in trials])
-    if len(trials) != len(snr_db):
-        raise ValueError("trials list must match the SNR grid")
+    if isinstance(trials, list):
+        trials = [int(v) for v in trials]
+    else:  # one count for every point, or a comma-separated count per point
+        trials = [int(float(v)) for v in str(trials).split(",") if v.strip()]
+        trials = trials[0] if len(trials) == 1 else trials
     return RunConfig(mode=str(merged["mode"]), n=int(merged["n"]),
                      m=int(merged["m"]), r=float(merged["r"]),
                      snr_db=snr_db, trials=trials, seed=int(merged["seed"]),
@@ -181,9 +171,7 @@ def _summary_json(run, est):
 def _cmd_outage(args):
     run = _run_config(args)
     cfg = SystemConfig(n=run.n, m=run.m, rho=1.0, r=run.r)
-    if len(set(run.trials)) != 1:
-        raise ValueError("outage uses a single trial count for all SNR points")
-    est = sim.estimate_outage(run.mode, cfg, run.snr_db, run.trials[0],
+    est = sim.estimate_outage(run.mode, cfg, run.snr_db, run.trials,
                               np.random.default_rng(run.seed),
                               weighting=getattr(args, "weighting", "events"))
     _write_text(run.out, _sweep_csv("outage", run, est))

@@ -70,37 +70,30 @@ def classical_dmt(n, m):
     return PiecewiseLinearCurve(tuple(anchors))
 
 
-def d1_curve(n, m):
-    """Upper bound for real-matrix codes: (r, [(m-r)(n-2r)]+) at half-integer r."""
+def _bound_curve(n, m, r_step):
+    """Anchors (r, [(m-r)(n-2r)]+) at r = 0, r_step, 2 r_step, ... up to the
+    first zero of (m-r)(n-2r)."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     anchors = []
-    j = 0
-    while True:
-        r = j / 2.0
+    for j in itertools.count():
+        r = j * r_step
         val = (m - r) * (n - 2 * r)
-        anchors.append((r, max(val, 0.0)))
+        anchors.append((float(r), max(float(val), 0.0)))
         if val <= 0:
-            break
-        j += 1
-    return PiecewiseLinearCurve(tuple(anchors))
+            return PiecewiseLinearCurve(tuple(anchors))
+
+
+def d1_curve(n, m):
+    """Upper bound for real-matrix codes: (r, [(m-r)(n-2r)]+) at half-integer r."""
+    return _bound_curve(n, m, 0.5)
 
 
 def d2_curve(n, m):
     """Upper bound for quaternionic codes: (r, [(m-r)(n-2r)]+) at integer r."""
     if n % 2:
         raise ValueError("quaternionic bound needs even n")
-    if n < 2 or m < 1:
-        raise ValueError("need even n >= 2 and m >= 1")
-    anchors = []
-    r = 0
-    while True:
-        val = (m - r) * (n - 2 * r)
-        anchors.append((float(r), max(float(val), 0.0)))
-        if val <= 0:
-            break
-        r += 1
-    return PiecewiseLinearCurve(tuple(anchors))
+    return _bound_curve(n, m, 1)
 
 
 @dataclass(frozen=True)
@@ -145,13 +138,13 @@ def lemma2_closed_form(prob):
 
 @lru_cache(maxsize=8)
 def _ascending_grid(l, step):
-    """All ascending l-tuples over the [0, 1] grid, with prefix sums of (1-a)."""
+    """All ascending l-tuples over the [0, 1] grid, with the full sum of
+    (1-a) accumulated in prefix order (the last prefix sum)."""
     ticks = [i * step for i in range(int(1.0 / step) + 1)]
     if ticks[-1] < 1.0:
         ticks.append(1.0)
     pts = np.array(list(itertools.combinations_with_replacement(ticks, l)))
-    prefix = np.cumsum(1.0 - pts, axis=1)
-    return pts, prefix
+    return pts, np.cumsum(1.0 - pts, axis=1)[:, -1]
 
 
 def lemma2_bruteforce(prob, grid_step):
@@ -160,13 +153,14 @@ def lemma2_bruteforce(prob, grid_step):
     Any feasible coordinate above 1 can be lowered to 1 without losing
     feasibility or increasing f (all coefficients positive for q >= l), so
     the box restriction is exact up to the grid resolution; the result is
-    within l*(q+l)*grid_step of the true infimum.
+    within l*(q+l)*grid_step of the true infimum.  On the box every
+    addend 1 - a_i is nonnegative, so the prefix sums never decrease and
+    only the last one needs testing against s.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    pts, prefix = _ascending_grid(prob.l, float(grid_step))
-    feasible = np.all(prefix <= prob.s + 1e-9, axis=1)
-    vals = pts[feasible] @ prob.coefficients()
+    pts, total = _ascending_grid(prob.l, float(grid_step))
+    vals = pts[total <= prob.s + 1e-9] @ prob.coefficients()
     return float(vals.min())
 
 

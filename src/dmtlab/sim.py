@@ -4,7 +4,11 @@ empirical diversity estimates.  Channel draws, lifts, received blocks,
 log-determinants and capacities all come from the batched layer in
 `channel`.
 
-Determinism: every estimator takes a root generator (or integer seed) and
+Both estimators run through `_sweep`, the one per-point driver: it checks
+the thread cap and the trial counts, runs the chunks and fits the slope; an
+estimator supplies only its per-point event counter.
+
+Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per fixed-size work chunk with
 ``Generator.spawn``.  Chunk results are summed, so the outcome is
 bit-identical regardless of how many worker threads execute the chunks
@@ -13,6 +17,7 @@ bit-identical regardless of how many worker threads execute the chunks
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +27,12 @@ import numpy as np
 
 from . import channel, linalg
 from .lattice import ResourceLimitError, fixed_codebook, shape_codebook
+
+# A point with fewer events is flagged and left out of the slope fit.
+MIN_EVENTS = 50
+
+# Codeword pairs a distance or eigenvalue-product check may visit.
+PAIR_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -58,12 +69,6 @@ class SlopeEstimate:
     flagged: tuple
 
 
-def _as_generator(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _thread_cap():
     """The worker-thread cap: DMTLAB_THREADS when set, else the available
     parallelism.  A value that is not an integer >= 1 is rejected."""
@@ -88,6 +93,28 @@ def _run_chunks(point_rng, trials, chunk, fn, cap):
         return sum(fn(st, sz) for st, sz in zip(streams, sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(fn, streams, sizes))
+
+
+def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
+    """Run one Monte Carlo SNR sweep and fit its slope.
+
+    `trials` is a scalar or one count per SNR point; counter(rho) returns
+    the chunk function count(stream, size) -> events at that point.  A bad
+    DMTLAB_THREADS is rejected before any counter (or codebook) is built.
+    """
+    threads = _thread_cap()
+    snr_db = [float(v) for v in snr_grid_db]
+    trials_t = ([int(trials)] * len(snr_db) if np.ndim(trials) == 0
+                else [int(t) for t in trials])
+    if len(trials_t) != len(snr_db):
+        raise ValueError("trials list must match the SNR grid")
+    if any(t < 1 for t in trials_t):
+        raise ValueError("trials must be >= 1")
+    streams = np.random.default_rng(rng).spawn(len(snr_db))
+    events = [_run_chunks(st, t, chunk, counter(10.0 ** (db / 10.0)), threads)
+              for db, st, t in zip(snr_db, streams, trials_t)]
+    probs = [e / t for e, t in zip(events, trials_t)]
+    return _finish_estimate(snr_db, probs, trials_t, events, weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +253,21 @@ def chi2_tail(x, half_dof):
 # ---------------------------------------------------------------------------
 # Distance and eigenvalue-product checks
 
-def min_received_distance(h_equiv, cb, rho, n, pair_cap=10_000_000):
+def _check_pairs(count):
+    """ResourceLimitError when `count` codewords make more than PAIR_CAP pairs."""
+    n_pairs = count * (count - 1) // 2
+    if n_pairs > PAIR_CAP:
+        raise ResourceLimitError(f"{n_pairs} pairs exceed the cap {PAIR_CAP}")
+
+
+def min_received_distance(h_equiv, cb, rho, n):
     """rho * min over distinct codeword pairs of ||H (X - X')||^2."""
     pts = np.asarray(cb.points, dtype=complex)
     if len(pts) < 2:
         raise ValueError("need at least 2 codewords")
     if pts.shape[1:] != (n, n):
         raise ValueError(f"codewords must be {n}x{n}, got {pts.shape[1:]}")
-    n_pairs = len(pts) * (len(pts) - 1) // 2
-    if n_pairs > pair_cap:
-        raise ResourceLimitError(f"{n_pairs} pairs exceed the cap {pair_cap}")
+    _check_pairs(len(pts))
     imgs = linalg.as_matrix(h_equiv) @ pts
     best = math.inf
     for i in range(len(pts) - 1):
@@ -299,40 +331,46 @@ def check_nvd_product_bound(cb, rho, r, n, tol=1e-6):
     if abs(msq - cb.radius_m ** 2) > 1e-6 * msq:
         raise ValueError("shell radius inconsistent with (rho, r, n): the "
                          "bound presumes an n^2-dimensional shaped codebook")
+    _check_pairs(len(pts))
     cap = 4.0 * msq
+    n_mu = n // 2 if quat else n
+    bounds = np.array([cap ** -(n_mu - k) for k in range(1, n_mu + 1)])
     for i in range(len(pts) - 1):
-        for j in range(i + 1, len(pts)):
-            dx = pts[i] - pts[j]
-            mu = np.linalg.eigvalsh(dx @ dx.conj().T)
-            mu = np.clip(mu, 0.0, None)
-            if quat:
-                mu = mu[0::2]
-            n_mu = mu.size
-            if np.any(mu > cap * (1.0 + tol)):
-                return NvdCheckResult(False, {"pair": (i, j), "kind": "upper",
-                                              "mu_max": float(mu.max()), "cap": cap})
-            for k in range(1, n_mu + 1):
-                prod = float(np.prod(mu[:k]))
-                bound = cap ** (-(n_mu - k))
-                if prod < bound * (1.0 - tol):
-                    return NvdCheckResult(False, {"pair": (i, j), "kind": "lower",
-                                                  "k": k, "product": prod,
-                                                  "bound": bound})
+        # row i against every later point: one eigvalsh on the (N-i-1, n, n) stack
+        dx = pts[i] - pts[i + 1:]
+        mu = np.clip(np.linalg.eigvalsh(dx @ dx.conj().transpose(0, 2, 1)), 0.0, None)
+        if quat:
+            mu = mu[:, 0::2]
+        upper = np.any(mu > cap * (1.0 + tol), axis=1)
+        prods = np.cumprod(mu, axis=1)
+        lower = prods < bounds * (1.0 - tol)
+        bad = upper | np.any(lower, axis=1)
+        if not np.any(bad):
+            continue
+        j = int(np.argmax(bad))
+        pair = (i, i + 1 + j)
+        if upper[j]:
+            return NvdCheckResult(False, {"pair": pair, "kind": "upper",
+                                          "mu_max": float(mu[j].max()), "cap": cap})
+        k = int(np.argmax(lower[j]))
+        return NvdCheckResult(False, {"pair": pair, "kind": "lower", "k": k + 1,
+                                      "product": float(prods[j, k]),
+                                      "bound": float(bounds[k])})
     return NvdCheckResult(True, None)
 
 
 # ---------------------------------------------------------------------------
 # Slope fitting
 
-def fit_slope(snr_db, probs, trials, min_events=50, weighting="events"):
+def fit_slope(snr_db, probs, trials, weighting="events"):
     """Least squares of -log10(prob) on log10(rho).
 
     weighting="events" weights each point by its event count (the variance
     of log p-hat scales like 1/events); "uniform" fits unweighted, which
     leans less on the shallow low-SNR region and tracks the asymptotic
-    slope better when the sweep is still curving.  Points with zero events
-    or fewer than min_events are flagged and left out of the fit; fewer
-    than two usable points is an error.
+    slope better when the sweep is still curving.  Points with fewer than
+    MIN_EVENTS events are flagged and left out of the fit; fewer than two
+    usable points is an error.
     """
     if weighting not in ("events", "uniform"):
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -342,10 +380,10 @@ def fit_slope(snr_db, probs, trials, min_events=50, weighting="events"):
     if not len(snr_db) == len(probs) == len(trials_t):
         raise ValueError("snr_db, probs and trials must have equal length")
     events = tuple(int(round(p * t)) for p, t in zip(probs, trials_t))
-    flagged = tuple(e < min_events for e in events)
+    flagged = tuple(e < MIN_EVENTS for e in events)
     usable = [i for i, f in enumerate(flagged) if not f]
     if len(usable) < 2:
-        raise ValueError(f"fewer than 2 SNR points with >= {min_events} events")
+        raise ValueError(f"fewer than 2 SNR points with >= {MIN_EVENTS} events")
     x = np.array([snr_db[i] / 10.0 for i in usable])
     y = np.array([-math.log10(probs[i]) for i in usable])
     w = (np.array([events[i] for i in usable], dtype=float)
@@ -364,17 +402,15 @@ def fit_slope(snr_db, probs, trials, min_events=50, weighting="events"):
                          events=events, slope=slope, stderr=stderr, flagged=flagged)
 
 
-def _finish_estimate(snr_db, probs, trials, events, min_events=50,
-                     weighting="events"):
+def _finish_estimate(snr_db, probs, trials, events, weighting):
     """The fitted estimate, or a NaN slope when the fit has too few points."""
     try:
-        return fit_slope(snr_db, probs, trials, min_events=min_events,
-                         weighting=weighting)
+        return fit_slope(snr_db, probs, trials, weighting=weighting)
     except ValueError:
         return SlopeEstimate(snr_db=tuple(snr_db), probs=tuple(probs),
                              trials=tuple(trials), events=tuple(events),
                              slope=math.nan, stderr=math.nan,
-                             flagged=tuple(e < min_events for e in events))
+                             flagged=tuple(e < MIN_EVENTS for e in events))
 
 
 # ---------------------------------------------------------------------------
@@ -394,41 +430,31 @@ def _validate_mode_r(mode, cfg):
 
 
 def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
-                    min_events=50, weighting="events"):
+                    weighting="events"):
     """Outage probability sweep and its fitted slope.
 
     Real mode: P{ 0.5 log2 det(I + (rho/n) H H^T) <= r log2 rho } with the
     identity input covariance.  Quaternion mode: P{ 2 sum log2(1 + rho
     lambda_i) <= 2 r log2 rho } over the distinct lifted-Gram eigenvalues.
+    `trials` may be a scalar or one count per SNR point.
     """
     _validate_mode_r(mode, cfg)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    threads = _thread_cap()
-    root = _as_generator(rng)
-    snr_db = [float(v) for v in snr_grid_db]
-    streams = root.spawn(len(snr_db))
     n, m = cfg.n, cfg.m
-    events = []
-    for db, point_rng in zip(snr_db, streams):
-        rho = 10.0 ** (db / 10.0)
-        if mode == "real":
-            thresh = cfg.r * math.log2(rho)
 
-            def count(st, size, rho=rho, thresh=thresh):
+    def counter(rho):
+        thresh = (1 if mode == "real" else 2) * cfg.r * math.log2(rho)
+
+        def count(st, size):
+            if mode == "real":
                 h = channel.draw_real(st, (size, 2 * m, n))
-                return int(np.sum(channel.mutual_info_real_batch(h, rho, n) <= thresh))
-        else:
-            thresh = 2 * cfg.r * math.log2(rho)
-
-            def count(st, size, rho=rho, thresh=thresh):
+                rate = channel.mutual_info_real_batch(h, rho, n)
+            else:
                 lam = sample_wishart_quaternion_batch(cfg.p, m, size, st)
-                return int(np.sum(channel.capacity_quaternion_batch(lam, rho) <= thresh))
+                rate = channel.capacity_quaternion_batch(lam, rho)
+            return int(np.sum(rate <= thresh))
+        return count
 
-        events.append(_run_chunks(point_rng, int(trials), chunk, count, threads))
-    trials_t = [int(trials)] * len(snr_db)
-    probs = [e / t for e, t in zip(events, trials_t)]
-    return _finish_estimate(snr_db, probs, trials_t, events, min_events, weighting)
+    return _sweep(snr_grid_db, trials, rng, chunk, counter, weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +467,11 @@ DECODE_BUDGET_BYTES = 64 * 2**20
 
 
 def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
-                        chunk=50_000, fixed_size=16, noise_scale=1.0,
-                        cap=1_000_000, min_events=50, weighting="events"):
+                        chunk=50_000, noise_scale=1.0, weighting="events"):
     """Block error rate of exhaustive-ML decoding with its fitted slope.
 
     Per SNR point the codebook is the spherically shaped shell at that SNR,
-    except at r = 0 where a fixed `fixed_size`-word constellation is reused
+    except at r = 0 where one `fixed_codebook` constellation is reused
     across the sweep (constant rate).  `trials` may be a scalar or one count
     per SNR point; `noise_scale` = 0 is the noiseless test hook.
     """
@@ -455,32 +480,21 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
         raise ValueError("real mode needs a real-flavored lattice")
     if mode == "quaternion" and lat.flavor != "quaternionic":
         raise ValueError("quaternion mode needs a quaternionic lattice")
-    snr_db = [float(v) for v in snr_grid_db]
-    trials_t = ([int(trials)] * len(snr_db) if np.ndim(trials) == 0
-                else [int(t) for t in trials])
-    if len(trials_t) != len(snr_db):
-        raise ValueError("trials list must match the SNR grid")
-    if min(trials_t) < 1:
-        raise ValueError("trials must be >= 1")
-    threads = _thread_cap()
-    root = _as_generator(rng)
-    streams = root.spawn(len(snr_db))
     n, m = cfg.n, cfg.m
-    fixed_cb = fixed_codebook(lat, fixed_size) if cfg.r == 0 else None
+    fixed = functools.cache(lambda: fixed_codebook(lat))
     if mode == "real":
         def draw(st, size):
             return channel.draw_real(st, (size, 2 * m, n))
     else:
         def draw(st, size):
             return channel.draw_lifted(st, size, m, cfg.p)
-    events = []
-    for db, point_rng, n_trials in zip(snr_db, streams, trials_t):
-        rho = 10.0 ** (db / 10.0)
-        cb = fixed_cb if fixed_cb is not None else shape_codebook(lat, rho, cfg.r, cap=cap)
+
+    def counter(rho):
+        cb = fixed() if cfg.r == 0 else shape_codebook(lat, rho, cfg.r)
         cwords = cb.points.real if mode == "real" else cb.points
         scale = math.sqrt(rho / n)
 
-        def count(st, size, cwords=cwords, scale=scale):
+        def count(st, size):
             h = draw(st, size)
             w = draw(st, size) * noise_scale
             tx = st.integers(0, len(cwords), size=size)
@@ -496,7 +510,6 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
                     dist = np.sum(np.abs(y[part, None] - cand) ** 2, axis=(-2, -1))
                 errors += int(np.sum(np.argmin(dist, axis=1) != tx[part]))
             return errors
+        return count
 
-        events.append(_run_chunks(point_rng, n_trials, chunk, count, threads))
-    probs = [e / t for e, t in zip(events, trials_t)]
-    return _finish_estimate(snr_db, probs, trials_t, events, min_events, weighting)
+    return _sweep(snr_grid_db, trials, rng, chunk, counter, weighting)

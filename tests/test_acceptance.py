@@ -167,7 +167,7 @@ def test_criterion_7_error_slope_zero_multiplexing():
     # error across the sweep instead of starving the steep high-SNR end
     trials = [100_000, 400_000, 1_600_000, 6_400_000, 25_600_000]
     est = sim.estimate_error_prob("quaternion", lat, cfg, snr, trials, 20240,
-                                  fixed_size=16, weighting="uniform")
+                                  weighting="uniform")
     elapsed = time.time() - start
     target = 2.0  # m*n, the zero-multiplexing quaternionic bound
     within = abs(est.slope - target) <= 0.4

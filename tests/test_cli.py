@@ -79,6 +79,16 @@ def test_outage_idempotent(tmp_path):
     assert (tmp_path / "sa.json").read_bytes() == (tmp_path / "sb.json").read_bytes()
 
 
+def test_outage_trials_per_point(tmp_path):
+    out = tmp_path / "o.csv"
+    rc = run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
+              "--snr-db", "10,20", "--trials", "1000,2000", "--seed", "11",
+              "--out", str(out), "--summary", str(tmp_path / "o.json")])
+    assert rc == 0
+    rows = read(out).strip().split("\n")[2:]
+    assert [row.split(",")[2] for row in rows] == ["1000", "2000"]
+
+
 def test_outage_requires_seed(capsys):
     rc = run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
               "--snr-db", "10", "--trials", "100"])

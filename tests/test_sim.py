@@ -231,10 +231,18 @@ def test_min_received_distance_homogeneity():
     assert scaled == pytest.approx(9.0 * base, rel=1e-9)
 
 
-def test_min_received_distance_pair_cap():
+@pytest.mark.parametrize("check", [
+    lambda cb: min_received_distance(np.eye(2), cb, 5.0, 2),
+    lambda cb: check_nvd_product_bound(cb, 60.0, 0.6, 2)], ids=["distance", "nvd"])
+def test_min_received_distance_pair_cap(monkeypatch, check):
+    def never(*args, **kwargs):
+        raise AssertionError("eigenvalues computed before the pair cap was checked")
+
     cb = lattice.shape_codebook(HAMILTON, 60.0, 0.6)
+    monkeypatch.setattr(sim, "PAIR_CAP", 3)
+    monkeypatch.setattr(np.linalg, "eigvalsh", never)
     with pytest.raises(lattice.ResourceLimitError):
-        min_received_distance(np.eye(2), cb, 5.0, 2, pair_cap=3)
+        check(cb)
 
 
 def test_mismatched_bound_zero_difference():
@@ -275,6 +283,19 @@ def test_nvd_product_bound_non_nvd_counterexample():
     assert not res
     assert res.counterexample is not None
     assert res.counterexample["kind"] == "lower"
+    # the first failing pair of a per-pair scan, row by row
+    pts = cb.points * cb.radius_m
+    cap = 4.0 * 16.0 ** 0.5
+
+    def fails(dx):
+        mu = np.clip(np.linalg.eigvalsh(dx @ dx.conj().T), 0.0, None)
+        return bool(np.any(mu > cap * (1.0 + 1e-6))) or any(
+            np.prod(mu[:k]) < cap ** -(mu.size - k) * (1.0 - 1e-6)
+            for k in range(1, mu.size + 1))
+
+    first = next((i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                 if fails(pts[i] - pts[j]))
+    assert res.counterexample["pair"] == first
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +415,17 @@ def test_error_flavor_mode_mismatch():
         estimate_error_prob("quaternion", SPLIT, cfg, [10.0], 100, 1)
 
 
-def test_error_trials_per_point():
-    cfg = SystemConfig(n=2, m=1, r=0.0)
-    est = estimate_error_prob("quaternion", HAMILTON, cfg, [14.0, 20.0],
-                              [5000, 10_000], 5)
+@pytest.mark.parametrize("estimate", [
+    lambda *a: estimate_outage("quaternion", SystemConfig(n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob("quaternion", HAMILTON, SystemConfig(n=2, m=1, r=0.0),
+                                   *a)], ids=["outage", "error"])
+def test_error_trials_per_point(estimate):
+    est = estimate([14.0, 20.0], [5000, 10_000], 5)
     assert est.trials == (5000, 10_000)
     with pytest.raises(ValueError):
-        estimate_error_prob("quaternion", HAMILTON, cfg, [14.0, 20.0], [5000], 5)
+        estimate([14.0, 20.0], [5000], 5)
+    with pytest.raises(ValueError):
+        estimate([14.0, 20.0], [5000, 0], 5)
 
 
 def test_error_rate_at_least_outage():
