@@ -109,6 +109,21 @@ def _load_config(args, keys):
     return merged
 
 
+def _parse_trials(value):
+    """One count for every point, or a count per point (a list, or a string
+    with several comma-separated entries); each must be a whole number."""
+    items = value if isinstance(value, list) else [v for v in str(value).split(",")
+                                                   if v.strip()]
+    try:
+        counts = [float(v) for v in items]
+    except (TypeError, ValueError):
+        counts = []
+    if not counts or not all(c.is_integer() for c in counts):
+        raise ValueError(f"--trials must be whole numbers, got {value!r}")
+    counts = [int(c) for c in counts]
+    return counts if isinstance(value, list) or len(counts) > 1 else counts[0]
+
+
 def _run_config(args, need_lattice=False):
     keys = ["mode", "n", "m", "r", "snr-db", "trials", "seed"]
     if need_lattice:
@@ -117,15 +132,10 @@ def _run_config(args, need_lattice=False):
     snr_db = (_parse_float_list(merged["snr-db"])
               if not isinstance(merged["snr-db"], list) else
               [float(v) for v in merged["snr-db"]])
-    trials = merged["trials"]
-    if isinstance(trials, list):
-        trials = [int(v) for v in trials]
-    else:  # one count for every point, or a comma-separated count per point
-        trials = [int(float(v)) for v in str(trials).split(",") if v.strip()]
-        trials = trials[0] if len(trials) == 1 else trials
     return RunConfig(mode=str(merged["mode"]), n=int(merged["n"]),
                      m=int(merged["m"]), r=float(merged["r"]),
-                     snr_db=snr_db, trials=trials, seed=int(merged["seed"]),
+                     snr_db=snr_db, trials=_parse_trials(merged["trials"]),
+                     seed=int(merged["seed"]),
                      lattice=merged.get("lattice"),
                      out=getattr(args, "out", None),
                      summary=getattr(args, "summary", None))

@@ -4,15 +4,17 @@ empirical diversity estimates.  Channel draws, lifts, received blocks,
 log-determinants and capacities all come from the batched layer in
 `channel`.
 
-Both estimators run through `_sweep`, the one per-point driver: it checks
-the thread cap and the trial counts, runs the chunks and fits the slope; an
-estimator supplies only its per-point event counter.
+Both estimators run through `_sweep`, which alone checks the thread cap
+and the trial counts, runs the chunks of every SNR point in one pool and
+fits the slope; an estimator supplies only its per-point event counter.  The ML decoder scores rows against the whole codebook with one
+real matrix product (`_ml_decode`).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per fixed-size work chunk with
-``Generator.spawn``.  Chunk results are summed, so the outcome is
-bit-identical regardless of how many worker threads execute the chunks
-(``DMTLAB_THREADS`` caps the pool; default is the available parallelism).
+``Generator.spawn``.  Chunk results are integers summed per point, so the
+outcome is bit-identical regardless of how many worker threads execute the
+chunks or in which order (``DMTLAB_THREADS`` caps the pool; default is the
+available parallelism).
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ MIN_EVENTS = 50
 
 # Codeword pairs a distance or eigenvalue-product check may visit.
 PAIR_CAP = 10_000_000
+
+# Trials one sweep may run, summed over its SNR points: every chunk's
+# substream is spawned before any sampling, at about 1.3 KB each.
+TRIAL_CAP = 10**9
 
 
 @dataclass(frozen=True)
@@ -80,27 +86,14 @@ def _thread_cap():
     return int(env)
 
 
-def _run_chunks(point_rng, trials, chunk, fn, cap):
-    """Split `trials` into fixed-size chunks with spawned substreams and sum
-    fn(stream, size) over them on at most `cap` threads; the split is
-    independent of the pool size."""
-    sizes = [chunk] * (trials // chunk)
-    if trials % chunk:
-        sizes.append(trials % chunk)
-    streams = point_rng.spawn(len(sizes))
-    workers = min(cap, len(sizes))
-    if workers == 1:
-        return sum(fn(st, sz) for st, sz in zip(streams, sizes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, streams, sizes))
-
-
 def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
     """Run one Monte Carlo SNR sweep and fit its slope.
 
     `trials` is a scalar or one count per SNR point; counter(rho) returns
     the chunk function count(stream, size) -> events at that point.  A bad
-    DMTLAB_THREADS is rejected before any counter (or codebook) is built.
+    DMTLAB_THREADS, trial count or trial total is rejected before any
+    substream or counter (or codebook) is made.  Every chunk of every point
+    runs in one pool, largest first.
     """
     threads = _thread_cap()
     snr_db = [float(v) for v in snr_grid_db]
@@ -110,9 +103,29 @@ def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
         raise ValueError("trials list must match the SNR grid")
     if any(t < 1 for t in trials_t):
         raise ValueError("trials must be >= 1")
-    streams = np.random.default_rng(rng).spawn(len(snr_db))
-    events = [_run_chunks(st, t, chunk, counter(10.0 ** (db / 10.0)), threads)
-              for db, st, t in zip(snr_db, streams, trials_t)]
+    if sum(trials_t) > TRIAL_CAP:
+        raise ResourceLimitError(f"{sum(trials_t)} trials exceed the cap {TRIAL_CAP}")
+    counters = [counter(10.0 ** (db / 10.0)) for db in snr_db]
+    tasks = []
+    for point, (stream, t) in enumerate(
+            zip(np.random.default_rng(rng).spawn(len(snr_db)), trials_t)):
+        sizes = [chunk] * (t // chunk) + ([t % chunk] if t % chunk else [])
+        tasks += [(point, st, size) for st, size in zip(stream.spawn(len(sizes)), sizes)]
+    tasks.sort(key=lambda task: -task[2])
+
+    def run(task):
+        point, stream, size = task
+        return counters[point](stream, size)
+
+    workers = min(threads, len(tasks))
+    if workers == 1:
+        counts = map(run, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(run, tasks))
+    events = [0] * len(snr_db)
+    for (point, _, _), count in zip(tasks, counts):
+        events[point] += count
     probs = [e / t for e, t in zip(events, trials_t)]
     return _finish_estimate(snr_db, probs, trials_t, events, weighting)
 
@@ -460,10 +473,37 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
 # ---------------------------------------------------------------------------
 # ML error-rate estimation
 
-# Bytes of candidates (rows x |C| x 2m x n) one decode sub-batch may build,
-# per worker, before about 1.5x more in temporaries.  Sub-batches split an
-# RNG chunk's rows after it is drawn, so events do not depend on this value.
+# Bytes of the (rows, |C|) float64 metric one decode sub-batch may build,
+# per worker; the argmin over it adds no array of that size.  Sub-batches
+# split an RNG chunk's rows after it is drawn, so events do not depend on
+# this value.
 DECODE_BUDGET_BYTES = 64 * 2**20
+
+
+def _codeword_features(cwords, scale):
+    """(|C|, f) real features of the n x n codewords C sent at amplitude
+    `scale`: [scale^2 C C^H | -2 scale C] row by row, with real and imaginary
+    parts interleaved when C is complex (f = 4 n^2; 2 n^2 when real)."""
+    feats = np.concatenate([scale ** 2 * (cwords @ np.swapaxes(cwords.conj(), 1, 2)),
+                            -2.0 * scale * cwords], axis=2)
+    return feats.reshape(len(cwords), -1).view(float)
+
+
+def _ml_decode(h, y, cword_feats):
+    """Exhaustive-ML decisions argmin_k ||y - scale H C_k||^2 per row (lowest
+    index on ties), `scale` being the amplitude `cword_feats` was built for.
+
+    ||y - s H C||^2 = ||y||^2 - 2s Re tr((H^H y)^H C) + s^2 Re tr(G (C C^H)^H)
+    with G = H^H H.  ||y||^2 is the same for every codeword and dropped, and
+    Re tr(A^H B) is the dot product of the interleaved real views of A and
+    B, so the metric is the real product of the row features [G | H^H y]
+    with `cword_feats`, sub-batched under DECODE_BUDGET_BYTES.
+    """
+    feats = np.einsum("bji,bjk->bik", h.conj(), np.concatenate([h, y], axis=2))
+    feats = feats.reshape(len(h), -1).view(float)
+    rows = max(1, DECODE_BUDGET_BYTES // (8 * len(cword_feats)))
+    return np.concatenate([np.argmin(feats[lo:lo + rows] @ cword_feats.T, axis=1)
+                           for lo in range(0, len(h), rows)])
 
 
 def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
@@ -493,23 +533,14 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
         cb = fixed() if cfg.r == 0 else shape_codebook(lat, rho, cfg.r)
         cwords = cb.points.real if mode == "real" else cb.points
         scale = math.sqrt(rho / n)
+        feats = _codeword_features(cwords, scale)
 
         def count(st, size):
             h = draw(st, size)
             w = draw(st, size) * noise_scale
             tx = st.integers(0, len(cwords), size=size)
             y = channel.receive(h, cwords[tx], scale, w)
-            rows = max(1, DECODE_BUDGET_BYTES // (len(cwords) * h[0].nbytes))
-            errors = 0
-            for lo in range(0, size, rows):
-                part = slice(lo, lo + rows)
-                cand = scale * np.einsum("bij,kjl->bkil", h[part], cwords)
-                if mode == "real":
-                    dist = np.sum((y[part, None] - cand) ** 2, axis=(-2, -1))
-                else:
-                    dist = np.sum(np.abs(y[part, None] - cand) ** 2, axis=(-2, -1))
-                errors += int(np.sum(np.argmin(dist, axis=1) != tx[part]))
-            return errors
+            return int(np.sum(_ml_decode(h, y, feats) != tx))
         return count
 
     return _sweep(snr_grid_db, trials, rng, chunk, counter, weighting)

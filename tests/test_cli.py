@@ -89,6 +89,17 @@ def test_outage_trials_per_point(tmp_path):
     assert [row.split(",")[2] for row in rows] == ["1000", "2000"]
 
 
+@pytest.mark.parametrize("trials", ["2.7,3000.9", "3000.5", "1e5,x"])
+def test_fractional_trials_exit_2(trials, tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    rc = run(["error", "--mode", "quaternion", "--lattice", "hamilton", "--n", "2",
+              "--m", "1", "--r", "0", "--snr-db", "10,14", "--trials", trials,
+              "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_outage_requires_seed(capsys):
     rc = run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
               "--snr-db", "10", "--trials", "100"])

@@ -315,13 +315,20 @@ def test_outage_deterministic():
     assert a.probs == b.probs and a.events == b.events
 
 
-def test_outage_thread_count_invariance(monkeypatch):
-    cfg = SystemConfig(n=2, m=1, r=0.5)
+@pytest.mark.parametrize("estimate", [
+    lambda *a, **k: estimate_outage("real", SystemConfig(n=2, m=1, r=0.5), *a, **k),
+    lambda *a, **k: estimate_error_prob("quaternion", HAMILTON,
+                                        SystemConfig(n=2, m=1, r=0.5), *a, **k)],
+    ids=["outage", "error"])
+def test_outage_thread_count_invariance(monkeypatch, estimate):
+    # no count is a chunk multiple, so chunks of different points interleave
+    # in the one pool of the sweep
+    args = ([10.0, 13.0, 16.0], [7100, 4300, 2900], 7)
     monkeypatch.setenv("DMTLAB_THREADS", "1")
-    a = estimate_outage("real", cfg, [12.0], 70_000, 7, chunk=20_000)
+    a = estimate(*args, chunk=2000)
     monkeypatch.setenv("DMTLAB_THREADS", "4")
-    b = estimate_outage("real", cfg, [12.0], 70_000, 7, chunk=20_000)
-    assert a.events == b.events
+    b = estimate(*args, chunk=2000)
+    assert a.events == b.events and all(a.events)
 
 
 def test_outage_monotone_in_snr_and_rate():
@@ -405,6 +412,52 @@ def test_error_events_independent_of_decode_budget(monkeypatch, mode, name, r):
     monkeypatch.setattr(sim, "DECODE_BUDGET_BYTES", 1)
     tiny = estimate_error_prob(*args, chunk=1300)
     assert tiny.events == default.events and sum(default.events) > 0
+
+
+def _bruteforce_decode(h, y, scale, cwords):
+    dist = np.sum(np.abs(y[:, None] - scale * np.einsum("bij,kjl->bkil", h, cwords)) ** 2,
+                  axis=(-2, -1))
+    return np.argmin(dist, axis=1)
+
+
+@pytest.mark.parametrize("mode,name,r", [("quaternion", "hamilton", 0.0),
+                                         ("quaternion", "hamilton", 0.5),
+                                         ("real", "split", 0.5)])
+def test_ml_decode_matches_bruteforce(mode, name, r):
+    # the expanded metric decides as the exhaustive sum of |y - s H C|^2,
+    # trial for trial; the first half of the rows is noiseless
+    lat, n, m, size = lattice.load_lattice(name), 2, 1, 4000
+    rho = 10.0 ** 1.5
+    cb = lattice.fixed_codebook(lat) if r == 0 else lattice.shape_codebook(lat, rho, r)
+    cwords = cb.points.real if mode == "real" else cb.points
+    rng = np.random.default_rng(23)
+    if mode == "real":
+        h, w = (channel.draw_real(rng, (size, 2 * m, n)) for _ in range(2))
+    else:
+        h, w = (channel.draw_lifted(rng, size, m, 1) for _ in range(2))
+    w[: size // 2] = 0.0
+    tx = rng.integers(0, len(cwords), size=size)
+    scale = math.sqrt(rho / n)
+    y = channel.receive(h, cwords[tx], scale, w)
+    got = sim._ml_decode(h, y, sim._codeword_features(cwords, scale))
+    np.testing.assert_array_equal(got, _bruteforce_decode(h, y, scale, cwords))
+    np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
+    assert np.sum(got != tx) > 50
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda *a: estimate_outage("real", SystemConfig(n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob("quaternion", HAMILTON, SystemConfig(n=2, m=1, r=0.5),
+                                   *a)], ids=["outage", "error"])
+def test_trial_cap(monkeypatch, estimate):
+    def never(*args, **kwargs):
+        raise AssertionError("spawned or shaped before the trial cap was checked")
+
+    monkeypatch.setattr(sim, "TRIAL_CAP", 10_000)
+    monkeypatch.setattr(sim, "shape_codebook", never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(lattice.ResourceLimitError, match="10001 trials"):
+        estimate([10.0, 20.0], [5000, 5001], 5)
 
 
 def test_error_flavor_mode_mismatch():
