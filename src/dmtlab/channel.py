@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm
+from .linalg import as_matrix, bmm, frobenius_norm, logdet_pd
 
 LOG2 = np.log(2.0)
 PAIR_TOL = 1e-8  # largest lifted-Gram eigenvalue pairing gap, relative to the top one
@@ -102,12 +102,15 @@ def receive(h, x, scale, w):
 def mutual_info_real_batch(h, rho, n, hq=None):
     """0.5 * log2 det(I + (rho/n) (H Q) H^T) per stacked-real channel.
 
-    `hq` is H Q; it defaults to H, the identity input covariance.
+    `hq` is H Q; it defaults to H, the identity input covariance, and Q must
+    be positive semidefinite so that the determinant's matrix is positive
+    definite.
     """
     hq = h if hq is None else hq
-    g = np.eye(h.shape[1]) + (rho / n) * np.einsum("bij,bkj->bik", hq, h)
-    _, logdet = np.linalg.slogdet(g)
-    return logdet / (2.0 * LOG2)
+    g = bmm(hq, h.transpose(0, 2, 1))
+    g *= rho / n
+    g += np.eye(h.shape[1])
+    return logdet_pd(g) / (2.0 * LOG2)
 
 
 def lifted_gram_spectrum(hq):
@@ -206,8 +209,9 @@ def quaternionic_defect(m):
 def mutual_info_real(h, q, rho, n):
     """0.5 * log2 det(I + (rho/n) H Q H^T) in bits per channel use.
 
-    H is the stacked-real channel, Q a symmetric PSD input covariance.
-    A trace above n is reported with a warning but not rejected.
+    H is the stacked-real channel, Q a symmetric PSD input covariance; a Q
+    that is not symmetric or not PSD is rejected.  A trace above n is
+    reported with a warning but not rejected.
     """
     h = as_matrix(h, dtype=float)
     q = as_matrix(q, dtype=float)
@@ -215,6 +219,8 @@ def mutual_info_real(h, q, rho, n):
         raise ValueError(f"Q must be {h.shape[1]}x{h.shape[1]}, got {q.shape}")
     if np.abs(q - q.T).max() > 1e-10 * max(1.0, np.abs(q).max()):
         raise ValueError("Q must be symmetric")
+    if np.linalg.eigvalsh(q)[0] < -1e-10 * max(1.0, np.abs(q).max()):
+        raise ValueError("Q must be positive semidefinite")
     if np.trace(q) > n + 1e-9:
         warnings.warn(f"trace(Q)={np.trace(q):.6g} exceeds n={n}", stacklevel=2)
     info = mutual_info_real_batch(h[None], rho, n, hq=(h @ q)[None])[0]

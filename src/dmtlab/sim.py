@@ -4,17 +4,18 @@ empirical diversity estimates.  Channel draws, lifts, received blocks,
 log-determinants and capacities all come from the batched layer in
 `channel`.
 
-Both estimators run through `_sweep`, which alone checks the thread cap
-and the trial counts, runs the chunks of every SNR point in one pool and
-fits the slope; an estimator supplies only its per-point event counter.  The ML decoder scores rows against the whole codebook with one
-real matrix product (`_ml_decode`).
+Both estimators run through `_sweep`, which alone checks the thread cap,
+the SNR grid and the trial counts, runs the chunks of every SNR point in
+one pool and fits the slope; an estimator supplies only its per-point
+event counter.  The ML decoder scores rows against the whole codebook
+with one real matrix product (`_ml_decode`).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per fixed-size work chunk with
 ``Generator.spawn``.  Chunk results are integers summed per point, so the
 outcome is bit-identical regardless of how many worker threads execute the
-chunks or in which order (``DMTLAB_THREADS`` caps the pool; default is the
-available parallelism).
+chunks or in which order (the pool has at most ``os.cpu_count()`` workers,
+fewer when ``DMTLAB_THREADS`` asks for fewer).
 """
 
 from __future__ import annotations
@@ -76,14 +77,16 @@ class SlopeEstimate:
 
 
 def _thread_cap():
-    """The worker-thread cap: DMTLAB_THREADS when set, else the available
-    parallelism.  A value that is not an integer >= 1 is rejected."""
+    """The worker-thread cap: the available parallelism, lowered to
+    DMTLAB_THREADS when that is set.  A value that is not an integer >= 1
+    is rejected."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("DMTLAB_THREADS", "").strip()
     if not env:
-        return os.cpu_count() or 1
+        return cpus
     if not (env.isdecimal() and int(env) >= 1):
         raise ValueError(f"DMTLAB_THREADS must be an integer >= 1, got {env!r}")
-    return int(env)
+    return min(int(env), cpus)
 
 
 def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
@@ -97,6 +100,8 @@ def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
     """
     threads = _thread_cap()
     snr_db = [float(v) for v in snr_grid_db]
+    if not all(math.isfinite(db) for db in snr_db):
+        raise ValueError(f"--snr-db values must be finite, got {snr_db}")
     trials_t = ([int(trials)] * len(snr_db) if np.ndim(trials) == 0
                 else [int(t) for t in trials])
     if len(trials_t) != len(snr_db):

@@ -254,6 +254,15 @@ def test_mutual_info_trace_warning():
         mutual_info_real(h, [[5.0]], 1.0, 1)
 
 
+def test_mutual_info_rejects_non_psd_q():
+    # log|det| of I + 5 diag(1, -0.9) would read 2.196 bits
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        mutual_info_real(np.eye(2), np.diag([1.0, -0.9]), 10.0, 2)
+    # a singular PSD Q is fine: 0.5 log2(1 + 5)
+    assert mutual_info_real(np.eye(2), np.diag([1.0, 0.0]), 10.0, 2) == pytest.approx(
+        0.5 * np.log2(6.0), abs=1e-12)
+
+
 def test_mutual_info_bounded_by_full_power():
     # Psi(Q, H) <= Psi(n I, H) whenever trace(Q) <= n; the comparison point
     # n*I deliberately violates the trace budget, hence the warning filter.

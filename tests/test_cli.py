@@ -267,3 +267,17 @@ def test_bad_thread_count_exit_2(value, tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert "DMTLAB_THREADS" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["outage", "error"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_snr_exit_2(command, value, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = [command, "--mode", "quaternion", "--n", "2", "--m", "1", "--r", "0",
+            "--snr-db", f"10,{value}", "--trials", "1000", "--seed", "1",
+            "--out", str(out)]
+    if command == "error":
+        argv += ["--lattice", "hamilton"]
+    assert run(argv) == 2
+    assert "--snr-db" in capsys.readouterr().err
+    assert not out.exists()

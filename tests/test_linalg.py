@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,79 @@ def test_determinant_multiplicative():
 def test_determinant_rejects_non_square():
     with pytest.raises(ValueError):
         linalg.determinant(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# bmm and logdet_pd
+
+def loop_bmm(a, b):
+    """Reference product: Python float sums over the inner index, ascending."""
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]))
+    for s in range(a.shape[0]):
+        for p in range(a.shape[1]):
+            for q in range(b.shape[2]):
+                acc = float(a[s, p, 0] * b[s, 0, q])
+                for j in range(1, a.shape[2]):
+                    acc = acc + float(a[s, p, j] * b[s, j, q])
+                out[s, p, q] = acc
+    return out
+
+
+@pytest.mark.parametrize("n_batch", [1, 1000])
+@pytest.mark.parametrize("shape_a,shape_b", [((3, 1), (1, 2)), ((2, 2), (2, 2)),
+                                             ((4, 2), (2, 3)), ((4, 1), (1, 4)),
+                                             ((2, 4), (4, 2)), ((8, 8), (8, 8))])
+def test_bmm_bit_identical_to_ascending_sum(n_batch, shape_a, shape_b):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n_batch,) + shape_a)
+    b = rng.standard_normal((n_batch,) + shape_b)
+    got = linalg.bmm(a, b)
+    assert np.array_equal(got[:100], loop_bmm(a[:100], b[:100]))
+    # a transposed view, as in a Gram matrix H H^T
+    assert np.array_equal(linalg.bmm(a, a.transpose(0, 2, 1))[:100],
+                          loop_bmm(a[:100], a[:100].transpose(0, 2, 1)))
+    # relative to |a| @ |b|, the scale of the rounding error of each entry
+    scale = np.einsum("bij,bjk->bik", np.abs(a), np.abs(b))
+    assert np.all(np.abs(got - np.einsum("bij,bjk->bik", a, b)) <= 1e-14 * scale)
+    assert np.all(np.abs(got - a @ b) <= 1e-14 * scale)
+
+
+def test_bmm_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        linalg.bmm(np.ones((2, 2, 3)), np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        linalg.bmm(np.ones((2, 2, 2)), np.ones((3, 2, 2)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+@pytest.mark.parametrize("rho", [1.0, 1e3, 1e6, 1e9])
+def test_logdet_pd_matches_slogdet(k, rho):
+    a = np.random.default_rng(k).standard_normal((500, k, k))
+    g = np.eye(k) + rho * np.einsum("bij,bkj->bik", a, a)
+    sign, expect = np.linalg.slogdet(g)
+    assert np.all(sign == 1)
+    # Beyond 1e-12 relative, allow a few units of roundoff times kappa, the
+    # sensitivity of log det G to relative changes of G's entries: at rho =
+    # 1e9 it reaches 1e7, and slogdet itself is off the exact value by up to
+    # 1e-12 relative there.
+    kappa = np.sum(np.abs(np.linalg.inv(g)) * np.abs(g), axis=(1, 2))
+    tol = 1e-12 * np.abs(expect) + 4 * np.finfo(float).eps * kappa
+    assert np.all(np.abs(linalg.logdet_pd(g) - expect) <= tol)
+
+
+def test_logdet_pd_rank_one_update_exact():
+    # n = 1, m = 3: det(I + rho h h^T) = 1 + rho ||h||^2 exactly
+    rng = np.random.default_rng(8)
+    rho = 1e6
+    h = rng.standard_normal((2000, 6, 1)) * np.sqrt(0.5)
+    g = rho * linalg.bmm(h, h.transpose(0, 2, 1)) + np.eye(6)
+    exact = np.array([math.log1p(rho * math.fsum(v * v for v in row)) for row in h[:, :, 0]])
+    assert np.all(np.abs(linalg.logdet_pd(g) - exact) <= 5e-10 * exact)
+
+
+def test_logdet_pd_leaves_input_and_flags_indefinite():
+    g = np.array([[[1.0, 0.0], [0.0, -0.9]]])
+    before = g.copy()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(linalg.logdet_pd(g)[0])
+    assert np.array_equal(g, before)

@@ -322,7 +322,9 @@ def test_outage_deterministic():
     ids=["outage", "error"])
 def test_outage_thread_count_invariance(monkeypatch, estimate):
     # no count is a chunk multiple, so chunks of different points interleave
-    # in the one pool of the sweep
+    # in the one pool of the sweep; four CPUs are reported so that the pool
+    # really has four workers on any machine
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
     args = ([10.0, 13.0, 16.0], [7100, 4300, 2900], 7)
     monkeypatch.setenv("DMTLAB_THREADS", "1")
     a = estimate(*args, chunk=2000)
@@ -458,6 +460,33 @@ def test_trial_cap(monkeypatch, estimate):
     monkeypatch.setattr(np.random, "default_rng", never)
     with pytest.raises(lattice.ResourceLimitError, match="10001 trials"):
         estimate([10.0, 20.0], [5000, 5001], 5)
+
+
+@pytest.mark.parametrize("env,workers", [("5000", 3), ("2", 2), ("", 3)])
+def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
+    # a stand-in executor records the pool size and runs the tasks in turn,
+    # so no thread is started
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("DMTLAB_THREADS", env)
+    cfg = SystemConfig(n=2, m=1, r=0.5)
+    est = estimate_outage("real", cfg, [10.0, 13.0], 3000, 7, chunk=100)
+    assert seen == [workers] and est.trials == (3000, 3000)
 
 
 def test_error_flavor_mode_mismatch():
