@@ -238,8 +238,6 @@ def _cmd_lemma2(args):
 # lattice-audit
 
 def _cmd_lattice_audit(args):
-    if args.radius < 0:
-        raise ValueError("radius must be nonnegative")
     lat = lattice.load_lattice(args.lattice)
     points, dets = lattice.shell_determinants(lat, args.radius)
     nearest = np.round(dets)

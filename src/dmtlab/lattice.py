@@ -12,6 +12,10 @@ Two concrete rank-4 orders in 2x2 matrices are built in:
 Both have minimum determinant 1 over the nonzero points (reduced norms of
 an order are rational integers), which the enumeration-based audits verify.
 
+Audits, shaped codebooks and fixed constellations all take their points
+from one breadth-first Cholesky branch-and-bound (`shell_coordinates`),
+which holds its frontier as arrays and caps each level at SHELL_CAP.
+
 A set of matrices is one read-only complex (N, n, n) array: a lattice's
 generators, a shell's points (`point_from_coordinates` of (N, k) coordinates)
 and a codebook's words.  A shell's determinants come from one stacked call.
@@ -32,9 +36,12 @@ FLAVORS = ("real", "quaternionic", "complex")
 
 SQRT2 = math.sqrt(2.0)
 
+# Candidates one level of a shell enumeration may hold.
+SHELL_CAP = 1_000_000
+
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured point or pair budget."""
+    """An enumeration would exceed its candidate, pair or trial cap."""
 
 
 @dataclass(frozen=True)
@@ -131,59 +138,50 @@ def build_split_order():
 BUILTIN_LATTICES = {"hamilton": build_hamilton_order, "split": build_split_order}
 
 
-def _ball_volume(dim, radius):
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius ** dim
+def shell_coordinates(lat, radius):
+    """Integer coordinate vectors of all lattice points with norm <= radius,
+    in lexicographic order.
 
-
-def shell_point_estimate(lat, radius):
-    """Volume heuristic for the number of lattice points in a radius ball."""
-    covol = math.sqrt(float(np.linalg.det(lat.gram)))
-    return _ball_volume(lat.rank, radius) / covol + 1.0
-
-
-def shell_coordinates(lat, radius, cap=1_000_000):
-    """Integer coordinate vectors of all lattice points with norm <= radius.
-
-    Depth-first search bounded by the Cholesky factor of the Gram matrix
-    (branch-and-bound on partial squared norms).  The radius comparison
-    carries a 1e-12 relative slack so boundary shells like sqrt(2) do not
-    depend on rounding luck.
+    Breadth-first branch-and-bound on the Cholesky factor of the Gram
+    matrix (Fincke-Pohst): the frontier is an (F, depth) block of the
+    trailing coordinates fixed so far and an (F,) array of remaining
+    squared-norm budgets, and each level fixes one more coordinate of every
+    row at once.  The radius comparison and the interval ends carry 1e-12
+    slacks so boundary shells like sqrt(2) do not depend on rounding luck.
+    A level with more than SHELL_CAP candidates raises ResourceLimitError
+    before they are allocated.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = float(radius)
+    if not math.isfinite(radius) or radius < 0:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     try:
-        low = np.linalg.cholesky(lat.gram)
+        rmat = np.linalg.cholesky(lat.gram).T
     except np.linalg.LinAlgError:
         raise ValueError("Gram matrix is not positive definite")
-    rmat = low.T
-    k = lat.rank
     budget = radius * radius * (1.0 + 1e-12)
-    coords = np.zeros(k, dtype=np.int64)
-    out = []
-
-    def descend(level, remaining):
-        if level < 0:
-            out.append(coords.copy())
-            if len(out) > cap:
-                raise ResourceLimitError(
-                    f"shell exceeds the {cap}-point cap "
-                    f"(estimate {shell_point_estimate(lat, radius):.3g})")
-            return
-        y = float(rmat[level, level + 1:] @ coords[level + 1:])
+    fixed = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([budget])
+    for level in range(lat.rank - 1, -1, -1):
+        y = fixed @ rmat[level, level + 1:]
         rii = rmat[level, level]
-        half = math.sqrt(max(remaining, 0.0))
-        lo = math.ceil((-half - y) / rii - 1e-12)
-        hi = math.floor((half - y) / rii + 1e-12)
-        for c in range(lo, hi + 1):
-            step = rii * c + y
-            rem = remaining - step * step
-            if rem >= -1e-12 * budget:
-                coords[level] = c
-                descend(level - 1, rem)
-        coords[level] = 0
-
-    descend(k - 1, budget)
-    return np.array(sorted(map(tuple, out)), dtype=np.int64).reshape(len(out), k)
+        half = np.sqrt(np.maximum(remaining, 0.0))
+        lo = np.ceil((-half - y) / rii - 1e-12)
+        counts = np.maximum(np.floor((half - y) / rii + 1e-12) - lo + 1.0, 0.0)
+        total = counts.sum()
+        if total > SHELL_CAP:
+            raise ResourceLimitError(
+                f"the radius-{radius:g} shell needs {total:.4g} candidates at "
+                f"level {level}, over SHELL_CAP = {SHELL_CAP}")
+        counts = counts.astype(np.int64)
+        parent = np.repeat(np.arange(len(fixed)), counts)
+        first = np.cumsum(counts) - counts
+        c = np.repeat(lo.astype(np.int64) - first, counts) + np.arange(int(total))
+        step = rii * c + y[parent]
+        rest = remaining[parent] - step * step
+        keep = rest >= -1e-12 * budget
+        fixed = np.column_stack([c[keep], fixed[parent[keep]]])
+        remaining = rest[keep]
+    return fixed[np.lexsort(fixed.T[::-1])]
 
 
 def point_from_coordinates(lat, coords):
@@ -204,34 +202,30 @@ def coordinates_of(lat, x):
     return np.linalg.solve(lat.gram, rhs)
 
 
-def shell_determinants(lat, radius, cap=1_000_000):
+def shell_determinants(lat, radius):
     """(points, dets): the number of lattice points of norm <= radius and
     the |det| of each nonzero one, in enumeration order."""
-    coords = shell_coordinates(lat, radius, cap=cap)
+    coords = shell_coordinates(lat, radius)
     nonzero = coords[np.any(coords != 0, axis=1)]
     return len(coords), np.abs(linalg.determinant(point_from_coordinates(lat, nonzero)))
 
 
-def min_det(lat, radius, cap=1_000_000):
+def min_det(lat, radius):
     """Minimum |det| over the nonzero lattice points of norm <= radius."""
-    _, dets = shell_determinants(lat, radius, cap=cap)
+    _, dets = shell_determinants(lat, radius)
     if not dets.size:
         raise ValueError("no nonzero lattice point within the given radius")
     return float(dets.min())
 
 
-def shape_codebook(lat, rho, r, cap=1_000_000):
+def shape_codebook(lat, rho, r):
     """Spherically shaped code: radius M = rho^(r n / k), points scaled by 1/M."""
     if rho < 1:
         raise ValueError("rho must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
     m_radius = float(rho) ** (r * lat.ambient_n / lat.rank)
-    est = shell_point_estimate(lat, m_radius)
-    if est > cap:
-        raise ResourceLimitError(
-            f"estimated shell size {est:.3g} exceeds the cap {cap}")
-    pts = point_from_coordinates(lat, shell_coordinates(lat, m_radius, cap=cap)) / m_radius
+    pts = point_from_coordinates(lat, shell_coordinates(lat, m_radius)) / m_radius
     pts.flags.writeable = False
     return Codebook(points=pts, radius_m=m_radius, rho=float(rho),
                     r=float(r), source=lat)
@@ -252,23 +246,17 @@ def fixed_codebook(lat, size=16):
     radius = math.sqrt(float(np.min(np.diag(lat.gram))))
     while True:
         coords = shell_coordinates(lat, radius)
-        nz = [c for c in coords if np.any(c)]
+        nz = coords[np.any(coords != 0, axis=1)]
         if len(nz) >= 2 * size:
             break
         radius *= 1.5
-    norms = [(float(c @ lat.gram @ c), tuple(int(v) for v in c)) for c in nz]
-    norms.sort()
-    by_shell = {}
-    for n2, c in norms:
-        by_shell.setdefault(round(n2, 9), []).append(c)
-    chosen = None
-    for key in sorted(by_shell):
-        if len(by_shell[key]) >= size:
-            chosen = by_shell[key][:size]
-            break
-    if chosen is None:
-        chosen = [c for _, c in norms[:size]]
-    pts = point_from_coordinates(lat, np.array(chosen))
+    n2 = np.einsum("pi,ij,pj->p", nz, lat.gram, nz)
+    order = np.argsort(n2, kind="stable")
+    _, first, count = np.unique(np.round(n2[order], 9), return_index=True,
+                                return_counts=True)
+    shells = first[count >= size]
+    start = shells[0] if shells.size else 0
+    pts = point_from_coordinates(lat, nz[order[start:start + size]])
     m_fix = max(linalg.frobenius_norm(x) for x in pts)
     pts = pts / m_fix
     pts.flags.writeable = False

@@ -41,6 +41,9 @@ PAIR_CAP = 10_000_000
 # substream is spawned before any sampling, at about 1.3 KB each.
 TRIAL_CAP = 10**9
 
+# Slope-fit weightings `fit_slope` knows.
+WEIGHTINGS = ("events", "uniform")
+
 
 @dataclass(frozen=True)
 class EigenProfile:
@@ -94,11 +97,13 @@ def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
 
     `trials` is a scalar or one count per SNR point; counter(rho) returns
     the chunk function count(stream, size) -> events at that point.  A bad
-    DMTLAB_THREADS, trial count or trial total is rejected before any
-    substream or counter (or codebook) is made.  Every chunk of every point
-    runs in one pool, largest first.
+    DMTLAB_THREADS, weighting, trial count or trial total is rejected
+    before any substream or counter (or codebook) is made.  Every chunk of
+    every point runs in one pool, largest first.
     """
     threads = _thread_cap()
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     snr_db = [float(v) for v in snr_grid_db]
     if not all(math.isfinite(db) for db in snr_db):
         raise ValueError(f"--snr-db values must be finite, got {snr_db}")
@@ -390,8 +395,8 @@ def fit_slope(snr_db, probs, trials, weighting="events"):
     MIN_EVENTS events are flagged and left out of the fit; fewer than two
     usable points is an error.
     """
-    if weighting not in ("events", "uniform"):
-        raise ValueError(f"unknown weighting {weighting!r}")
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     snr_db = tuple(float(v) for v in snr_db)
     probs = tuple(float(v) for v in probs)
     trials_t = tuple(int(v) for v in (trials if np.ndim(trials) else [trials] * len(probs)))
@@ -421,14 +426,14 @@ def fit_slope(snr_db, probs, trials, weighting="events"):
 
 
 def _finish_estimate(snr_db, probs, trials, events, weighting):
-    """The fitted estimate, or a NaN slope when the fit has too few points."""
-    try:
+    """The fitted estimate, or a NaN slope when fewer than 2 points have
+    MIN_EVENTS events."""
+    flagged = tuple(e < MIN_EVENTS for e in events)
+    if flagged.count(False) >= 2:
         return fit_slope(snr_db, probs, trials, weighting=weighting)
-    except ValueError:
-        return SlopeEstimate(snr_db=tuple(snr_db), probs=tuple(probs),
-                             trials=tuple(trials), events=tuple(events),
-                             slope=math.nan, stderr=math.nan,
-                             flagged=tuple(e < MIN_EVENTS for e in events))
+    return SlopeEstimate(snr_db=tuple(snr_db), probs=tuple(probs),
+                         trials=tuple(trials), events=tuple(events),
+                         slope=math.nan, stderr=math.nan, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -253,3 +253,29 @@ def test_criterion_9_laplace_estimator():
           and abs(est_c - target_c) <= 0.1 and elapsed < 120.0)
     report(9, ok, f"l=1: {est_a:.3f}/1.0, {est_b:.3f}/0.0 (tol 0.05); "
                   f"l=2: {est_c:.3f}/{target_c} (tol 0.1), {elapsed:.0f}s (< 120s)")
+
+
+def test_criterion_10_error_slope_shaped():
+    # ML error at r = 0.5 over the shaped codebooks: the quaternionic order
+    # should approach d2 and the real one d1, and d2 > d1 should show as a
+    # gap of more than 2 combined standard errors
+    start = time.time()
+    cfg = SystemConfig(n=2, m=1, r=0.5)
+    snr = [25, 30, 35, 40]
+    trials = [20_000, 40_000, 80_000, 160_000]
+    quat = sim.estimate_error_prob("quaternion", lattice.build_hamilton_order(), cfg,
+                                   snr, trials, 20240, weighting="uniform")
+    real = sim.estimate_error_prob("real", lattice.build_split_order(), cfg,
+                                   snr, trials, 20240, weighting="uniform")
+    elapsed = time.time() - start
+    d2, d1 = dmt.d2_curve(2, 1)(0.5), dmt.d1_curve(2, 1)(0.5)
+    within = abs(quat.slope - d2) <= 0.25 and abs(real.slope - d1) <= 0.2
+    not_above = (quat.slope <= d2 + 2 * quat.stderr + 0.2
+                 and real.slope <= d1 + 2 * real.stderr + 0.2)
+    gap = quat.slope - real.slope
+    separated = gap > 2 * math.hypot(quat.stderr, real.stderr)
+    ok = within and not_above and separated and elapsed < 60.0
+    report(10, ok, f"r=0.5 ML error slopes: quaternion {quat.slope:.3f} ± "
+                   f"{quat.stderr:.3f} vs d2={d2} (tol 0.25), real {real.slope:.3f} ± "
+                   f"{real.stderr:.3f} vs d1={d1} (tol 0.2), gap {gap:.3f} > "
+                   f"{2 * math.hypot(quat.stderr, real.stderr):.3f}, {elapsed:.0f}s (< 60s)")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +218,20 @@ def test_lattice_audit_split(tmp_path):
     data = json.loads(read(out))
     assert data["nvd"] is True
     assert data["min_det"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_lattice_audit_rejects_m2z(capsys):
+    # negative control: M2(Z) is the order of a non-division algebra, so its
+    # shell holds nonzero singular points and the audit must fail it
+    m2z = Path(__file__).resolve().parent.parent / "lattices" / "m2z.json"
+    assert run(["lattice-audit", "--lattice", str(m2z), "--radius", "3"]) == 0
+    assert capsys.readouterr().out == '{"min_det": 0.0, "nvd": false, "points": 425}\n'
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "-1"])
+def test_lattice_audit_bad_radius_exit_2(radius, capsys):
+    assert run(["lattice-audit", "--lattice", "hamilton", "--radius", radius]) == 2
+    assert "radius" in capsys.readouterr().err
 
 
 def test_wishart_check_real(tmp_path):

@@ -36,7 +36,11 @@ def test_shell_zero_radius():
 
 def test_shell_counts_match_box_oracle():
     for lat in (HAMILTON, SPLIT):
-        for radius in (0.5, np.sqrt(2), 2.0, 3.0):
+        # shaped radii rho^(rn/k): at 10 dB, r = 1 and at 20 dB, r = 1 the
+        # squared radius is 10 and 100, which both orders reach exactly
+        shaped = [lattice.shape_codebook(lat, 10.0 ** (db / 10.0), r).radius_m
+                  for db, r in ((10, 1.0), (25, 0.5), (30, 0.5), (20, 1.0))]
+        for radius in [0.5, np.sqrt(2), 2.0, 3.0] + shaped:
             mine = [tuple(c) for c in lattice.shell_coordinates(lat, radius)]
             assert mine == box_search_coordinates(lat, radius)
 
@@ -63,9 +67,29 @@ def test_shell_negation_closure():
     assert all(tuple(-v for v in c) in coords for c in coords)
 
 
-def test_shell_cap():
+def test_shell_z16_radius2():
+    # Z^16 from the 16 real 4x4 matrix units: the theta series of Z^16 gives
+    # 1 + 32 + 480 + 4480 + 29152 vectors of squared norm 0..4
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    z16 = lattice.matrix_lattice(units, "real")
+    coords = lattice.shell_coordinates(z16, 2.0)
+    assert coords.shape == (34_145, 16)
+    assert np.all(np.sum(coords ** 2, axis=1) <= 4)
+    assert [tuple(c) for c in coords] == sorted(tuple(c) for c in coords)
+
+
+def test_shell_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "SHELL_CAP", 10)
     with pytest.raises(lattice.ResourceLimitError):
-        lattice.shell_coordinates(HAMILTON, 100.0, cap=10)
+        lattice.shell_coordinates(HAMILTON, 100.0)
+
+
+@pytest.mark.parametrize("radius", [1e150, 1e200])
+def test_shell_huge_radius_hits_cap(radius):
+    # at 1e200 the squared radius overflows to inf; the float-side count
+    # check still raises before any coordinate becomes an integer
+    with pytest.raises(lattice.ResourceLimitError, match="SHELL_CAP"):
+        lattice.shell_coordinates(HAMILTON, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +256,14 @@ def test_shape_codebook_power_and_norms():
         assert len(keys) == len(cb.points)
 
 
-def test_shape_codebook_validation():
+def test_shape_codebook_validation(monkeypatch):
     with pytest.raises(ValueError):
         lattice.shape_codebook(HAMILTON, 0.5, 0.5)
     with pytest.raises(ValueError):
         lattice.shape_codebook(HAMILTON, 10.0, -0.1)
+    monkeypatch.setattr(lattice, "SHELL_CAP", 1000)
     with pytest.raises(lattice.ResourceLimitError):
-        lattice.shape_codebook(HAMILTON, 1e9, 2.0, cap=1000)
+        lattice.shape_codebook(HAMILTON, 1e9, 2.0)
 
 
 def test_fixed_codebook_equal_norm_shell():

@@ -462,6 +462,21 @@ def test_trial_cap(monkeypatch, estimate):
         estimate([10.0, 20.0], [5000, 5001], 5)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda *a, **k: estimate_outage("real", SystemConfig(n=2, m=1, r=0.5), *a, **k),
+    lambda *a, **k: estimate_error_prob("quaternion", HAMILTON,
+                                        SystemConfig(n=2, m=1, r=0.5), *a, **k)],
+    ids=["outage", "error"])
+def test_bad_weighting_rejected_before_sampling(monkeypatch, estimate):
+    def never(*args, **kwargs):
+        raise AssertionError("spawned or shaped before the weighting was checked")
+
+    monkeypatch.setattr(sim, "shape_codebook", never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValueError, match="banana"):
+        estimate([10.0, 20.0], 200_000, 1, weighting="banana")
+
+
 @pytest.mark.parametrize("env,workers", [("5000", 3), ("2", 2), ("", 3)])
 def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
     # a stand-in executor records the pool size and runs the tasks in turn,
