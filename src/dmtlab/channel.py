@@ -7,8 +7,7 @@ Conventions fixed here and used everywhere else:
   * the quaternionic equivalent channel also carries the 1/sqrt(n) factor.
 
 Each channel computation is defined once, on a leading batch axis, and the
-Monte Carlo estimators in `sim` call it; the per-sample functions validate
-one matrix and run it as a batch of one.  Draws consume the generator in a
+Monte Carlo estimators in `sim` call it.  Draws consume the generator in a
 fixed order: h before w, the real part of a block before its imaginary part.
 """
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, bmm, frobenius_norm, logdet_pd
+from .linalg import as_matrix, bmm, logdet_pd
 
 LOG2 = np.log(2.0)
 PAIR_TOL = 1e-8  # largest lifted-Gram eigenvalue pairing gap, relative to the top one
@@ -28,22 +27,19 @@ PAIR_TOL = 1e-8  # largest lifted-Gram eigenvalue pairing gap, relative to the t
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Antenna counts, SNR and multiplexing gain of one simulated system.
+    """Antenna counts and multiplexing gain of one simulated system.
 
-    n transmit antennas (= block length), m receive antennas, linear-scale
-    SNR rho, multiplexing gain r.
+    n transmit antennas (= block length), m receive antennas, multiplexing
+    gain r.
     """
 
     n: int
     m: int
-    rho: float = 1.0
     r: float = 0.0
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("antenna counts must be >= 1")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
         if not 0 <= self.r <= min(self.m, self.n):
             raise ValueError(f"r={self.r} outside [0, min(m, n)]")
 
@@ -53,14 +49,6 @@ class SystemConfig:
         if self.n % 2:
             raise ValueError("quaternionic mode needs even n")
         return self.n // 2
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """One fading + noise realization (h: m x n channel, w: m x n noise)."""
-
-    h: np.ndarray
-    w: np.ndarray
 
 
 def draw_real(rng, shape):
@@ -134,64 +122,6 @@ def capacity_quaternion_batch(lam, rho):
     return 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
 
 
-def sample_channel(cfg, rng):
-    """Draw i.i.d. circularly symmetric complex Gaussian H and W.
-
-    Each entry has variance 1/2 per real dimension (unit total variance).
-    Draw order is h then w, so a given generator state fixes the sample.
-    """
-    shape = (1, cfg.m, cfg.n)
-    h = draw_complex(rng, shape)[0]
-    w = draw_complex(rng, shape)[0]
-    h.flags.writeable = False
-    w.flags.writeable = False
-    return ChannelSample(h=h, w=w)
-
-
-def _codeword(cfg, xbar):
-    x = as_matrix(xbar)
-    if x.shape != (cfg.n, cfg.n):
-        raise ValueError(f"codeword must be {cfg.n}x{cfg.n}, got {x.shape}")
-    return x
-
-
-def apply_channel(cfg, sample, xbar):
-    """Received block sqrt(rho/n) * H sXbar + W for an n x n codeword."""
-    x = _codeword(cfg, xbar)
-    return receive(as_matrix(sample.h)[None], x[None], math.sqrt(cfg.rho / cfg.n),
-                   sample.w)[0]
-
-
-def realify(m):
-    """Stack Re(M) over Im(M): the 2m x n real form of an m x n complex block."""
-    a = as_matrix(m)
-    return np.vstack([a.real, a.imag])
-
-
-def apply_channel_real(cfg, sample, xbar):
-    """Received block of the equivalent stacked-real system (2m x n real).
-
-    For a real codeword this equals realify(apply_channel(...)) exactly, not
-    just to rounding: a zero imaginary part leaves every complex product
-    term equal to the real one.
-    """
-    x = _codeword(cfg, xbar)
-    if np.any(x.imag != 0.0):
-        raise ValueError("the stacked-real system carries real codewords only")
-    return receive(realify(sample.h)[None], x.real[None], math.sqrt(cfg.rho / cfg.n),
-                   realify(sample.w))[0]
-
-
-def quaternion_lift(m):
-    """Lift an m x 2p block (M1 M2) to [[M1, M2], [-conj(M2), conj(M1)]]."""
-    a = as_matrix(m)
-    cols = a.shape[1]
-    if cols % 2:
-        raise ValueError(f"quaternion lift needs an even column count, got {cols}")
-    p = cols // 2
-    return lift_batch(a[None, :, :p], a[None, :, p:])[0]
-
-
 def quaternionic_defect(m):
     """Max entry deviation from the [[A, -B*], [B, A*]] block structure."""
     a = as_matrix(m)
@@ -225,18 +155,6 @@ def mutual_info_real(h, q, rho, n):
         warnings.warn(f"trace(Q)={np.trace(q):.6g} exceeds n={n}", stacklevel=2)
     info = mutual_info_real_batch(h[None], rho, n, hq=(h @ q)[None])[0]
     return max(float(info), 0.0)
-
-
-def capacity_quaternion(h, rho):
-    """log2 det(I + rho H^dag H) for a quaternionic-structured channel.
-
-    Computed as 2 * sum(log2(1 + rho * lambda_i)) over the p distinct
-    eigenvalues; the multiplicity-2 pairing of the spectrum is asserted.
-    """
-    a = as_matrix(h)
-    if quaternionic_defect(a) > 1e-10 * (1.0 + frobenius_norm(a)):
-        raise ValueError("channel does not have quaternionic block structure")
-    return float(capacity_quaternion_batch(lifted_gram_spectrum(a[None]), rho)[0])
 
 
 def power_check(cb, tol=1e-12):

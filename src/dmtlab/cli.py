@@ -77,7 +77,7 @@ def _cmd_curves(args):
     if args.n % 2:
         raise ValueError("curves needs even n (the quaternionic bound is "
                          "undefined for odd n)")
-    if args.step <= 0:
+    if not args.step > 0:
         raise ValueError("step must be positive")
     rows = dmt.sample_curves(args.n, args.m, step=args.step)
     lines = ["r,d_star,d1,d2"]
@@ -154,22 +154,10 @@ def _sweep_csv(command, run, est):
     return "\n".join(lines) + "\n"
 
 
-def _theory_values(run):
-    d1 = d2 = None
-    try:
-        d1 = dmt.d1_curve(run.n, run.m)(run.r)
-    except ValueError:
-        pass
-    if run.n % 2 == 0:
-        try:
-            d2 = dmt.d2_curve(run.n, run.m)(run.r)
-        except ValueError:
-            pass
-    return d1, d2
-
-
 def _summary_json(run, est):
-    d1, d2 = _theory_values(run)
+    # a finished sweep had r inside both curves' domain [0, min(m, n/2)]
+    d1 = dmt.d1_curve(run.n, run.m)(run.r)
+    d2 = None if run.n % 2 else dmt.d2_curve(run.n, run.m)(run.r)
     out = {"mode": run.mode, "n": run.n, "m": run.m, "r": run.r,
            "seed": run.seed,
            "slope": None if math.isnan(est.slope) else est.slope,
@@ -180,7 +168,7 @@ def _summary_json(run, est):
 
 def _cmd_outage(args):
     run = _run_config(args)
-    cfg = SystemConfig(n=run.n, m=run.m, rho=1.0, r=run.r)
+    cfg = SystemConfig(n=run.n, m=run.m, r=run.r)
     est = sim.estimate_outage(run.mode, cfg, run.snr_db, run.trials,
                               np.random.default_rng(run.seed),
                               weighting=getattr(args, "weighting", "events"))
@@ -192,7 +180,7 @@ def _cmd_outage(args):
 def _cmd_error(args):
     run = _run_config(args, need_lattice=True)
     lat = lattice.load_lattice(run.lattice)
-    cfg = SystemConfig(n=run.n, m=run.m, rho=1.0, r=run.r)
+    cfg = SystemConfig(n=run.n, m=run.m, r=run.r)
     est = sim.estimate_error_prob(run.mode, lat, cfg, run.snr_db, run.trials,
                                   np.random.default_rng(run.seed),
                                   weighting=getattr(args, "weighting", "events"))
@@ -205,7 +193,7 @@ def _cmd_error(args):
 # lemma2-verify
 
 def _cmd_lemma2(args):
-    if args.sstep <= 0 or args.gridstep <= 0:
+    if not (args.sstep > 0 and args.gridstep > 0):
         raise ValueError("sstep and gridstep must be positive")
     checked = 0
     failures = []

@@ -136,10 +136,16 @@ def lemma2_closed_form(prob):
     return float(value), alpha
 
 
+# Entries (rows x columns) a brute-force grid or a curve sample may hold.
+GRID_CAP = 4 * 10**6
+
+
 @lru_cache(maxsize=8)
 def _ascending_grid(l, step):
     """All ascending l-tuples over the [0, 1] grid, with the full sum of
     (1-a) accumulated in prefix order (the last prefix sum)."""
+    if math.comb(int(min(1.0 / step, GRID_CAP)) + l + 1, l) * l > GRID_CAP:
+        raise ValueError(f"--gridstep gives a grid of more than {GRID_CAP} entries")
     ticks = [i * step for i in range(int(1.0 / step) + 1)]
     if ticks[-1] < 1.0:
         ticks.append(1.0)
@@ -157,7 +163,7 @@ def lemma2_bruteforce(prob, grid_step):
     addend 1 - a_i is nonnegative, so the prefix sums never decrease and
     only the last one needs testing against s.
     """
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ValueError("grid_step must be positive")
     pts, total = _ascending_grid(prob.l, float(grid_step))
     vals = pts[total <= prob.s + 1e-9] @ prob.coefficients()
@@ -280,6 +286,8 @@ def sample_curves(n, m, step=0.01):
     """Rows (r, d_star, d1, d2) over the common domain [0, min(m, n/2)]."""
     fam = curve_family(n, m)
     r_max = min(c.r_max for c in fam.values())
+    if (min(r_max / step, GRID_CAP) + 2) * 4 > GRID_CAP:
+        raise ValueError(f"--step gives a grid of more than {GRID_CAP} entries")
     count = int(math.floor(r_max / step + 1e-9))
     grid = [i * step for i in range(count + 1)]
     if grid[-1] < r_max - 1e-12:

@@ -77,8 +77,6 @@ def structure_check(x, flavor):
     if flavor == "real":
         return bool(np.all(a.imag == 0.0))
     if flavor == "quaternionic":
-        if a.shape[0] != a.shape[1] or a.shape[0] % 2:
-            raise ValueError("quaternionic check needs an even square matrix")
         return quaternionic_defect(a) == 0.0
     if flavor == "complex":
         return True

@@ -92,6 +92,14 @@ def _thread_cap():
     return min(int(env), cpus)
 
 
+def _check_array_bytes(rows, row_bytes, flag):
+    """Reject `rows` rows of the widest per-row array (channel, Gram or
+    received block) when they exceed ARRAY_BUDGET_BYTES."""
+    if rows * row_bytes > ARRAY_BUDGET_BYTES:
+        raise ResourceLimitError(f"{flag}: {rows} rows of {row_bytes} bytes exceed "
+                                 f"the array budget {ARRAY_BUDGET_BYTES}")
+
+
 def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
     """Run one Monte Carlo SNR sweep and fit its slope.
 
@@ -153,6 +161,7 @@ def _profile(lambdas, l, delta, rho):
 
 def sample_wishart_real_batch(n, m, count, rng):
     """Spectra of H^T H for `count` stacked-real channels (descending rows)."""
+    _check_array_bytes(count, 16 * m * n, "--samples")
     h = channel.draw_real(rng, (count, 2 * m, n))
     if n <= 2 * m:
         g = np.einsum("bji,bjk->bik", h, h)
@@ -174,6 +183,7 @@ def sample_wishart_real(n, m, rng, rho=1e4):
 
 def sample_wishart_quaternion_batch(p, m, count, rng):
     """Distinct lifted-Gram eigenvalues per quaternionic channel (pairing checked)."""
+    _check_array_bytes(count, 32 * p * max(2 * m, 2 * p), "--samples")
     return channel.lifted_gram_spectrum(channel.draw_lifted(rng, count, m, p))
 
 
@@ -463,6 +473,8 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
     """
     _validate_mode_r(mode, cfg)
     n, m = cfg.n, cfg.m
+    row_bytes = 16 * m * max(n, 2 * m) if mode == "real" else 16 * n * max(2 * m, n)
+    _check_array_bytes(min(chunk, max(np.ravel(trials), default=0)), row_bytes, "--n/--m")
 
     def counter(rho):
         thresh = (1 if mode == "real" else 2) * cfg.r * math.log2(rho)
@@ -488,6 +500,9 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
 # split an RNG chunk's rows after it is drawn, so events do not depend on
 # this value.
 DECODE_BUDGET_BYTES = 64 * 2**20
+# Bytes of any other array one sweep chunk or Wishart draw may build, per
+# worker: larger inputs are rejected before any draw; chunks never shrink.
+ARRAY_BUDGET_BYTES = 128 * 2**20
 
 
 def _codeword_features(cwords, scale):
@@ -526,11 +541,13 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
     per SNR point; `noise_scale` = 0 is the noiseless test hook.
     """
     _validate_mode_r(mode, cfg)
-    if mode == "real" and lat.flavor != "real":
-        raise ValueError("real mode needs a real-flavored lattice")
-    if mode == "quaternion" and lat.flavor != "quaternionic":
-        raise ValueError("quaternion mode needs a quaternionic lattice")
     n, m = cfg.n, cfg.m
+    flavor = "real" if mode == "real" else "quaternionic"
+    if (lat.flavor, lat.ambient_n) != (flavor, n):
+        raise ValueError(f"{mode} mode at --n={n} needs a {flavor} lattice of {n}x{n} "
+                         f"codewords, not {lat.flavor} {lat.ambient_n}x{lat.ambient_n}")
+    _check_array_bytes(min(chunk, max(np.ravel(trials), default=0)),
+                       (16 if mode == "real" else 32) * n * max(2 * m, n), "--n/--m")
     fixed = functools.cache(lambda: fixed_codebook(lat))
     if mode == "real":
         def draw(st, size):

@@ -11,9 +11,8 @@ import time
 
 import numpy as np
 
-from dmtlab import dmt, lattice, linalg, sim
-from dmtlab.channel import SystemConfig, apply_channel, apply_channel_real, \
-    quaternion_lift, quaternionic_defect, realify, sample_channel
+from dmtlab import channel, dmt, lattice, linalg, sim
+from dmtlab.channel import SystemConfig, quaternionic_defect
 from dmtlab.cli import run as cli_run
 
 
@@ -182,26 +181,29 @@ def test_criterion_8_structural_suites():
     rng = np.random.default_rng(88)
     ok = True
 
-    # realify algebraic identity, exact, 1e3 instances
-    cfg = SystemConfig(n=3, m=2, rho=4.0)
-    for _ in range(1000):
-        s = sample_channel(cfg, rng)
-        x = rng.standard_normal((3, 3))
-        if not np.array_equal(realify(apply_channel(cfg, s, x)),
-                              apply_channel_real(cfg, s, x)):
-            ok = False
-            break
-    identity_ok = ok
+    # realify algebraic identity, exact, 1e3 instances: Re over Im of the
+    # complex received blocks against the stacked-real channel
+    def stacked(a):
+        return np.concatenate([a.real, a.imag], axis=1)
+
+    h = channel.draw_complex(rng, (1000, 2, 3))
+    w = channel.draw_complex(rng, (1000, 2, 3))
+    x = rng.standard_normal((1000, 3, 3))
+    scale = math.sqrt(4.0 / 3)
+    identity_ok = np.array_equal(stacked(channel.receive(h, x, scale, w)),
+                                 channel.receive(stacked(h), x, scale, stacked(w)))
+    ok &= identity_ok
 
     # quaternion lift closure + eigenvalue pairing, 1e3 instances
-    closure_ok = True
-    pairing_ok = True
-    for _ in range(1000):
-        a = quaternion_lift(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-        b = quaternion_lift(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-        closure_ok &= quaternionic_defect(a @ b) <= 1e-12
-        lam = np.linalg.eigvalsh(a.conj().T @ a)[::-1]
-        pairing_ok &= float(np.max(lam[0::2] - lam[1::2])) < 1e-8 * max(lam[0], 1e-30)
+    def lift(shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return channel.lift_batch(z[:, :, :2], z[:, :, 2:])
+
+    a, b = lift((1000, 2, 4)), lift((1000, 2, 4))
+    closure_ok = all(quaternionic_defect(ab) <= 1e-12 for ab in a @ b)
+    lam = np.linalg.eigvalsh(a.conj().transpose(0, 2, 1) @ a)[:, ::-1]
+    pairing_ok = bool(np.all(np.max(lam[:, 0::2] - lam[:, 1::2], axis=1)
+                             < 1e-8 * np.maximum(lam[:, 0], 1e-30)))
     ok &= closure_ok and pairing_ok
 
     # mismatched eigenvalue bound, 1e4 instances

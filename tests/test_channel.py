@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from dmtlab import channel, lattice
-from dmtlab.channel import (ChannelSample, SystemConfig, apply_channel,
-                            capacity_quaternion, mutual_info_real,
-                            power_check, quaternion_lift, quaternionic_defect,
-                            realify, sample_channel)
+from dmtlab.channel import (SystemConfig, mutual_info_real, power_check,
+                            quaternionic_defect)
 from dmtlab.linalg import frobenius_norm
 
 
@@ -13,9 +11,21 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def lift_pair(rng, m, p):
-    """Random quaternionic-structured 2m x 2p matrix."""
-    return quaternion_lift(random_complex(rng, (m, 2 * p)))
+def lift_pairs(rng, count, m, p):
+    """`count` random quaternionic-structured 2m x 2p matrices."""
+    return channel.lift_batch(random_complex(rng, (count, m, p)),
+                              random_complex(rng, (count, m, p)))
+
+
+def stacked(a):
+    """Re over Im of each block of a stack: the 2m x n real form of m x n."""
+    return np.concatenate([a.real, a.imag], axis=1)
+
+
+def lift_blocks(a):
+    """Lift each m x 2p block (A1 A2) of a stack."""
+    p = a.shape[2] // 2
+    return channel.lift_batch(a[:, :, :p], a[:, :, p:])
 
 
 # ---------------------------------------------------------------------------
@@ -25,8 +35,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(n=0, m=1)
     with pytest.raises(ValueError):
-        SystemConfig(n=2, m=1, rho=0.0)
-    with pytest.raises(ValueError):
         SystemConfig(n=2, m=1, r=-0.5)
     with pytest.raises(ValueError):
         SystemConfig(n=3, m=1).p
@@ -34,107 +42,93 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# sample_channel
+# channel draws
 
 def test_sample_channel_moments():
-    cfg = SystemConfig(n=1, m=1)
-    rng = np.random.default_rng(42)
-    vals = np.array([sample_channel(cfg, rng).h[0, 0] for _ in range(100_000)])
+    vals = channel.draw_complex(np.random.default_rng(42), (100_000, 1, 1))[:, 0, 0]
     assert abs(vals.mean()) <= 0.02
     assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=0.02)
 
 
 def test_sample_channel_deterministic():
-    cfg = SystemConfig(n=3, m=2)
-    a = sample_channel(cfg, np.random.default_rng(7))
-    b = sample_channel(cfg, np.random.default_rng(7))
-    assert np.array_equal(a.h, b.h) and np.array_equal(a.w, b.w)
+    a, b = (np.random.default_rng(7) for _ in range(2))
+    ha, wa = channel.draw_complex(a, (5, 2, 3)), channel.draw_complex(a, (5, 2, 3))
+    hb, wb = channel.draw_complex(b, (5, 2, 3)), channel.draw_complex(b, (5, 2, 3))
+    assert np.array_equal(ha, hb) and np.array_equal(wa, wb)
+    assert not np.array_equal(ha, wa)
 
 
 def test_sample_channel_shapes():
-    cfg = SystemConfig(n=4, m=2)
-    s = sample_channel(cfg, np.random.default_rng(0))
-    assert s.h.shape == (2, 4) and s.w.shape == (2, 4)
+    rng = np.random.default_rng(0)
+    assert channel.draw_complex(rng, (7, 2, 4)).shape == (7, 2, 4)
+    assert channel.draw_real(rng, (7, 4, 4)).dtype == float
+    assert channel.draw_lifted(rng, 7, 2, 2).shape == (7, 4, 4)
 
 
 def test_sample_channel_is_batch_row_zero():
-    cfg = SystemConfig(n=3, m=2)
-    s = sample_channel(cfg, np.random.default_rng(21))
+    # the draw order: h before w, the real part of a block before its
+    # imaginary part
     rng = np.random.default_rng(21)
     h = channel.draw_complex(rng, (1, 2, 3))
     w = channel.draw_complex(rng, (1, 2, 3))
-    assert np.array_equal(s.h, h[0]) and np.array_equal(s.w, w[0])
+    ref = np.random.default_rng(21)
+    parts = [ref.standard_normal((1, 2, 3)) for _ in range(4)]
+    assert np.array_equal(h, (parts[0] + 1j * parts[1]) * np.sqrt(0.5))
+    assert np.array_equal(w, (parts[2] + 1j * parts[3]) * np.sqrt(0.5))
 
 
 def test_per_sample_functions_match_batch_rows():
+    # mutual_info_real, the one per-matrix entry point, is a batch row
     rng = np.random.default_rng(22)
-    cfg = SystemConfig(n=4, m=2, rho=6.0)
-    scale = np.sqrt(cfg.rho / cfg.n)
-    h = channel.draw_complex(rng, (20, 2, 4))
-    w = channel.draw_complex(rng, (20, 2, 4))
-    x = random_complex(rng, (20, 4, 4))
-    y = channel.receive(h, x, scale, w)
     hr = channel.draw_real(rng, (20, 4, 4))
-    info = channel.mutual_info_real_batch(hr, cfg.rho, cfg.n)
-    hq = channel.draw_lifted(rng, 20, 2, 2)
-    cap = channel.capacity_quaternion_batch(channel.lifted_gram_spectrum(hq), cfg.rho)
+    info = channel.mutual_info_real_batch(hr, 6.0, 4)
     for i in range(20):
-        s = ChannelSample(h=h[i], w=w[i])
-        assert np.max(np.abs(apply_channel(cfg, s, x[i]) - y[i])) <= 1e-12
-        assert mutual_info_real(hr[i], np.eye(4), cfg.rho, cfg.n) == pytest.approx(
+        assert mutual_info_real(hr[i], np.eye(4), 6.0, 4) == pytest.approx(
             info[i], abs=1e-12)
-        assert capacity_quaternion(hq[i], cfg.rho) == pytest.approx(cap[i], abs=1e-12)
-        assert np.array_equal(quaternion_lift(np.hstack([hq[i, :2, :2], hq[i, :2, 2:]])),
-                              hq[i])
 
 
 # ---------------------------------------------------------------------------
-# apply_channel
+# receive
 
 def test_apply_channel_zero_codeword():
-    cfg = SystemConfig(n=2, m=2, rho=10.0)
-    s = sample_channel(cfg, np.random.default_rng(1))
-    y = apply_channel(cfg, s, np.zeros((2, 2)))
-    assert np.allclose(y, s.w, atol=0)
+    rng = np.random.default_rng(1)
+    h, w = channel.draw_complex(rng, (3, 2, 2)), channel.draw_complex(rng, (3, 2, 2))
+    y = channel.receive(h, np.zeros((3, 2, 2)), np.sqrt(10.0 / 2), w)
+    assert np.allclose(y, w, atol=0)
 
 
 def test_apply_channel_identity_channel():
-    cfg = SystemConfig(n=2, m=2, rho=2.0)
-    s = ChannelSample(h=np.eye(2, dtype=complex), w=np.zeros((2, 2), dtype=complex))
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(apply_channel(cfg, s, x), x, atol=1e-15)
+    h = np.eye(2, dtype=complex)[None]
+    x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    y = channel.receive(h, x, np.sqrt(2.0 / 2), np.zeros((1, 2, 2), dtype=complex))
+    assert np.allclose(y, x, atol=1e-15)
 
 
 def test_apply_channel_matches_entrywise_oracle():
-    cfg = SystemConfig(n=3, m=2, rho=7.0)
     rng = np.random.default_rng(2)
-    s = sample_channel(cfg, rng)
-    x = random_complex(rng, (3, 3))
-    y = apply_channel(cfg, s, x)
-    scale = np.sqrt(cfg.rho / cfg.n)
-    expect = np.array([[scale * sum(s.h[i, k] * x[k, j] for k in range(3)) + s.w[i, j]
-                        for j in range(3)] for i in range(2)])
+    h, w = channel.draw_complex(rng, (5, 2, 3)), channel.draw_complex(rng, (5, 2, 3))
+    x = random_complex(rng, (5, 3, 3))
+    scale = np.sqrt(7.0 / 3)
+    y = channel.receive(h, x, scale, w)
+    expect = np.array([[[scale * sum(h[b, i, k] * x[b, k, j] for k in range(3)) + w[b, i, j]
+                         for j in range(3)] for i in range(2)] for b in range(5)])
     assert np.max(np.abs(y - expect)) <= 1e-12
 
 
-def test_apply_channel_dimension_error():
-    cfg = SystemConfig(n=2, m=1)
-    s = sample_channel(cfg, np.random.default_rng(3))
-    with pytest.raises(ValueError):
-        apply_channel(cfg, s, np.zeros((3, 3)))
-
-
 # ---------------------------------------------------------------------------
-# realify
+# the stacked-real channel
 
 def test_realify_imaginary_scalar():
-    assert np.array_equal(realify([[1j]]), [[0.0], [1.0]])
+    h, x, w = np.array([[[1j]]]), np.ones((1, 1, 1)), np.zeros((1, 1, 1), dtype=complex)
+    assert np.array_equal(stacked(channel.receive(h, x, 1.0, w)), [[[0.0], [1.0]]])
+    assert np.array_equal(channel.receive(stacked(h), x, 1.0, stacked(w)), [[[0.0], [1.0]]])
 
 
 def test_realify_real_matrix():
-    m = np.arange(6.0).reshape(2, 3)
-    out = realify(m)
-    assert np.array_equal(out[:2], m) and np.all(out[2:] == 0)
+    h = np.arange(6.0).reshape(1, 2, 3).astype(complex)
+    x = np.arange(9.0).reshape(1, 3, 3)
+    out = stacked(channel.receive(h, x, 1.0, np.zeros((1, 2, 3), dtype=complex)))
+    assert np.array_equal(out[:, :2], h.real @ x) and np.all(out[:, 2:] == 0)
 
 
 def test_realify_identity_exact():
@@ -144,79 +138,60 @@ def test_realify_identity_exact():
     # n = 4 and 8 reach the vector width of numpy's real einsum loop.
     rng = np.random.default_rng(4)
     for n in (3, 4, 8):
-        cfg = SystemConfig(n=n, m=2, rho=5.0)
-        scale = np.sqrt(cfg.rho / cfg.n)
-        for _ in range(100):
-            s = sample_channel(cfg, rng)
-            x = rng.standard_normal((n, n))
-            lhs = realify(apply_channel(cfg, s, x))
-            rhs = channel.apply_channel_real(cfg, s, x)
-            assert np.array_equal(lhs, rhs)
-            indep = scale * (realify(s.h) @ x) + realify(s.w)
-            assert np.max(np.abs(lhs - indep)) <= 1e-12
-
-
-def test_apply_channel_real_rejects_complex_codeword():
-    cfg = SystemConfig(n=2, m=1)
-    s = sample_channel(cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        channel.apply_channel_real(cfg, s, np.array([[1j, 0], [0, 0]]))
+        scale = np.sqrt(5.0 / n)
+        h, w = channel.draw_complex(rng, (100, 2, n)), channel.draw_complex(rng, (100, 2, n))
+        x = rng.standard_normal((100, n, n))
+        lhs = stacked(channel.receive(h, x, scale, w))
+        rhs = channel.receive(stacked(h), x, scale, stacked(w))
+        assert np.array_equal(lhs, rhs)
+        indep = scale * (stacked(h) @ x) + stacked(w)
+        assert np.max(np.abs(lhs - indep)) <= 1e-12
 
 
 def test_realify_norm_preserved_exactly():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        m = random_complex(rng, (3, 4))
-        assert frobenius_norm(realify(m)) == frobenius_norm(m)
+    m = random_complex(rng, (100, 3, 4))
+    for a, b in zip(stacked(m), m):
+        assert frobenius_norm(a) == frobenius_norm(b)
 
 
 # ---------------------------------------------------------------------------
-# quaternion_lift
+# the quaternion lift
 
 def test_lift_real_diagonal():
-    assert np.array_equal(quaternion_lift([[1.0, 0.0]]), np.eye(2))
+    assert np.array_equal(channel.lift_batch(np.ones((1, 1, 1)), np.zeros((1, 1, 1))),
+                          np.eye(2)[None])
 
 
 def test_lift_block_substitution():
-    out = quaternion_lift([[1.0, 1j]])
-    assert np.array_equal(out, np.array([[1, 1j], [1j, 1]]))
-
-
-def test_lift_rejects_odd_columns():
-    with pytest.raises(ValueError):
-        quaternion_lift(np.ones((2, 3)))
+    out = channel.lift_batch(np.ones((1, 1, 1)), np.full((1, 1, 1), 1j))
+    assert np.array_equal(out, np.array([[[1, 1j], [1j, 1]]]))
 
 
 def test_lift_channel_block_identity():
     # lifted channel: lift(Y) = sqrt(rho/n) lift(H) X + lift(W) for
     # quaternionic X, recomputed from the plain channel output
-    cfg = SystemConfig(n=4, m=3, rho=9.0)
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        s = sample_channel(cfg, rng)
-        x = lift_pair(rng, 2, 2)
-        y = apply_channel(cfg, s, x)
-        lhs = quaternion_lift(y)
-        rhs = np.sqrt(cfg.rho / cfg.n) * (quaternion_lift(s.h) @ x) + quaternion_lift(s.w)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    scale = np.sqrt(9.0 / 4)
+    h, w = channel.draw_complex(rng, (50, 3, 4)), channel.draw_complex(rng, (50, 3, 4))
+    x = lift_pairs(rng, 50, 2, 2)
+    lhs = lift_blocks(channel.receive(h, x, scale, w))
+    rhs = scale * (lift_blocks(h) @ x) + lift_blocks(w)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_lift_closure_under_product():
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        a = lift_pair(rng, 2, 2)
-        b = lift_pair(rng, 2, 2)
+    for a, b in zip(lift_pairs(rng, 100, 2, 2), lift_pairs(rng, 100, 2, 2)):
         assert quaternionic_defect(a @ b) <= 1e-12
         assert quaternionic_defect(a.conj().T) <= 1e-12
 
 
 def test_lift_eigenvalue_pairing_1000():
-    rng = np.random.default_rng(8)
-    for _ in range(1000):
-        h = lift_pair(rng, 2, 2)
-        lam = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
-        gaps = lam[0::2] - lam[1::2]
-        assert np.max(gaps) <= 1e-8 * max(lam[0], 1e-30)
+    h = lift_pairs(np.random.default_rng(8), 1000, 2, 2)
+    lam = np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)[:, ::-1]
+    gaps = lam[:, 0::2] - lam[:, 1::2]
+    assert np.all(gaps.max(axis=1) <= 1e-8 * np.maximum(lam[:, 0], 1e-30))
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +256,28 @@ def test_mutual_info_bounded_by_full_power():
 
 
 # ---------------------------------------------------------------------------
-# capacity_quaternion
+# quaternionic capacity
+
+def capacity(h, rho):
+    return channel.capacity_quaternion_batch(channel.lifted_gram_spectrum(h), rho)
+
 
 def test_capacity_zero():
-    assert capacity_quaternion(np.zeros((2, 2)), 10.0) == 0.0
+    assert capacity(np.zeros((1, 2, 2), dtype=complex), 10.0)[0] == 0.0
 
 
 def test_capacity_identity():
-    assert capacity_quaternion(np.eye(2), 3.0) == pytest.approx(4.0, abs=1e-12)
+    assert capacity(np.eye(2, dtype=complex)[None], 3.0)[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_capacity_matches_full_determinant():
     rng = np.random.default_rng(12)
-    for _ in range(50):
-        h = lift_pair(rng, 2, 2)
-        rho = float(rng.uniform(0.5, 20.0))
-        g = np.eye(4) + rho * (h.conj().T @ h)
-        _, logdet = np.linalg.slogdet(g)
-        expect = logdet / np.log(2.0)
-        got = capacity_quaternion(h, rho)
-        assert got == pytest.approx(expect, rel=1e-8, abs=1e-8)
-
-
-def test_capacity_rejects_structure_violation():
-    with pytest.raises(ValueError):
-        capacity_quaternion(np.array([[1j, 0], [0, 1j]]), 1.0)
+    h = lift_pairs(rng, 50, 2, 2)
+    rho = rng.uniform(0.5, 20.0, size=50)
+    g = np.eye(4) + rho[:, None, None] * (h.conj().transpose(0, 2, 1) @ h)
+    _, logdet = np.linalg.slogdet(g)
+    got = capacity(h, rho[:, None])
+    assert got == pytest.approx(logdet / np.log(2.0), rel=1e-8, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

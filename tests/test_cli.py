@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from dmtlab import sim
+from dmtlab import dmt, sim
 from dmtlab.cli import run
 
 
@@ -40,6 +40,29 @@ def test_curves_anchors_json(tmp_path):
 def test_curves_rejects_odd_n(capsys):
     assert run(["curves", "--n", "3", "--m", "2"]) == 2
     assert "even n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["curves", "--n", "2", "--m", "1", "--step", "1e-9"], "--step"),
+    (["curves", "--n", "2", "--m", "1", "--step", "1e-320"], "--step"),
+    (["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5",
+      "--gridstep", "0.0001"], "--gridstep")])
+def test_grid_size_exit_2(argv, flag, capsys):
+    # the benchmark's Lemma-2 grid (gridstep 0.02 at lmax 4: 316,251 rows of
+    # 4) fits the cap; these grids would need gigabytes
+    assert 316_251 * 4 <= dmt.GRID_CAP
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_grid_size_patched_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(dmt, "GRID_CAP", 1000)
+    assert run(["curves", "--n", "2", "--m", "1", "--step", "0.01"]) == 0
+    assert run(["curves", "--n", "2", "--m", "1", "--step", "0.001"]) == 2
+    assert "--step" in capsys.readouterr().err
+    assert run(["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5",
+                "--gridstep", "0.05"]) == 2
+    assert "--gridstep" in capsys.readouterr().err
 
 
 def test_curves_idempotent(tmp_path):
@@ -186,6 +209,29 @@ def test_error_unknown_lattice(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("mode,name,n", [("quaternion", "hamilton", "4"),
+                                         ("real", "split", "3")])
+def test_error_n_lattice_mismatch_exit_2(mode, name, n, capsys):
+    rc = run(["error", "--mode", mode, "--lattice", name, "--n", n, "--m", "1",
+              "--r", "0", "--snr-db", "10,20", "--trials", "1000", "--seed", "1"])
+    assert rc == 2
+    assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["outage", "--mode", "real", "--n", "40", "--m", "20", "--r", "0",
+      "--snr-db", "10,20", "--trials", "1000000", "--seed", "1"], "--n/--m"),
+    (["wishart-check", "--mode", "real", "--n", "2", "--m", "1",
+      "--samples", "100000000", "--seed", "1"], "--samples")])
+def test_monte_carlo_array_budget_exit_2(argv, flag, capsys):
+    # the benchmark's largest chunk (100k rows of 2 x 2 lifted complex
+    # blocks) fits the budget; these inputs need gigabytes and are
+    # rejected before any draw
+    assert 100_000 * 64 <= sim.ARRAY_BUDGET_BYTES
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # lemma2-verify / lattice-audit / wishart-check
 
@@ -226,6 +272,20 @@ def test_lattice_audit_rejects_m2z(capsys):
     m2z = Path(__file__).resolve().parent.parent / "lattices" / "m2z.json"
     assert run(["lattice-audit", "--lattice", str(m2z), "--radius", "3"]) == 0
     assert capsys.readouterr().out == '{"min_det": 0.0, "nvd": false, "points": 425}\n'
+
+
+@pytest.mark.parametrize("radius,report", [
+    ("2", '{"min_det": 1.0, "nvd": true, "points": 3}'),
+    ("4", '{"min_det": 0.8584073464102071, "nvd": false, "points": 29}'),
+    ("8", '{"min_det": 0.8584073464102071, "nvd": false, "points": 519}'),
+    ("12", '{"min_det": 0.4336293856408274, "nvd": false, "points": 2719}')])
+def test_lattice_audit_split_pi(radius, report, capsys):
+    # negative control: split with i^2 = pi is full rank but not NVD; its
+    # determinants x^2 - pi y^2 - 3 z^2 + 3 pi w^2 vanish only at 0, yet
+    # their minimum falls as the shell grows.  A radius-2 shell cannot see it.
+    path = Path(__file__).resolve().parent.parent / "lattices" / "split_pi.json"
+    assert run(["lattice-audit", "--lattice", str(path), "--radius", radius]) == 0
+    assert capsys.readouterr().out == report + "\n"
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "-1"])

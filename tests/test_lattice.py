@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmtlab import lattice, linalg
-from dmtlab.channel import power_check, quaternion_lift
+from dmtlab.channel import lift_batch, power_check
 
 
 HAMILTON = lattice.build_hamilton_order()
@@ -222,8 +222,8 @@ def test_structure_check_examples():
     assert lattice.structure_check(np.eye(2), "real")
     assert not lattice.structure_check(np.array([[1j, 0], [0, 1j]]), "quaternionic")
     rng = np.random.default_rng(3)
-    lifted = quaternion_lift(rng.standard_normal((2, 4))
-                             + 1j * rng.standard_normal((2, 4)))
+    z = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    lifted = lift_batch(z[None, :, :2], z[None, :, 2:])[0]
     assert lattice.structure_check(lifted, "quaternionic")
 
 

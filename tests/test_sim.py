@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmtlab import channel, lattice, sim
-from dmtlab.channel import SystemConfig, capacity_quaternion, mutual_info_real
+from dmtlab.channel import SystemConfig
 from dmtlab.sim import (chi2_tail, check_mismatched_bound,
                         check_nvd_product_bound, density_ratio_check_real,
                         estimate_error_prob, estimate_outage, fit_slope,
@@ -344,30 +344,35 @@ def test_outage_monotone_in_snr_and_rate():
     assert all(hi >= lo - 2e-3 for lo, hi in zip(est_lo.probs, est_hi.probs))
 
 
+def _point_stream(seed):
+    """The stream of a one-point, one-chunk sweep: the point stream's first child."""
+    return np.random.default_rng(seed).spawn(1)[0].spawn(1)[0]
+
+
 def test_outage_real_event_matches_mutual_info_op():
-    # the vectorized event rule reproduces the scalar operation
-    rng = np.random.default_rng(14)
-    rho = 10.0 ** 1.5
-    for _ in range(50):
-        h = rng.standard_normal((2, 2)) * np.sqrt(0.5)
-        via_op = mutual_info_real(h, np.eye(2), rho, 2)
-        g = np.eye(2) + (rho / 2) * (h @ h.T)
-        _, logdet = np.linalg.slogdet(g)
-        assert via_op == pytest.approx(logdet / (2 * math.log(2)), abs=1e-12)
+    # the batched event rule counts the outages of an independent slogdet of
+    # I + (rho/n) H H^T on the point's own draws
+    n, m, r, db, trials, seed = 4, 2, 1.0, 12.0, 3000, 14
+    est = estimate_outage("real", SystemConfig(n=n, m=m, r=r), [db], trials, seed,
+                          chunk=trials)
+    rho = 10.0 ** (db / 10.0)
+    h = channel.draw_real(_point_stream(seed), (trials, 2 * m, n))
+    _, logdet = np.linalg.slogdet(np.eye(2 * m) + (rho / n) * (h @ h.transpose(0, 2, 1)))
+    expect = int(np.sum(logdet / (2 * math.log(2)) <= r * math.log2(rho)))
+    assert est.events == (expect,) and 0 < expect < trials
 
 
 @pytest.mark.parametrize("n,m,r", [(2, 1, 0.5), (4, 2, 2.0)])
 def test_outage_quaternion_event_matches_capacity_op(n, m, r):
-    # the batched event rule reproduces the per-sample capacity on the same
-    # draws: one chunk, so the chunk stream is the point stream's first child
+    # the batched event rule counts the outages of an independent slogdet of
+    # I + rho H^dag H on the same lifted draws
     cfg = SystemConfig(n=n, m=m, r=r)
     db, trials, seed = 12.0, 3000, 31
     est = estimate_outage("quaternion", cfg, [db], trials, seed, chunk=trials)
     rho = 10.0 ** (db / 10.0)
-    stream = np.random.default_rng(seed).spawn(1)[0].spawn(1)[0]
-    hq = channel.draw_lifted(stream, trials, m, cfg.p)
-    caps = np.array([capacity_quaternion(h, rho) for h in hq])
-    expect = int(np.sum(caps <= 2 * cfg.r * math.log2(rho)))
+    hq = channel.draw_lifted(_point_stream(seed), trials, m, cfg.p)
+    _, logdet = np.linalg.slogdet(np.eye(n) + rho * (hq.conj().transpose(0, 2, 1) @ hq))
+    expect = int(np.sum(logdet / math.log(2) <= 2 * cfg.r * math.log2(rho)))
     assert est.events == (expect,) and expect > 0
 
 
@@ -510,6 +515,52 @@ def test_error_flavor_mode_mismatch():
         estimate_error_prob("real", HAMILTON, cfg, [10.0], 100, 1)
     with pytest.raises(ValueError):
         estimate_error_prob("quaternion", SPLIT, cfg, [10.0], 100, 1)
+
+
+@pytest.mark.parametrize("mode,lat,n,r", [("quaternion", HAMILTON, 4, 0.0),
+                                          ("quaternion", HAMILTON, 4, 0.5),
+                                          ("real", SPLIT, 3, 0.0)])
+def test_error_n_lattice_mismatch(monkeypatch, mode, lat, n, r):
+    def never(*args, **kwargs):
+        raise AssertionError("codebook built for a mismatched --n")
+
+    monkeypatch.setattr(sim, "fixed_codebook", never)
+    monkeypatch.setattr(sim, "shape_codebook", never)
+    with pytest.raises(ValueError, match=r"--n=\d.* not \w+ 2x2"):
+        estimate_error_prob(mode, lat, SystemConfig(n=n, m=1, r=r), [10.0, 20.0], 1000, 1)
+
+
+@pytest.mark.parametrize("estimate,row_bytes", [
+    (lambda *a, **k: estimate_outage("real", SystemConfig(n=2, m=1), *a, **k), 32),
+    (lambda *a, **k: estimate_outage("quaternion", SystemConfig(n=2, m=1), *a, **k), 64),
+    (lambda *a, **k: estimate_error_prob("real", SPLIT, SystemConfig(n=2, m=1), *a, **k), 64),
+    (lambda *a, **k: estimate_error_prob("quaternion", HAMILTON, SystemConfig(n=2, m=1),
+                                         *a, **k), 128)],
+    ids=["outage-real", "outage-quaternion", "error-real", "error-quaternion"])
+def test_sweep_array_budget(monkeypatch, estimate, row_bytes):
+    # the largest chunk (here 700 rows) must fit ARRAY_BUDGET_BYTES; at the
+    # exact fit the events equal those of the default budget
+    args = ([10.0, 13.0], [1500, 300], 4)
+    default = estimate(*args, chunk=700)
+    monkeypatch.setattr(sim, "ARRAY_BUDGET_BYTES", 700 * row_bytes)
+    assert estimate(*args, chunk=700).events == default.events
+    monkeypatch.setattr(sim, "ARRAY_BUDGET_BYTES", 700 * row_bytes - 1)
+    with pytest.raises(lattice.ResourceLimitError, match="--n/--m"):
+        estimate(*args, chunk=700)
+    # fewer trials than a chunk make a smaller array
+    assert estimate([10.0], 699, 4, chunk=700).trials == (699,)
+
+
+def test_wishart_array_budget(monkeypatch):
+    # 2 x 2 real blocks take 32 bytes a draw, lifted 2 x 2 complex ones 64
+    monkeypatch.setattr(sim, "ARRAY_BUDGET_BYTES", 1000 * 32)
+    rng = np.random.default_rng(3)
+    assert sim.sample_wishart_real_batch(2, 1, 1000, rng).shape == (1000, 2)
+    assert sim.sample_wishart_quaternion_batch(1, 1, 500, rng).shape == (500, 1)
+    with pytest.raises(lattice.ResourceLimitError, match="--samples"):
+        sim.sample_wishart_real_batch(2, 1, 1001, rng)
+    with pytest.raises(lattice.ResourceLimitError, match="--samples"):
+        sim.sample_wishart_quaternion_batch(1, 1, 501, rng)
 
 
 @pytest.mark.parametrize("estimate", [
