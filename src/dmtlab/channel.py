@@ -9,6 +9,7 @@ Conventions fixed here and used everywhere else:
 Each channel computation is defined once, on a leading batch axis, and the
 Monte Carlo estimators in `sim` call it.  Draws consume the generator in a
 fixed order: h before w, the real part of a block before its imaginary part.
+Both mutual informations are log-determinants, taken with no eigensolver.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SystemConfig:
 
 def draw_real(rng, shape):
     """i.i.d. real N(0, 1/2) entries: the stacked-real channel or noise."""
-    return rng.standard_normal(shape) * math.sqrt(0.5)
+    return rng.normal(0.0, math.sqrt(0.5), shape)
 
 
 def draw_complex(rng, shape):
@@ -61,25 +62,28 @@ def draw_complex(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
 
 
-def lift_batch(m1, m2):
-    """Lift b x m x p blocks (M1 M2) to [[M1, M2], [-conj(M2), conj(M1)]].
+def lift_parts(parts):
+    """Lift the real parts (Re M1, Im M1, Re M2, Im M2) of b x m x p blocks,
+    stacked as a (4, b, m, p) array, to [[M1, M2], [-conj(M2), conj(M1)]].
 
     The lift is multiplicative against quaternionic codewords, which is what
     turns the plain channel into its quaternionic equivalent form.
     """
-    b, m, p = m1.shape
-    out = np.empty((b, 2 * m, 2 * p), dtype=complex)
-    out[:, :m, :p] = m1
-    out[:, :m, p:] = m2
-    out[:, m:, :p] = -m2.conj()
-    out[:, m:, p:] = m1.conj()
+    re1, im1, re2, im2 = parts
+    b, m, p = re1.shape
+    # batch axis last in memory, as `linalg.bmm` lays out its products
+    out = np.empty((2 * m, 2 * p, b), dtype=complex).transpose(2, 0, 1)
+    top_l, top_r, bot_l, bot_r = out[:, :m, :p], out[:, :m, p:], out[:, m:, :p], out[:, m:, p:]
+    top_l.real, top_l.imag, top_r.real, top_r.imag = re1, im1, re2, im2
+    np.negative(re2, out=bot_l.real)
+    bot_l.imag, bot_r.real = im2, re1
+    np.negative(im1, out=bot_r.imag)
     return out
 
 
 def draw_lifted(rng, count, m, p):
     """`count` lifted 2m x 2p quaternionic channels (or noise blocks)."""
-    shape = (count, m, p)
-    return lift_batch(draw_complex(rng, shape), draw_complex(rng, shape))
+    return lift_parts(draw_real(rng, (4, count, m, p)))
 
 
 def receive(h, x, scale, w):
@@ -101,6 +105,25 @@ def mutual_info_real_batch(h, rho, n, hq=None):
     return logdet_pd(g) / (2.0 * LOG2)
 
 
+def mutual_info_quaternion_batch(parts, rho):
+    """log2 det(I + rho H^dag H) per lifted channel H = lift_parts(parts), that
+    is 2 sum log2(1 + rho lambda_i) over the distinct Gram eigenvalues, with
+    no pairing assumed; the Gram is taken on the smaller side of H
+    (Sylvester).  With one quaternion on that side (m or p = 1) the Gram is
+    (|M1|^2 + |M2|^2) I, which needs no lift and no elimination."""
+    if min(parts.shape[2:]) == 1:
+        g = np.einsum("abij,abij->b", parts, parts)
+        g *= rho
+        return 2.0 * np.log2(1.0 + g)
+    hq = lift_parts(parts)
+    hh = hq.conj().transpose(0, 2, 1)
+    g = bmm(hh, hq) if hq.shape[2] <= hq.shape[1] else bmm(hq, hh)
+    del hh  # a block's temporaries stay few, so the allocator keeps reusing them
+    g *= rho
+    g += np.eye(g.shape[1])
+    return logdet_pd(g) / LOG2
+
+
 def lifted_gram_spectrum(hq):
     """Distinct eigenvalues of H^dag H per lifted channel, descending.
 
@@ -115,11 +138,6 @@ def lifted_gram_spectrum(hq):
     if np.any((top - bot) > PAIR_TOL * ref[:, None]):
         raise RuntimeError("quaternionic eigenvalue pairing violated")
     return top
-
-
-def capacity_quaternion_batch(lam, rho):
-    """2 * sum(log2(1 + rho * lambda_i)) over each row of distinct eigenvalues."""
-    return 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
 
 
 def quaternionic_defect(m):

@@ -195,10 +195,15 @@ def _cmd_error(args):
 def _cmd_lemma2(args):
     if not (args.sstep > 0 and args.gridstep > 0):
         raise ValueError("sstep and gridstep must be positive")
+    # about l / sstep + 1 values of s for each q in l..qmax; no case has l > qmax
+    ls = range(1, min(args.lmax, args.qmax) + 1)
+    if len(ls) > dmt.CASE_CAP or sum((args.qmax - l + 1) * (l / args.sstep + 1)
+                                     for l in ls) > dmt.CASE_CAP:
+        raise ValueError(f"--sstep/--qmax/--lmax give more than {dmt.CASE_CAP} cases")
     checked = 0
     failures = []
-    for l in range(1, args.lmax + 1):
-        for q in range(max(l, 1), args.qmax + 1):
+    for l in ls:
+        for q in range(l, args.qmax + 1):
             s = 0.0
             while s <= l + 1e-12:
                 prob = dmt.Lemma2Problem(q=float(q), l=l, s=min(s, float(l)))

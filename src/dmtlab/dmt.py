@@ -138,6 +138,8 @@ def lemma2_closed_form(prob):
 
 # Entries (rows x columns) a brute-force grid or a curve sample may hold.
 GRID_CAP = 4 * 10**6
+# (q, l, s) cases one `lemma2-verify` run may check, each a brute-force sweep.
+CASE_CAP = 10**4
 
 
 @lru_cache(maxsize=8)

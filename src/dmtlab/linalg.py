@@ -4,13 +4,13 @@ Everything downstream (channel models, lattices, Monte Carlo checks) runs on
 plain numpy arrays; this module owns the few primitives whose behavior we
 need to control precisely: finite-matrix coercion, an order-independent
 Frobenius norm, a square-checked determinant of one matrix or of an
-(N, n, n) stack, and two batch-axis kernels for stacks of small real
-matrices, `bmm` (product) and `logdet_pd` (log-determinant), used by the
-real-channel mutual information.  numpy's stacked routines pay a fixed
-dispatch per matrix, which for 2x2 matrices outweighs the arithmetic many
-times over; the kernels instead run one vector operation over the batch
-axis per matrix entry.  Other products, eigenvalues and complex work come
-straight from numpy.
+(N, n, n) stack, and two batch-axis kernels for stacks of small real or
+complex matrices, `bmm` (product) and `logdet_pd` (log-determinant), used by
+the real and quaternionic mutual information.  numpy's stacked routines pay
+a fixed dispatch per matrix, which for 2x2 matrices outweighs the arithmetic
+many times over; the kernels instead run one vector operation over the batch
+axis per matrix entry.  Other products and eigenvalues come straight from
+numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def determinant(m):
 
 
 def bmm(a, b):
-    """a @ b for real (N, i, j) and (N, j, k) stacks.
+    """a @ b for real or complex (N, i, j) and (N, j, k) stacks.
 
     Each output entry is one multiply and then one add per further inner
     index, each a vector operation over the batch axis, inner indices
@@ -69,7 +69,8 @@ def bmm(a, b):
     """
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1] or a.shape[2] < 1:
         raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}")
-    out = np.empty(a.shape[:2] + b.shape[2:], dtype=np.result_type(a, b))
+    # batch axis last in memory, so that each entry is one contiguous vector
+    out = np.empty((a.shape[1], b.shape[2], len(a)), np.result_type(a, b)).transpose(2, 0, 1)
     term = np.empty(len(a), dtype=out.dtype)
     for p in range(a.shape[1]):
         for q in range(b.shape[2]):
@@ -81,18 +82,21 @@ def bmm(a, b):
 
 
 def logdet_pd(g):
-    """(N,) log-determinants of a real symmetric positive definite (N, k, k)
-    stack.
+    """(N,) log-determinants of a real symmetric or complex Hermitian
+    positive definite (N, k, k) stack.
 
     Gaussian elimination without pivoting, which is stable on positive
     definite matrices, on a batch-last copy, so that every row operation is
-    one vector operation over the batch; the logs of the pivots are summed
-    in order.  A matrix that is not positive definite gives NaN or -inf.
+    one vector operation over the batch; the logs of the pivots, which are
+    real (of a complex pivot its real part is taken), are summed in order.
+    A matrix that is not positive definite gives NaN or -inf.
     """
-    t = np.array(np.moveaxis(g, 0, -1), dtype=float, order="C")  # (k, k, N)
+    t = np.array(np.moveaxis(g, 0, -1), dtype=np.result_type(g, float),
+                 order="C")  # (k, k, N)
     logdet = np.zeros(t.shape[-1])
     for c in range(len(t)):
-        logdet += np.log(t[c, c])
+        pivot = t[c, c].real
+        logdet += np.log(pivot)
         for r in range(c + 1, len(t)):
-            t[r, c + 1:] -= (t[r, c] / t[c, c]) * t[c, c + 1:]
+            t[r, c + 1:] -= (t[r, c] / pivot) * t[c, c + 1:]
     return logdet

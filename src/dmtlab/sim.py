@@ -7,8 +7,9 @@ log-determinants and capacities all come from the batched layer in
 Both estimators run through `_sweep`, which alone checks the thread cap,
 the SNR grid and the trial counts, runs the chunks of every SNR point in
 one pool and fits the slope; an estimator supplies only its per-point
-event counter.  The ML decoder scores rows against the whole codebook
-with one real matrix product (`_ml_decode`).
+event counter.  The outage counter takes the rates of a chunk in row
+blocks (`BLOCK_ROWS`).  The ML decoder scores rows against the whole
+codebook with one real matrix product (`_ml_decode`).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per fixed-size work chunk with
@@ -36,6 +37,10 @@ MIN_EVENTS = 50
 
 # Codeword pairs a distance or eigenvalue-product check may visit.
 PAIR_CAP = 10_000_000
+
+# Rows of an outage chunk whose rates are taken at once, so that their
+# temporaries stay in cache; events do not depend on it.
+BLOCK_ROWS = 8192
 
 # Trials one sweep may run, summed over its SNR points: every chunk's
 # substream is spawned before any sampling, at about 1.3 KB each.
@@ -467,9 +472,10 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
     """Outage probability sweep and its fitted slope.
 
     Real mode: P{ 0.5 log2 det(I + (rho/n) H H^T) <= r log2 rho } with the
-    identity input covariance.  Quaternion mode: P{ 2 sum log2(1 + rho
-    lambda_i) <= 2 r log2 rho } over the distinct lifted-Gram eigenvalues.
-    `trials` may be a scalar or one count per SNR point.
+    identity input covariance.  Quaternion mode: P{ log2 det(I + rho H^dag
+    H) <= 2 r log2 rho } for the lifted channel H, i.e. 2 sum log2(1 + rho
+    lambda_i) over the distinct Gram eigenvalues.  `trials` may be a scalar
+    or one count per SNR point.
     """
     _validate_mode_r(mode, cfg)
     n, m = cfg.n, cfg.m
@@ -482,11 +488,16 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
         def count(st, size):
             if mode == "real":
                 h = channel.draw_real(st, (size, 2 * m, n))
-                rate = channel.mutual_info_real_batch(h, rho, n)
             else:
-                lam = sample_wishart_quaternion_batch(cfg.p, m, size, st)
-                rate = channel.capacity_quaternion_batch(lam, rho)
-            return int(np.sum(rate <= thresh))
+                parts = channel.draw_real(st, (4, size, m, cfg.p))
+            events = 0
+            for lo in range(0, size, BLOCK_ROWS):
+                if mode == "real":
+                    rate = channel.mutual_info_real_batch(h[lo:lo + BLOCK_ROWS], rho, n)
+                else:
+                    rate = channel.mutual_info_quaternion_batch(parts[:, lo:lo + BLOCK_ROWS], rho)
+                events += int(np.count_nonzero(rate <= thresh))
+            return events
         return count
 
     return _sweep(snr_grid_db, trials, rng, chunk, counter, weighting)

@@ -197,7 +197,8 @@ def test_criterion_8_structural_suites():
     # quaternion lift closure + eigenvalue pairing, 1e3 instances
     def lift(shape):
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return channel.lift_batch(z[:, :, :2], z[:, :, 2:])
+        m1, m2 = z[:, :, :2], z[:, :, 2:]
+        return channel.lift_parts((m1.real, m1.imag, m2.real, m2.imag))
 
     a, b = lift((1000, 2, 4)), lift((1000, 2, 4))
     closure_ok = all(quaternionic_defect(ab) <= 1e-12 for ab in a @ b)

@@ -11,10 +11,14 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def lift(m1, m2):
+    """Lift of the b x m x p blocks (M1 M2), given as complex stacks."""
+    return channel.lift_parts((m1.real, m1.imag, m2.real, m2.imag))
+
+
 def lift_pairs(rng, count, m, p):
     """`count` random quaternionic-structured 2m x 2p matrices."""
-    return channel.lift_batch(random_complex(rng, (count, m, p)),
-                              random_complex(rng, (count, m, p)))
+    return lift(random_complex(rng, (count, m, p)), random_complex(rng, (count, m, p)))
 
 
 def stacked(a):
@@ -25,7 +29,7 @@ def stacked(a):
 def lift_blocks(a):
     """Lift each m x 2p block (A1 A2) of a stack."""
     p = a.shape[2] // 2
-    return channel.lift_batch(a[:, :, :p], a[:, :, p:])
+    return lift(a[:, :, :p], a[:, :, p:])
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +163,11 @@ def test_realify_norm_preserved_exactly():
 # the quaternion lift
 
 def test_lift_real_diagonal():
-    assert np.array_equal(channel.lift_batch(np.ones((1, 1, 1)), np.zeros((1, 1, 1))),
-                          np.eye(2)[None])
+    assert np.array_equal(lift(np.ones((1, 1, 1)), np.zeros((1, 1, 1))), np.eye(2)[None])
 
 
 def test_lift_block_substitution():
-    out = channel.lift_batch(np.ones((1, 1, 1)), np.full((1, 1, 1), 1j))
+    out = lift(np.ones((1, 1, 1)), np.full((1, 1, 1), 1j))
     assert np.array_equal(out, np.array([[[1, 1j], [1j, 1]]]))
 
 
@@ -258,26 +261,40 @@ def test_mutual_info_bounded_by_full_power():
 # ---------------------------------------------------------------------------
 # quaternionic capacity
 
-def capacity(h, rho):
-    return channel.capacity_quaternion_batch(channel.lifted_gram_spectrum(h), rho)
-
-
 def test_capacity_zero():
-    assert capacity(np.zeros((1, 2, 2), dtype=complex), 10.0)[0] == 0.0
+    zero = np.zeros((4, 1, 1, 1))
+    assert channel.mutual_info_quaternion_batch(zero, 10.0)[0] == 0.0
 
 
 def test_capacity_identity():
-    assert capacity(np.eye(2, dtype=complex)[None], 3.0)[0] == pytest.approx(4.0, abs=1e-12)
+    eye = np.zeros((4, 1, 1, 1))
+    eye[0] = 1.0  # M1 = 1, M2 = 0: the lift is the 2 x 2 identity
+    assert channel.mutual_info_quaternion_batch(eye, 3.0)[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_capacity_matches_full_determinant():
     rng = np.random.default_rng(12)
-    h = lift_pairs(rng, 50, 2, 2)
+    parts = rng.standard_normal((4, 50, 2, 2))
+    h = channel.lift_parts(parts)
     rho = rng.uniform(0.5, 20.0, size=50)
     g = np.eye(4) + rho[:, None, None] * (h.conj().transpose(0, 2, 1) @ h)
     _, logdet = np.linalg.slogdet(g)
-    got = capacity(h, rho[:, None])
+    got = channel.mutual_info_quaternion_batch(parts, rho[:, None, None])
     assert got == pytest.approx(logdet / np.log(2.0), rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2)])
+def test_capacity_matches_distinct_eigenvalues(m, p):
+    # the determinant counts every eigenvalue of the lifted Gram, and each
+    # distinct one twice, on either Gram side (2m x 2m or 2p x 2p), with a
+    # single quaternion on the smaller side (m or p = 1) or more
+    rng = np.random.default_rng(13)
+    parts = rng.standard_normal((4, 200, m, p))
+    lam = channel.lifted_gram_spectrum(channel.lift_parts(parts))
+    for rho in (0.5, 30.0, 1e4):
+        expect = 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
+        got = channel.mutual_info_quaternion_batch(parts, rho)
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,21 @@ def test_grid_size_exit_2(argv, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("qmax,lmax,sstep,code", [
+    ("1", "1", "1e-300", 2), ("1", "1", "5e-324", 2), ("10000000000", "1", "1", 2),
+    ("10000000000", "10000000000", "1", 2),
+    ("1", "10000000000", "1", 0)])  # an l above qmax has no case and is never visited
+def test_lemma2_case_count(qmax, lmax, sstep, code, capsys):
+    # counted before the first case: s += 1e-300 would never pass l = 1
+    assert run(["lemma2-verify", "--qmax", qmax, "--lmax", lmax, "--sstep", sstep,
+                "--gridstep", "0.5"]) == code
+    out, err = capsys.readouterr()
+    assert ("--sstep/--qmax/--lmax" in err) == (code == 2)
+    assert code == 2 or "all 2 cases within tolerance" in out
+    # the benchmark's sweep (qmax 6, lmax 4, sstep 0.25) has 178 cases
+    assert 178 <= dmt.CASE_CAP
+
+
 def test_grid_size_patched_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(dmt, "GRID_CAP", 1000)
     assert run(["curves", "--n", "2", "--m", "1", "--step", "0.01"]) == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmtlab import lattice, linalg
-from dmtlab.channel import lift_batch, power_check
+from dmtlab.channel import lift_parts, power_check
 
 
 HAMILTON = lattice.build_hamilton_order()
@@ -223,7 +223,8 @@ def test_structure_check_examples():
     assert not lattice.structure_check(np.array([[1j, 0], [0, 1j]]), "quaternionic")
     rng = np.random.default_rng(3)
     z = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    lifted = lift_batch(z[None, :, :2], z[None, :, 2:])[0]
+    lifted = lift_parts((z[None, :, :2].real, z[None, :, :2].imag,
+                         z[None, :, 2:].real, z[None, :, 2:].imag))[0]
     assert lattice.structure_check(lifted, "quaternionic")
 
 

@@ -111,14 +111,21 @@ def test_determinant_rejects_non_square():
 # bmm and logdet_pd
 
 def loop_bmm(a, b):
-    """Reference product: Python float sums over the inner index, ascending."""
-    out = np.empty((a.shape[0], a.shape[1], b.shape[2]))
+    """Reference product: Python scalar sums over the inner index, ascending.
+
+    Each product is numpy's elementwise product of the two entries; for
+    complex entries that is what a vector multiply gives, whose rounding
+    (it may fuse a multiply and an add) can differ from Python's own.
+    """
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.result_type(a, b))
     for s in range(a.shape[0]):
         for p in range(a.shape[1]):
             for q in range(b.shape[2]):
-                acc = float(a[s, p, 0] * b[s, 0, q])
-                for j in range(1, a.shape[2]):
-                    acc = acc + float(a[s, p, j] * b[s, j, q])
+                terms = [np.multiply(a[s, p, j:j + 1], b[s, j, q:q + 1])[0].item()
+                         for j in range(a.shape[2])]
+                acc = terms[0]
+                for term in terms[1:]:
+                    acc = acc + term
                 out[s, p, q] = acc
     return out
 
@@ -142,6 +149,20 @@ def test_bmm_bit_identical_to_ascending_sum(n_batch, shape_a, shape_b):
     assert np.all(np.abs(got - a @ b) <= 1e-14 * scale)
 
 
+@pytest.mark.parametrize("shape_a,shape_b", [((3, 1), (1, 2)), ((2, 2), (2, 2)),
+                                             ((4, 2), (2, 3)), ((8, 8), (8, 8))])
+def test_bmm_complex_bit_identical_to_ascending_sum(shape_a, shape_b):
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((300,) + shape_a) + 1j * rng.standard_normal((300,) + shape_a)
+    b = rng.standard_normal((300,) + shape_b) + 1j * rng.standard_normal((300,) + shape_b)
+    assert np.array_equal(linalg.bmm(a, b)[:100], loop_bmm(a[:100], b[:100]))
+    # a conjugate-transposed view, as in a Gram matrix H^dag H
+    ah = a.conj().transpose(0, 2, 1)
+    assert np.array_equal(linalg.bmm(ah, a)[:100], loop_bmm(ah[:100], a[:100]))
+    scale = np.einsum("bij,bjk->bik", np.abs(a), np.abs(b))
+    assert np.all(np.abs(linalg.bmm(a, b) - a @ b) <= 1e-14 * scale)
+
+
 def test_bmm_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         linalg.bmm(np.ones((2, 2, 3)), np.ones((2, 2, 2)))
@@ -163,6 +184,22 @@ def test_logdet_pd_matches_slogdet(k, rho):
     kappa = np.sum(np.abs(np.linalg.inv(g)) * np.abs(g), axis=(1, 2))
     tol = 1e-12 * np.abs(expect) + 4 * np.finfo(float).eps * kappa
     assert np.all(np.abs(linalg.logdet_pd(g) - expect) <= tol)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("rho", [1.0, 1e3, 1e6])
+def test_logdet_pd_complex_hermitian_matches_slogdet(k, rho):
+    rng = np.random.default_rng(10 + k)
+    a = rng.standard_normal((500, k, k)) + 1j * rng.standard_normal((500, k, k))
+    g = np.eye(k) + rho * (a @ a.conj().transpose(0, 2, 1))
+    sign, expect = np.linalg.slogdet(g)
+    assert np.allclose(sign, 1.0)
+    # the same allowance as for real stacks: 1e-12 relative plus a few
+    # units of roundoff times the sensitivity kappa of log det G
+    kappa = np.sum(np.abs(np.linalg.inv(g)) * np.abs(g), axis=(1, 2))
+    tol = 1e-12 * np.abs(expect) + 4 * np.finfo(float).eps * kappa
+    got = linalg.logdet_pd(g)
+    assert got.dtype == float and np.all(np.abs(got - expect) <= tol)
 
 
 def test_logdet_pd_rank_one_update_exact():

@@ -382,6 +382,38 @@ def test_outage_quaternion_runs():
     assert est.probs[1] < est.probs[0]
 
 
+def test_outage_quaternion_matches_gamma_oracle():
+    # Criterion 6's sweep against the exact outage probability: at n=2, m=1
+    # the distinct lifted-Gram eigenvalue |h1|^2 + |h2|^2 is Gamma(2, 1), and
+    # 2 log2(1 + rho lambda) <= 2 r log2 rho means lambda <= (rho^r - 1)/rho
+    cfg = SystemConfig(n=2, m=1, r=0.5)
+    snr = [10, 15, 20, 25, 30]
+    est = estimate_outage("quaternion", cfg, snr, 1_000_000, 20240, weighting="uniform")
+    for db, p_hat, t in zip(snr, est.probs, est.trials):
+        rho = 10.0 ** (db / 10.0)
+        p = 1.0 - chi2_tail((rho ** cfg.r - 1.0) / rho, 2)
+        assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / t), (db, p_hat, p)
+
+
+@pytest.mark.parametrize("mode", ["real", "quaternion"])
+def test_outage_events_independent_of_block_rows(monkeypatch, mode):
+    # rows are independent, so how a drawn chunk is split into rate blocks
+    # changes no event, at one worker or two; the chunk holds more rows than
+    # the default block, so that the default splits it too
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    cfg = SystemConfig(n=2, m=1, r=0.5)
+    chunk = sim.BLOCK_ROWS + 808
+    seen = set()
+    for rows in (1, 7, sim.BLOCK_ROWS, 10 * chunk):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DMTLAB_THREADS", threads)
+            est = estimate_outage(mode, cfg, [10.0, 14.0], [chunk + 500, 3000], 8,
+                                  chunk=chunk)
+            seen.add(est.events)
+    assert len(seen) == 1 and all(seen.pop())
+
+
 def test_outage_validation():
     with pytest.raises(ValueError):
         estimate_outage("real", SystemConfig(n=2, m=1, r=1.0), [10.0], 0, 1)
