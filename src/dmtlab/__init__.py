@@ -16,10 +16,8 @@ from .lattice import (Codebook, MatrixLattice, ResourceLimitError,
                       matrix_lattice, min_det, shape_codebook,
                       structure_check)
 from .linalg import determinant, frobenius_norm
-from .sim import (EigenProfile, SlopeEstimate, check_mismatched_bound,
-                  check_nvd_product_bound, chi2_tail,
-                  density_ratio_check_real, estimate_error_prob,
-                  estimate_outage, fit_slope, min_received_distance,
-                  sample_wishart_quaternion, sample_wishart_real)
+from .sim import (SlopeEstimate, check_mismatched_bound,
+                  check_nvd_product_bound, chi2_tail, estimate_error_prob,
+                  estimate_outage, fit_slope, min_received_distance)
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ Conventions fixed here and used everywhere else:
 Each channel computation is defined once, on a leading batch axis, and the
 Monte Carlo estimators in `sim` call it.  Draws consume the generator in a
 fixed order: h before w, the real part of a block before its imaginary part.
-Both mutual informations are log-determinants, taken with no eigensolver.
+Both mutual informations are log-determinants, taken with no eigensolver;
+only `mutual_info_real` factors its input covariance Q.  Eigenvalue spectra
+of the channel Gram are `sim`'s (the Wishart samplers).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from .linalg import as_matrix, bmm, logdet_pd
 
 LOG2 = np.log(2.0)
-PAIR_TOL = 1e-8  # largest lifted-Gram eigenvalue pairing gap, relative to the top one
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise ValueError("antenna counts must be >= 1")
+            raise ValueError(f"antenna counts --n/--m must be >= 1, "
+                             f"got n={self.n}, m={self.m}")
         if not 0 <= self.r <= min(self.m, self.n):
             raise ValueError(f"r={self.r} outside [0, min(m, n)]")
 
@@ -91,15 +93,10 @@ def receive(h, x, scale, w):
     return scale * np.einsum("bij,bjk->bik", h, x) + w
 
 
-def mutual_info_real_batch(h, rho, n, hq=None):
-    """0.5 * log2 det(I + (rho/n) (H Q) H^T) per stacked-real channel.
-
-    `hq` is H Q; it defaults to H, the identity input covariance, and Q must
-    be positive semidefinite so that the determinant's matrix is positive
-    definite.
-    """
-    hq = h if hq is None else hq
-    g = bmm(hq, h.transpose(0, 2, 1))
+def mutual_info_real_batch(h, rho, n):
+    """0.5 * log2 det(I + (rho/n) H H^T) per stacked-real channel (identity
+    input covariance)."""
+    g = bmm(h, h.transpose(0, 2, 1))
     g *= rho / n
     g += np.eye(h.shape[1])
     return logdet_pd(g) / (2.0 * LOG2)
@@ -124,22 +121,6 @@ def mutual_info_quaternion_batch(parts, rho):
     return logdet_pd(g) / LOG2
 
 
-def lifted_gram_spectrum(hq):
-    """Distinct eigenvalues of H^dag H per lifted channel, descending.
-
-    Each of the min(m, p) values is a multiplicity-2 eigenvalue of the Gram
-    matrix; a pairing gap beyond PAIR_TOL relative to the top one is a fault.
-    """
-    g = np.einsum("bji,bjk->bik", hq.conj(), hq)
-    lam = np.linalg.eigvalsh(g)[:, ::-1]
-    l = min(hq.shape[1], hq.shape[2]) // 2
-    top, bot = lam[:, 0:2 * l:2], lam[:, 1:2 * l:2]
-    ref = np.maximum(lam[:, 0], 1e-30)
-    if np.any((top - bot) > PAIR_TOL * ref[:, None]):
-        raise RuntimeError("quaternionic eigenvalue pairing violated")
-    return top
-
-
 def quaternionic_defect(m):
     """Max entry deviation from the [[A, -B*], [B, A*]] block structure."""
     a = as_matrix(m)
@@ -159,7 +140,9 @@ def mutual_info_real(h, q, rho, n):
 
     H is the stacked-real channel, Q a symmetric PSD input covariance; a Q
     that is not symmetric or not PSD is rejected.  A trace above n is
-    reported with a warning but not rejected.
+    reported with a warning but not rejected.  With Q = V W V^T,
+    H Q H^T = (H V W^(1/2)) (H V W^(1/2))^T, so the batch log-determinant
+    applies.
     """
     h = as_matrix(h, dtype=float)
     q = as_matrix(q, dtype=float)
@@ -167,11 +150,13 @@ def mutual_info_real(h, q, rho, n):
         raise ValueError(f"Q must be {h.shape[1]}x{h.shape[1]}, got {q.shape}")
     if np.abs(q - q.T).max() > 1e-10 * max(1.0, np.abs(q).max()):
         raise ValueError("Q must be symmetric")
-    if np.linalg.eigvalsh(q)[0] < -1e-10 * max(1.0, np.abs(q).max()):
+    w, v = np.linalg.eigh(q)
+    if w[0] < -1e-10 * max(1.0, np.abs(q).max()):
         raise ValueError("Q must be positive semidefinite")
     if np.trace(q) > n + 1e-9:
         warnings.warn(f"trace(Q)={np.trace(q):.6g} exceeds n={n}", stacklevel=2)
-    info = mutual_info_real_batch(h[None], rho, n, hq=(h @ q)[None])[0]
+    hv = h @ (v * np.sqrt(np.maximum(w, 0.0)))  # H V W^(1/2)
+    info = mutual_info_real_batch(hv[None], rho, n)[0]
     return max(float(info), 0.0)
 
 

@@ -97,7 +97,10 @@ def _load_config(args, keys):
     merged = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config must hold a JSON object, got {type(loaded).__name__}")
+        merged.update(loaded)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -193,6 +196,9 @@ def _cmd_error(args):
 # lemma2-verify
 
 def _cmd_lemma2(args):
+    if args.qmax < 1 or args.lmax < 1:
+        raise ValueError(f"--qmax/--lmax must be >= 1 (an empty sweep checks nothing), "
+                         f"got {args.qmax}, {args.lmax}")
     if not (args.sstep > 0 and args.gridstep > 0):
         raise ValueError("sstep and gridstep must be positive")
     # about l / sstep + 1 values of s for each q in l..qmax; no case has l > qmax
@@ -248,6 +254,7 @@ def _cmd_lattice_audit(args):
 def _cmd_wishart(args):
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
+    SystemConfig(n=args.n, m=args.m)  # antenna counts >= 1
     rng = np.random.default_rng(args.seed)
     if args.mode == "real":
         lam = sim.sample_wishart_real_batch(args.n, args.m, args.samples, rng)

@@ -4,6 +4,10 @@ empirical diversity estimates.  Channel draws, lifts, received blocks,
 log-determinants and capacities all come from the batched layer in
 `channel`.
 
+A spectrum is an (N, l) array of descending eigenvalues, one draw per row:
+the samplers return one, and the eigenvalue and exponent densities take
+(..., l) arrays and return one value per row.
+
 Both estimators run through `_sweep`, which alone checks the thread cap,
 the SNR grid and the trial counts, runs the chunks of every SNR point in
 one pool and fits the slope; an estimator supplies only its per-point
@@ -48,22 +52,6 @@ TRIAL_CAP = 10**9
 
 # Slope-fit weightings `fit_slope` knows.
 WEIGHTINGS = ("events", "uniform")
-
-
-@dataclass(frozen=True)
-class EigenProfile:
-    """Nonzero Gram-channel eigenvalues and their SNR exponents.
-
-    lambdas are descending; alphas = -log(lambda)/log(rho) come out
-    ascending.  l is the nonzero-eigenvalue count and delta the dimension
-    gap of the underlying channel shape.
-    """
-
-    lambdas: np.ndarray
-    alphas: np.ndarray
-    l: int
-    delta: int
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -156,16 +144,10 @@ def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
 # ---------------------------------------------------------------------------
 # Wishart spectra
 
-def _profile(lambdas, l, delta, rho):
-    lam = np.sort(np.asarray(lambdas, dtype=float))[::-1][:l]
-    alphas = -np.log(np.maximum(lam, 1e-300)) / math.log(rho)
-    lam.flags.writeable = False
-    alphas.flags.writeable = False
-    return EigenProfile(lambdas=lam, alphas=alphas, l=l, delta=delta, rho=float(rho))
-
-
 def sample_wishart_real_batch(n, m, count, rng):
-    """Spectra of H^T H for `count` stacked-real channels (descending rows)."""
+    """Nonzero eigenvalues of H^T H for `count` stacked-real 2m x n channels
+    with N(0, 1/2) entries (descending rows of min(2m, n) values; the Gram
+    is taken on the smaller side of H)."""
     _check_array_bytes(count, 16 * m * n, "--samples")
     h = channel.draw_real(rng, (count, 2 * m, n))
     if n <= 2 * m:
@@ -176,86 +158,70 @@ def sample_wishart_real_batch(n, m, count, rng):
     return lam[:, ::-1]
 
 
-def sample_wishart_real(n, m, rng, rho=1e4):
-    """One draw of the min(2m, n) nonzero eigenvalues of H^T H.
-
-    H is the 2m x n stacked-real channel with N(0, 1/2) entries; rho fixes
-    the exponent transform stored on the profile.
-    """
-    lam = sample_wishart_real_batch(n, m, 1, rng)[0]
-    return _profile(lam, min(2 * m, n), abs(n - 2 * m), rho)
-
-
 def sample_wishart_quaternion_batch(p, m, count, rng):
-    """Distinct lifted-Gram eigenvalues per quaternionic channel (pairing checked)."""
+    """Distinct eigenvalues of H^dag H for `count` lifted 2m x 2p quaternionic
+    channels (descending rows of min(m, p) values).
+
+    Each is a multiplicity-2 eigenvalue of the lifted Gram; a pairing gap
+    beyond 1e-8 relative to the top eigenvalue is a fault.
+    """
     _check_array_bytes(count, 32 * p * max(2 * m, 2 * p), "--samples")
-    return channel.lifted_gram_spectrum(channel.draw_lifted(rng, count, m, p))
-
-
-def sample_wishart_quaternion(p, m, rng, rho=1e4):
-    """One draw of the min(m, p) distinct eigenvalues of a lifted channel Gram."""
-    lam = sample_wishart_quaternion_batch(p, m, 1, rng)[0]
-    return _profile(lam, min(m, p), abs(p - m), rho)
+    h = channel.draw_lifted(rng, count, m, p)
+    lam = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", h.conj(), h))[:, ::-1]
+    l = min(m, p)
+    top, bot = lam[:, 0:2 * l:2], lam[:, 1:2 * l:2]
+    if np.any((top - bot) > 1e-8 * np.maximum(lam[:, :1], 1e-30)):
+        raise RuntimeError("quaternionic eigenvalue pairing violated")
+    return top
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue densities (unnormalized; constants cancel in ratios)
 
 def _add_log_vandermonde(val, lam):
-    """val + sum_{i<j} log(lam_i - lam_j), or -inf on a non-positive gap."""
-    for i in range(lam.size):
-        for j in range(i + 1, lam.size):
-            gap = lam[i] - lam[j]
-            if gap <= 0:
-                return -math.inf
-            val += math.log(gap)
-    return float(val)
+    """val + sum_{i<j} log(lam_i - lam_j) per row, -inf on a row with a
+    non-positive gap."""
+    i, j = np.triu_indices(lam.shape[-1], 1)
+    gaps = lam[..., i] - lam[..., j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.all(gaps > 0, axis=-1), val + np.log(gaps).sum(axis=-1), -np.inf)
 
 
 def log_eigenvalue_density_real(lambdas, n, m):
-    """log of e^(-sum lam) * prod lam^((Delta-1)/2) * prod_{i<j}(lam_i - lam_j),
-    up to the normalization constant.  -inf when eigenvalues coincide."""
+    """log of e^(-sum lam) * prod lam^((Delta-1)/2) * prod_{i<j}(lam_i - lam_j)
+    per row of descending eigenvalues, up to the normalization constant.
+    -inf when eigenvalues coincide; a row whose length is not min(2m, n) is
+    rejected."""
     lam = np.asarray(lambdas, dtype=float)
-    delta = abs(n - 2 * m)
-    return _add_log_vandermonde(-lam.sum() + 0.5 * (delta - 1) * np.log(lam).sum(), lam)
-
-
-def density_ratio_check_real(profile_a, profile_b, n, m):
-    """log density(profile_a) - log density(profile_b) under the stacked-real
-    eigenvalue law (the unknown constant cancels)."""
     l, delta = min(2 * m, n), abs(n - 2 * m)
-    for prof in (profile_a, profile_b):
-        if prof.l != l or prof.delta != delta:
-            raise ValueError("profile shape does not match (n, m)")
-    la = log_eigenvalue_density_real(profile_a.lambdas, n, m)
-    lb = log_eigenvalue_density_real(profile_b.lambdas, n, m)
-    if la == -math.inf:
-        return -math.inf
-    if lb == -math.inf:
-        return math.inf
-    return la - lb
+    if lam.shape[-1:] != (l,):
+        raise ValueError(f"eigenvalue rows must have min(2m, n) = {l} entries, "
+                         f"got shape {lam.shape}")
+    return _add_log_vandermonde(
+        -lam.sum(axis=-1) + 0.5 * (delta - 1) * np.log(lam).sum(axis=-1), lam)
 
 
 def log_alpha_density_real(alphas, n, m, rho):
-    """Exponent-domain density of the stacked-real spectrum (unnormalized)."""
+    """Exponent-domain density of the stacked-real spectrum (unnormalized)
+    per row of ascending exponents alpha = -log(lambda)/log(rho)."""
     a = np.asarray(alphas, dtype=float)
     delta = abs(n - 2 * m)
     logr = math.log(rho)
     lam = rho ** (-a)
-    return _add_log_vandermonde(
-        a.size * math.log(logr) - lam.sum() - logr * 0.5 * (delta + 1) * a.sum(), lam)
+    return _add_log_vandermonde(a.shape[-1] * math.log(logr) - lam.sum(axis=-1)
+                                - logr * 0.5 * (delta + 1) * a.sum(axis=-1), lam)
 
 
 def log_alpha_density_upper(alphas, n, m, rho):
-    """Dominating exponent-domain density: the Vandermonde factors are
-    bounded by rho^(-alpha_i) per pair, giving weights (Delta+2l-2i+1)/2."""
+    """Dominating exponent-domain density per row: the Vandermonde factors
+    are bounded by rho^(-alpha_i) per pair, giving weights (Delta+2l-2i+1)/2."""
     a = np.asarray(alphas, dtype=float)
-    l = a.size
+    l = a.shape[-1]
     delta = abs(n - 2 * m)
     logr = math.log(rho)
-    weights = np.array([(delta + 2 * l - 2 * (i + 1) + 1) / 2.0 for i in range(l)])
+    weights = (delta + 2 * l - 2 * np.arange(1, l + 1) + 1) / 2.0
     lam = rho ** (-a)
-    return float(l * math.log(logr) - lam.sum() - logr * (weights @ a))
+    return l * math.log(logr) - lam.sum(axis=-1) - logr * (a @ weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmtlab import channel, lattice
+from dmtlab import channel, lattice, sim
 from dmtlab.channel import (SystemConfig, mutual_info_real, power_check,
                             quaternionic_defect)
 from dmtlab.linalg import frobenius_norm
@@ -288,9 +288,9 @@ def test_capacity_matches_distinct_eigenvalues(m, p):
     # the determinant counts every eigenvalue of the lifted Gram, and each
     # distinct one twice, on either Gram side (2m x 2m or 2p x 2p), with a
     # single quaternion on the smaller side (m or p = 1) or more
-    rng = np.random.default_rng(13)
-    parts = rng.standard_normal((4, 200, m, p))
-    lam = channel.lifted_gram_spectrum(channel.lift_parts(parts))
+    # (the sampler lifts the same draw_real parts from the same stream)
+    parts = channel.draw_real(np.random.default_rng(13), (4, 200, m, p))
+    lam = sim.sample_wishart_quaternion_batch(p, m, 200, np.random.default_rng(13))
     for rho in (0.5, 30.0, 1e4):
         expect = 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
         got = channel.mutual_info_quaternion_batch(parts, rho)

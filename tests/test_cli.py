@@ -70,6 +70,15 @@ def test_lemma2_case_count(qmax, lmax, sstep, code, capsys):
     assert 178 <= dmt.CASE_CAP
 
 
+@pytest.mark.parametrize("qmax,lmax", [("0", "3"), ("3", "0"), ("0", "0"), ("-2", "1")])
+def test_lemma2_empty_sweep_exit_2(qmax, lmax, capsys):
+    # a verification with no case to check must not report success
+    assert run(["lemma2-verify", "--qmax", qmax, "--lmax", lmax, "--sstep", "0.5",
+                "--gridstep", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert "--qmax/--lmax" in err and "within tolerance" not in out
+
+
 def test_grid_size_patched_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(dmt, "GRID_CAP", 1000)
     assert run(["curves", "--n", "2", "--m", "1", "--step", "0.01"]) == 0
@@ -233,6 +242,15 @@ def test_error_n_lattice_mismatch_exit_2(mode, name, n, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["outage", "error"])
+@pytest.mark.parametrize("payload", ["[1, 2]", '"x"', "3", "null"])
+def test_config_not_an_object_exit_2(command, payload, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(payload, encoding="utf-8")
+    assert run([command, "--config", str(cfg)]) == 2
+    assert "--config must hold a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["outage", "--mode", "real", "--n", "40", "--m", "20", "--r", "0",
       "--snr-db", "10,20", "--trials", "1000000", "--seed", "1"], "--n/--m"),
@@ -324,6 +342,17 @@ def test_wishart_check_quaternion(tmp_path):
               "--samples", "50000", "--seed", "2", "--out", str(out)])
     assert rc == 0
     assert json.loads(read(out))["pass"] is True
+
+
+@pytest.mark.parametrize("mode,n,m", [("real", "2", "0"), ("real", "0", "1"),
+                                      ("real", "2", "-1"), ("quaternion", "2", "0"),
+                                      ("quaternion", "0", "1")])
+def test_wishart_check_antenna_count_exit_2(mode, n, m, capsys):
+    # checked before any draw: zero antennas give an expected trace of 0
+    assert run(["wishart-check", "--mode", mode, "--n", n, "--m", m,
+                "--samples", "10", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "--n/--m must be >= 1" in err and not out
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from dmtlab import channel, lattice, sim
 from dmtlab.channel import SystemConfig
 from dmtlab.sim import (chi2_tail, check_mismatched_bound,
-                        check_nvd_product_bound, density_ratio_check_real,
-                        estimate_error_prob, estimate_outage, fit_slope,
-                        min_received_distance, sample_wishart_quaternion,
-                        sample_wishart_real)
+                        check_nvd_product_bound, estimate_error_prob,
+                        estimate_outage, fit_slope, min_received_distance)
 
 
 HAMILTON = lattice.build_hamilton_order()
@@ -23,13 +21,11 @@ SPLIT = lattice.build_split_order()
 
 def test_wishart_real_count_and_positivity():
     rng = np.random.default_rng(0)
-    for n, m in ((2, 1), (4, 2), (2, 3)):
-        prof = sample_wishart_real(n, m, rng)
-        assert prof.l == min(2 * m, n)
-        assert prof.lambdas.shape == (prof.l,)
-        assert np.all(prof.lambdas >= -1e-10)
-        assert np.all(np.diff(prof.lambdas) <= 0)
-        assert np.all(np.diff(prof.alphas) >= 0)
+    for n, m in ((2, 1), (4, 2), (2, 3), (6, 2)):
+        lam = sim.sample_wishart_real_batch(n, m, 200, rng)
+        assert lam.shape == (200, min(2 * m, n))
+        assert np.all(lam >= -1e-10)
+        assert np.all(np.diff(lam, axis=1) <= 0)
 
 
 def test_wishart_real_trace_moment():
@@ -50,50 +46,79 @@ def test_wishart_quaternion_pairing_1000():
     rng = np.random.default_rng(3)
     lam = sim.sample_wishart_quaternion_batch(2, 2, 1000, rng)
     assert lam.shape == (1000, 2)
+    assert np.all(np.diff(lam, axis=1) <= 0)
+
+
+def test_wishart_quaternion_pairing_fault(monkeypatch):
+    # a Gram spectrum whose top pair splits by more than 1e-8 of the top
+    # eigenvalue is a fault, not a sample
+    split = np.array([[0.5, 1.0]])
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: split)
+    with pytest.raises(RuntimeError, match="pairing"):
+        sim.sample_wishart_quaternion_batch(1, 1, 1, np.random.default_rng(0))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: np.array([[1.0 - 1e-9, 1.0]]))
+    assert sim.sample_wishart_quaternion_batch(1, 1, 1, np.random.default_rng(0)).shape == (1, 1)
 
 
 def test_wishart_quaternion_scalar_case():
     # p = m = 1: the single distinct eigenvalue is |h1|^2 + |h2|^2
     seed = 77
-    rng = np.random.default_rng(seed)
-    prof = sample_wishart_quaternion(1, 1, rng)
-    ref = np.random.default_rng(seed)
-    h1 = (ref.standard_normal((1, 1, 1)) + 1j * ref.standard_normal((1, 1, 1))) * np.sqrt(0.5)
-    h2 = (ref.standard_normal((1, 1, 1)) + 1j * ref.standard_normal((1, 1, 1))) * np.sqrt(0.5)
-    expect = abs(h1[0, 0, 0]) ** 2 + abs(h2[0, 0, 0]) ** 2
-    assert prof.lambdas[0] == pytest.approx(expect, rel=1e-10)
-
-
-def test_wishart_alpha_transform():
-    rng = np.random.default_rng(4)
-    prof = sample_wishart_real(2, 1, rng, rho=1e4)
-    assert np.allclose(prof.alphas, -np.log(prof.lambdas) / np.log(1e4), atol=1e-12)
-    assert prof.rho == 1e4
+    lam = sim.sample_wishart_quaternion_batch(1, 1, 3, np.random.default_rng(seed))
+    ref = np.random.default_rng(seed).standard_normal((4, 3)) * np.sqrt(0.5)
+    expect = np.sum(ref ** 2, axis=0)
+    assert lam[:, 0] == pytest.approx(expect, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # densities
 
-def test_density_ratio_identical_profiles():
-    rng = np.random.default_rng(5)
-    prof = sample_wishart_real(2, 1, rng)
-    assert density_ratio_check_real(prof, prof, 2, 1) == 0.0
-
-
 def test_density_ratio_coincident_sentinel():
-    bad = sim.EigenProfile(lambdas=np.array([1.0, 1.0]),
-                           alphas=np.array([0.0, 0.0]), l=2, delta=0, rho=1e4)
-    rng = np.random.default_rng(6)
-    good = sample_wishart_real(2, 1, rng)
-    assert density_ratio_check_real(bad, good, 2, 1) == -math.inf
-    assert density_ratio_check_real(good, bad, 2, 1) == math.inf
+    # a row with coincident eigenvalues has density 0 (log -inf), so its log
+    # ratio against a drawn row is -inf, and +inf the other way round
+    good = sim.sample_wishart_real_batch(2, 1, 3, np.random.default_rng(6))
+    rows = np.vstack([good[:1], [[1.0, 1.0]], [[1.0, 2.0]], good[1:]])
+    dens = sim.log_eigenvalue_density_real(rows, 2, 1)
+    assert dens.shape == (5,)
+    assert list(np.isneginf(dens)) == [False, True, True, False, False]
+    assert dens[1] - dens[0] == -math.inf
+    assert dens[0] - dens[2] == math.inf
 
 
 def test_density_ratio_shape_mismatch():
-    rng = np.random.default_rng(7)
-    prof = sample_wishart_real(2, 1, rng)
-    with pytest.raises(ValueError):
-        density_ratio_check_real(prof, prof, 4, 2)
+    # (n, m) = (4, 2) has min(2m, n) = 4 eigenvalues, not the 2 of (2, 1)
+    lam = sim.sample_wishart_real_batch(2, 1, 5, np.random.default_rng(7))
+    assert sim.log_eigenvalue_density_real(lam, 2, 1).shape == (5,)
+    for bad in (lam, lam[0], lam[:, :1], np.float64(1.0)):
+        with pytest.raises(ValueError, match="min\\(2m, n\\) = 4"):
+            sim.log_eigenvalue_density_real(bad, 4, 2)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (2, 3), (1, 2), (6, 2)])
+def test_density_rows_match_scalar_form(n, m):
+    # each row's value is the closed form of that one row, summed in a loop
+    # (the summation order differs, hence the float64 tolerance), and a
+    # stack of stacks keeps its leading shape
+    lam = sim.sample_wishart_real_batch(n, m, 40, np.random.default_rng(10))
+    l, delta, rho = lam.shape[1], abs(n - 2 * m), 1e4
+    logr = math.log(rho)
+    alphas = -np.log(lam) / logr
+    dens = sim.log_eigenvalue_density_real(lam, n, m)
+    low = sim.log_alpha_density_real(alphas, n, m, rho)
+    up = sim.log_alpha_density_upper(alphas, n, m, rho)
+    pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
+    for k, (row, a) in enumerate(zip(lam, alphas)):
+        vander = sum(math.log(row[i] - row[j]) for i, j in pairs)
+        expect = -sum(row) + 0.5 * (delta - 1) * sum(math.log(x) for x in row) + vander
+        assert dens[k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        e = [rho ** -x for x in a]
+        expect = (l * math.log(logr) - sum(e) - logr * 0.5 * (delta + 1) * sum(a)
+                  + sum(math.log(e[i] - e[j]) for i, j in pairs))
+        assert low[k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        expect = l * math.log(logr) - sum(e) - logr * sum(
+            (delta + 2 * l - 2 * i - 1) / 2.0 * a[i] for i in range(l))
+        assert up[k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    stacked = sim.log_eigenvalue_density_real(lam.reshape(4, 10, l), n, m)
+    assert stacked.shape == (4, 10) and np.array_equal(stacked.ravel(), dens)
 
 
 def test_density_ratio_1d_gamma_histogram():
@@ -105,30 +130,23 @@ def test_density_ratio_1d_gamma_histogram():
     edges = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     counts = np.histogram(lam, bins=edges)[0].astype(float)
-    widths = np.diff(edges)
-    dens = counts / widths
-
-    def prof_at(x):
-        return sim.EigenProfile(lambdas=np.array([x]), alphas=np.array([0.0]),
-                                l=1, delta=abs(n - 2 * m), rho=1e4)
-
-    for i in range(len(centers) - 1):
-        observed = math.log(dens[i + 1] / dens[i])
-        expected = density_ratio_check_real(prof_at(centers[i + 1]), prof_at(centers[i]), n, m)
-        se = math.sqrt(1.0 / counts[i + 1] + 1.0 / counts[i])
-        # binning bias is second order; allow it alongside the 3-sigma band
-        assert abs(observed - expected) <= 3.0 * se + 0.02
+    dens = counts / np.diff(edges)
+    observed = np.diff(np.log(dens))
+    expected = np.diff(sim.log_eigenvalue_density_real(centers[:, None], n, m))
+    se = np.sqrt(1.0 / counts[1:] + 1.0 / counts[:-1])
+    # binning bias is second order; allow it alongside the 3-sigma band
+    assert np.all(np.abs(observed - expected) <= 3.0 * se + 0.02)
 
 
 def test_alpha_density_domination_10k():
     # unnormalized exponent-domain density never exceeds its bounding form
     n, m, rho = 2, 1, 1e4
     rng = np.random.default_rng(9)
-    for _ in range(10_000):
-        prof = sample_wishart_real(n, m, rng, rho=rho)
-        lo = sim.log_alpha_density_real(prof.alphas, n, m, rho)
-        hi = sim.log_alpha_density_upper(prof.alphas, n, m, rho)
-        assert lo <= hi + 1e-9
+    alphas = -np.log(sim.sample_wishart_real_batch(n, m, 10_000, rng)) / math.log(rho)
+    lo = sim.log_alpha_density_real(alphas, n, m, rho)
+    hi = sim.log_alpha_density_upper(alphas, n, m, rho)
+    assert lo.shape == hi.shape == (10_000,)
+    assert np.all(lo <= hi + 1e-9)
 
 
 # ---------------------------------------------------------------------------
