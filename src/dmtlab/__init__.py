@@ -12,7 +12,7 @@ from .dmt import (Lemma2Problem, PiecewiseLinearCurve, a0_membership,
 from .lattice import (Codebook, MatrixLattice, ResourceLimitError,
                       build_hamilton_order, build_split_order,
                       fixed_codebook, lattice_from_json,
-                      lattice_to_json, codebook_to_json, load_lattice,
+                      lattice_to_json, load_lattice,
                       matrix_lattice, min_det, shape_codebook,
                       structure_check)
 from .linalg import determinant, frobenius_norm

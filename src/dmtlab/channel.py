@@ -32,7 +32,7 @@ class SystemConfig:
     """Antenna counts and multiplexing gain of one simulated system.
 
     n transmit antennas (= block length), m receive antennas, multiplexing
-    gain r.
+    gain r in [0, min(m, n/2)], where both bounds d1 and d2 reach 0.
     """
 
     n: int
@@ -43,8 +43,9 @@ class SystemConfig:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"antenna counts --n/--m must be >= 1, "
                              f"got n={self.n}, m={self.m}")
-        if not 0 <= self.r <= min(self.m, self.n):
-            raise ValueError(f"r={self.r} outside [0, min(m, n)]")
+        bound = min(self.m, self.n / 2)
+        if not 0 <= self.r <= bound:
+            raise ValueError(f"r={self.r} outside [0, min(m, n/2)] = [0, {bound:g}]")
 
     @property
     def p(self):

@@ -174,7 +174,7 @@ def _cmd_outage(args):
     cfg = SystemConfig(n=run.n, m=run.m, r=run.r)
     est = sim.estimate_outage(run.mode, cfg, run.snr_db, run.trials,
                               np.random.default_rng(run.seed),
-                              weighting=getattr(args, "weighting", "events"))
+                              weighting=args.weighting)
     _write_text(run.out, _sweep_csv("outage", run, est))
     _write_text(run.summary, _summary_json(run, est))
     return 0
@@ -186,7 +186,7 @@ def _cmd_error(args):
     cfg = SystemConfig(n=run.n, m=run.m, r=run.r)
     est = sim.estimate_error_prob(run.mode, lat, cfg, run.snr_db, run.trials,
                                   np.random.default_rng(run.seed),
-                                  weighting=getattr(args, "weighting", "events"))
+                                  weighting=args.weighting)
     _write_text(run.out, _sweep_csv("error", run, est))
     _write_text(run.summary, _summary_json(run, est))
     return 0

@@ -239,31 +239,21 @@ def laplace_exponent_estimate(coeffs, s, rho_grid, step=0.01, box_hi=2.0):
         raise ValueError("rho_grid entries must be >= 1e3")
 
     centers = (np.arange(int(round(box_hi / step))) + 0.5) * step
+    # exponents coeffs . alpha of the grid points in A0(s), by first coordinate
+    rest = np.array(list(itertools.product(centers, repeat=l - 1)))
+    exps = []
+    for c in centers:
+        g = np.column_stack([np.full(len(rest), c), rest])
+        mem = (np.all(np.diff(g, axis=1) >= 0, axis=1)
+               & np.all(np.cumsum(1.0 - g, axis=1) <= s, axis=1))
+        exps.append(g[mem] @ coeffs)
+    exps = np.concatenate(exps)
+    if not exps.size:
+        raise ValueError("integration domain is empty")
 
     def log_integral(rho):
-        logr = math.log(rho)
-        chunks = []
-        if l == 1:
-            grids = [centers[:, None]]
-        elif l == 2:
-            a1, a2 = np.meshgrid(centers, centers, indexing="ij")
-            grids = [np.stack([a1.ravel(), a2.ravel()], axis=1)]
-        else:
-            grids = [np.stack([np.full(centers.size ** 2, c),
-                               *[g.ravel() for g in np.meshgrid(centers, centers,
-                                                                indexing="ij")]], axis=1)
-                     for c in centers]
-        for g in grids:
-            asc = np.all(np.diff(g, axis=1) >= 0, axis=1) if l > 1 else np.ones(len(g), bool)
-            mem = asc & np.all(np.cumsum(1.0 - g, axis=1) <= s, axis=1)
-            if not np.any(mem):
-                continue
-            f = g[mem] @ coeffs
-            chunks.append(-logr * f)
-        if not chunks:
-            raise ValueError("integration domain is empty")
         # max-shifted accumulation: rho^(-f) underflows for steep exponents
-        vals = np.concatenate(chunks)
+        vals = -math.log(rho) * exps
         peak = vals.max()
         return peak + math.log(np.exp(vals - peak).sum()) + l * math.log(step)
 

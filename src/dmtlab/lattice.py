@@ -264,11 +264,6 @@ def fixed_codebook(lat, size=16):
 # ---------------------------------------------------------------------------
 # JSON interchange: matrices as row-major [re, im] pairs.
 
-def _matrix_to_pairs(x):
-    a = linalg.as_matrix(x)
-    return [[float(v.real), float(v.imag)] for v in a.ravel()]
-
-
 def _matrix_from_pairs(pairs, n):
     flat = np.array([complex(re, im) for re, im in pairs])
     return flat.reshape(n, n)
@@ -276,20 +271,13 @@ def _matrix_from_pairs(pairs, n):
 
 def lattice_to_json(lat):
     return {"ambient_n": lat.ambient_n, "flavor": lat.flavor,
-            "basis": [_matrix_to_pairs(b) for b in lat.basis]}
+            "basis": [[[float(v.real), float(v.imag)] for v in b.ravel()] for b in lat.basis]}
 
 
 def lattice_from_json(data):
     n = int(data["ambient_n"])
     basis = [_matrix_from_pairs(b, n) for b in data["basis"]]
     return matrix_lattice(basis, data["flavor"])
-
-
-def codebook_to_json(cb):
-    lat = cb.source
-    return {"ambient_n": lat.ambient_n, "flavor": lat.flavor,
-            "points": [_matrix_to_pairs(p) for p in cb.points],
-            "radius_m": cb.radius_m, "rho": cb.rho, "r": cb.r}
 
 
 def load_lattice(name_or_path):

@@ -9,11 +9,13 @@ the samplers return one, and the eigenvalue and exponent densities take
 (..., l) arrays and return one value per row.
 
 Both estimators run through `_sweep`, which alone checks the thread cap,
-the SNR grid and the trial counts, runs the chunks of every SNR point in
-one pool and fits the slope; an estimator supplies only its per-point
-event counter.  The outage counter takes the rates of a chunk in row
-blocks (`BLOCK_ROWS`).  The ML decoder scores rows against the whole
-codebook with one real matrix product (`_ml_decode`).
+the SNR grid, the trial counts and a chunk's array budget, runs the chunks
+of every SNR point in one pool and fits the slope to the summed integer
+events (`fit_slope`, NaN below two usable points); an estimator supplies
+only its per-point event counter and the bytes of a row of its widest
+array.  The outage counter takes the rates of a chunk in row blocks
+(`BLOCK_ROWS`).  The ML decoder scores rows against the whole codebook
+with one real matrix product (`_ml_decode`).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per fixed-size work chunk with
@@ -93,14 +95,15 @@ def _check_array_bytes(rows, row_bytes, flag):
                                  f"the array budget {ARRAY_BUDGET_BYTES}")
 
 
-def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
+def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     """Run one Monte Carlo SNR sweep and fit its slope.
 
     `trials` is a scalar or one count per SNR point; counter(rho) returns
-    the chunk function count(stream, size) -> events at that point.  A bad
-    DMTLAB_THREADS, weighting, trial count or trial total is rejected
-    before any substream or counter (or codebook) is made.  Every chunk of
-    every point runs in one pool, largest first.
+    the chunk function count(stream, size) -> events at that point, whose
+    widest array takes `row_bytes` a row.  A bad DMTLAB_THREADS, weighting,
+    trial count or trial total, or a largest chunk over ARRAY_BUDGET_BYTES,
+    is rejected before any substream or counter (or codebook) is made.
+    Every chunk of every point runs in one pool, largest first.
     """
     threads = _thread_cap()
     if weighting not in WEIGHTINGS:
@@ -116,6 +119,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
         raise ValueError("trials must be >= 1")
     if sum(trials_t) > TRIAL_CAP:
         raise ResourceLimitError(f"{sum(trials_t)} trials exceed the cap {TRIAL_CAP}")
+    _check_array_bytes(min(chunk, max(trials_t)), row_bytes, "--n/--m")
     counters = [counter(10.0 ** (db / 10.0)) for db in snr_db]
     tasks = []
     for point, (stream, t) in enumerate(
@@ -137,8 +141,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, counter, weighting):
     events = [0] * len(snr_db)
     for (point, _, _), count in zip(tasks, counts):
         events[point] += count
-    probs = [e / t for e, t in zip(events, trials_t)]
-    return _finish_estimate(snr_db, probs, trials_t, events, weighting)
+    return fit_slope(snr_db, events, trials_t, weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +200,10 @@ def log_eigenvalue_density_real(lambdas, n, m):
     if lam.shape[-1:] != (l,):
         raise ValueError(f"eigenvalue rows must have min(2m, n) = {l} entries, "
                          f"got shape {lam.shape}")
-    return _add_log_vandermonde(
-        -lam.sum(axis=-1) + 0.5 * (delta - 1) * np.log(lam).sum(axis=-1), lam)
+    val = -lam.sum(axis=-1)
+    if delta != 1:  # at Delta = 1 the factor is lam^0 = 1, also at lam = 0
+        val = val + 0.5 * (delta - 1) * np.log(lam).sum(axis=-1)
+    return _add_log_vandermonde(val, lam)
 
 
 def log_alpha_density_real(alphas, n, m, rho):
@@ -366,71 +371,56 @@ def check_nvd_product_bound(cb, rho, r, n, tol=1e-6):
 # ---------------------------------------------------------------------------
 # Slope fitting
 
-def fit_slope(snr_db, probs, trials, weighting="events"):
-    """Least squares of -log10(prob) on log10(rho).
+def fit_slope(snr_db, events, trials, weighting="events"):
+    """Least squares of -log10(events / trials) on log10(rho), from the
+    integer event and trial counts of each SNR point.
 
     weighting="events" weights each point by its event count (the variance
     of log p-hat scales like 1/events); "uniform" fits unweighted, which
     leans less on the shallow low-SNR region and tracks the asymptotic
     slope better when the sweep is still curving.  Points with fewer than
-    MIN_EVENTS events are flagged and left out of the fit; fewer than two
-    usable points is an error.
+    MIN_EVENTS events are flagged and left out of the fit; with fewer than
+    two usable points slope and stderr are NaN.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     snr_db = tuple(float(v) for v in snr_db)
-    probs = tuple(float(v) for v in probs)
-    trials_t = tuple(int(v) for v in (trials if np.ndim(trials) else [trials] * len(probs)))
-    if not len(snr_db) == len(probs) == len(trials_t):
-        raise ValueError("snr_db, probs and trials must have equal length")
-    events = tuple(int(round(p * t)) for p, t in zip(probs, trials_t))
+    events = tuple(int(v) for v in events)
+    trials = tuple(int(v) for v in trials)
+    if not len(snr_db) == len(events) == len(trials):
+        raise ValueError("snr_db, events and trials must have equal length")
+    probs = tuple(e / t for e, t in zip(events, trials))
     flagged = tuple(e < MIN_EVENTS for e in events)
     usable = [i for i, f in enumerate(flagged) if not f]
-    if len(usable) < 2:
-        raise ValueError(f"fewer than 2 SNR points with >= {MIN_EVENTS} events")
-    x = np.array([snr_db[i] / 10.0 for i in usable])
-    y = np.array([-math.log10(probs[i]) for i in usable])
-    w = (np.array([events[i] for i in usable], dtype=float)
-         if weighting == "events" else np.ones(len(usable)))
-    wsum = w.sum()
-    xb = (w * x).sum() / wsum
-    yb = (w * y).sum() / wsum
-    sxx = (w * (x - xb) ** 2).sum()
-    slope = float((w * (x - xb) * (y - yb)).sum() / sxx)
-    intercept = yb - slope * xb
-    resid = y - slope * x - intercept
-    dof = len(usable) - 2
-    sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else 0.0
-    stderr = math.sqrt(sigma2 / sxx)
-    return SlopeEstimate(snr_db=snr_db, probs=probs, trials=trials_t,
+    slope = stderr = math.nan
+    if len(usable) >= 2:
+        x = np.array([snr_db[i] / 10.0 for i in usable])
+        y = np.array([-math.log10(probs[i]) for i in usable])
+        w = (np.array([events[i] for i in usable], dtype=float)
+             if weighting == "events" else np.ones(len(usable)))
+        wsum = w.sum()
+        xb = (w * x).sum() / wsum
+        yb = (w * y).sum() / wsum
+        sxx = (w * (x - xb) ** 2).sum()
+        slope = float((w * (x - xb) * (y - yb)).sum() / sxx)
+        intercept = yb - slope * xb
+        resid = y - slope * x - intercept
+        dof = len(usable) - 2
+        sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else 0.0
+        stderr = math.sqrt(sigma2 / sxx)
+    return SlopeEstimate(snr_db=snr_db, probs=probs, trials=trials,
                          events=events, slope=slope, stderr=stderr, flagged=flagged)
-
-
-def _finish_estimate(snr_db, probs, trials, events, weighting):
-    """The fitted estimate, or a NaN slope when fewer than 2 points have
-    MIN_EVENTS events."""
-    flagged = tuple(e < MIN_EVENTS for e in events)
-    if flagged.count(False) >= 2:
-        return fit_slope(snr_db, probs, trials, weighting=weighting)
-    return SlopeEstimate(snr_db=tuple(snr_db), probs=tuple(probs),
-                         trials=tuple(trials), events=tuple(events),
-                         slope=math.nan, stderr=math.nan, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
 # Outage estimation
 
-def _validate_mode_r(mode, cfg):
-    if mode == "real":
-        l = min(2 * cfg.m, cfg.n)
-        if not 0 <= 2 * cfg.r <= l:
-            raise ValueError(f"r={cfg.r} outside [0, {l / 2}] for real mode")
-    elif mode == "quaternion":
-        l = min(cfg.m, cfg.p)
-        if not 0 <= cfg.r <= l:
-            raise ValueError(f"r={cfg.r} outside [0, {l}] for quaternion mode")
-    else:
+def _validate_mode(mode, cfg):
+    """Reject an unknown mode, and odd n in quaternion mode."""
+    if mode not in ("real", "quaternion"):
         raise ValueError(f"mode must be 'real' or 'quaternion', got {mode!r}")
+    if mode == "quaternion" and cfg.n % 2:
+        raise ValueError("quaternion mode needs even n")
 
 
 def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
@@ -443,10 +433,9 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
     lambda_i) over the distinct Gram eigenvalues.  `trials` may be a scalar
     or one count per SNR point.
     """
-    _validate_mode_r(mode, cfg)
+    _validate_mode(mode, cfg)
     n, m = cfg.n, cfg.m
     row_bytes = 16 * m * max(n, 2 * m) if mode == "real" else 16 * n * max(2 * m, n)
-    _check_array_bytes(min(chunk, max(np.ravel(trials), default=0)), row_bytes, "--n/--m")
 
     def counter(rho):
         thresh = (1 if mode == "real" else 2) * cfg.r * math.log2(rho)
@@ -466,7 +455,7 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
             return events
         return count
 
-    return _sweep(snr_grid_db, trials, rng, chunk, counter, weighting)
+    return _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +498,21 @@ def _ml_decode(h, y, cword_feats):
 
 
 def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
-                        chunk=50_000, noise_scale=1.0, weighting="events"):
+                        chunk=50_000, weighting="events"):
     """Block error rate of exhaustive-ML decoding with its fitted slope.
 
     Per SNR point the codebook is the spherically shaped shell at that SNR,
     except at r = 0 where one `fixed_codebook` constellation is reused
     across the sweep (constant rate).  `trials` may be a scalar or one count
-    per SNR point; `noise_scale` = 0 is the noiseless test hook.
+    per SNR point.
     """
-    _validate_mode_r(mode, cfg)
+    _validate_mode(mode, cfg)
     n, m = cfg.n, cfg.m
     flavor = "real" if mode == "real" else "quaternionic"
     if (lat.flavor, lat.ambient_n) != (flavor, n):
         raise ValueError(f"{mode} mode at --n={n} needs a {flavor} lattice of {n}x{n} "
                          f"codewords, not {lat.flavor} {lat.ambient_n}x{lat.ambient_n}")
-    _check_array_bytes(min(chunk, max(np.ravel(trials), default=0)),
-                       (16 if mode == "real" else 32) * n * max(2 * m, n), "--n/--m")
+    row_bytes = (16 if mode == "real" else 32) * n * max(2 * m, n)
     fixed = functools.cache(lambda: fixed_codebook(lat))
     if mode == "real":
         def draw(st, size):
@@ -541,10 +529,10 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
 
         def count(st, size):
             h = draw(st, size)
-            w = draw(st, size) * noise_scale
+            w = draw(st, size)
             tx = st.integers(0, len(cwords), size=size)
             y = channel.receive(h, cwords[tx], scale, w)
             return int(np.sum(_ml_decode(h, y, feats) != tx))
         return count
 
-    return _sweep(snr_grid_db, trials, rng, chunk, counter, weighting)
+    return _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting)

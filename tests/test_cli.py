@@ -192,6 +192,13 @@ def test_outage_weighting_option(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_outage_quaternion_rejects_odd_n(capsys):
+    rc = run(["outage", "--mode", "quaternion", "--n", "3", "--m", "1", "--r", "0.5",
+              "--snr-db", "10", "--trials", "100", "--seed", "1"])
+    assert rc == 2
+    assert "even n" in capsys.readouterr().err
+
+
 def test_outage_invalid_r(capsys):
     rc = run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "1.5",
               "--snr-db", "10", "--trials", "100", "--seed", "1"])

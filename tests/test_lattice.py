@@ -298,11 +298,3 @@ def test_lattice_json_roundtrip():
         for a, b in zip(back.basis, lat.basis):
             assert np.array_equal(a, b)
         assert np.allclose(back.gram, lat.gram, atol=0)
-
-
-def test_codebook_json_shape():
-    cb = lattice.shape_codebook(HAMILTON, 16.0, 0.5)
-    data = lattice.codebook_to_json(cb)
-    assert set(data) == {"ambient_n", "flavor", "points", "radius_m", "rho", "r"}
-    assert len(data["points"]) == len(cb.points)
-    assert all(len(p) == 4 and len(p[0]) == 2 for p in data["points"])

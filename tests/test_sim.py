@@ -84,6 +84,15 @@ def test_density_ratio_coincident_sentinel():
     assert dens[0] - dens[2] == math.inf
 
 
+@pytest.mark.parametrize("n,expect", [(2, math.inf), (3, -2.0 + math.log(2.0)),
+                                      (4, -math.inf)], ids=["delta0", "delta1", "delta2"])
+def test_density_zero_eigenvalue(n, expect):
+    # lam = 0 enters through lam^((Delta-1)/2): a pole at Delta = 0, the
+    # factor 1 at Delta = 1 and a zero at Delta >= 2
+    with np.errstate(divide="ignore"):
+        assert sim.log_eigenvalue_density_real([[2.0, 0.0]], n, 1)[0] == expect
+
+
 def test_density_ratio_shape_mismatch():
     # (n, m) = (4, 2) has min(2m, n) = 4 eigenvalues, not the 2 of (2, 1)
     lam = sim.sample_wishart_real_batch(2, 1, 5, np.random.default_rng(7))
@@ -194,13 +203,13 @@ def test_chi2_tail_monotone(x1, x2, k):
 # fit_slope
 
 def test_fit_slope_two_points():
-    est = fit_slope([10.0, 20.0], [1e-1, 1e-2], [100_000, 100_000])
+    est = fit_slope([10.0, 20.0], [10_000, 1000], [100_000, 100_000])
     assert est.slope == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == 0.0
 
 
 def test_fit_slope_collinear():
-    est = fit_slope([10.0, 20.0, 30.0], [1e-1, 1e-2, 1e-3], [10**6] * 3)
+    est = fit_slope([10.0, 20.0, 30.0], [100_000, 10_000, 1000], [10**6] * 3)
     assert est.slope == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-9)
 
@@ -208,20 +217,23 @@ def test_fit_slope_collinear():
 def test_fit_slope_synthetic_noise():
     rng = np.random.default_rng(10)
     snr = [10.0, 15.0, 20.0, 25.0, 30.0]
-    probs = [(10 ** (db / 10)) ** -1.5 * float(rng.uniform(0.95, 1.05)) for db in snr]
-    est = fit_slope(snr, probs, [10**9] * 5)
+    events = [round(10**9 * (10 ** (db / 10)) ** -1.5 * rng.uniform(0.95, 1.05)) for db in snr]
+    est = fit_slope(snr, events, [10**9] * 5)
     assert est.slope == pytest.approx(1.5, abs=0.1)
 
 
 def test_fit_slope_flags_sparse_points():
-    est = fit_slope([10.0, 20.0, 30.0], [1e-1, 1e-2, 1e-5], [10**4] * 3)
+    est = fit_slope([10.0, 20.0, 30.0], [1000, 100, 0], [10**4] * 3)
     assert est.flagged == (False, False, True)
     assert est.slope == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_slope_insufficient_points():
-    with pytest.raises(ValueError):
-        fit_slope([10.0, 20.0], [1e-1, 0.0], [1000, 1000])
+    # one usable point: no slope, but the record and its flags stay
+    est = fit_slope([10.0, 20.0], [100, 0], [1000, 1000])
+    assert math.isnan(est.slope) and math.isnan(est.stderr)
+    assert est.flagged == (False, True)
+    assert est.probs == (0.1, 0.0) and est.events == (100, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +456,11 @@ def test_outage_validation():
 # ---------------------------------------------------------------------------
 # error estimation
 
-def test_error_noiseless_decodes_exactly():
+def test_error_noiseless_decodes_exactly(monkeypatch):
+    receive = channel.receive
+    monkeypatch.setattr(channel, "receive", lambda h, x, scale, w: receive(h, x, scale, 0.0 * w))
     cfg = SystemConfig(n=2, m=1, r=0.0)
-    est = estimate_error_prob("quaternion", HAMILTON, cfg, [10.0, 20.0], 2000, 3,
-                              noise_scale=0.0)
+    est = estimate_error_prob("quaternion", HAMILTON, cfg, [10.0, 20.0], 2000, 3)
     assert est.probs == (0.0, 0.0)
 
 
@@ -650,13 +663,13 @@ def test_error_shaped_codebook_grows_with_snr():
 def test_fit_slope_uniform_weighting():
     # uneven event counts tilt the weighted fit; the uniform fit does not
     snr = [10.0, 20.0, 30.0]
-    probs = [0.2, 0.011, 0.0012]
-    weighted = fit_slope(snr, probs, [10**6] * 3).slope
-    uniform = fit_slope(snr, probs, [10**6] * 3, weighting="uniform").slope
+    events = [200_000, 11_000, 1200]
+    weighted = fit_slope(snr, events, [10**6] * 3).slope
+    uniform = fit_slope(snr, events, [10**6] * 3, weighting="uniform").slope
     x = np.array(snr) / 10
-    y = -np.log10(probs)
+    y = -np.log10(np.array(events) / 10**6)
     expect = np.polyfit(x, y, 1)[0]
     assert uniform == pytest.approx(float(expect), abs=1e-9)
     assert weighted != pytest.approx(uniform, abs=1e-3)
     with pytest.raises(ValueError):
-        fit_slope(snr, probs, [10**6] * 3, weighting="banana")
+        fit_slope(snr, events, [10**6] * 3, weighting="banana")
