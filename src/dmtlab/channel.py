@@ -6,6 +6,8 @@ Conventions fixed here and used everywhere else:
   * rates in bits (log base 2), so a rate threshold is r*log2(rho);
   * the quaternionic equivalent channel also carries the 1/sqrt(n) factor.
 
+`SystemConfig` alone validates a run's mode, antenna counts and gain.
+
 Each channel computation is defined once, on a leading batch axis, and the
 Monte Carlo estimators in `sim` call it.  Draws consume the generator in a
 fixed order: h before w, the real part of a block before its imaginary part.
@@ -25,33 +27,39 @@ import numpy as np
 from .linalg import as_matrix, bmm, logdet_pd
 
 LOG2 = np.log(2.0)
+# The two code classes: real (bound d1) and quaternionic (bound d2).
+MODES = ("real", "quaternion")
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Antenna counts and multiplexing gain of one simulated system.
+    """Code class, antenna counts and multiplexing gain of one simulated system.
 
-    n transmit antennas (= block length), m receive antennas, multiplexing
-    gain r in [0, min(m, n/2)], where both bounds d1 and d2 reach 0.
+    mode is one of MODES (quaternion needs even n), n transmit antennas
+    (= block length), m receive antennas, multiplexing gain r in
+    [0, min(m, n/2)], where both bounds d1 and d2 reach 0.
     """
 
+    mode: str
     n: int
     m: int
     r: float = 0.0
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"antenna counts --n/--m must be >= 1, "
                              f"got n={self.n}, m={self.m}")
+        if self.mode == "quaternion" and self.n % 2:
+            raise ValueError("quaternion mode needs even n")
         bound = min(self.m, self.n / 2)
         if not 0 <= self.r <= bound:
             raise ValueError(f"r={self.r} outside [0, min(m, n/2)] = [0, {bound:g}]")
 
     @property
     def p(self):
-        """Half the transmit count; only meaningful in quaternionic mode."""
-        if self.n % 2:
-            raise ValueError("quaternionic mode needs even n")
+        """Half the transmit count: the quaternion columns of a lifted block."""
         return self.n // 2
 
 

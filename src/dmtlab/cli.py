@@ -17,6 +17,7 @@ unwritable output.  Stochastic outputs echo their seed in the header.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmt, lattice, sim
-from .channel import SystemConfig
+from .channel import MODES, SystemConfig
 
 
 class OutputError(RuntimeError):
@@ -36,10 +37,7 @@ class OutputError(RuntimeError):
 class RunConfig:
     """Parameters of one stochastic run, merged from flags and --config."""
 
-    mode: str
-    n: int
-    m: int
-    r: float
+    system: SystemConfig
     snr_db: list
     trials: int | list
     seed: int
@@ -74,9 +72,6 @@ def _fmt(v):
 # curves
 
 def _cmd_curves(args):
-    if args.n % 2:
-        raise ValueError("curves needs even n (the quaternionic bound is "
-                         "undefined for odd n)")
     if not args.step > 0:
         raise ValueError("step must be positive")
     rows = dmt.sample_curves(args.n, args.m, step=args.step)
@@ -135,9 +130,9 @@ def _run_config(args, need_lattice=False):
     snr_db = (_parse_float_list(merged["snr-db"])
               if not isinstance(merged["snr-db"], list) else
               [float(v) for v in merged["snr-db"]])
-    return RunConfig(mode=str(merged["mode"]), n=int(merged["n"]),
-                     m=int(merged["m"]), r=float(merged["r"]),
-                     snr_db=snr_db, trials=_parse_trials(merged["trials"]),
+    system = SystemConfig(mode=str(merged["mode"]), n=int(merged["n"]),
+                          m=int(merged["m"]), r=float(merged["r"]))
+    return RunConfig(system=system, snr_db=snr_db, trials=_parse_trials(merged["trials"]),
                      seed=int(merged["seed"]),
                      lattice=merged.get("lattice"),
                      out=getattr(args, "out", None),
@@ -145,12 +140,13 @@ def _run_config(args, need_lattice=False):
 
 
 def _sweep_csv(command, run, est):
-    lines = [f"# seed={run.seed} command={command} mode={run.mode} "
-             f"n={run.n} m={run.m} r={_fmt(run.r)}",
+    cfg = run.system
+    lines = [f"# seed={run.seed} command={command} mode={cfg.mode} "
+             f"n={cfg.n} m={cfg.m} r={_fmt(cfg.r)}",
              "snr_db,rate_bits,trials,events,prob,stderr"]
     for db, prob, trials, events in zip(est.snr_db, est.probs, est.trials, est.events):
         rho = 10.0 ** (db / 10.0)
-        rate = run.r * math.log2(rho)
+        rate = cfg.r * math.log2(rho)
         se = math.sqrt(max(prob * (1.0 - prob), 0.0) / trials)
         lines.append(",".join([_fmt(db), _fmt(rate), str(trials), str(events),
                                _fmt(prob), _fmt(se)]))
@@ -159,9 +155,10 @@ def _sweep_csv(command, run, est):
 
 def _summary_json(run, est):
     # a finished sweep had r inside both curves' domain [0, min(m, n/2)]
-    d1 = dmt.d1_curve(run.n, run.m)(run.r)
-    d2 = None if run.n % 2 else dmt.d2_curve(run.n, run.m)(run.r)
-    out = {"mode": run.mode, "n": run.n, "m": run.m, "r": run.r,
+    cfg = run.system
+    d1 = dmt.d1_curve(cfg.n, cfg.m)(cfg.r)
+    d2 = None if cfg.n % 2 else dmt.d2_curve(cfg.n, cfg.m)(cfg.r)
+    out = {"mode": cfg.mode, "n": cfg.n, "m": cfg.m, "r": cfg.r,
            "seed": run.seed,
            "slope": None if math.isnan(est.slope) else est.slope,
            "stderr": None if math.isnan(est.stderr) else est.stderr,
@@ -169,25 +166,14 @@ def _summary_json(run, est):
     return json.dumps(out, sort_keys=True) + "\n"
 
 
-def _cmd_outage(args):
-    run = _run_config(args)
-    cfg = SystemConfig(n=run.n, m=run.m, r=run.r)
-    est = sim.estimate_outage(run.mode, cfg, run.snr_db, run.trials,
-                              np.random.default_rng(run.seed),
-                              weighting=args.weighting)
-    _write_text(run.out, _sweep_csv("outage", run, est))
-    _write_text(run.summary, _summary_json(run, est))
-    return 0
-
-
-def _cmd_error(args):
-    run = _run_config(args, need_lattice=True)
-    lat = lattice.load_lattice(run.lattice)
-    cfg = SystemConfig(n=run.n, m=run.m, r=run.r)
-    est = sim.estimate_error_prob(run.mode, lat, cfg, run.snr_db, run.trials,
-                                  np.random.default_rng(run.seed),
-                                  weighting=args.weighting)
-    _write_text(run.out, _sweep_csv("error", run, est))
+def _cmd_sweep(args):
+    """The outage or ML-error sweep named by the subcommand."""
+    run = _run_config(args, need_lattice=args.command == "error")
+    sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(run.lattice))
+             if args.command == "error" else sim.estimate_outage)
+    est = sweep(run.system, run.snr_db, run.trials, np.random.default_rng(run.seed),
+                weighting=args.weighting)
+    _write_text(run.out, _sweep_csv(args.command, run, est))
     _write_text(run.summary, _summary_json(run, est))
     return 0
 
@@ -254,25 +240,20 @@ def _cmd_lattice_audit(args):
 def _cmd_wishart(args):
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
-    SystemConfig(n=args.n, m=args.m)  # antenna counts >= 1
+    cfg = SystemConfig(mode=args.mode, n=args.n, m=args.m)
     rng = np.random.default_rng(args.seed)
-    if args.mode == "real":
-        lam = sim.sample_wishart_real_batch(args.n, args.m, args.samples, rng)
-        expected = float(args.m * args.n)
+    if cfg.mode == "real":
+        lam = sim.sample_wishart_real_batch(cfg.n, cfg.m, args.samples, rng)
+        expected = float(cfg.m * cfg.n)
         observed = float(lam.sum(axis=1).mean())
-        count_ok = lam.shape[1] == min(2 * args.m, args.n)
+        count_ok = lam.shape[1] == min(2 * cfg.m, cfg.n)
         extra = {}
-    elif args.mode == "quaternion":
-        if args.n % 2:
-            raise ValueError("quaternion mode needs even n")
-        p = args.n // 2
-        lam = sim.sample_wishart_quaternion_batch(p, args.m, args.samples, rng)
-        expected = float(2 * args.m * args.n)  # E tr H^dag H of the 2m x 2p lift
-        observed = float(2.0 * lam.sum(axis=1).mean())
-        count_ok = lam.shape[1] == min(args.m, p)
-        extra = {"pairing_checked": True}
     else:
-        raise ValueError(f"mode must be 'real' or 'quaternion', got {args.mode!r}")
+        lam = sim.sample_wishart_quaternion_batch(cfg.p, cfg.m, args.samples, rng)
+        expected = float(2 * cfg.m * cfg.n)  # E tr H^dag H of the 2m x 2p lift
+        observed = float(2.0 * lam.sum(axis=1).mean())
+        count_ok = lam.shape[1] == min(cfg.m, cfg.p)
+        extra = {"pairing_checked": True}
     rel_err = abs(observed - expected) / expected
     report = {"mode": args.mode, "n": args.n, "m": args.m,
               "samples": args.samples, "seed": args.seed,
@@ -301,24 +282,23 @@ def _build_parser():
     c.add_argument("--anchors-out")
     c.set_defaults(fn=_cmd_curves)
 
-    for name, fn, with_lattice in (("outage", _cmd_outage, False),
-                                   ("error", _cmd_error, True)):
+    for name in ("outage", "error"):
         s = sub.add_parser(name, help=f"Monte Carlo {name} sweep")
-        s.add_argument("--mode", choices=["real", "quaternion"])
+        s.add_argument("--mode", choices=MODES)
         s.add_argument("--n", type=int)
         s.add_argument("--m", type=int)
         s.add_argument("--r", type=float)
         s.add_argument("--snr-db", help="comma-separated dB values")
         s.add_argument("--trials", help="single count or one per SNR point")
         s.add_argument("--seed", type=int)
-        if with_lattice:
+        if name == "error":
             s.add_argument("--lattice", help="built-in name (hamilton, split) or JSON path")
-        s.add_argument("--weighting", choices=["events", "uniform"],
+        s.add_argument("--weighting", choices=sim.WEIGHTINGS,
                        default="events", help="slope-fit weighting")
         s.add_argument("--config", help="JSON file with the same keys; flags override")
         s.add_argument("--out", help="CSV path (default: stdout)")
         s.add_argument("--summary", help="JSON summary path (default: stdout)")
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=_cmd_sweep)
 
     v = sub.add_parser("lemma2-verify", help="closed form vs brute-force sweep")
     v.add_argument("--qmax", type=int, required=True)
@@ -334,7 +314,7 @@ def _build_parser():
     a.set_defaults(fn=_cmd_lattice_audit)
 
     w = sub.add_parser("wishart-check", help="moment/pairing checks of spectrum samplers")
-    w.add_argument("--mode", choices=["real", "quaternion"], required=True)
+    w.add_argument("--mode", choices=MODES, required=True)
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--m", type=int, required=True)
     w.add_argument("--samples", type=int, required=True)

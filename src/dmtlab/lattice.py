@@ -14,7 +14,8 @@ an order are rational integers), which the enumeration-based audits verify.
 
 Audits, shaped codebooks and fixed constellations all take their points
 from one breadth-first Cholesky branch-and-bound (`shell_coordinates`),
-which holds its frontier as arrays and caps each level at SHELL_CAP.
+which holds its frontier as arrays and caps the integer coordinates each
+level holds at SHELL_CAP.
 
 A set of matrices is one read-only complex (N, n, n) array: a lattice's
 generators, a shell's points (`point_from_coordinates` of (N, k) coordinates)
@@ -36,8 +37,9 @@ FLAVORS = ("real", "quaternionic", "complex")
 
 SQRT2 = math.sqrt(2.0)
 
-# Candidates one level of a shell enumeration may hold.
-SHELL_CAP = 1_000_000
+# Integer coordinates (candidates times fixed depth) one level of a shell
+# enumeration may hold.
+SHELL_CAP = 4_000_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -66,8 +68,6 @@ class Codebook:
 
     points: np.ndarray
     radius_m: float
-    rho: float
-    r: float
     source: MatrixLattice
 
 
@@ -146,8 +146,8 @@ def shell_coordinates(lat, radius):
     squared-norm budgets, and each level fixes one more coordinate of every
     row at once.  The radius comparison and the interval ends carry 1e-12
     slacks so boundary shells like sqrt(2) do not depend on rounding luck.
-    A level with more than SHELL_CAP candidates raises ResourceLimitError
-    before they are allocated.
+    A level whose candidates would hold more than SHELL_CAP coordinates
+    raises ResourceLimitError before they are allocated.
     """
     radius = float(radius)
     if not math.isfinite(radius) or radius < 0:
@@ -166,10 +166,10 @@ def shell_coordinates(lat, radius):
         lo = np.ceil((-half - y) / rii - 1e-12)
         counts = np.maximum(np.floor((half - y) / rii + 1e-12) - lo + 1.0, 0.0)
         total = counts.sum()
-        if total > SHELL_CAP:
+        if total * (lat.rank - level) > SHELL_CAP:
             raise ResourceLimitError(
-                f"the radius-{radius:g} shell needs {total:.4g} candidates at "
-                f"level {level}, over SHELL_CAP = {SHELL_CAP}")
+                f"the radius-{radius:g} shell needs {total:.4g} candidates of {lat.rank - level}"
+                f" coordinates at level {level}, over SHELL_CAP = {SHELL_CAP} coordinates")
         counts = counts.astype(np.int64)
         parent = np.repeat(np.arange(len(fixed)), counts)
         first = np.cumsum(counts) - counts
@@ -225,8 +225,7 @@ def shape_codebook(lat, rho, r):
     m_radius = float(rho) ** (r * lat.ambient_n / lat.rank)
     pts = point_from_coordinates(lat, shell_coordinates(lat, m_radius)) / m_radius
     pts.flags.writeable = False
-    return Codebook(points=pts, radius_m=m_radius, rho=float(rho),
-                    r=float(r), source=lat)
+    return Codebook(points=pts, radius_m=m_radius, source=lat)
 
 
 def fixed_codebook(lat, size=16):
@@ -258,7 +257,7 @@ def fixed_codebook(lat, size=16):
     m_fix = max(linalg.frobenius_norm(x) for x in pts)
     pts = pts / m_fix
     pts.flags.writeable = False
-    return Codebook(points=pts, radius_m=m_fix, rho=1.0, r=0.0, source=lat)
+    return Codebook(points=pts, radius_m=m_fix, source=lat)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,16 @@ A spectrum is an (N, l) array of descending eigenvalues, one draw per row:
 the samplers return one, and the eigenvalue and exponent densities take
 (..., l) arrays and return one value per row.
 
-Both estimators run through `_sweep`, which alone checks the thread cap,
-the SNR grid, the trial counts and a chunk's array budget, runs the chunks
-of every SNR point in one pool and fits the slope to the summed integer
-events (`fit_slope`, NaN below two usable points); an estimator supplies
-only its per-point event counter and the bytes of a row of its widest
-array.  The outage counter takes the rates of a chunk in row blocks
-(`BLOCK_ROWS`).  The ML decoder scores rows against the whole codebook
-with one real matrix product (`_ml_decode`).
+Both estimators read mode, antenna counts and multiplexing gain from one
+`channel.SystemConfig`, which validated them when it was built.  Both run
+through `_sweep`, which alone checks the thread cap, the SNR grid, the
+trial counts and a chunk's array budget, runs the chunks of every SNR
+point in one pool and fits the slope to the summed integer events
+(`fit_slope`, NaN below two usable points); an estimator supplies only its
+per-point event counter and the bytes of a row of its widest array.  The
+outage counter takes the rates of a chunk in row blocks (`BLOCK_ROWS`).
+The ML decoder scores rows against the whole codebook with one real
+matrix product (`_ml_decode`).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per fixed-size work chunk with
@@ -269,13 +271,11 @@ def _check_pairs(count):
         raise ResourceLimitError(f"{n_pairs} pairs exceed the cap {PAIR_CAP}")
 
 
-def min_received_distance(h_equiv, cb, rho, n):
+def min_received_distance(h_equiv, cb, rho):
     """rho * min over distinct codeword pairs of ||H (X - X')||^2."""
     pts = np.asarray(cb.points, dtype=complex)
     if len(pts) < 2:
         raise ValueError("need at least 2 codewords")
-    if pts.shape[1:] != (n, n):
-        raise ValueError(f"codewords must be {n}x{n}, got {pts.shape[1:]}")
     _check_pairs(len(pts))
     imgs = linalg.as_matrix(h_equiv) @ pts
     best = math.inf
@@ -313,7 +313,7 @@ class NvdCheckResult:
         return self.ok
 
 
-def check_nvd_product_bound(cb, rho, r, n, tol=1e-6):
+def check_nvd_product_bound(cb, tol=1e-6):
     """Eigenvalue-product bounds behind the NVD error-exponent argument.
 
     For every distinct pair of unscaled shell points, with mu the ascending
@@ -323,26 +323,20 @@ def check_nvd_product_bound(cb, rho, r, n, tol=1e-6):
         prod_{i<=k} mu_i  >=  (4 M^2)^-(n_mu - k)      for each k,
         mu_i             <=  4 M^2                      for each i,
 
-    with M the shell radius.  Each upper factor 4 M^2 comes from
-    mu_i <= ||dX||^2 <= (2M)^2; dropping those factors (keeping only the
-    rho^(2r/n) scale they carry) is false at finite SNR, so the exact
-    constants are kept.  Returns a falsy result with the first offending
-    pair when a bound fails.
+    with M the codebook's radius and n its ambient size.  Each upper factor
+    4 M^2 comes from mu_i <= ||dX||^2 <= (2M)^2; dropping those factors
+    (keeping only the rho^(2r/n) scale they carry) is false at finite SNR,
+    so the exact constants are kept.  Returns a falsy result with the first
+    offending pair when a bound fails.
     """
     lat = cb.source
     pts = np.asarray(cb.points, dtype=complex) * cb.radius_m
     if len(pts) < 2:
         raise ValueError("need at least 2 codewords")
-    if lat.ambient_n != n:
-        raise ValueError(f"codebook ambient size {lat.ambient_n} != n={n}")
     quat = lat.flavor == "quaternionic"
-    msq = rho ** (2.0 * r / n)
-    if abs(msq - cb.radius_m ** 2) > 1e-6 * msq:
-        raise ValueError("shell radius inconsistent with (rho, r, n): the "
-                         "bound presumes an n^2-dimensional shaped codebook")
     _check_pairs(len(pts))
-    cap = 4.0 * msq
-    n_mu = n // 2 if quat else n
+    cap = 4.0 * cb.radius_m ** 2
+    n_mu = lat.ambient_n // 2 if quat else lat.ambient_n
     bounds = np.array([cap ** -(n_mu - k) for k in range(1, n_mu + 1)])
     for i in range(len(pts) - 1):
         # row i against every later point: one eigvalsh on the (N-i-1, n, n) stack
@@ -380,15 +374,20 @@ def fit_slope(snr_db, events, trials, weighting="events"):
     leans less on the shallow low-SNR region and tracks the asymptotic
     slope better when the sweep is still curving.  Points with fewer than
     MIN_EVENTS events are flagged and left out of the fit; with fewer than
-    two usable points slope and stderr are NaN.
+    two usable points slope and stderr are NaN.  Every count must be a
+    whole number with trials >= 1 and 0 <= events <= trials.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     snr_db = tuple(float(v) for v in snr_db)
-    events = tuple(int(v) for v in events)
-    trials = tuple(int(v) for v in trials)
+    events, trials = tuple(events), tuple(trials)
     if not len(snr_db) == len(events) == len(trials):
         raise ValueError("snr_db, events and trials must have equal length")
+    if not all(float(e).is_integer() and float(t).is_integer() and 0 <= e <= t and t >= 1
+               for e, t in zip(events, trials)):
+        raise ValueError("events and trials must be whole numbers with trials >= 1 "
+                         f"and 0 <= events <= trials, got {events} and {trials}")
+    events, trials = tuple(map(int, events)), tuple(map(int, trials))
     probs = tuple(e / t for e, t in zip(events, trials))
     flagged = tuple(e < MIN_EVENTS for e in events)
     usable = [i for i, f in enumerate(flagged) if not f]
@@ -415,16 +414,7 @@ def fit_slope(snr_db, events, trials, weighting="events"):
 # ---------------------------------------------------------------------------
 # Outage estimation
 
-def _validate_mode(mode, cfg):
-    """Reject an unknown mode, and odd n in quaternion mode."""
-    if mode not in ("real", "quaternion"):
-        raise ValueError(f"mode must be 'real' or 'quaternion', got {mode!r}")
-    if mode == "quaternion" and cfg.n % 2:
-        raise ValueError("quaternion mode needs even n")
-
-
-def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
-                    weighting="events"):
+def estimate_outage(cfg, snr_grid_db, trials, rng, chunk=100_000, weighting="events"):
     """Outage probability sweep and its fitted slope.
 
     Real mode: P{ 0.5 log2 det(I + (rho/n) H H^T) <= r log2 rho } with the
@@ -433,8 +423,7 @@ def estimate_outage(mode, cfg, snr_grid_db, trials, rng, chunk=100_000,
     lambda_i) over the distinct Gram eigenvalues.  `trials` may be a scalar
     or one count per SNR point.
     """
-    _validate_mode(mode, cfg)
-    n, m = cfg.n, cfg.m
+    mode, n, m = cfg.mode, cfg.n, cfg.m
     row_bytes = 16 * m * max(n, 2 * m) if mode == "real" else 16 * n * max(2 * m, n)
 
     def counter(rho):
@@ -497,8 +486,8 @@ def _ml_decode(h, y, cword_feats):
                            for lo in range(0, len(h), rows)])
 
 
-def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
-                        chunk=50_000, weighting="events"):
+def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, chunk=50_000,
+                        weighting="events"):
     """Block error rate of exhaustive-ML decoding with its fitted slope.
 
     Per SNR point the codebook is the spherically shaped shell at that SNR,
@@ -506,8 +495,7 @@ def estimate_error_prob(mode, lat, cfg, snr_grid_db, trials, rng,
     across the sweep (constant rate).  `trials` may be a scalar or one count
     per SNR point.
     """
-    _validate_mode(mode, cfg)
-    n, m = cfg.n, cfg.m
+    mode, n, m = cfg.mode, cfg.n, cfg.m
     flavor = "real" if mode == "real" else "quaternionic"
     if (lat.flavor, lat.ambient_n) != (flavor, n):
         raise ValueError(f"{mode} mode at --n={n} needs a {flavor} lattice of {n}x{n} "

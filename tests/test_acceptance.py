@@ -135,8 +135,8 @@ def test_criterion_4_nvd_audits(tmp_path):
 
 def test_criterion_5_outage_slope_real():
     start = time.time()
-    cfg = SystemConfig(n=2, m=1, r=0.5)
-    est = sim.estimate_outage("real", cfg, [10, 15, 20, 25, 30], 1_000_000,
+    cfg = SystemConfig("real", n=2, m=1, r=0.5)
+    est = sim.estimate_outage(cfg, [10, 15, 20, 25, 30], 1_000_000,
                               20240, weighting="uniform")
     elapsed = time.time() - start
     target = dmt.d1_curve(2, 1)(0.5)
@@ -147,8 +147,8 @@ def test_criterion_5_outage_slope_real():
 
 def test_criterion_6_outage_slope_quaternion():
     start = time.time()
-    cfg = SystemConfig(n=2, m=1, r=0.5)
-    est = sim.estimate_outage("quaternion", cfg, [10, 15, 20, 25, 30], 1_000_000,
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
+    est = sim.estimate_outage(cfg, [10, 15, 20, 25, 30], 1_000_000,
                               20240, weighting="uniform")
     elapsed = time.time() - start
     target = dmt.d2_curve(2, 1)(0.5)
@@ -160,13 +160,12 @@ def test_criterion_6_outage_slope_quaternion():
 def test_criterion_7_error_slope_zero_multiplexing():
     start = time.time()
     lat = lattice.build_hamilton_order()
-    cfg = SystemConfig(n=2, m=1, r=0.0)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.0)
     snr = [14, 17, 20, 23, 26]
     # >= 1e5 trials everywhere; the geometric ramp equalizes the relative
     # error across the sweep instead of starving the steep high-SNR end
     trials = [100_000, 400_000, 1_600_000, 6_400_000, 25_600_000]
-    est = sim.estimate_error_prob("quaternion", lat, cfg, snr, trials, 20240,
-                                  weighting="uniform")
+    est = sim.estimate_error_prob(lat, cfg, snr, trials, 20240, weighting="uniform")
     elapsed = time.time() - start
     target = 2.0  # m*n, the zero-multiplexing quaternionic bound
     within = abs(est.slope - target) <= 0.4
@@ -221,7 +220,7 @@ def test_criterion_8_structural_suites():
     for build in (lattice.build_hamilton_order, lattice.build_split_order):
         lat = build()
         cb = lattice.shape_codebook(lat, 100.0, 0.5)
-        nvd_ok &= bool(sim.check_nvd_product_bound(cb, 100.0, 0.5, 2))
+        nvd_ok &= bool(sim.check_nvd_product_bound(cb))
     ok &= nvd_ok
 
     # chi-square tail against Monte Carlo at 3 sigma
@@ -263,12 +262,13 @@ def test_criterion_10_error_slope_shaped():
     # should approach d2 and the real one d1, and d2 > d1 should show as a
     # gap of more than 2 combined standard errors
     start = time.time()
-    cfg = SystemConfig(n=2, m=1, r=0.5)
     snr = [25, 30, 35, 40]
     trials = [20_000, 40_000, 80_000, 160_000]
-    quat = sim.estimate_error_prob("quaternion", lattice.build_hamilton_order(), cfg,
+    quat = sim.estimate_error_prob(lattice.build_hamilton_order(),
+                                   SystemConfig("quaternion", n=2, m=1, r=0.5),
                                    snr, trials, 20240, weighting="uniform")
-    real = sim.estimate_error_prob("real", lattice.build_split_order(), cfg,
+    real = sim.estimate_error_prob(lattice.build_split_order(),
+                                   SystemConfig("real", n=2, m=1, r=0.5),
                                    snr, trials, 20240, weighting="uniform")
     elapsed = time.time() - start
     d2, d1 = dmt.d2_curve(2, 1)(0.5), dmt.d1_curve(2, 1)(0.5)

@@ -37,16 +37,18 @@ def lift_blocks(a):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SystemConfig(n=0, m=1)
+        SystemConfig("real", n=0, m=1)
     with pytest.raises(ValueError):
-        SystemConfig(n=2, m=1, r=-0.5)
+        SystemConfig("real", n=2, m=1, r=-0.5)
     # both bounds vanish at r = min(m, n/2), here 1 (not min(m, n) = 2)
     with pytest.raises(ValueError, match=r"r=1\.5 .*\[0, 1\]"):
-        SystemConfig(n=2, m=2, r=1.5)
-    assert SystemConfig(n=3, m=2, r=1.5).r == 1.5
-    with pytest.raises(ValueError):
-        SystemConfig(n=3, m=1).p
-    assert SystemConfig(n=4, m=2).p == 2
+        SystemConfig("quaternion", n=2, m=2, r=1.5)
+    assert SystemConfig("real", n=3, m=2, r=1.5).r == 1.5
+    with pytest.raises(ValueError, match="quaternion mode needs even n"):
+        SystemConfig("quaternion", n=3, m=1)
+    with pytest.raises(ValueError, match="banana"):
+        SystemConfig("banana", n=2, m=1)
+    assert SystemConfig("quaternion", n=4, m=2).p == 2
 
 
 # ---------------------------------------------------------------------------

@@ -192,11 +192,24 @@ def test_outage_weighting_option(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_outage_quaternion_rejects_odd_n(capsys):
-    rc = run(["outage", "--mode", "quaternion", "--n", "3", "--m", "1", "--r", "0.5",
-              "--snr-db", "10", "--trials", "100", "--seed", "1"])
+@pytest.mark.parametrize("argv", [
+    ["outage", "--r", "0.5", "--snr-db", "10", "--trials", "100"],
+    ["error", "--lattice", "hamilton", "--r", "0.5", "--snr-db", "10", "--trials", "100"],
+    ["wishart-check", "--samples", "100"]], ids=["outage", "error", "wishart-check"])
+def test_outage_quaternion_rejects_odd_n(argv, capsys):
+    # one rule, raised by SystemConfig, with one message for every command
+    rc = run(argv + ["--mode", "quaternion", "--n", "3", "--m", "1", "--seed", "1"])
     assert rc == 2
-    assert "even n" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: quaternion mode needs even n\n"
+
+
+def test_config_unknown_mode_exit_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"mode": "banana", "n": 2, "m": 1, "r": 0.5,
+                                   "snr-db": [10.0], "trials": 100, "seed": 4}),
+                       encoding="utf-8")
+    assert run(["outage", "--config", str(cfgfile)]) == 2
+    assert "banana" in capsys.readouterr().err
 
 
 def test_outage_invalid_r(capsys):
@@ -318,14 +331,23 @@ def test_lattice_audit_rejects_m2z(capsys):
     ("2", '{"min_det": 1.0, "nvd": true, "points": 3}'),
     ("4", '{"min_det": 0.8584073464102071, "nvd": false, "points": 29}'),
     ("8", '{"min_det": 0.8584073464102071, "nvd": false, "points": 519}'),
-    ("12", '{"min_det": 0.4336293856408274, "nvd": false, "points": 2719}')])
+    ("12", '{"min_det": 0.4336293856408274, "nvd": false, "points": 2719}'),
+    ("16", '{"min_det": 0.2300767579509048, "nvd": false, "points": 8559}'),
+    ("24", '{"min_det": 0.11503837897543023, "nvd": false, "points": 43353}'),
+    ("32", '{"min_det": 0.017672705389521617, "nvd": false, "points": 137159}'),
+    ("48", '{"min_det": 0.0176727053895003, "nvd": false, "points": 694673}')])
 def test_lattice_audit_split_pi(radius, report, capsys):
     # negative control: split with i^2 = pi is full rank but not NVD; its
     # determinants x^2 - pi y^2 - 3 z^2 + 3 pi w^2 vanish only at 0, yet
     # their minimum falls as the shell grows.  A radius-2 shell cannot see it.
     path = Path(__file__).resolve().parent.parent / "lattices" / "split_pi.json"
     assert run(["lattice-audit", "--lattice", str(path), "--radius", radius]) == 0
-    assert capsys.readouterr().out == report + "\n"
+    text = capsys.readouterr().out
+    if radius == "48":  # 99 pi - 311 again, at another point, so rounded otherwise
+        out, expect = json.loads(text), json.loads(report)
+        assert out == {**expect, "min_det": pytest.approx(expect["min_det"], rel=1e-9)}
+    else:
+        assert text == report + "\n"
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "-1"])

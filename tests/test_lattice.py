@@ -78,6 +78,15 @@ def test_shell_z16_radius2():
     assert [tuple(c) for c in coords] == sorted(tuple(c) for c in coords)
 
 
+def test_shell_cap_counts_coordinates():
+    # Z^16's radius-2.45 shell has 700,833 points, fewer than a million, but
+    # of 16 coordinates each: over the 4,000,000 coordinates a level may hold
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    z16 = lattice.matrix_lattice(units, "real")
+    with pytest.raises(lattice.ResourceLimitError, match="SHELL_CAP"):
+        lattice.shell_coordinates(z16, 2.45)
+
+
 def test_shell_cap(monkeypatch):
     monkeypatch.setattr(lattice, "SHELL_CAP", 10)
     with pytest.raises(lattice.ResourceLimitError):

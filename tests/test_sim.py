@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dmtlab.sim import (chi2_tail, check_mismatched_bound,
 
 HAMILTON = lattice.build_hamilton_order()
 SPLIT = lattice.build_split_order()
+LATTICES = Path(__file__).resolve().parent.parent / "lattices"
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +238,28 @@ def test_fit_slope_insufficient_points():
     assert est.probs == (0.1, 0.0) and est.events == (100, 0)
 
 
+@pytest.mark.parametrize("events,trials", [([500, 2000], [1000, 1000]),
+                                           ([60.7, 80.2], [1000, 1000]),
+                                           ([100, 0], [1000, 0])],
+                         ids=["events-over-trials", "fractional-events", "zero-trials"])
+def test_fit_slope_rejects_impossible_counts(events, trials):
+    with pytest.raises(ValueError, match="whole numbers"):
+        fit_slope([10.0, 20.0], events, trials)
+
+
 # ---------------------------------------------------------------------------
 # distance and eigenvalue-product checks
 
 def test_min_received_distance_zero_channel():
     cb = lattice.fixed_codebook(HAMILTON, 4)
-    assert min_received_distance(np.zeros((2, 2)), cb, 10.0, 2) == 0.0
+    assert min_received_distance(np.zeros((2, 2)), cb, 10.0) == 0.0
 
 
 def test_min_received_distance_single_pair():
     class Book:
         points = (np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex) / np.sqrt(2))
 
-    val = min_received_distance(np.eye(2), Book(), 2.0, 2)
+    val = min_received_distance(np.eye(2), Book(), 2.0)
     assert val == pytest.approx(2.0, abs=1e-12)
 
 
@@ -256,14 +267,14 @@ def test_min_received_distance_homogeneity():
     rng = np.random.default_rng(11)
     cb = lattice.fixed_codebook(HAMILTON, 8)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    base = min_received_distance(h, cb, 5.0, 2)
-    scaled = min_received_distance(3.0 * h, cb, 5.0, 2)
+    base = min_received_distance(h, cb, 5.0)
+    scaled = min_received_distance(3.0 * h, cb, 5.0)
     assert scaled == pytest.approx(9.0 * base, rel=1e-9)
 
 
 @pytest.mark.parametrize("check", [
-    lambda cb: min_received_distance(np.eye(2), cb, 5.0, 2),
-    lambda cb: check_nvd_product_bound(cb, 60.0, 0.6, 2)], ids=["distance", "nvd"])
+    lambda cb: min_received_distance(np.eye(2), cb, 5.0),
+    lambda cb: check_nvd_product_bound(cb)], ids=["distance", "nvd"])
 def test_min_received_distance_pair_cap(monkeypatch, check):
     def never(*args, **kwargs):
         raise AssertionError("eigenvalues computed before the pair cap was checked")
@@ -301,7 +312,17 @@ def test_mismatched_bound_random_sweep():
 
 def test_nvd_product_bound_split():
     cb = lattice.shape_codebook(SPLIT, 100.0, 0.5)
-    assert check_nvd_product_bound(cb, 100.0, 0.5, 2)
+    assert check_nvd_product_bound(cb)
+
+
+@pytest.mark.parametrize("name,ok", [("hamilton", True), ("split", True),
+                                     ("m2z", False), ("split_pi", False)])
+def test_nvd_product_bound_fixed_codebook(name, ok):
+    # an r = 0 constellation has no (rho, r) behind its radius; the cap is
+    # read from the radius it was scaled by
+    path = LATTICES / f"{name}.json"
+    lat = lattice.load_lattice(str(path) if path.exists() else name)
+    assert bool(check_nvd_product_bound(lattice.fixed_codebook(lat))) is ok
 
 
 def test_nvd_product_bound_non_nvd_counterexample():
@@ -309,7 +330,7 @@ def test_nvd_product_bound_non_nvd_counterexample():
             np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])]
     singular = lattice.matrix_lattice(gens, "real")
     cb = lattice.shape_codebook(singular, 16.0, 0.5)
-    res = check_nvd_product_bound(cb, 16.0, 0.5, 2)
+    res = check_nvd_product_bound(cb)
     assert not res
     assert res.counterexample is not None
     assert res.counterexample["kind"] == "lower"
@@ -332,23 +353,23 @@ def test_nvd_product_bound_non_nvd_counterexample():
 # outage estimation
 
 def test_outage_zero_rate_never_in_outage():
-    cfg = SystemConfig(n=2, m=1, r=0.0)
-    est = estimate_outage("real", cfg, [5.0, 15.0], 2000, 1234)
+    cfg = SystemConfig("real", n=2, m=1, r=0.0)
+    est = estimate_outage(cfg, [5.0, 15.0], 2000, 1234)
     assert est.probs == (0.0, 0.0)
     assert math.isnan(est.slope)
 
 
 def test_outage_deterministic():
-    cfg = SystemConfig(n=2, m=1, r=0.5)
-    a = estimate_outage("real", cfg, [10.0, 20.0], 30_000, 99)
-    b = estimate_outage("real", cfg, [10.0, 20.0], 30_000, 99)
+    cfg = SystemConfig("real", n=2, m=1, r=0.5)
+    a = estimate_outage(cfg, [10.0, 20.0], 30_000, 99)
+    b = estimate_outage(cfg, [10.0, 20.0], 30_000, 99)
     assert a.probs == b.probs and a.events == b.events
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda *a, **k: estimate_outage("real", SystemConfig(n=2, m=1, r=0.5), *a, **k),
-    lambda *a, **k: estimate_error_prob("quaternion", HAMILTON,
-                                        SystemConfig(n=2, m=1, r=0.5), *a, **k)],
+    lambda *a, **k: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a, **k),
+    lambda *a, **k: estimate_error_prob(HAMILTON,
+                                        SystemConfig("quaternion", n=2, m=1, r=0.5), *a, **k)],
     ids=["outage", "error"])
 def test_outage_thread_count_invariance(monkeypatch, estimate):
     # no count is a chunk multiple, so chunks of different points interleave
@@ -364,10 +385,10 @@ def test_outage_thread_count_invariance(monkeypatch, estimate):
 
 
 def test_outage_monotone_in_snr_and_rate():
-    cfg_lo = SystemConfig(n=2, m=1, r=0.25)
-    cfg_hi = SystemConfig(n=2, m=1, r=0.5)
-    est_lo = estimate_outage("real", cfg_lo, [10.0, 20.0, 30.0], 50_000, 5)
-    est_hi = estimate_outage("real", cfg_hi, [10.0, 20.0, 30.0], 50_000, 5)
+    cfg_lo = SystemConfig("real", n=2, m=1, r=0.25)
+    cfg_hi = SystemConfig("real", n=2, m=1, r=0.5)
+    est_lo = estimate_outage(cfg_lo, [10.0, 20.0, 30.0], 50_000, 5)
+    est_hi = estimate_outage(cfg_hi, [10.0, 20.0, 30.0], 50_000, 5)
     se = [math.sqrt(p * (1 - p) / t) for p, t in zip(est_lo.probs, est_lo.trials)]
     assert all(b <= a + 2 * (sa + 1e-9) for a, b, sa in
                zip(est_lo.probs, est_lo.probs[1:], se))
@@ -383,7 +404,7 @@ def test_outage_real_event_matches_mutual_info_op():
     # the batched event rule counts the outages of an independent slogdet of
     # I + (rho/n) H H^T on the point's own draws
     n, m, r, db, trials, seed = 4, 2, 1.0, 12.0, 3000, 14
-    est = estimate_outage("real", SystemConfig(n=n, m=m, r=r), [db], trials, seed,
+    est = estimate_outage(SystemConfig("real", n=n, m=m, r=r), [db], trials, seed,
                           chunk=trials)
     rho = 10.0 ** (db / 10.0)
     h = channel.draw_real(_point_stream(seed), (trials, 2 * m, n))
@@ -396,9 +417,9 @@ def test_outage_real_event_matches_mutual_info_op():
 def test_outage_quaternion_event_matches_capacity_op(n, m, r):
     # the batched event rule counts the outages of an independent slogdet of
     # I + rho H^dag H on the same lifted draws
-    cfg = SystemConfig(n=n, m=m, r=r)
+    cfg = SystemConfig("quaternion", n=n, m=m, r=r)
     db, trials, seed = 12.0, 3000, 31
-    est = estimate_outage("quaternion", cfg, [db], trials, seed, chunk=trials)
+    est = estimate_outage(cfg, [db], trials, seed, chunk=trials)
     rho = 10.0 ** (db / 10.0)
     hq = channel.draw_lifted(_point_stream(seed), trials, m, cfg.p)
     _, logdet = np.linalg.slogdet(np.eye(n) + rho * (hq.conj().transpose(0, 2, 1) @ hq))
@@ -407,8 +428,8 @@ def test_outage_quaternion_event_matches_capacity_op(n, m, r):
 
 
 def test_outage_quaternion_runs():
-    cfg = SystemConfig(n=2, m=1, r=0.5)
-    est = estimate_outage("quaternion", cfg, [10.0, 20.0], 50_000, 21)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
+    est = estimate_outage(cfg, [10.0, 20.0], 50_000, 21)
     assert est.probs[1] < est.probs[0]
 
 
@@ -416,9 +437,9 @@ def test_outage_quaternion_matches_gamma_oracle():
     # Criterion 6's sweep against the exact outage probability: at n=2, m=1
     # the distinct lifted-Gram eigenvalue |h1|^2 + |h2|^2 is Gamma(2, 1), and
     # 2 log2(1 + rho lambda) <= 2 r log2 rho means lambda <= (rho^r - 1)/rho
-    cfg = SystemConfig(n=2, m=1, r=0.5)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
     snr = [10, 15, 20, 25, 30]
-    est = estimate_outage("quaternion", cfg, snr, 1_000_000, 20240, weighting="uniform")
+    est = estimate_outage(cfg, snr, 1_000_000, 20240, weighting="uniform")
     for db, p_hat, t in zip(snr, est.probs, est.trials):
         rho = 10.0 ** (db / 10.0)
         p = 1.0 - chi2_tail((rho ** cfg.r - 1.0) / rho, 2)
@@ -431,14 +452,14 @@ def test_outage_events_independent_of_block_rows(monkeypatch, mode):
     # changes no event, at one worker or two; the chunk holds more rows than
     # the default block, so that the default splits it too
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
-    cfg = SystemConfig(n=2, m=1, r=0.5)
+    cfg = SystemConfig(mode, n=2, m=1, r=0.5)
     chunk = sim.BLOCK_ROWS + 808
     seen = set()
     for rows in (1, 7, sim.BLOCK_ROWS, 10 * chunk):
         monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
         for threads in ("1", "2"):
             monkeypatch.setenv("DMTLAB_THREADS", threads)
-            est = estimate_outage(mode, cfg, [10.0, 14.0], [chunk + 500, 3000], 8,
+            est = estimate_outage(cfg, [10.0, 14.0], [chunk + 500, 3000], 8,
                                   chunk=chunk)
             seen.add(est.events)
     assert len(seen) == 1 and all(seen.pop())
@@ -446,11 +467,11 @@ def test_outage_events_independent_of_block_rows(monkeypatch, mode):
 
 def test_outage_validation():
     with pytest.raises(ValueError):
-        estimate_outage("real", SystemConfig(n=2, m=1, r=1.0), [10.0], 0, 1)
+        estimate_outage(SystemConfig("real", n=2, m=1, r=1.0), [10.0], 0, 1)
     with pytest.raises(ValueError):
-        estimate_outage("banana", SystemConfig(n=2, m=1, r=0.5), [10.0], 10, 1)
+        estimate_outage(SystemConfig("banana", n=2, m=1, r=0.5), [10.0], 10, 1)
     with pytest.raises(ValueError):
-        estimate_outage("quaternion", SystemConfig(n=2, m=2, r=1.5), [10.0], 10, 1)
+        estimate_outage(SystemConfig("quaternion", n=2, m=2, r=1.5), [10.0], 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +480,15 @@ def test_outage_validation():
 def test_error_noiseless_decodes_exactly(monkeypatch):
     receive = channel.receive
     monkeypatch.setattr(channel, "receive", lambda h, x, scale, w: receive(h, x, scale, 0.0 * w))
-    cfg = SystemConfig(n=2, m=1, r=0.0)
-    est = estimate_error_prob("quaternion", HAMILTON, cfg, [10.0, 20.0], 2000, 3)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.0)
+    est = estimate_error_prob(HAMILTON, cfg, [10.0, 20.0], 2000, 3)
     assert est.probs == (0.0, 0.0)
 
 
 def test_error_deterministic():
-    cfg = SystemConfig(n=2, m=1, r=0.0)
-    a = estimate_error_prob("quaternion", HAMILTON, cfg, [14.0], 20_000, 8)
-    b = estimate_error_prob("quaternion", HAMILTON, cfg, [14.0], 20_000, 8)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.0)
+    a = estimate_error_prob(HAMILTON, cfg, [14.0], 20_000, 8)
+    b = estimate_error_prob(HAMILTON, cfg, [14.0], 20_000, 8)
     assert a.events == b.events
 
 
@@ -476,8 +497,8 @@ def test_error_deterministic():
                                          ("real", "split", 0.5)])
 def test_error_events_independent_of_decode_budget(monkeypatch, mode, name, r):
     # a budget of one byte decodes row by row; events must not change
-    cfg = SystemConfig(n=2, m=1, r=r)
-    args = (mode, lattice.load_lattice(name), cfg, [12.0, 18.0], 3000, 21)
+    cfg = SystemConfig(mode, n=2, m=1, r=r)
+    args = (lattice.load_lattice(name), cfg, [12.0, 18.0], 3000, 21)
     default = estimate_error_prob(*args, chunk=1300)
     monkeypatch.setattr(sim, "DECODE_BUDGET_BYTES", 1)
     tiny = estimate_error_prob(*args, chunk=1300)
@@ -516,8 +537,8 @@ def test_ml_decode_matches_bruteforce(mode, name, r):
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda *a: estimate_outage("real", SystemConfig(n=2, m=1, r=0.5), *a),
-    lambda *a: estimate_error_prob("quaternion", HAMILTON, SystemConfig(n=2, m=1, r=0.5),
+    lambda *a: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0.5),
                                    *a)], ids=["outage", "error"])
 def test_trial_cap(monkeypatch, estimate):
     def never(*args, **kwargs):
@@ -531,9 +552,9 @@ def test_trial_cap(monkeypatch, estimate):
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda *a, **k: estimate_outage("real", SystemConfig(n=2, m=1, r=0.5), *a, **k),
-    lambda *a, **k: estimate_error_prob("quaternion", HAMILTON,
-                                        SystemConfig(n=2, m=1, r=0.5), *a, **k)],
+    lambda *a, **k: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a, **k),
+    lambda *a, **k: estimate_error_prob(HAMILTON,
+                                        SystemConfig("quaternion", n=2, m=1, r=0.5), *a, **k)],
     ids=["outage", "error"])
 def test_bad_weighting_rejected_before_sampling(monkeypatch, estimate):
     def never(*args, **kwargs):
@@ -567,17 +588,16 @@ def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
     monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
     monkeypatch.setenv("DMTLAB_THREADS", env)
-    cfg = SystemConfig(n=2, m=1, r=0.5)
-    est = estimate_outage("real", cfg, [10.0, 13.0], 3000, 7, chunk=100)
+    cfg = SystemConfig("real", n=2, m=1, r=0.5)
+    est = estimate_outage(cfg, [10.0, 13.0], 3000, 7, chunk=100)
     assert seen == [workers] and est.trials == (3000, 3000)
 
 
 def test_error_flavor_mode_mismatch():
-    cfg = SystemConfig(n=2, m=1, r=0.0)
     with pytest.raises(ValueError):
-        estimate_error_prob("real", HAMILTON, cfg, [10.0], 100, 1)
+        estimate_error_prob(HAMILTON, SystemConfig("real", n=2, m=1), [10.0], 100, 1)
     with pytest.raises(ValueError):
-        estimate_error_prob("quaternion", SPLIT, cfg, [10.0], 100, 1)
+        estimate_error_prob(SPLIT, SystemConfig("quaternion", n=2, m=1), [10.0], 100, 1)
 
 
 @pytest.mark.parametrize("mode,lat,n,r", [("quaternion", HAMILTON, 4, 0.0),
@@ -590,14 +610,14 @@ def test_error_n_lattice_mismatch(monkeypatch, mode, lat, n, r):
     monkeypatch.setattr(sim, "fixed_codebook", never)
     monkeypatch.setattr(sim, "shape_codebook", never)
     with pytest.raises(ValueError, match=r"--n=\d.* not \w+ 2x2"):
-        estimate_error_prob(mode, lat, SystemConfig(n=n, m=1, r=r), [10.0, 20.0], 1000, 1)
+        estimate_error_prob(lat, SystemConfig(mode, n=n, m=1, r=r), [10.0, 20.0], 1000, 1)
 
 
 @pytest.mark.parametrize("estimate,row_bytes", [
-    (lambda *a, **k: estimate_outage("real", SystemConfig(n=2, m=1), *a, **k), 32),
-    (lambda *a, **k: estimate_outage("quaternion", SystemConfig(n=2, m=1), *a, **k), 64),
-    (lambda *a, **k: estimate_error_prob("real", SPLIT, SystemConfig(n=2, m=1), *a, **k), 64),
-    (lambda *a, **k: estimate_error_prob("quaternion", HAMILTON, SystemConfig(n=2, m=1),
+    (lambda *a, **k: estimate_outage(SystemConfig("real", n=2, m=1), *a, **k), 32),
+    (lambda *a, **k: estimate_outage(SystemConfig("quaternion", n=2, m=1), *a, **k), 64),
+    (lambda *a, **k: estimate_error_prob(SPLIT, SystemConfig("real", n=2, m=1), *a, **k), 64),
+    (lambda *a, **k: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1),
                                          *a, **k), 128)],
     ids=["outage-real", "outage-quaternion", "error-real", "error-quaternion"])
 def test_sweep_array_budget(monkeypatch, estimate, row_bytes):
@@ -627,8 +647,8 @@ def test_wishart_array_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("estimate", [
-    lambda *a: estimate_outage("quaternion", SystemConfig(n=2, m=1, r=0.5), *a),
-    lambda *a: estimate_error_prob("quaternion", HAMILTON, SystemConfig(n=2, m=1, r=0.0),
+    lambda *a: estimate_outage(SystemConfig("quaternion", n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0.0),
                                    *a)], ids=["outage", "error"])
 def test_error_trials_per_point(estimate):
     est = estimate([14.0, 20.0], [5000, 10_000], 5)
@@ -642,21 +662,21 @@ def test_error_trials_per_point(estimate):
 def test_error_rate_at_least_outage():
     # ML error of a code cannot beat outage at the code's actual rate
     # (log2 |C| / n bits; the nominal r log2(rho) is only asymptotic)
-    cfg = SystemConfig(n=2, m=1, r=0.5)
+    cfg = SystemConfig("real", n=2, m=1, r=0.5)
     snr = [16.0]
     rho = 10.0 ** (snr[0] / 10.0)
     cb = lattice.shape_codebook(SPLIT, rho, cfg.r)
     rate_bits = math.log2(len(cb.points)) / cfg.n
     r_matched = rate_bits / math.log2(rho)
-    out = estimate_outage("real", SystemConfig(n=2, m=1, r=r_matched), snr, 40_000, 17)
-    err = estimate_error_prob("real", SPLIT, cfg, snr, 40_000, 17)
+    out = estimate_outage(SystemConfig("real", n=2, m=1, r=r_matched), snr, 40_000, 17)
+    err = estimate_error_prob(SPLIT, cfg, snr, 40_000, 17)
     se = math.sqrt(out.probs[0] * (1 - out.probs[0]) / out.trials[0])
     assert err.probs[0] >= out.probs[0] - 2 * se
 
 
 def test_error_shaped_codebook_grows_with_snr():
-    cfg = SystemConfig(n=2, m=1, r=0.5)
-    est = estimate_error_prob("quaternion", HAMILTON, cfg, [10.0, 18.0], 4000, 9)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
+    est = estimate_error_prob(HAMILTON, cfg, [10.0, 18.0], 4000, 9)
     assert all(0.0 <= p <= 1.0 for p in est.probs)
 
 
