@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +30,6 @@ from .channel import MODES, SystemConfig
 
 class OutputError(RuntimeError):
     """The requested output path cannot be written."""
-
-
-@dataclass
-class RunConfig:
-    """Parameters of one stochastic run, merged from flags and --config."""
-
-    system: SystemConfig
-    snr_db: list
-    trials: int | list
-    seed: int
-    lattice: str | None = None
-    out: str | None = None
-    summary: str | None = None
-
-
-def _parse_float_list(text):
-    vals = [float(v) for v in str(text).split(",") if v.strip()]
-    if not vals:
-        raise ValueError("empty numeric list")
-    return vals
 
 
 def _write_text(path, text):
@@ -107,41 +86,23 @@ def _load_config(args, keys):
     return merged
 
 
-def _parse_trials(value):
-    """One count for every point, or a count per point (a list, or a string
-    with several comma-separated entries); each must be a whole number."""
+def _parse_numbers(value, flag, whole=False):
+    """The numbers of a JSON list or a comma-separated string, each a whole
+    number (returned as int) when `whole`; a bad or empty list is rejected
+    with a message naming `flag`."""
     items = value if isinstance(value, list) else [v for v in str(value).split(",")
                                                    if v.strip()]
     try:
-        counts = [float(v) for v in items]
+        nums = [float(v) for v in items]
     except (TypeError, ValueError):
-        counts = []
-    if not counts or not all(c.is_integer() for c in counts):
-        raise ValueError(f"--trials must be whole numbers, got {value!r}")
-    counts = [int(c) for c in counts]
-    return counts if isinstance(value, list) or len(counts) > 1 else counts[0]
+        nums = []
+    if not nums or (whole and not all(v.is_integer() for v in nums)):
+        raise ValueError(f"{flag} must be {'whole ' if whole else ''}numbers, got {value!r}")
+    return [int(v) for v in nums] if whole else nums
 
 
-def _run_config(args, need_lattice=False):
-    keys = ["mode", "n", "m", "r", "snr-db", "trials", "seed"]
-    if need_lattice:
-        keys.append("lattice")
-    merged = _load_config(args, keys)
-    snr_db = (_parse_float_list(merged["snr-db"])
-              if not isinstance(merged["snr-db"], list) else
-              [float(v) for v in merged["snr-db"]])
-    system = SystemConfig(mode=str(merged["mode"]), n=int(merged["n"]),
-                          m=int(merged["m"]), r=float(merged["r"]))
-    return RunConfig(system=system, snr_db=snr_db, trials=_parse_trials(merged["trials"]),
-                     seed=int(merged["seed"]),
-                     lattice=merged.get("lattice"),
-                     out=getattr(args, "out", None),
-                     summary=getattr(args, "summary", None))
-
-
-def _sweep_csv(command, run, est):
-    cfg = run.system
-    lines = [f"# seed={run.seed} command={command} mode={cfg.mode} "
+def _sweep_csv(command, cfg, seed, est):
+    lines = [f"# seed={seed} command={command} mode={cfg.mode} "
              f"n={cfg.n} m={cfg.m} r={_fmt(cfg.r)}",
              "snr_db,rate_bits,trials,events,prob,stderr"]
     for db, prob, trials, events in zip(est.snr_db, est.probs, est.trials, est.events):
@@ -153,13 +114,12 @@ def _sweep_csv(command, run, est):
     return "\n".join(lines) + "\n"
 
 
-def _summary_json(run, est):
+def _summary_json(cfg, seed, est):
     # a finished sweep had r inside both curves' domain [0, min(m, n/2)]
-    cfg = run.system
     d1 = dmt.d1_curve(cfg.n, cfg.m)(cfg.r)
     d2 = None if cfg.n % 2 else dmt.d2_curve(cfg.n, cfg.m)(cfg.r)
     out = {"mode": cfg.mode, "n": cfg.n, "m": cfg.m, "r": cfg.r,
-           "seed": run.seed,
+           "seed": seed,
            "slope": None if math.isnan(est.slope) else est.slope,
            "stderr": None if math.isnan(est.stderr) else est.stderr,
            "theory_d1": d1, "theory_d2": d2}
@@ -167,14 +127,23 @@ def _summary_json(run, est):
 
 
 def _cmd_sweep(args):
-    """The outage or ML-error sweep named by the subcommand."""
-    run = _run_config(args, need_lattice=args.command == "error")
-    sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(run.lattice))
-             if args.command == "error" else sim.estimate_outage)
-    est = sweep(run.system, run.snr_db, run.trials, np.random.default_rng(run.seed),
-                weighting=args.weighting)
-    _write_text(run.out, _sweep_csv(args.command, run, est))
-    _write_text(run.summary, _summary_json(run, est))
+    """The outage or ML-error sweep named by the subcommand, its parameters
+    merged from the flags and --config.  One --trials count serves every
+    SNR point."""
+    error = args.command == "error"
+    merged = _load_config(args, ["mode", "n", "m", "r", "snr-db", "trials", "seed"]
+                          + (["lattice"] if error else []))
+    snr_db = _parse_numbers(merged["snr-db"], "--snr-db")
+    cfg = SystemConfig(mode=str(merged["mode"]), n=int(merged["n"]),
+                       m=int(merged["m"]), r=float(merged["r"]))
+    trials = _parse_numbers(merged["trials"], "--trials", whole=True)
+    seed = int(merged["seed"])
+    sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(merged["lattice"]))
+             if error else sim.estimate_outage)
+    est = sweep(cfg, snr_db, trials[0] if len(trials) == 1 else trials,
+                np.random.default_rng(seed), weighting=args.weighting)
+    _write_text(args.out, _sweep_csv(args.command, cfg, seed, est))
+    _write_text(args.summary, _summary_json(cfg, seed, est))
     return 0
 
 

@@ -14,8 +14,9 @@ an order are rational integers), which the enumeration-based audits verify.
 
 Audits, shaped codebooks and fixed constellations all take their points
 from one breadth-first Cholesky branch-and-bound (`shell_coordinates`),
-which holds its frontier as arrays and caps the integer coordinates each
-level holds at SHELL_CAP.
+which holds its frontier as arrays, caps the integer coordinates each level
+holds at SHELL_CAP, and fixes the leading coordinate first, so that its
+points come out in lexicographic order of their coordinates.
 
 A set of matrices is one read-only complex (N, n, n) array: a lattice's
 generators, a shell's points (`point_from_coordinates` of (N, k) coordinates)
@@ -140,46 +141,49 @@ def shell_coordinates(lat, radius):
     """Integer coordinate vectors of all lattice points with norm <= radius,
     in lexicographic order.
 
-    Breadth-first branch-and-bound on the Cholesky factor of the Gram
-    matrix (Fincke-Pohst): the frontier is an (F, depth) block of the
-    trailing coordinates fixed so far and an (F,) array of remaining
-    squared-norm budgets, and each level fixes one more coordinate of every
-    row at once.  The radius comparison and the interval ends carry 1e-12
-    slacks so boundary shells like sqrt(2) do not depend on rounding luck.
-    A level whose candidates would hold more than SHELL_CAP coordinates
-    raises ResourceLimitError before they are allocated.
+    Breadth-first branch-and-bound on a triangular factor of the Gram
+    matrix (Fincke-Pohst): with G = A^T A for a lower-triangular A, level i
+    fixes c_i from a[i, :i] and a[i, i].  The frontier is an (F, i) block of
+    the leading coordinates fixed so far and an (F,) array of remaining
+    squared-norm budgets, and each level appends one coordinate to every
+    row at once, its children in ascending order, so the rows stay in
+    lexicographic order without a sort.  The radius comparison and the
+    interval ends carry 1e-12 slacks so boundary shells like sqrt(2) do not
+    depend on rounding luck.  A level whose candidates would hold more than
+    SHELL_CAP coordinates raises ResourceLimitError before they are
+    allocated.
     """
     radius = float(radius)
     if not math.isfinite(radius) or radius < 0:
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     try:
-        rmat = np.linalg.cholesky(lat.gram).T
+        a = np.linalg.cholesky(lat.gram[::-1, ::-1]).T[::-1, ::-1]
     except np.linalg.LinAlgError:
         raise ValueError("Gram matrix is not positive definite")
     budget = radius * radius * (1.0 + 1e-12)
     fixed = np.zeros((1, 0), dtype=np.int64)
     remaining = np.array([budget])
-    for level in range(lat.rank - 1, -1, -1):
-        y = fixed @ rmat[level, level + 1:]
-        rii = rmat[level, level]
+    for level in range(lat.rank):
+        y = fixed @ a[level, :level]
+        aii = a[level, level]
         half = np.sqrt(np.maximum(remaining, 0.0))
-        lo = np.ceil((-half - y) / rii - 1e-12)
-        counts = np.maximum(np.floor((half - y) / rii + 1e-12) - lo + 1.0, 0.0)
+        lo = np.ceil((-half - y) / aii - 1e-12)
+        counts = np.maximum(np.floor((half - y) / aii + 1e-12) - lo + 1.0, 0.0)
         total = counts.sum()
-        if total * (lat.rank - level) > SHELL_CAP:
+        if total * (level + 1) > SHELL_CAP:
             raise ResourceLimitError(
-                f"the radius-{radius:g} shell needs {total:.4g} candidates of {lat.rank - level}"
+                f"the radius-{radius:g} shell needs {total:.4g} candidates of {level + 1}"
                 f" coordinates at level {level}, over SHELL_CAP = {SHELL_CAP} coordinates")
         counts = counts.astype(np.int64)
         parent = np.repeat(np.arange(len(fixed)), counts)
         first = np.cumsum(counts) - counts
         c = np.repeat(lo.astype(np.int64) - first, counts) + np.arange(int(total))
-        step = rii * c + y[parent]
+        step = aii * c + y[parent]
         rest = remaining[parent] - step * step
         keep = rest >= -1e-12 * budget
-        fixed = np.column_stack([c[keep], fixed[parent[keep]]])
+        fixed = np.column_stack([fixed[parent[keep]], c[keep]])
         remaining = rest[keep]
-    return fixed[np.lexsort(fixed.T[::-1])]
+    return fixed
 
 
 def point_from_coordinates(lat, coords):
@@ -263,11 +267,6 @@ def fixed_codebook(lat, size=16):
 # ---------------------------------------------------------------------------
 # JSON interchange: matrices as row-major [re, im] pairs.
 
-def _matrix_from_pairs(pairs, n):
-    flat = np.array([complex(re, im) for re, im in pairs])
-    return flat.reshape(n, n)
-
-
 def lattice_to_json(lat):
     return {"ambient_n": lat.ambient_n, "flavor": lat.flavor,
             "basis": [[[float(v.real), float(v.imag)] for v in b.ravel()] for b in lat.basis]}
@@ -275,7 +274,7 @@ def lattice_to_json(lat):
 
 def lattice_from_json(data):
     n = int(data["ambient_n"])
-    basis = [_matrix_from_pairs(b, n) for b in data["basis"]]
+    basis = [np.array([complex(re, im) for re, im in b]).reshape(n, n) for b in data["basis"]]
     return matrix_lattice(basis, data["flavor"])
 
 

@@ -148,6 +148,30 @@ def test_fractional_trials_exit_2(trials, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,config", [
+    (["--snr-db", ""], {}),
+    (["--snr-db", "10,x"], {}),
+    ([], {"snr-db": ["a"]})], ids=["empty", "not-a-number", "config-list"])
+def test_bad_snr_db_exit_2(flag, config, tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"mode": "real", "n": 2, "m": 1, "r": 0.5,
+                                   "trials": 100, "seed": 1, **config}), encoding="utf-8")
+    assert run(["outage", "--config", str(cfgfile)] + flag) == 2
+    assert "--snr-db" in capsys.readouterr().err
+
+
+def test_one_trials_entry_serves_every_point(tmp_path):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"mode": "real", "n": 2, "m": 1, "r": 0.5,
+                                   "snr-db": [10.0, 20.0], "trials": [1000], "seed": 1}),
+                       encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert run(["outage", "--config", str(cfgfile), "--out", str(out),
+                "--summary", str(tmp_path / "o.json")]) == 0
+    rows = read(out).strip().split("\n")[2:]
+    assert [row.split(",")[2] for row in rows] == ["1000", "1000"]
+
+
 def test_outage_requires_seed(capsys):
     rc = run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
               "--snr-db", "10", "--trials", "100"])

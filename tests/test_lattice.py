@@ -78,6 +78,17 @@ def test_shell_z16_radius2():
     assert [tuple(c) for c in coords] == sorted(tuple(c) for c in coords)
 
 
+@pytest.mark.parametrize("lat,radius", [
+    (SPLIT, 15.0),
+    (lattice.matrix_lattice(np.eye(16, dtype=complex).reshape(16, 4, 4), "real"), 2.0)],
+    ids=["split", "z16"])
+def test_shell_strictly_lexicographic(lat, radius):
+    # the enumeration builds rows in lexicographic order, with no sort and
+    # no repeated row
+    coords = [tuple(c) for c in lattice.shell_coordinates(lat, radius)]
+    assert len(coords) > 1 and all(a < b for a, b in zip(coords, coords[1:]))
+
+
 def test_shell_cap_counts_coordinates():
     # Z^16's radius-2.45 shell has 700,833 points, fewer than a million, but
     # of 16 coordinates each: over the 4,000,000 coordinates a level may hold

@@ -312,7 +312,7 @@ def test_mismatched_bound_random_sweep():
 
 def test_nvd_product_bound_split():
     cb = lattice.shape_codebook(SPLIT, 100.0, 0.5)
-    assert check_nvd_product_bound(cb)
+    assert check_nvd_product_bound(cb) is None
 
 
 @pytest.mark.parametrize("name,ok", [("hamilton", True), ("split", True),
@@ -322,7 +322,7 @@ def test_nvd_product_bound_fixed_codebook(name, ok):
     # read from the radius it was scaled by
     path = LATTICES / f"{name}.json"
     lat = lattice.load_lattice(str(path) if path.exists() else name)
-    assert bool(check_nvd_product_bound(lattice.fixed_codebook(lat))) is ok
+    assert (check_nvd_product_bound(lattice.fixed_codebook(lat)) is None) is ok
 
 
 def test_nvd_product_bound_non_nvd_counterexample():
@@ -331,9 +331,8 @@ def test_nvd_product_bound_non_nvd_counterexample():
     singular = lattice.matrix_lattice(gens, "real")
     cb = lattice.shape_codebook(singular, 16.0, 0.5)
     res = check_nvd_product_bound(cb)
-    assert not res
-    assert res.counterexample is not None
-    assert res.counterexample["kind"] == "lower"
+    assert res is not None
+    assert res["kind"] == "lower"
     # the first failing pair of a per-pair scan, row by row
     pts = cb.points * cb.radius_m
     cap = 4.0 * 16.0 ** 0.5
@@ -346,7 +345,7 @@ def test_nvd_product_bound_non_nvd_counterexample():
 
     first = next((i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
                  if fails(pts[i] - pts[j]))
-    assert res.counterexample["pair"] == first
+    assert res["pair"] == first
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +656,20 @@ def test_error_trials_per_point(estimate):
         estimate([14.0, 20.0], [5000], 5)
     with pytest.raises(ValueError):
         estimate([14.0, 20.0], [5000, 0], 5)
+
+
+def test_m2z_slope_below_split_at_r0():
+    # M2(Z) has singular codeword differences, so its r = 0 real-mode slope
+    # stays at 1 while the NVD order split climbs toward d1 = 2; 25-40 dB
+    # and growing trials keep every split point above MIN_EVENTS
+    cfg = SystemConfig("real", n=2, m=1, r=0.0)
+    snr, trials = [25.0, 30.0, 35.0, 40.0], [100_000, 300_000, 1_000_000, 3_000_000]
+    m2z, split = (estimate_error_prob(lat, cfg, snr, trials, 20240, weighting="uniform")
+                  for lat in (lattice.load_lattice(str(LATTICES / "m2z.json")), SPLIT))
+    assert not any(m2z.flagged) and not any(split.flagged)
+    assert abs(m2z.slope - 1.0) <= 0.2
+    assert split.slope >= 1.5
+    assert split.slope - m2z.slope > 2.0 * math.hypot(split.stderr, m2z.stderr)
 
 
 def test_error_rate_at_least_outage():
