@@ -98,8 +98,12 @@ def draw_lifted(rng, count, m, p):
 
 
 def receive(h, x, scale, w):
-    """Received blocks scale * H X + W, one product per batch row."""
-    return scale * np.einsum("bij,bjk->bik", h, x) + w
+    """Received blocks scale * H X + W in the dtype of H X + W, formed in
+    place on the `linalg.bmm` product (batch axis last in memory)."""
+    y = bmm(h, x).astype(np.result_type(h, x, w), copy=False)
+    y *= scale
+    y += w
+    return y
 
 
 def mutual_info_real_batch(h, rho, n):

@@ -92,11 +92,11 @@ def _parse_numbers(value, flag, whole=False):
     with a message naming `flag`."""
     items = value if isinstance(value, list) else [v for v in str(value).split(",")
                                                    if v.strip()]
-    try:
-        nums = [float(v) for v in items]
+    try:  # a whole int item stays exact: a seed may exceed float precision
+        nums = [v if whole and isinstance(v, int) else float(v) for v in items]
     except (TypeError, ValueError):
         nums = []
-    if not nums or (whole and not all(v.is_integer() for v in nums)):
+    if not nums or (whole and not all(isinstance(v, int) or v.is_integer() for v in nums)):
         raise ValueError(f"{flag} must be {'whole ' if whole else ''}numbers, got {value!r}")
     return [int(v) for v in nums] if whole else nums
 
@@ -134,10 +134,10 @@ def _cmd_sweep(args):
     merged = _load_config(args, ["mode", "n", "m", "r", "snr-db", "trials", "seed"]
                           + (["lattice"] if error else []))
     snr_db = _parse_numbers(merged["snr-db"], "--snr-db")
-    cfg = SystemConfig(mode=str(merged["mode"]), n=int(merged["n"]),
-                       m=int(merged["m"]), r=float(merged["r"]))
+    (n,), (m,), (seed,) = (_parse_numbers([merged[key]], f"--{key}", whole=True)
+                           for key in ("n", "m", "seed"))
+    cfg = SystemConfig(mode=str(merged["mode"]), n=n, m=m, r=float(merged["r"]))
     trials = _parse_numbers(merged["trials"], "--trials", whole=True)
-    seed = int(merged["seed"])
     sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(merged["lattice"]))
              if error else sim.estimate_outage)
     est = sweep(cfg, snr_db, trials[0] if len(trials) == 1 else trials,

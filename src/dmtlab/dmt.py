@@ -144,15 +144,29 @@ CASE_CAP = 10**4
 
 @lru_cache(maxsize=8)
 def _ascending_grid(l, step):
-    """All ascending l-tuples over the [0, 1] grid, with the full sum of
-    (1-a) accumulated in prefix order (the last prefix sum)."""
+    """All ascending l-tuples over the [0, 1] grid and their full sums of
+    (1-a), accumulated in prefix order (the last prefix sum), the rows
+    stably sorted by that sum from the lexicographic order."""
     if math.comb(int(min(1.0 / step, GRID_CAP)) + l + 1, l) * l > GRID_CAP:
         raise ValueError(f"--gridstep gives a grid of more than {GRID_CAP} entries")
-    ticks = [i * step for i in range(int(1.0 / step) + 1)]
+    ticks = np.array([i * step for i in range(int(1.0 / step) + 1)])
     if ticks[-1] < 1.0:
-        ticks.append(1.0)
-    pts = np.array(list(itertools.combinations_with_replacement(ticks, l)))
-    return pts, np.cumsum(1.0 - pts, axis=1)[:, -1]
+        ticks = np.append(ticks, 1.0)
+    # tick indices column by column, one level at a time: each row is
+    # followed by every index from its last one up, so the order stays lexicographic
+    cols = [np.arange(len(ticks))]
+    for _ in range(1, l):
+        counts = len(ticks) - cols[-1]
+        starts = np.cumsum(counts) - counts
+        cols = [np.repeat(c, counts) for c in cols]
+        cols.append(np.arange(len(cols[0])) - np.repeat(starts, counts) + cols[-1])
+    gap = 1.0 - ticks
+    total = sum(gap[c] for c in cols)  # added left to right, as cumsum rounds
+    order = np.argsort(total, kind="stable")
+    pts = np.empty((len(order), l))
+    for j, c in enumerate(cols):
+        pts[:, j] = ticks[c[order]]
+    return pts, total[order]
 
 
 def lemma2_bruteforce(prob, grid_step):
@@ -163,13 +177,14 @@ def lemma2_bruteforce(prob, grid_step):
     the box restriction is exact up to the grid resolution; the result is
     within l*(q+l)*grid_step of the true infimum.  On the box every
     addend 1 - a_i is nonnegative, so the prefix sums never decrease and
-    only the last one needs testing against s.
+    only the last one needs testing against s; the grid is sorted by it, so
+    the feasible points are a prefix.
     """
     if not grid_step > 0:
         raise ValueError("grid_step must be positive")
     pts, total = _ascending_grid(prob.l, float(grid_step))
-    vals = pts[total <= prob.s + 1e-9] @ prob.coefficients()
-    return float(vals.min())
+    feasible = pts[:np.searchsorted(total, prob.s + 1e-9, "right")]
+    return float((feasible @ prob.coefficients()).min())
 
 
 def a0_membership(alpha, s, tol=1e-12):

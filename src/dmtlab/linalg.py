@@ -6,7 +6,8 @@ need to control precisely: finite-matrix coercion, an order-independent
 Frobenius norm, a square-checked determinant of one matrix or of an
 (N, n, n) stack, and two batch-axis kernels for stacks of small real or
 complex matrices, `bmm` (product) and `logdet_pd` (log-determinant), used by
-the real and quaternionic mutual information.  numpy's stacked routines pay
+the real and quaternionic mutual information and the received blocks of the
+ML-error sweep.  numpy's stacked routines pay
 a fixed dispatch per matrix, which for 2x2 matrices outweighs the arithmetic
 many times over; the kernels instead run one vector operation over the batch
 axis per matrix entry.  Other products and eigenvalues come straight from

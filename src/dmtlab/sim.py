@@ -466,7 +466,7 @@ def _ml_decode(h, y, cword_feats):
     with `cword_feats`, sub-batched under DECODE_BUDGET_BYTES.
     """
     feats = np.einsum("bji,bjk->bik", h.conj(), np.concatenate([h, y], axis=2))
-    feats = feats.reshape(len(h), -1).view(float)
+    feats = np.ascontiguousarray(feats).reshape(len(h), -1).view(float)
     rows = max(1, DECODE_BUDGET_BYTES // (8 * len(cword_feats)))
     return np.concatenate([np.argmin(feats[lo:lo + rows] @ cword_feats.T, axis=1)
                            for lo in range(0, len(h), rows)])

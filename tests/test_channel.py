@@ -125,6 +125,62 @@ def test_apply_channel_matches_entrywise_oracle():
     assert np.max(np.abs(y - expect)) <= 1e-12
 
 
+def einsum_receive(h, x, scale, w):
+    """The per-matrix einsum form of scale * H X + W."""
+    return scale * np.einsum("bij,bjk->bik", h, x) + w
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_receive_bit_equal_einsum_lifted(m):
+    # the r = 0 error sweep's blocks: lifted channels and noise at n = 2 and
+    # hamilton's fixed codewords, whose entry products are exact
+    rng = np.random.default_rng(30)
+    cwords = lattice.fixed_codebook(lattice.load_lattice("hamilton")).points
+    h, w = channel.draw_lifted(rng, 2000, m, 1), channel.draw_lifted(rng, 2000, m, 1)
+    x = cwords[rng.integers(0, len(cwords), 2000)]
+    assert np.array_equal(channel.receive(h, x, 3.7, w), einsum_receive(h, x, 3.7, w))
+
+
+def test_receive_bit_equal_einsum_real():
+    rng = np.random.default_rng(31)
+    h, x, w = (channel.draw_real(rng, (2000, 2, 2)) for _ in range(3))
+    assert np.array_equal(channel.receive(h, x, 3.7, w), einsum_receive(h, x, 3.7, w))
+
+
+@pytest.mark.parametrize("inner", [2, 4])
+def test_receive_close_to_einsum_complex(inner):
+    # complex products may round differently (fused multiply-add), so general
+    # complex codewords agree to a few ulps of the largest entry
+    rng = np.random.default_rng(32)
+    h, w = random_complex(rng, (2000, 2, inner)), random_complex(rng, (2000, 2, 3))
+    x = random_complex(rng, (2000, inner, 3))
+    ref = einsum_receive(h, x, 3.7, w)
+    assert np.abs(channel.receive(h, x, 3.7, w) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_receive_upcasts_and_leaves_inputs():
+    # a real H X with complex W gives complex Y; H and W are not written
+    rng = np.random.default_rng(33)
+    h, x = rng.standard_normal((50, 2, 2)), rng.standard_normal((50, 2, 2))
+    w = channel.draw_complex(rng, (50, 2, 2))
+    h0, w0 = h.copy(), w.copy()
+    y = channel.receive(h, x, 1.5, w)
+    assert y.dtype == complex and np.array_equal(y, einsum_receive(h, x, 1.5, w))
+    assert np.array_equal(h, h0) and np.array_equal(w, w0)
+
+
+def test_ml_decode_batch_last_y():
+    # receive lays Y out batch-last; the decoder decides as on a C-ordered copy
+    rng = np.random.default_rng(34)
+    cwords = lattice.fixed_codebook(lattice.load_lattice("hamilton")).points
+    h, w = channel.draw_lifted(rng, 3000, 1, 1), channel.draw_lifted(rng, 3000, 1, 1)
+    y = channel.receive(h, cwords[rng.integers(0, len(cwords), 3000)], 2.0, w)
+    feats = sim._codeword_features(cwords, 2.0)
+    assert not y.flags.c_contiguous
+    np.testing.assert_array_equal(sim._ml_decode(h, y, feats),
+                                  sim._ml_decode(h, np.ascontiguousarray(y), feats))
+
+
 # ---------------------------------------------------------------------------
 # the stacked-real channel
 

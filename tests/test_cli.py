@@ -81,6 +81,7 @@ def test_lemma2_empty_sweep_exit_2(qmax, lmax, capsys):
 
 def test_grid_size_patched_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(dmt, "GRID_CAP", 1000)
+    dmt._ascending_grid.cache_clear()  # a grid cached before the patch skips the check
     assert run(["curves", "--n", "2", "--m", "1", "--step", "0.01"]) == 0
     assert run(["curves", "--n", "2", "--m", "1", "--step", "0.001"]) == 2
     assert "--step" in capsys.readouterr().err
@@ -170,6 +171,30 @@ def test_one_trials_entry_serves_every_point(tmp_path):
                 "--summary", str(tmp_path / "o.json")]) == 0
     rows = read(out).strip().split("\n")[2:]
     assert [row.split(",")[2] for row in rows] == ["1000", "1000"]
+
+
+@pytest.mark.parametrize("key,value", [("n", 2.9), ("m", 1.7), ("seed", 4.9)])
+def test_fractional_config_count_exit_2(key, value, tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfg = {"mode": "quaternion", "n": 2, "m": 1, "r": 0, "snr-db": [10.0],
+           "trials": 100, "seed": 4, key: value}
+    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert run(["outage", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"--{key} must be whole numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_whole_config_counts_run(tmp_path):
+    # a whole float count runs; an int seed beyond float precision stays exact
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"mode": "quaternion", "n": 2.0, "m": 1, "r": 0,
+                                   "snr-db": [10.0], "trials": 100, "seed": 2**60 + 1}),
+                       encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert run(["outage", "--config", str(cfgfile), "--out", str(out),
+                "--summary", str(tmp_path / "o.json")]) == 0
+    assert read(out).startswith(f"# seed={2**60 + 1} command=outage mode=quaternion n=2 m=1")
 
 
 def test_outage_requires_seed(capsys):

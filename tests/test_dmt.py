@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,32 @@ def test_lemma2_bruteforce_examples():
     assert lemma2_bruteforce(Lemma2Problem(3.0, 1, 0.5), 0.001) == pytest.approx(1.5, abs=0.01)
     v, _ = lemma2_closed_form(Lemma2Problem(4.0, 3, 1.5))
     assert lemma2_bruteforce(Lemma2Problem(4.0, 3, 1.5), 0.02) == pytest.approx(v, abs=0.3)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.05, 0.07, 0.3, 0.5, 1.0])
+def test_ascending_grid_matches_itertools(step):
+    # the lexicographic tuples stably sorted by the cumsum of (1 - a); at
+    # 0.07 and 0.3 the last tick falls short of 1 and 1.0 is appended
+    ticks = [i * step for i in range(int(1.0 / step) + 1)]
+    if ticks[-1] < 1.0:
+        ticks.append(1.0)
+    for l in range(1, 5):
+        ref = np.array(list(itertools.combinations_with_replacement(ticks, l)))
+        total = np.cumsum(1.0 - ref, axis=1)[:, -1]
+        order = np.argsort(total, kind="stable")
+        pts, got = dmt._ascending_grid(l, step)
+        assert np.array_equal(pts, ref[order]) and np.array_equal(got, total[order])
+
+
+def test_lemma2_bruteforce_matches_masked_min():
+    # the criterion-2 sweep: the sorted prefix gives the masked minimum
+    for l in range(1, 5):
+        pts, total = dmt._ascending_grid(l, 0.02)
+        for q in range(l, 7):
+            for s in [0.25 * i for i in range(4 * l + 1)]:
+                prob = Lemma2Problem(float(q), l, s)
+                ref = float((pts[total <= s + 1e-9] @ prob.coefficients()).min())
+                assert lemma2_bruteforce(prob, 0.02) == ref
 
 
 def test_lemma2_oracle_agreement_sweep():
