@@ -106,11 +106,11 @@ def receive(h, x, scale, w):
     return y
 
 
-def mutual_info_real_batch(h, rho, n):
+def mutual_info_real_batch(h, rho):
     """0.5 * log2 det(I + (rho/n) H H^T) per stacked-real channel (identity
-    input covariance)."""
+    input covariance), n being the column count of H."""
     g = bmm(h, h.transpose(0, 2, 1))
-    g *= rho / n
+    g *= rho / h.shape[2]
     g += np.eye(h.shape[1])
     return logdet_pd(g) / (2.0 * LOG2)
 
@@ -148,19 +148,20 @@ def quaternionic_defect(m):
     return float(max(d1, d2))
 
 
-def mutual_info_real(h, q, rho, n):
+def mutual_info_real(h, q, rho):
     """0.5 * log2 det(I + (rho/n) H Q H^T) in bits per channel use.
 
-    H is the stacked-real channel, Q a symmetric PSD input covariance; a Q
-    that is not symmetric or not PSD is rejected.  A trace above n is
-    reported with a warning but not rejected.  With Q = V W V^T,
-    H Q H^T = (H V W^(1/2)) (H V W^(1/2))^T, so the batch log-determinant
-    applies.
+    H is the stacked-real channel with n columns, Q a symmetric PSD n x n
+    input covariance; a Q that is not symmetric or not PSD is rejected.  A
+    trace above n is reported with a warning but not rejected.  With
+    Q = V W V^T, H Q H^T = (H V W^(1/2)) (H V W^(1/2))^T, so the batch
+    log-determinant applies.
     """
     h = as_matrix(h, dtype=float)
     q = as_matrix(q, dtype=float)
-    if q.shape != (h.shape[1], h.shape[1]):
-        raise ValueError(f"Q must be {h.shape[1]}x{h.shape[1]}, got {q.shape}")
+    n = h.shape[1]
+    if q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}, got {q.shape}")
     if np.abs(q - q.T).max() > 1e-10 * max(1.0, np.abs(q).max()):
         raise ValueError("Q must be symmetric")
     w, v = np.linalg.eigh(q)
@@ -169,13 +170,13 @@ def mutual_info_real(h, q, rho, n):
     if np.trace(q) > n + 1e-9:
         warnings.warn(f"trace(Q)={np.trace(q):.6g} exceeds n={n}", stacklevel=2)
     hv = h @ (v * np.sqrt(np.maximum(w, 0.0)))  # H V W^(1/2)
-    info = mutual_info_real_batch(hv[None], rho, n)[0]
+    info = mutual_info_real_batch(hv[None], rho)[0]
     return max(float(info), 0.0)
 
 
-def power_check(cb, tol=1e-12):
-    """Average power (1/|C|)(1/n^2) sum ||X||^2 and whether it is <= 1."""
+def power_check(cb):
+    """Average power (1/|C|)(1/n^2) sum ||X||^2 and whether it is <= 1 + 1e-12."""
     if not len(cb.points):
         raise ValueError("empty codebook")
     avg = float(np.mean(np.abs(cb.points) ** 2))
-    return avg, avg <= 1.0 + tol
+    return avg, avg <= 1.0 + 1e-12

@@ -88,10 +88,12 @@ def _load_config(args, keys):
 
 def _parse_numbers(value, flag, whole=False):
     """The numbers of a JSON list or a comma-separated string, each a whole
-    number (returned as int) when `whole`; a bad or empty list is rejected
-    with a message naming `flag`."""
+    number (returned as int) when `whole`; a bad or empty list, or one
+    holding a JSON boolean, is rejected with a message naming `flag`."""
     items = value if isinstance(value, list) else [v for v in str(value).split(",")
                                                    if v.strip()]
+    if any(isinstance(v, bool) for v in items):  # JSON true/false are no numbers
+        items = []
     try:  # a whole int item stays exact: a seed may exceed float precision
         nums = [v if whole and isinstance(v, int) else float(v) for v in items]
     except (TypeError, ValueError):
@@ -130,18 +132,20 @@ def _cmd_sweep(args):
     """The outage or ML-error sweep named by the subcommand, its parameters
     merged from the flags and --config.  One --trials count serves every
     SNR point."""
-    error = args.command == "error"
-    merged = _load_config(args, ["mode", "n", "m", "r", "snr-db", "trials", "seed"]
-                          + (["lattice"] if error else []))
+    names = ["mode"] + (["lattice"] if args.command == "error" else [])
+    merged = _load_config(args, names + ["n", "m", "r", "snr-db", "trials", "seed"])
+    for key in names:
+        if not isinstance(merged[key], str):
+            raise ValueError(f"--{key} must be a string, got {merged[key]!r}")
     snr_db = _parse_numbers(merged["snr-db"], "--snr-db")
     (n,), (m,), (seed,) = (_parse_numbers([merged[key]], f"--{key}", whole=True)
                            for key in ("n", "m", "seed"))
-    cfg = SystemConfig(mode=str(merged["mode"]), n=n, m=m, r=float(merged["r"]))
+    (r,) = _parse_numbers([merged["r"]], "--r")
+    cfg = SystemConfig(mode=merged["mode"], n=n, m=m, r=r)
     trials = _parse_numbers(merged["trials"], "--trials", whole=True)
     sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(merged["lattice"]))
-             if error else sim.estimate_outage)
-    est = sweep(cfg, snr_db, trials[0] if len(trials) == 1 else trials,
-                np.random.default_rng(seed), weighting=args.weighting)
+             if "lattice" in names else sim.estimate_outage)
+    est = sweep(cfg, snr_db, trials, np.random.default_rng(seed), weighting=args.weighting)
     _write_text(args.out, _sweep_csv(args.command, cfg, seed, est))
     _write_text(args.summary, _summary_json(cfg, seed, est))
     return 0
@@ -171,7 +175,7 @@ def _cmd_lemma2(args):
                 value, alpha = dmt.lemma2_closed_form(prob)
                 brute = dmt.lemma2_bruteforce(prob, args.gridstep)
                 tol = l * (q + l) * args.gridstep
-                feasible = dmt.a0_membership(alpha, prob.s, tol=1e-12)
+                feasible = dmt.a0_membership(alpha, prob.s)
                 attained = abs(float(prob.coefficients() @ alpha) - value) <= 1e-12
                 if abs(value - brute) > tol or not feasible or not attained:
                     failures.append((q, l, prob.s, value, brute, tol, feasible, attained))
@@ -192,13 +196,7 @@ def _cmd_lemma2(args):
 # lattice-audit
 
 def _cmd_lattice_audit(args):
-    lat = lattice.load_lattice(args.lattice)
-    points, dets = lattice.shell_determinants(lat, args.radius)
-    nearest = np.round(dets)
-    nvd = bool(dets.size) and bool(np.all((np.abs(dets - nearest) <= 1e-9) & (nearest >= 1)))
-    report = {"points": points,
-              "min_det": float(dets.min()) if dets.size else None,
-              "nvd": nvd}
+    report = lattice.audit(lattice.load_lattice(args.lattice), args.radius)
     _write_text(args.out, json.dumps(report, sort_keys=True) + "\n")
     return 0
 

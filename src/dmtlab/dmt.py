@@ -187,17 +187,14 @@ def lemma2_bruteforce(prob, grid_step):
     return float((feasible @ prob.coefficients()).min())
 
 
-def a0_membership(alpha, s, tol=1e-12):
+def a0_membership(alpha, s):
     """True iff alpha is ascending, nonnegative, with all prefix sums of
-    (1 - alpha_i) at most s (within tol)."""
+    (1 - alpha_i) at most s, each within 1e-12."""
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("alpha must be a nonempty 1-D sequence")
-    if np.any(a < -tol):
-        return False
-    if np.any(np.diff(a) < -tol):
-        return False
-    return bool(np.all(np.cumsum(1.0 - a) <= s + tol))
+    return bool(np.all(a >= -1e-12) and np.all(np.diff(a) >= -1e-12)
+                and np.all(np.cumsum(1.0 - a) <= s + 1e-12))
 
 
 def delta_k(alpha, s, k):
@@ -231,11 +228,11 @@ def exponent_quaternion(n, m, r):
     return 2.0 * value
 
 
-def laplace_exponent_estimate(coeffs, s, rho_grid, step=0.01, box_hi=2.0):
+def laplace_exponent_estimate(coeffs, s, rho_grid):
     """SNR exponent of the integral of rho^(-sum N_i alpha_i) over A0(s).
 
-    Midpoint rule over A0(s) intersected with [0, box_hi]^l (step per
-    dimension at most 0.01, l <= 3), then a regression of -log(integral) on
+    Midpoint rule over A0(s) intersected with [0, 2]^l (step 0.01 per
+    dimension, l <= 3), then a regression of -log(integral) on
     log(rho).  With three or more grid points a log(log rho) regressor is
     included: the integral carries a polylog-in-rho prefactor whose slope
     bias decays only logarithmically, and modeling it out recovers the
@@ -245,15 +242,13 @@ def laplace_exponent_estimate(coeffs, s, rho_grid, step=0.01, box_hi=2.0):
     l = coeffs.size
     if l > 3:
         raise ValueError("estimator caps the dimension at l = 3")
-    if step > 0.01:
-        raise ValueError("midpoint step must be <= 0.01")
     rho_grid = [float(r) for r in rho_grid]
     if len(rho_grid) < 2 or any(b <= a for a, b in zip(rho_grid, rho_grid[1:])):
         raise ValueError("rho_grid must be increasing with >= 2 entries")
     if rho_grid[0] < 1e3:
         raise ValueError("rho_grid entries must be >= 1e3")
 
-    centers = (np.arange(int(round(box_hi / step))) + 0.5) * step
+    centers = (np.arange(200) + 0.5) * 0.01  # midpoints spanning [0, 2]
     # exponents coeffs . alpha of the grid points in A0(s), by first coordinate
     rest = np.array(list(itertools.product(centers, repeat=l - 1)))
     exps = []
@@ -270,7 +265,7 @@ def laplace_exponent_estimate(coeffs, s, rho_grid, step=0.01, box_hi=2.0):
         # max-shifted accumulation: rho^(-f) underflows for steep exponents
         vals = -math.log(rho) * exps
         peak = vals.max()
-        return peak + math.log(np.exp(vals - peak).sum()) + l * math.log(step)
+        return peak + math.log(np.exp(vals - peak).sum()) + l * math.log(0.01)
 
     x = np.log(np.array(rho_grid))
     y = np.array([-log_integral(r) for r in rho_grid])

@@ -12,11 +12,12 @@ Two concrete rank-4 orders in 2x2 matrices are built in:
 Both have minimum determinant 1 over the nonzero points (reduced norms of
 an order are rational integers), which the enumeration-based audits verify.
 
-Audits, shaped codebooks and fixed constellations all take their points
-from one breadth-first Cholesky branch-and-bound (`shell_coordinates`),
-which holds its frontier as arrays, caps the integer coordinates each level
-holds at SHELL_CAP, and fixes the leading coordinate first, so that its
-points come out in lexicographic order of their coordinates.
+NVD audits (`audit`), shaped codebooks and fixed 16-word constellations
+all take their points from one breadth-first Cholesky branch-and-bound
+(`shell_coordinates`), which holds its frontier as arrays, caps the integer
+coordinates each level holds at SHELL_CAP, and fixes the leading coordinate
+first, so that its points come out in lexicographic order of their
+coordinates.
 
 A set of matrices is one read-only complex (N, n, n) array: a lattice's
 generators, a shell's points (`point_from_coordinates` of (N, k) coordinates)
@@ -204,20 +205,18 @@ def coordinates_of(lat, x):
     return np.linalg.solve(lat.gram, rhs)
 
 
-def shell_determinants(lat, radius):
-    """(points, dets): the number of lattice points of norm <= radius and
-    the |det| of each nonzero one, in enumeration order."""
+def audit(lat, radius):
+    """NVD audit of the lattice points of norm <= radius: their number, the
+    minimum |det| over the nonzero ones (None when there is none), and
+    whether every such |det| lies within 1e-9 of an integer >= 1 (false
+    when there is none)."""
     coords = shell_coordinates(lat, radius)
     nonzero = coords[np.any(coords != 0, axis=1)]
-    return len(coords), np.abs(linalg.determinant(point_from_coordinates(lat, nonzero)))
-
-
-def min_det(lat, radius):
-    """Minimum |det| over the nonzero lattice points of norm <= radius."""
-    _, dets = shell_determinants(lat, radius)
-    if not dets.size:
-        raise ValueError("no nonzero lattice point within the given radius")
-    return float(dets.min())
+    dets = np.abs(linalg.determinant(point_from_coordinates(lat, nonzero)))
+    nearest = np.round(dets)
+    nvd = bool(dets.size) and bool(np.all((np.abs(dets - nearest) <= 1e-9) & (nearest >= 1)))
+    return {"points": len(coords), "min_det": float(dets.min()) if dets.size else None,
+            "nvd": nvd}
 
 
 def shape_codebook(lat, rho, r):
@@ -232,32 +231,30 @@ def shape_codebook(lat, rho, r):
     return Codebook(points=pts, radius_m=m_radius, source=lat)
 
 
-def fixed_codebook(lat, size=16):
-    """A fixed constellation of `size` codewords for zero-multiplexing runs.
+def fixed_codebook(lat):
+    """A fixed constellation of 16 codewords for zero-multiplexing runs.
 
-    Prefers the smallest norm shell that alone holds `size` points: keeping
+    Prefers the smallest norm shell that alone holds 16 points: keeping
     all codewords at equal norm maximizes the minimum distance relative to
     the scaling radius.  Falls back to a smallest-norm fill when no single
     shell is large enough.  Selection is deterministic (norm, then
     lexicographic coordinates); points are scaled by the largest norm so the
     power constraint holds.
     """
-    if size < 2:
-        raise ValueError("need at least 2 codewords")
     radius = math.sqrt(float(np.min(np.diag(lat.gram))))
     while True:
         coords = shell_coordinates(lat, radius)
         nz = coords[np.any(coords != 0, axis=1)]
-        if len(nz) >= 2 * size:
+        if len(nz) >= 32:
             break
         radius *= 1.5
     n2 = np.einsum("pi,ij,pj->p", nz, lat.gram, nz)
     order = np.argsort(n2, kind="stable")
     _, first, count = np.unique(np.round(n2[order], 9), return_index=True,
                                 return_counts=True)
-    shells = first[count >= size]
+    shells = first[count >= 16]
     start = shells[0] if shells.size else 0
-    pts = point_from_coordinates(lat, nz[order[start:start + size]])
+    pts = point_from_coordinates(lat, nz[order[start:start + 16]])
     m_fix = max(linalg.frobenius_norm(x) for x in pts)
     pts = pts / m_fix
     pts.flags.writeable = False

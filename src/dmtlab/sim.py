@@ -22,11 +22,11 @@ walk the distinct codeword pairs through one `_pair_differences`, which
 alone checks the codebook size and PAIR_CAP.
 
 Determinism: every sweep takes a root generator (or integer seed) and
-derives one substream per SNR point and per fixed-size work chunk with
-``Generator.spawn``.  Chunk results are integers summed per point, so the
-outcome is bit-identical regardless of how many worker threads execute the
-chunks or in which order (the pool has at most ``os.cpu_count()`` workers,
-fewer when ``DMTLAB_THREADS`` asks for fewer).
+derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
+or `ERROR_CHUNK` trials with ``Generator.spawn``.  Chunk results are
+integers summed per point, so the outcome is bit-identical regardless of
+how many worker threads (at most ``os.cpu_count()``, fewer when
+``DMTLAB_THREADS`` asks for fewer) execute the chunks or in which order.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ BLOCK_ROWS = 8192
 # Trials one sweep may run, summed over its SNR points: every chunk's
 # substream is spawned before any sampling, at about 1.3 KB each.
 TRIAL_CAP = 10**9
+
+# Trials of one work chunk of an outage and of an ML-error sweep.  Each
+# chunk draws from its own substream, so these fix the events of a seed.
+OUTAGE_CHUNK = 100_000
+ERROR_CHUNK = 50_000
 
 # Slope-fit weightings `fit_slope` knows.
 WEIGHTINGS = ("events", "uniform")
@@ -105,12 +110,14 @@ def _check_array_bytes(rows, row_bytes, flag):
 def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     """Run one Monte Carlo SNR sweep and fit its slope.
 
-    `trials` is a scalar or one count per SNR point; counter(rho) returns
-    the chunk function count(stream, size) -> events at that point, whose
-    widest array takes `row_bytes` a row.  A bad DMTLAB_THREADS, weighting,
-    trial count or trial total, or a largest chunk over ARRAY_BUDGET_BYTES,
-    is rejected before any substream or counter (or codebook) is made.
-    Every chunk of every point runs in one pool, largest first.
+    `trials` is one whole count per SNR point or one for all (a scalar or a
+    one-entry sequence); counter(rho) returns the chunk function
+    count(stream, size) -> events of `chunk` or fewer trials at that point,
+    whose widest array takes `row_bytes` a row.  A bad DMTLAB_THREADS,
+    weighting, trial count or trial total, or a largest chunk over
+    ARRAY_BUDGET_BYTES, is rejected before any substream or counter (or
+    codebook) is made.  Every chunk of every point runs in one pool, largest
+    first (in turn on this thread at one worker).
     """
     threads = _thread_cap()
     if weighting not in WEIGHTINGS:
@@ -118,12 +125,14 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     snr_db = [float(v) for v in snr_grid_db]
     if not all(math.isfinite(db) for db in snr_db):
         raise ValueError(f"--snr-db values must be finite, got {snr_db}")
-    trials_t = ([int(trials)] * len(snr_db) if np.ndim(trials) == 0
-                else [int(t) for t in trials])
+    trials_t = [trials] if np.ndim(trials) == 0 else list(trials)
+    if len(trials_t) == 1:
+        trials_t *= len(snr_db)
     if len(trials_t) != len(snr_db):
         raise ValueError("trials list must match the SNR grid")
-    if any(t < 1 for t in trials_t):
-        raise ValueError("trials must be >= 1")
+    if not all(t % 1 == 0 and t >= 1 for t in trials_t):
+        raise ValueError(f"trials must be whole numbers >= 1, got {trials}")
+    trials_t = [int(t) for t in trials_t]
     if sum(trials_t) > TRIAL_CAP:
         raise ResourceLimitError(f"{sum(trials_t)} trials exceed the cap {TRIAL_CAP}")
     _check_array_bytes(min(chunk, max(trials_t)), row_bytes, "--n/--m")
@@ -140,7 +149,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
         return counters[point](stream, size)
 
     workers = min(threads, len(tasks))
-    if workers == 1:
+    if workers == 1:  # a pool thread's own malloc arena adds 2-4 MB to the peak RSS
         counts = map(run, tasks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -288,12 +297,12 @@ def min_received_distance(h_equiv, cb, rho):
                      for _, diff in _pair_differences(imgs))
 
 
-def check_mismatched_bound(h, dx, tol=1e-9):
+def check_mismatched_bound(h, dx):
     """trace(H dX dX^T H^T) >= sum of ascending-mu times descending-lambda.
 
     lambda are the nonzero eigenvalues of H^T H, mu the eigenvalues of
     dX dX^dag; the product pairs the weakest difference directions with the
-    strongest channel directions.
+    strongest channel directions.  The comparison allows 1e-9.
     """
     h = linalg.as_matrix(h)
     dx = linalg.as_matrix(dx)
@@ -303,10 +312,10 @@ def check_mismatched_bound(h, dx, tol=1e-9):
     lam = np.linalg.eigvalsh(h.conj().T @ h)[::-1][:l]
     mu = np.linalg.eigvalsh(dx @ dx.conj().T)
     rhs = float(np.sum(mu[:l] * lam))
-    return lhs >= rhs - tol
+    return lhs >= rhs - 1e-9
 
 
-def check_nvd_product_bound(cb, tol=1e-6):
+def check_nvd_product_bound(cb):
     """Eigenvalue-product bounds behind the NVD error-exponent argument.
 
     For every distinct pair of unscaled shell points, with mu the ascending
@@ -316,11 +325,11 @@ def check_nvd_product_bound(cb, tol=1e-6):
         prod_{i<=k} mu_i  >=  (4 M^2)^-(n_mu - k)      for each k,
         mu_i             <=  4 M^2                      for each i,
 
-    with M the codebook's radius and n its ambient size.  Each upper factor
-    4 M^2 comes from mu_i <= ||dX||^2 <= (2M)^2; dropping those factors
-    (keeping only the rho^(2r/n) scale they carry) is false at finite SNR,
-    so the exact constants are kept.  Returns None when every bound holds,
-    else a dict describing the first offending pair.
+    each to a relative 1e-6, with M the codebook's radius and n its ambient
+    size.  Each upper factor 4 M^2 comes from mu_i <= ||dX||^2 <= (2M)^2;
+    dropping them (keeping only the rho^(2r/n) scale they carry) is false at
+    finite SNR, so the exact constants are kept.  Returns None when every
+    bound holds, else a dict describing the first offending pair.
     """
     lat = cb.source
     quat = lat.flavor == "quaternionic"
@@ -332,9 +341,9 @@ def check_nvd_product_bound(cb, tol=1e-6):
         mu = np.clip(np.linalg.eigvalsh(dx @ dx.conj().transpose(0, 2, 1)), 0.0, None)
         if quat:
             mu = mu[:, 0::2]
-        upper = np.any(mu > cap * (1.0 + tol), axis=1)
+        upper = np.any(mu > cap * (1.0 + 1e-6), axis=1)
         prods = np.cumprod(mu, axis=1)
-        lower = prods < bounds * (1.0 - tol)
+        lower = prods < bounds * (1.0 - 1e-6)
         bad = upper | np.any(lower, axis=1)
         if not np.any(bad):
             continue
@@ -400,14 +409,14 @@ def fit_slope(snr_db, events, trials, weighting="events"):
 # ---------------------------------------------------------------------------
 # Outage estimation
 
-def estimate_outage(cfg, snr_grid_db, trials, rng, chunk=100_000, weighting="events"):
+def estimate_outage(cfg, snr_grid_db, trials, rng, weighting="events"):
     """Outage probability sweep and its fitted slope.
 
     Real mode: P{ 0.5 log2 det(I + (rho/n) H H^T) <= r log2 rho } with the
     identity input covariance.  Quaternion mode: P{ log2 det(I + rho H^dag
     H) <= 2 r log2 rho } for the lifted channel H, i.e. 2 sum log2(1 + rho
-    lambda_i) over the distinct Gram eigenvalues.  `trials` may be a scalar
-    or one count per SNR point.
+    lambda_i) over the distinct Gram eigenvalues.  `trials` is one count
+    for every SNR point or one per point.
     """
     mode, n, m = cfg.mode, cfg.n, cfg.m
     row_bytes = 16 * m * max(n, 2 * m) if mode == "real" else 16 * n * max(2 * m, n)
@@ -420,7 +429,7 @@ def estimate_outage(cfg, snr_grid_db, trials, rng, chunk=100_000, weighting="eve
                 h = channel.draw_real(st, (size, 2 * m, n))
 
                 def rate(rows):
-                    return channel.mutual_info_real_batch(h[rows], rho, n)
+                    return channel.mutual_info_real_batch(h[rows], rho)
             else:
                 parts = channel.draw_real(st, (4, size, m, cfg.p))
 
@@ -430,7 +439,7 @@ def estimate_outage(cfg, snr_grid_db, trials, rng, chunk=100_000, weighting="eve
                        for lo in range(0, size, BLOCK_ROWS))
         return count
 
-    return _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting)
+    return _sweep(snr_grid_db, trials, rng, OUTAGE_CHUNK, row_bytes, counter, weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +481,13 @@ def _ml_decode(h, y, cword_feats):
                            for lo in range(0, len(h), rows)])
 
 
-def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, chunk=50_000,
-                        weighting="events"):
+def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     """Block error rate of exhaustive-ML decoding with its fitted slope.
 
     Per SNR point the codebook is the spherically shaped shell at that SNR,
     except at r = 0 where one `fixed_codebook` constellation is reused
-    across the sweep (constant rate).  `trials` may be a scalar or one count
-    per SNR point.
+    across the sweep (constant rate).  `trials` is one count for every SNR
+    point or one per point.
     """
     mode, n, m = cfg.mode, cfg.n, cfg.m
     flavor = "real" if mode == "real" else "quaternionic"
@@ -509,4 +517,4 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, chunk=50_000,
             return int(np.sum(_ml_decode(h, y, feats) != tx))
         return count
 
-    return _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting)
+    return _sweep(snr_grid_db, trials, rng, ERROR_CHUNK, row_bytes, counter, weighting)

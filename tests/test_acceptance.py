@@ -73,7 +73,7 @@ def test_criterion_2_lemma2_oracle_equivalence():
                 tol = l * (q + l) * step
                 gap = abs(value - brute)
                 worst = max(worst, gap / tol)
-                feas = dmt.a0_membership(alpha, prob.s, tol=1e-12)
+                feas = dmt.a0_membership(alpha, prob.s)
                 attained = abs(float(prob.coefficients() @ alpha) - value) <= 1e-12
                 ok &= gap <= tol and feas and attained
                 cases += 1

@@ -91,9 +91,9 @@ def test_per_sample_functions_match_batch_rows():
     # mutual_info_real, the one per-matrix entry point, is a batch row
     rng = np.random.default_rng(22)
     hr = channel.draw_real(rng, (20, 4, 4))
-    info = channel.mutual_info_real_batch(hr, 6.0, 4)
+    info = channel.mutual_info_real_batch(hr, 6.0)
     for i in range(20):
-        assert mutual_info_real(hr[i], np.eye(4), 6.0, 4) == pytest.approx(
+        assert mutual_info_real(hr[i], np.eye(4), 6.0) == pytest.approx(
             info[i], abs=1e-12)
 
 
@@ -263,11 +263,11 @@ def test_lift_eigenvalue_pairing_1000():
 # mutual_info_real
 
 def test_mutual_info_zero_channel():
-    assert mutual_info_real(np.zeros((4, 2)), np.eye(2), 10.0, 2) == 0.0
+    assert mutual_info_real(np.zeros((4, 2)), np.eye(2), 10.0) == 0.0
 
 
 def test_mutual_info_rank_one_example():
-    val = mutual_info_real([[1.0], [0.0]], [[1.0]], 1.0, 1)
+    val = mutual_info_real([[1.0], [0.0]], [[1.0]], 1.0)
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
@@ -278,28 +278,28 @@ def test_mutual_info_identity_q_eigen_identity():
         rho = float(rng.uniform(0.5, 50.0))
         lam = np.linalg.eigvalsh(h @ h.T)
         expect = 0.5 * np.sum(np.log2(1.0 + (rho / 3.0) * np.clip(lam, 0, None)))
-        assert mutual_info_real(h, np.eye(3), rho, 3) == pytest.approx(expect, abs=1e-9)
+        assert mutual_info_real(h, np.eye(3), rho) == pytest.approx(expect, abs=1e-9)
 
 
 def test_mutual_info_monotone_in_rho():
     rng = np.random.default_rng(10)
     h = rng.standard_normal((2, 2))
-    vals = [mutual_info_real(h, np.eye(2), rho, 2) for rho in (0.1, 1.0, 10.0, 100.0)]
+    vals = [mutual_info_real(h, np.eye(2), rho) for rho in (0.1, 1.0, 10.0, 100.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_mutual_info_trace_warning():
     h = np.ones((2, 1))
     with pytest.warns(UserWarning):
-        mutual_info_real(h, [[5.0]], 1.0, 1)
+        mutual_info_real(h, [[5.0]], 1.0)
 
 
 def test_mutual_info_rejects_non_psd_q():
     # log|det| of I + 5 diag(1, -0.9) would read 2.196 bits
     with pytest.raises(ValueError, match="positive semidefinite"):
-        mutual_info_real(np.eye(2), np.diag([1.0, -0.9]), 10.0, 2)
+        mutual_info_real(np.eye(2), np.diag([1.0, -0.9]), 10.0)
     # a singular PSD Q is fine: 0.5 log2(1 + 5)
-    assert mutual_info_real(np.eye(2), np.diag([1.0, 0.0]), 10.0, 2) == pytest.approx(
+    assert mutual_info_real(np.eye(2), np.diag([1.0, 0.0]), 10.0) == pytest.approx(
         0.5 * np.log2(6.0), abs=1e-12)
 
 
@@ -316,8 +316,8 @@ def test_mutual_info_bounded_by_full_power():
         q *= n / np.trace(q) * rng.uniform(0.2, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            upper = mutual_info_real(h, n * np.eye(n), 5.0, n)
-        assert mutual_info_real(h, q, 5.0, n) <= upper + 1e-9
+            upper = mutual_info_real(h, n * np.eye(n), 5.0)
+        assert mutual_info_real(h, q, 5.0) <= upper + 1e-9
 
 
 # ---------------------------------------------------------------------------

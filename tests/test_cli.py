@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from dmtlab import dmt, sim
+from dmtlab import dmt, lattice, sim
+from dmtlab.channel import SystemConfig
 from dmtlab.cli import run
 
 
@@ -185,6 +186,23 @@ def test_fractional_config_count_exit_2(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("outage", "r", [0.5]), ("outage", "r", True), ("outage", "n", True),
+    ("outage", "m", True), ("outage", "seed", True), ("outage", "snr-db", [True, 20.0]),
+    ("outage", "mode", ["real"]), ("error", "lattice", ["split"])])
+def test_config_type_exit_2(command, key, value, tmp_path, capsys):
+    # a list where one number or a name belongs, or a JSON boolean where a
+    # number belongs, is rejected with the key named, never read as 1
+    cfgfile = tmp_path / "run.json"
+    cfg = {"mode": "real", "n": 2, "m": 1, "r": 0.5, "snr-db": [10.0], "trials": 100,
+           "seed": 4, "lattice": "split", key: value}
+    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert run([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"--{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_whole_config_counts_run(tmp_path):
     # a whole float count runs; an int seed beyond float precision stays exact
     cfgfile = tmp_path / "run.json"
@@ -332,6 +350,29 @@ def test_monte_carlo_array_budget_exit_2(argv, flag, capsys):
     assert 100_000 * 64 <= sim.ARRAY_BUDGET_BYTES
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["outage", "error"])
+def test_cli_events_match_library(command, tmp_path):
+    # the CSV's events are the library's at the same seed: the chunk sizes,
+    # and so the substreams, are the same whoever runs the sweep; the first
+    # point spans two chunks of either estimator
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
+    snr_db, trials, seed = [12.0, 18.0], [120_000, 3000], 17
+    out = tmp_path / "s.csv"
+    argv = [command, "--mode", "quaternion", "--n", "2", "--m", "1", "--r", "0.5",
+            "--snr-db", "12,18", "--trials", "120000,3000", "--seed", str(seed),
+            "--out", str(out), "--summary", str(tmp_path / "s.json")]
+    if command == "error":
+        argv += ["--lattice", "hamilton"]
+        est = sim.estimate_error_prob(lattice.load_lattice("hamilton"), cfg, snr_db,
+                                      trials, seed)
+    else:
+        est = sim.estimate_outage(cfg, snr_db, trials, seed)
+    assert run(argv) == 0
+    rows = read(out).strip().split("\n")[2:]
+    assert tuple(int(row.split(",")[3]) for row in rows) == est.events
+    assert all(est.events)
 
 
 # ---------------------------------------------------------------------------

@@ -113,21 +113,17 @@ def test_shell_huge_radius_hits_cap(radius):
 
 
 # ---------------------------------------------------------------------------
-# min_det
+# audit (min_det)
 
 def test_min_det_hamilton():
-    assert lattice.min_det(HAMILTON, np.sqrt(2)) == pytest.approx(1.0, abs=1e-9)
-    assert lattice.min_det(HAMILTON, 3.0) == pytest.approx(1.0, abs=1e-9)
-    assert lattice.min_det(HAMILTON, 4.0) == pytest.approx(1.0, abs=1e-9)
+    for radius in (np.sqrt(2), 3.0, 4.0):
+        report = lattice.audit(HAMILTON, radius)
+        assert report["min_det"] == pytest.approx(1.0, abs=1e-9) and report["nvd"]
 
 
 def test_min_det_split():
-    assert lattice.min_det(SPLIT, 5.0) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_min_det_empty_shell():
-    with pytest.raises(ValueError):
-        lattice.min_det(HAMILTON, 0.5)
+    report = lattice.audit(SPLIT, 5.0)
+    assert report["min_det"] == pytest.approx(1.0, abs=1e-9) and report["nvd"]
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +284,23 @@ def test_shape_codebook_validation(monkeypatch):
 
 
 def test_fixed_codebook_equal_norm_shell():
-    cb = lattice.fixed_codebook(HAMILTON, 16)
+    cb = lattice.fixed_codebook(HAMILTON)
     assert len(cb.points) == 16
     assert isinstance(cb.points, np.ndarray) and not cb.points.flags.writeable
     norms = {round(linalg.frobenius_norm(p), 9) for p in cb.points}
     assert norms == {1.0}  # one shell, scaled to the unit sphere
-    again = lattice.fixed_codebook(HAMILTON, 16)
+    again = lattice.fixed_codebook(HAMILTON)
     assert all(np.array_equal(a, b) for a, b in zip(cb.points, again.points))
 
 
 def test_fixed_codebook_mixed_fallback():
-    # a rank-1 lattice has two points per shell, so six words cannot come
+    # a rank-1 lattice has two points per shell, so 16 words cannot come
     # from one shell: the smallest-norm fill kicks in and mixes norms
     rank1 = lattice.matrix_lattice([np.eye(2, dtype=complex)], "real")
-    cb = lattice.fixed_codebook(rank1, 6)
-    assert len(cb.points) == 6
+    cb = lattice.fixed_codebook(rank1)
+    assert len(cb.points) == 16
     norms = sorted(round(linalg.frobenius_norm(p), 9) for p in cb.points)
-    assert len(set(norms)) == 3 and norms[-1] == 1.0
+    assert len(set(norms)) == 8 and norms[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------

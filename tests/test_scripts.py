@@ -1,0 +1,44 @@
+"""Smoke tests of the reproduction scripts: each runs end to end with the
+sweep replaced by a stub that parses its argv as the CLI would, so a CLI
+change that breaks a script fails here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from dmtlab import cli
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,commands", [("outage_sweep", 6), ("error_slope_experiment", 1)])
+def test_script_runs(name, commands, tmp_path, monkeypatch):
+    calls = []
+
+    def stub(argv):
+        args = cli._build_parser().parse_args(argv)  # a rejected argv exits
+        cli._parse_numbers(args.snr_db, "--snr-db")
+        cli._parse_numbers(args.trials, "--trials", whole=True)
+        calls.append(args.command)
+        Path(args.summary).write_text(json.dumps(
+            {"slope": 1.0, "stderr": 0.1, "theory_d1": 0.5, "theory_d2": 1.0}),
+            encoding="utf-8")
+        return 0
+
+    script = _load(name)
+    monkeypatch.setattr(script, "run", stub)
+    monkeypatch.setattr(script, "OUTDIR", tmp_path)
+    script.main()
+    assert len(calls) == commands and set(calls) <= {"outage", "error"}
+    if name == "outage_sweep":
+        rows = (tmp_path / "outage_sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1] == "mode,r,slope,stderr,theory" and len(rows) == 2 + commands

@@ -251,7 +251,7 @@ def test_fit_slope_rejects_impossible_counts(events, trials):
 # distance and eigenvalue-product checks
 
 def test_min_received_distance_zero_channel():
-    cb = lattice.fixed_codebook(HAMILTON, 4)
+    cb = lattice.fixed_codebook(HAMILTON)
     assert min_received_distance(np.zeros((2, 2)), cb, 10.0) == 0.0
 
 
@@ -265,7 +265,7 @@ def test_min_received_distance_single_pair():
 
 def test_min_received_distance_homogeneity():
     rng = np.random.default_rng(11)
-    cb = lattice.fixed_codebook(HAMILTON, 8)
+    cb = lattice.fixed_codebook(HAMILTON)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     base = min_received_distance(h, cb, 5.0)
     scaled = min_received_distance(3.0 * h, cb, 5.0)
@@ -365,21 +365,27 @@ def test_outage_deterministic():
     assert a.probs == b.probs and a.events == b.events
 
 
+def _set_chunks(monkeypatch, rows):
+    """Chunks of `rows` trials in both estimators."""
+    monkeypatch.setattr(sim, "OUTAGE_CHUNK", rows)
+    monkeypatch.setattr(sim, "ERROR_CHUNK", rows)
+
+
 @pytest.mark.parametrize("estimate", [
-    lambda *a, **k: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a, **k),
-    lambda *a, **k: estimate_error_prob(HAMILTON,
-                                        SystemConfig("quaternion", n=2, m=1, r=0.5), *a, **k)],
-    ids=["outage", "error"])
+    lambda *a: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0.5),
+                                   *a)], ids=["outage", "error"])
 def test_outage_thread_count_invariance(monkeypatch, estimate):
     # no count is a chunk multiple, so chunks of different points interleave
     # in the one pool of the sweep; four CPUs are reported so that the pool
     # really has four workers on any machine
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    _set_chunks(monkeypatch, 2000)
     args = ([10.0, 13.0, 16.0], [7100, 4300, 2900], 7)
     monkeypatch.setenv("DMTLAB_THREADS", "1")
-    a = estimate(*args, chunk=2000)
+    a = estimate(*args)
     monkeypatch.setenv("DMTLAB_THREADS", "4")
-    b = estimate(*args, chunk=2000)
+    b = estimate(*args)
     assert a.events == b.events and all(a.events)
 
 
@@ -403,8 +409,7 @@ def test_outage_real_event_matches_mutual_info_op():
     # the batched event rule counts the outages of an independent slogdet of
     # I + (rho/n) H H^T on the point's own draws
     n, m, r, db, trials, seed = 4, 2, 1.0, 12.0, 3000, 14
-    est = estimate_outage(SystemConfig("real", n=n, m=m, r=r), [db], trials, seed,
-                          chunk=trials)
+    est = estimate_outage(SystemConfig("real", n=n, m=m, r=r), [db], trials, seed)
     rho = 10.0 ** (db / 10.0)
     h = channel.draw_real(_point_stream(seed), (trials, 2 * m, n))
     _, logdet = np.linalg.slogdet(np.eye(2 * m) + (rho / n) * (h @ h.transpose(0, 2, 1)))
@@ -418,7 +423,7 @@ def test_outage_quaternion_event_matches_capacity_op(n, m, r):
     # I + rho H^dag H on the same lifted draws
     cfg = SystemConfig("quaternion", n=n, m=m, r=r)
     db, trials, seed = 12.0, 3000, 31
-    est = estimate_outage(cfg, [db], trials, seed, chunk=trials)
+    est = estimate_outage(cfg, [db], trials, seed)
     rho = 10.0 ** (db / 10.0)
     hq = channel.draw_lifted(_point_stream(seed), trials, m, cfg.p)
     _, logdet = np.linalg.slogdet(np.eye(n) + rho * (hq.conj().transpose(0, 2, 1) @ hq))
@@ -445,6 +450,53 @@ def test_outage_quaternion_matches_gamma_oracle():
         assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / t), (db, p_hat, p)
 
 
+def _real_outage_probability(rho, r):
+    """Exact outage probability of the real mode at n = 2, m = 1.
+
+    The eigenvalues of H^T H have the Delta = 0 density e^(-sum lam)
+    prod lam^(-1/2) |lam1 - lam2|, and lam = u^2 turns it into
+    e^(-u1^2 - u2^2) |u1^2 - u2^2| on the quadrant (up to a constant).  The
+    outage set (1 + a u1^2)(1 + a u2^2) <= rho^(2r), a = rho/2, bounds u1 by
+    b(u2); the u1-integral is closed form in erf, the u2-integral
+    Gauss-Legendre on the pieces where b(u2) lies above and below u2, and
+    the same integral without the bound normalizes the result.
+    """
+    a, cap = rho / 2.0, rho ** (2.0 * r)
+    half_root_pi = 0.5 * math.sqrt(math.pi)
+
+    def signed(x, v):  # int_0^x e^(-t^2) (t^2 - v^2) dt
+        return (0.5 - v * v) * half_root_pi * math.erf(x) - 0.5 * x * math.exp(-x * x)
+
+    def inner(x, v):  # int_0^x e^(-t^2) |t^2 - v^2| dt
+        return signed(x, v) - 2.0 * signed(min(x, v), v)
+
+    def bound(v):
+        return math.sqrt(max((cap / (1.0 + a * v * v) - 1.0) / a, 0.0))
+
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+
+    def quad(f, lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * sum(w * f(lo + half * (1.0 + x)) for x, w in zip(nodes, weights))
+
+    kink, edge = math.sqrt((math.sqrt(cap) - 1.0) / a), math.sqrt((cap - 1.0) / a)
+    outage = sum(quad(lambda v: math.exp(-v * v) * inner(bound(v), v), lo, hi)
+                 for lo, hi in ((0.0, kink), (kink, edge)))
+    # erf(30) is 1 in double precision, and e^(-v^2) < 1e-27 past v = 8:
+    # both cut-offs stand for infinity
+    return outage / quad(lambda v: math.exp(-v * v) * inner(30.0, v), 0.0, 8.0)
+
+
+def test_outage_real_matches_quadrature_oracle():
+    # Criterion 5's sweep against the exact outage probability of each point
+    cfg = SystemConfig("real", n=2, m=1, r=0.5)
+    snr = [10, 15, 20, 25, 30]
+    est = estimate_outage(cfg, snr, 1_000_000, 20240, weighting="uniform")
+    for db, p_hat, t in zip(snr, est.probs, est.trials):
+        p = _real_outage_probability(10.0 ** (db / 10.0), cfg.r)
+        assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / t), (db, p_hat, p)
+
+
 @pytest.mark.parametrize("mode", ["real", "quaternion"])
 def test_outage_events_independent_of_block_rows(monkeypatch, mode):
     # rows are independent, so how a drawn chunk is split into rate blocks
@@ -453,13 +505,13 @@ def test_outage_events_independent_of_block_rows(monkeypatch, mode):
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
     cfg = SystemConfig(mode, n=2, m=1, r=0.5)
     chunk = sim.BLOCK_ROWS + 808
+    monkeypatch.setattr(sim, "OUTAGE_CHUNK", chunk)
     seen = set()
     for rows in (1, 7, sim.BLOCK_ROWS, 10 * chunk):
         monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
         for threads in ("1", "2"):
             monkeypatch.setenv("DMTLAB_THREADS", threads)
-            est = estimate_outage(cfg, [10.0, 14.0], [chunk + 500, 3000], 8,
-                                  chunk=chunk)
+            est = estimate_outage(cfg, [10.0, 14.0], [chunk + 500, 3000], 8)
             seen.add(est.events)
     assert len(seen) == 1 and all(seen.pop())
 
@@ -498,9 +550,10 @@ def test_error_events_independent_of_decode_budget(monkeypatch, mode, name, r):
     # a budget of one byte decodes row by row; events must not change
     cfg = SystemConfig(mode, n=2, m=1, r=r)
     args = (lattice.load_lattice(name), cfg, [12.0, 18.0], 3000, 21)
-    default = estimate_error_prob(*args, chunk=1300)
+    monkeypatch.setattr(sim, "ERROR_CHUNK", 1300)
+    default = estimate_error_prob(*args)
     monkeypatch.setattr(sim, "DECODE_BUDGET_BYTES", 1)
-    tiny = estimate_error_prob(*args, chunk=1300)
+    tiny = estimate_error_prob(*args)
     assert tiny.events == default.events and sum(default.events) > 0
 
 
@@ -586,9 +639,10 @@ def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
 
     monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sim, "OUTAGE_CHUNK", 100)
     monkeypatch.setenv("DMTLAB_THREADS", env)
     cfg = SystemConfig("real", n=2, m=1, r=0.5)
-    est = estimate_outage(cfg, [10.0, 13.0], 3000, 7, chunk=100)
+    est = estimate_outage(cfg, [10.0, 13.0], 3000, 7)
     assert seen == [workers] and est.trials == (3000, 3000)
 
 
@@ -613,24 +667,24 @@ def test_error_n_lattice_mismatch(monkeypatch, mode, lat, n, r):
 
 
 @pytest.mark.parametrize("estimate,row_bytes", [
-    (lambda *a, **k: estimate_outage(SystemConfig("real", n=2, m=1), *a, **k), 32),
-    (lambda *a, **k: estimate_outage(SystemConfig("quaternion", n=2, m=1), *a, **k), 64),
-    (lambda *a, **k: estimate_error_prob(SPLIT, SystemConfig("real", n=2, m=1), *a, **k), 64),
-    (lambda *a, **k: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1),
-                                         *a, **k), 128)],
+    (lambda *a: estimate_outage(SystemConfig("real", n=2, m=1), *a), 32),
+    (lambda *a: estimate_outage(SystemConfig("quaternion", n=2, m=1), *a), 64),
+    (lambda *a: estimate_error_prob(SPLIT, SystemConfig("real", n=2, m=1), *a), 64),
+    (lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1), *a), 128)],
     ids=["outage-real", "outage-quaternion", "error-real", "error-quaternion"])
 def test_sweep_array_budget(monkeypatch, estimate, row_bytes):
     # the largest chunk (here 700 rows) must fit ARRAY_BUDGET_BYTES; at the
     # exact fit the events equal those of the default budget
+    _set_chunks(monkeypatch, 700)
     args = ([10.0, 13.0], [1500, 300], 4)
-    default = estimate(*args, chunk=700)
+    default = estimate(*args)
     monkeypatch.setattr(sim, "ARRAY_BUDGET_BYTES", 700 * row_bytes)
-    assert estimate(*args, chunk=700).events == default.events
+    assert estimate(*args).events == default.events
     monkeypatch.setattr(sim, "ARRAY_BUDGET_BYTES", 700 * row_bytes - 1)
     with pytest.raises(lattice.ResourceLimitError, match="--n/--m"):
-        estimate(*args, chunk=700)
+        estimate(*args)
     # fewer trials than a chunk make a smaller array
-    assert estimate([10.0], 699, 4, chunk=700).trials == (699,)
+    assert estimate([10.0], 699, 4).trials == (699,)
 
 
 def test_wishart_array_budget(monkeypatch):
@@ -652,10 +706,29 @@ def test_wishart_array_budget(monkeypatch):
 def test_error_trials_per_point(estimate):
     est = estimate([14.0, 20.0], [5000, 10_000], 5)
     assert est.trials == (5000, 10_000)
+    # one count, alone or as a one-entry list, serves every point
+    one, scalar = estimate([14.0, 20.0], [5000], 5), estimate([14.0, 20.0], 5000, 5)
+    assert one.trials == scalar.trials == (5000, 5000) and one.events == scalar.events
     with pytest.raises(ValueError):
-        estimate([14.0, 20.0], [5000], 5)
+        estimate([14.0, 20.0], [5000, 6000, 7000], 5)
     with pytest.raises(ValueError):
         estimate([14.0, 20.0], [5000, 0], 5)
+
+
+@pytest.mark.parametrize("trials", [1000.7, [1000.0, 999.5], [math.nan], math.inf])
+@pytest.mark.parametrize("estimate", [
+    lambda *a: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0.5),
+                                   *a)], ids=["outage", "error"])
+def test_non_whole_trials_rejected_before_sampling(monkeypatch, estimate, trials):
+    # a fractional count is an error, not a count rounded down
+    def never(*args, **kwargs):
+        raise AssertionError("spawned or shaped before the trial count was checked")
+
+    monkeypatch.setattr(sim, "shape_codebook", never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValueError, match="whole numbers"):
+        estimate([10.0, 20.0], trials, 1)
 
 
 def test_m2z_slope_below_split_at_r0():
