@@ -3,7 +3,7 @@ lattice space-time codes: closed-form tradeoff curves with independent
 oracles, concrete non-vanishing-determinant orders, and Monte Carlo
 outage / ML-error slope estimation."""
 
-from .channel import SystemConfig, mutual_info_real, power_check
+from .channel import SystemConfig, power_check
 from .dmt import (Lemma2Problem, PiecewiseLinearCurve, a0_membership,
                   classical_dmt, d1_curve, d2_curve, delta_k,
                   exponent_quaternion, exponent_real,

@@ -11,15 +11,15 @@ Conventions fixed here and used everywhere else:
 Each channel computation is defined once, on a leading batch axis, and the
 Monte Carlo estimators in `sim` call it.  Draws consume the generator in a
 fixed order: h before w, the real part of a block before its imaginary part.
-Both mutual informations are log-determinants, taken with no eigensolver;
-only `mutual_info_real` factors its input covariance Q.  Eigenvalue spectra
-of the channel Gram are `sim`'s (the Wishart samplers).
+Both mutual informations are log-determinants at the identity input
+covariance, the one behind the outage event of both bounds, taken with no
+eigensolver.  Eigenvalue spectra of the channel Gram are `sim`'s (the
+Wishart samplers).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,32 +146,6 @@ def quaternionic_defect(m):
     d1 = np.abs(bot_l + top_r.conj()).max() if p else 0.0
     d2 = np.abs(bot_r - top_l.conj()).max() if p else 0.0
     return float(max(d1, d2))
-
-
-def mutual_info_real(h, q, rho):
-    """0.5 * log2 det(I + (rho/n) H Q H^T) in bits per channel use.
-
-    H is the stacked-real channel with n columns, Q a symmetric PSD n x n
-    input covariance; a Q that is not symmetric or not PSD is rejected.  A
-    trace above n is reported with a warning but not rejected.  With
-    Q = V W V^T, H Q H^T = (H V W^(1/2)) (H V W^(1/2))^T, so the batch
-    log-determinant applies.
-    """
-    h = as_matrix(h, dtype=float)
-    q = as_matrix(q, dtype=float)
-    n = h.shape[1]
-    if q.shape != (n, n):
-        raise ValueError(f"Q must be {n}x{n}, got {q.shape}")
-    if np.abs(q - q.T).max() > 1e-10 * max(1.0, np.abs(q).max()):
-        raise ValueError("Q must be symmetric")
-    w, v = np.linalg.eigh(q)
-    if w[0] < -1e-10 * max(1.0, np.abs(q).max()):
-        raise ValueError("Q must be positive semidefinite")
-    if np.trace(q) > n + 1e-9:
-        warnings.warn(f"trace(Q)={np.trace(q):.6g} exceeds n={n}", stacklevel=2)
-    hv = h @ (v * np.sqrt(np.maximum(w, 0.0)))  # H V W^(1/2)
-    info = mutual_info_real_batch(hv[None], rho)[0]
-    return max(float(info), 0.0)
 
 
 def power_check(cb):

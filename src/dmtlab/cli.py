@@ -68,12 +68,19 @@ def _cmd_curves(args):
 # outage / error
 
 def _load_config(args, keys):
+    """The run parameters `keys`, each from its flag or else from --config,
+    which must hold exactly such keys; an unknown or missing key is rejected
+    with its name."""
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"--config must hold a JSON object, got {type(loaded).__name__}")
+        unknown = [k for k in loaded if k not in keys]
+        if unknown:
+            raise ValueError(f"--config key(s) {', '.join(map(repr, unknown))} are not "
+                             f"parameters of {args.command} ({', '.join(keys)})")
         merged.update(loaded)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
@@ -101,6 +108,12 @@ def _parse_numbers(value, flag, whole=False):
     if not nums or (whole and not all(isinstance(v, int) or v.is_integer() for v in nums)):
         raise ValueError(f"{flag} must be {'whole ' if whole else ''}numbers, got {value!r}")
     return [int(v) for v in nums] if whole else nums
+
+
+def _check_seed(seed):
+    """Reject a seed below 0, which numpy would reject naming no flag."""
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
 
 
 def _sweep_csv(command, cfg, seed, est):
@@ -141,6 +154,7 @@ def _cmd_sweep(args):
     (n,), (m,), (seed,) = (_parse_numbers([merged[key]], f"--{key}", whole=True)
                            for key in ("n", "m", "seed"))
     (r,) = _parse_numbers([merged["r"]], "--r")
+    _check_seed(seed)
     cfg = SystemConfig(mode=merged["mode"], n=n, m=m, r=r)
     trials = _parse_numbers(merged["trials"], "--trials", whole=True)
     sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(merged["lattice"]))
@@ -207,6 +221,7 @@ def _cmd_lattice_audit(args):
 def _cmd_wishart(args):
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_seed(args.seed)
     cfg = SystemConfig(mode=args.mode, n=args.n, m=args.m)
     rng = np.random.default_rng(args.seed)
     if cfg.mode == "real":
@@ -262,7 +277,8 @@ def _build_parser():
             s.add_argument("--lattice", help="built-in name (hamilton, split) or JSON path")
         s.add_argument("--weighting", choices=sim.WEIGHTINGS,
                        default="events", help="slope-fit weighting")
-        s.add_argument("--config", help="JSON file with the same keys; flags override")
+        s.add_argument("--config", help="JSON file holding exactly the run parameters "
+                       "(no weighting or output path); flags override")
         s.add_argument("--out", help="CSV path (default: stdout)")
         s.add_argument("--summary", help="JSON summary path (default: stdout)")
         s.set_defaults(fn=_cmd_sweep)

@@ -1,5 +1,10 @@
 """Matrix lattices, the non-vanishing-determinant property, and shaping.
 
+A lattice's flavor is one of FLAVORS, the two code classes the tradeoff
+bounds cover: ``real`` (real generator matrices, bound d1) and
+``quaternionic`` (generators of the [[A, -B*], [B, A*]] block structure,
+bound d2).  Either structure spans n^2 real dimensions, which caps the rank.
+
 Two concrete rank-4 orders in 2x2 matrices are built in:
 
   * ``hamilton`` -- the Lipschitz order of Hamilton's quaternions, embedded
@@ -35,7 +40,7 @@ import numpy as np
 from . import linalg
 from .channel import quaternionic_defect
 
-FLAVORS = ("real", "quaternionic", "complex")
+FLAVORS = ("real", "quaternionic")
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,8 +85,6 @@ def structure_check(x, flavor):
         return bool(np.all(a.imag == 0.0))
     if flavor == "quaternionic":
         return quaternionic_defect(a) == 0.0
-    if flavor == "complex":
-        return True
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
@@ -98,10 +101,8 @@ def matrix_lattice(basis, flavor):
             raise ValueError("generators must be square matrices of equal size")
         if not structure_check(b, flavor):
             raise ValueError(f"generator violates the {flavor} structure")
-    k = len(mats)
-    max_rank = 2 * n * n if flavor == "complex" else n * n
-    if k > max_rank:
-        raise ValueError(f"rank {k} exceeds {max_rank} for flavor {flavor}")
+    if len(mats) > n * n:
+        raise ValueError(f"rank {len(mats)} exceeds n^2 = {n * n}")
     mats = np.stack(mats)
     gram = (np.einsum("kab,lab->kl", mats.real, mats.real)
             + np.einsum("kab,lab->kl", mats.imag, mats.imag))  # exactly symmetric

@@ -21,9 +21,9 @@ import math
 import numpy as np
 
 
-def as_matrix(m, dtype=complex):
-    """Coerce to a 2-D numpy array and reject non-finite entries."""
-    a = np.asarray(m, dtype=dtype)
+def as_matrix(m):
+    """Coerce to a 2-D complex numpy array and reject non-finite entries."""
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):

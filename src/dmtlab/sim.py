@@ -114,15 +114,17 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     one-entry sequence); counter(rho) returns the chunk function
     count(stream, size) -> events of `chunk` or fewer trials at that point,
     whose widest array takes `row_bytes` a row.  A bad DMTLAB_THREADS,
-    weighting, trial count or trial total, or a largest chunk over
-    ARRAY_BUDGET_BYTES, is rejected before any substream or counter (or
-    codebook) is made.  Every chunk of every point runs in one pool, largest
-    first (in turn on this thread at one worker).
+    weighting, SNR grid (empty or not finite), trial count or trial total,
+    or a largest chunk over ARRAY_BUDGET_BYTES, is rejected before any
+    substream or counter (or codebook) is made.  Every chunk of every point
+    runs in one pool, largest first (in turn on this thread at one worker).
     """
     threads = _thread_cap()
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     snr_db = [float(v) for v in snr_grid_db]
+    if not snr_db:
+        raise ValueError("the SNR grid --snr-db is empty")
     if not all(math.isfinite(db) for db in snr_db):
         raise ValueError(f"--snr-db values must be finite, got {snr_db}")
     trials_t = [trials] if np.ndim(trials) == 0 else list(trials)
@@ -292,7 +294,7 @@ def _pair_differences(pts):
 
 def min_received_distance(h_equiv, cb, rho):
     """rho * min over distinct codeword pairs of ||H (X - X')||^2."""
-    imgs = linalg.as_matrix(h_equiv) @ np.asarray(cb.points, dtype=complex)
+    imgs = linalg.as_matrix(h_equiv) @ cb.points
     return rho * min(float(np.sum(diff.real ** 2 + diff.imag ** 2, axis=(1, 2)).min())
                      for _, diff in _pair_differences(imgs))
 
@@ -337,7 +339,7 @@ def check_nvd_product_bound(cb):
     n_mu = lat.ambient_n // 2 if quat else lat.ambient_n
     bounds = np.array([cap ** -(n_mu - k) for k in range(1, n_mu + 1)])
     # row i against every later point: one eigvalsh on the (N-i-1, n, n) stack
-    for i, dx in _pair_differences(np.asarray(cb.points, dtype=complex) * cb.radius_m):
+    for i, dx in _pair_differences(cb.points * cb.radius_m):
         mu = np.clip(np.linalg.eigvalsh(dx @ dx.conj().transpose(0, 2, 1)), 0.0, None)
         if quat:
             mu = mu[:, 0::2]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dmtlab import channel, lattice, sim
-from dmtlab.channel import (SystemConfig, mutual_info_real, power_check,
-                            quaternionic_defect)
+from dmtlab.channel import SystemConfig, power_check, quaternionic_defect
 from dmtlab.linalg import frobenius_norm
 
 
@@ -85,16 +84,6 @@ def test_sample_channel_is_batch_row_zero():
     parts = [ref.standard_normal((1, 2, 3)) for _ in range(4)]
     assert np.array_equal(h, (parts[0] + 1j * parts[1]) * np.sqrt(0.5))
     assert np.array_equal(w, (parts[2] + 1j * parts[3]) * np.sqrt(0.5))
-
-
-def test_per_sample_functions_match_batch_rows():
-    # mutual_info_real, the one per-matrix entry point, is a batch row
-    rng = np.random.default_rng(22)
-    hr = channel.draw_real(rng, (20, 4, 4))
-    info = channel.mutual_info_real_batch(hr, 6.0)
-    for i in range(20):
-        assert mutual_info_real(hr[i], np.eye(4), 6.0) == pytest.approx(
-            info[i], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -260,64 +249,33 @@ def test_lift_eigenvalue_pairing_1000():
 
 
 # ---------------------------------------------------------------------------
-# mutual_info_real
+# mutual_info_real_batch
 
 def test_mutual_info_zero_channel():
-    assert mutual_info_real(np.zeros((4, 2)), np.eye(2), 10.0) == 0.0
+    assert channel.mutual_info_real_batch(np.zeros((1, 4, 2)), 10.0)[0] == 0.0
 
 
 def test_mutual_info_rank_one_example():
-    val = mutual_info_real([[1.0], [0.0]], [[1.0]], 1.0)
+    # 0.5 log2 det(I + H H^T) with H = (1, 0)^T is 0.5 log2(2)
+    val = channel.mutual_info_real_batch(np.array([[[1.0], [0.0]]]), 1.0)[0]
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mutual_info_identity_q_eigen_identity():
+    # 0.5 sum log2(1 + (rho/n) lambda_i) over the eigenvalues of H H^T, on
+    # 50 random 4x3 channels in one batch
     rng = np.random.default_rng(9)
-    for _ in range(50):
-        h = rng.standard_normal((4, 3))
-        rho = float(rng.uniform(0.5, 50.0))
-        lam = np.linalg.eigvalsh(h @ h.T)
-        expect = 0.5 * np.sum(np.log2(1.0 + (rho / 3.0) * np.clip(lam, 0, None)))
-        assert mutual_info_real(h, np.eye(3), rho) == pytest.approx(expect, abs=1e-9)
+    h = rng.standard_normal((50, 4, 3))
+    lam = np.clip(np.linalg.eigvalsh(h @ h.transpose(0, 2, 1)), 0, None)
+    for rho in (0.5, 50.0):
+        expect = 0.5 * np.sum(np.log2(1.0 + (rho / 3.0) * lam), axis=1)
+        assert np.allclose(channel.mutual_info_real_batch(h, rho), expect, rtol=0, atol=1e-9)
 
 
 def test_mutual_info_monotone_in_rho():
-    rng = np.random.default_rng(10)
-    h = rng.standard_normal((2, 2))
-    vals = [mutual_info_real(h, np.eye(2), rho) for rho in (0.1, 1.0, 10.0, 100.0)]
+    h = np.random.default_rng(10).standard_normal((1, 2, 2))
+    vals = [channel.mutual_info_real_batch(h, rho)[0] for rho in (0.1, 1.0, 10.0, 100.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_mutual_info_trace_warning():
-    h = np.ones((2, 1))
-    with pytest.warns(UserWarning):
-        mutual_info_real(h, [[5.0]], 1.0)
-
-
-def test_mutual_info_rejects_non_psd_q():
-    # log|det| of I + 5 diag(1, -0.9) would read 2.196 bits
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        mutual_info_real(np.eye(2), np.diag([1.0, -0.9]), 10.0)
-    # a singular PSD Q is fine: 0.5 log2(1 + 5)
-    assert mutual_info_real(np.eye(2), np.diag([1.0, 0.0]), 10.0) == pytest.approx(
-        0.5 * np.log2(6.0), abs=1e-12)
-
-
-def test_mutual_info_bounded_by_full_power():
-    # Psi(Q, H) <= Psi(n I, H) whenever trace(Q) <= n; the comparison point
-    # n*I deliberately violates the trace budget, hence the warning filter.
-    rng = np.random.default_rng(11)
-    n = 3
-    import warnings
-    for _ in range(100):
-        h = rng.standard_normal((4, n))
-        a = rng.standard_normal((n, n))
-        q = a @ a.T
-        q *= n / np.trace(q) * rng.uniform(0.2, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            upper = mutual_info_real(h, n * np.eye(n), 5.0)
-        assert mutual_info_real(h, q, 5.0) <= upper + 1e-9
 
 
 # ---------------------------------------------------------------------------

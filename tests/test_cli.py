@@ -1,11 +1,13 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from dmtlab import dmt, lattice, sim
 from dmtlab.channel import SystemConfig
-from dmtlab.cli import run
+from dmtlab.cli import _build_parser, run
 
 
 def read(path):
@@ -195,12 +197,43 @@ def test_config_type_exit_2(command, key, value, tmp_path, capsys):
     # number belongs, is rejected with the key named, never read as 1
     cfgfile = tmp_path / "run.json"
     cfg = {"mode": "real", "n": 2, "m": 1, "r": 0.5, "snr-db": [10.0], "trials": 100,
-           "seed": 4, "lattice": "split", key: value}
+           "seed": 4, **({"lattice": "split"} if command == "error" else {}), key: value}
     cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "o.csv"
     assert run([command, "--config", str(cfgfile), "--out", str(out)]) == 2
     assert f"--{key} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("outage", {"weighting": "uniform"}), ("outage", {"trails": 100}),
+    ("outage", {"lattice": "split"}), ("error", {"weighting": "uniform", "out": "x"})],
+    ids=["weighting", "misspelt-trials", "outage-lattice", "error-two-keys"])
+def test_config_unknown_key_exit_2(command, extra, tmp_path, capsys):
+    # the file holds exactly the run parameters: a key the command does not
+    # read (a flag-only option, a misspelling, another command's key) is
+    # named, not dropped
+    cfgfile = tmp_path / "run.json"
+    cfg = {"mode": "real", "n": 2, "m": 1, "r": 0.5, "snr-db": [10.0], "trials": 100,
+           "seed": 4, **({"lattice": "split"} if command == "error" else {}), **extra}
+    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert run([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(repr(key) in err for key in extra) and "--config" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["outage", "--mode", "real", "--r", "0.5", "--snr-db", "10", "--trials", "100"],
+    ["error", "--mode", "real", "--lattice", "split", "--r", "0", "--snr-db", "10",
+     "--trials", "100"],
+    ["wishart-check", "--mode", "real", "--samples", "100"]],
+    ids=["outage", "error", "wishart-check"])
+def test_negative_seed_exit_2(argv, capsys):
+    assert run(argv + ["--n", "2", "--m", "1", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: --seed must be >= 0, got -1\n" and not out
 
 
 def test_whole_config_counts_run(tmp_path):
@@ -440,6 +473,15 @@ def test_lattice_audit_split_pi(radius, report, capsys):
         assert text == report + "\n"
 
 
+def test_lattice_audit_rejects_complex_flavor(tmp_path, capsys):
+    data = lattice.lattice_to_json(lattice.build_hamilton_order())
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**data, "flavor": "complex"}), encoding="utf-8")
+    assert run(["lattice-audit", "--lattice", str(path), "--radius", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: flavor must be one of ('real', 'quaternionic')\n" and not out
+
+
 @pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "-1"])
 def test_lattice_audit_bad_radius_exit_2(radius, capsys):
     assert run(["lattice-audit", "--lattice", "hamilton", "--radius", radius]) == 2
@@ -519,3 +561,21 @@ def test_non_finite_snr_exit_2(command, value, tmp_path, capsys):
     assert run(argv) == 2
     assert "--snr-db" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# README
+
+def test_readme_commands_parse():
+    # every `dmtlab ...` invocation in the README's sh blocks, its backslash
+    # continuations joined, is one the parser accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True)[1:] for line in lines
+             if line.startswith("dmtlab ")]
+    parser = _build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in argvs} == {"curves", "outage", "error", "lemma2-verify",
+                                           "lattice-audit", "wishart-check"}

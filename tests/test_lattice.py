@@ -223,6 +223,12 @@ def test_matrix_lattice_rejects_flavor_violation():
         lattice.matrix_lattice([np.array([[1j, 0], [0, 1j]])], "real")
 
 
+def test_matrix_lattice_rejects_complex_flavor():
+    # only the two bounded code classes, real and quaternionic, are lattices
+    with pytest.raises(ValueError, match=r"flavor must be one of \('real', 'quaternionic'\)"):
+        lattice.matrix_lattice([np.eye(2, dtype=complex)], "complex")
+
+
 def test_matrix_lattice_rank_cap():
     gens = [np.zeros((1, 1), dtype=complex) for _ in range(2)]
     gens[0][0, 0] = 1.0

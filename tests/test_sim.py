@@ -618,6 +618,20 @@ def test_bad_weighting_rejected_before_sampling(monkeypatch, estimate):
         estimate([10.0, 20.0], 200_000, 1, weighting="banana")
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda *a: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0.5),
+                                   *a)], ids=["outage", "error"])
+def test_empty_snr_grid_rejected_before_sampling(monkeypatch, estimate):
+    def never(*args, **kwargs):
+        raise AssertionError("spawned or shaped before the SNR grid was checked")
+
+    monkeypatch.setattr(sim, "shape_codebook", never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValueError, match="SNR grid"):
+        estimate([], 100, 1)
+
+
 @pytest.mark.parametrize("env,workers", [("5000", 3), ("2", 2), ("", 3)])
 def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
     # a stand-in executor records the pool size and runs the tasks in turn,
