@@ -17,6 +17,6 @@ from .lattice import (Codebook, MatrixLattice, ResourceLimitError, audit,
 from .linalg import determinant, frobenius_norm
 from .sim import (SlopeEstimate, check_mismatched_bound,
                   check_nvd_product_bound, chi2_tail, estimate_error_prob,
-                  estimate_outage, fit_slope, min_received_distance)
+                  estimate_outage, fit_slope)
 
 __version__ = "0.1.0"

@@ -67,45 +67,15 @@ def _cmd_curves(args):
 # ---------------------------------------------------------------------------
 # outage / error
 
-def _load_config(args, keys):
-    """The run parameters `keys`, each from its flag or else from --config,
-    which must hold exactly such keys; an unknown or missing key is rejected
-    with its name."""
-    merged = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"--config must hold a JSON object, got {type(loaded).__name__}")
-        unknown = [k for k in loaded if k not in keys]
-        if unknown:
-            raise ValueError(f"--config key(s) {', '.join(map(repr, unknown))} are not "
-                             f"parameters of {args.command} ({', '.join(keys)})")
-        merged.update(loaded)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            merged[key] = val
-    missing = [k for k in keys if merged.get(k) is None]
-    if missing:
-        raise ValueError(f"missing required parameter(s): {', '.join(missing)}"
-                         " (seed is mandatory for stochastic commands)")
-    return merged
-
-
 def _parse_numbers(value, flag, whole=False):
-    """The numbers of a JSON list or a comma-separated string, each a whole
-    number (returned as int) when `whole`; a bad or empty list, or one
-    holding a JSON boolean, is rejected with a message naming `flag`."""
-    items = value if isinstance(value, list) else [v for v in str(value).split(",")
-                                                   if v.strip()]
-    if any(isinstance(v, bool) for v in items):  # JSON true/false are no numbers
-        items = []
-    try:  # a whole int item stays exact: a seed may exceed float precision
-        nums = [v if whole and isinstance(v, int) else float(v) for v in items]
-    except (TypeError, ValueError):
+    """The numbers of a comma-separated string, each a whole number (returned
+    as int) when `whole`; a bad or empty list is rejected with a message
+    naming `flag`."""
+    try:
+        nums = [float(v) for v in value.split(",") if v.strip()]
+    except ValueError:
         nums = []
-    if not nums or (whole and not all(isinstance(v, int) or v.is_integer() for v in nums)):
+    if not nums or (whole and not all(v.is_integer() for v in nums)):
         raise ValueError(f"{flag} must be {'whole ' if whole else ''}numbers, got {value!r}")
     return [int(v) for v in nums] if whole else nums
 
@@ -143,25 +113,16 @@ def _summary_json(cfg, seed, est):
 
 def _cmd_sweep(args):
     """The outage or ML-error sweep named by the subcommand, its parameters
-    merged from the flags and --config.  One --trials count serves every
-    SNR point."""
-    names = ["mode"] + (["lattice"] if args.command == "error" else [])
-    merged = _load_config(args, names + ["n", "m", "r", "snr-db", "trials", "seed"])
-    for key in names:
-        if not isinstance(merged[key], str):
-            raise ValueError(f"--{key} must be a string, got {merged[key]!r}")
-    snr_db = _parse_numbers(merged["snr-db"], "--snr-db")
-    (n,), (m,), (seed,) = (_parse_numbers([merged[key]], f"--{key}", whole=True)
-                           for key in ("n", "m", "seed"))
-    (r,) = _parse_numbers([merged["r"]], "--r")
-    _check_seed(seed)
-    cfg = SystemConfig(mode=merged["mode"], n=n, m=m, r=r)
-    trials = _parse_numbers(merged["trials"], "--trials", whole=True)
-    sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(merged["lattice"]))
-             if "lattice" in names else sim.estimate_outage)
-    est = sweep(cfg, snr_db, trials, np.random.default_rng(seed), weighting=args.weighting)
-    _write_text(args.out, _sweep_csv(args.command, cfg, seed, est))
-    _write_text(args.summary, _summary_json(cfg, seed, est))
+    read from the flags.  One --trials count serves every SNR point."""
+    snr_db = _parse_numbers(args.snr_db, "--snr-db")
+    _check_seed(args.seed)
+    cfg = SystemConfig(mode=args.mode, n=args.n, m=args.m, r=args.r)
+    trials = _parse_numbers(args.trials, "--trials", whole=True)
+    sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(args.lattice))
+             if args.command == "error" else sim.estimate_outage)
+    est = sweep(cfg, snr_db, trials, np.random.default_rng(args.seed), weighting=args.weighting)
+    _write_text(args.out, _sweep_csv(args.command, cfg, args.seed, est))
+    _write_text(args.summary, _summary_json(cfg, args.seed, est))
     return 0
 
 
@@ -266,19 +227,18 @@ def _build_parser():
 
     for name in ("outage", "error"):
         s = sub.add_parser(name, help=f"Monte Carlo {name} sweep")
-        s.add_argument("--mode", choices=MODES)
-        s.add_argument("--n", type=int)
-        s.add_argument("--m", type=int)
-        s.add_argument("--r", type=float)
-        s.add_argument("--snr-db", help="comma-separated dB values")
-        s.add_argument("--trials", help="single count or one per SNR point")
-        s.add_argument("--seed", type=int)
+        s.add_argument("--mode", choices=MODES, required=True)
+        s.add_argument("--n", type=int, required=True)
+        s.add_argument("--m", type=int, required=True)
+        s.add_argument("--r", type=float, required=True)
+        s.add_argument("--snr-db", required=True, help="comma-separated dB values")
+        s.add_argument("--trials", required=True, help="single count or one per SNR point")
+        s.add_argument("--seed", type=int, required=True)
         if name == "error":
-            s.add_argument("--lattice", help="built-in name (hamilton, split) or JSON path")
+            s.add_argument("--lattice", required=True,
+                           help="built-in name (hamilton, split) or JSON path")
         s.add_argument("--weighting", choices=sim.WEIGHTINGS,
                        default="events", help="slope-fit weighting")
-        s.add_argument("--config", help="JSON file holding exactly the run parameters "
-                       "(no weighting or output path); flags override")
         s.add_argument("--out", help="CSV path (default: stdout)")
         s.add_argument("--summary", help="JSON summary path (default: stdout)")
         s.set_defaults(fn=_cmd_sweep)
@@ -319,8 +279,7 @@ def run(argv=None):
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, lattice.ResourceLimitError, FileNotFoundError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, lattice.ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -271,9 +271,16 @@ def lattice_to_json(lat):
 
 
 def lattice_from_json(data):
-    n = int(data["ambient_n"])
-    basis = [np.array([complex(re, im) for re, im in b]).reshape(n, n) for b in data["basis"]]
-    return matrix_lattice(basis, data["flavor"])
+    """Inverse of `lattice_to_json`; a malformed document names the key at fault."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a lattice JSON must be an object, got {type(data).__name__}")
+    n, basis = data.get("ambient_n"), data.get("basis")
+    try:
+        mats = [np.array([complex(re, im) for re, im in b]).reshape(n, n) for b in basis]
+    except (TypeError, ValueError):
+        key = "ambient_n" if type(n) is not int or n < 1 else "basis"
+        raise ValueError(f"lattice JSON {key!r} is missing or malformed") from None
+    return matrix_lattice(mats, data.get("flavor"))
 
 
 def load_lattice(name_or_path):

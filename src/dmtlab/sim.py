@@ -17,9 +17,9 @@ point in one pool and fits the slope to the summed integer events
 per-point event counter and the bytes of a row of its widest array.  The
 outage counter takes the rates of a chunk in row blocks (`BLOCK_ROWS`).
 The ML decoder scores rows against the whole codebook with one real
-matrix product (`_ml_decode`).  The distance and eigenvalue-product checks
-walk the distinct codeword pairs through one `_pair_differences`, which
-alone checks the codebook size and PAIR_CAP.
+matrix product (`_ml_decode`).  The eigenvalue-product check walks the
+distinct codeword pairs through `_pair_differences`, which checks the
+codebook size and PAIR_CAP.
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -45,7 +45,7 @@ from .lattice import ResourceLimitError, fixed_codebook, shape_codebook
 # A point with fewer events is flagged and left out of the slope fit.
 MIN_EVENTS = 50
 
-# Codeword pairs a distance or eigenvalue-product check may visit.
+# Codeword pairs the eigenvalue-product check may visit.
 PAIR_CAP = 10_000_000
 
 # Rows of an outage chunk whose rates are taken at once.  The blocks bound
@@ -290,13 +290,6 @@ def _pair_differences(pts):
     if n_pairs > PAIR_CAP:
         raise ResourceLimitError(f"{n_pairs} pairs exceed the cap {PAIR_CAP}")
     return ((i, pts[i] - pts[i + 1:]) for i in range(len(pts) - 1))
-
-
-def min_received_distance(h_equiv, cb, rho):
-    """rho * min over distinct codeword pairs of ||H (X - X')||^2."""
-    imgs = linalg.as_matrix(h_equiv) @ cb.points
-    return rho * min(float(np.sum(diff.real ** 2 + diff.imag ** 2, axis=(1, 2)).min())
-                     for _, diff in _pair_differences(imgs))
 
 
 def check_mismatched_bound(h, dx):

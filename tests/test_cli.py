@@ -152,76 +152,20 @@ def test_fractional_trials_exit_2(trials, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,config", [
-    (["--snr-db", ""], {}),
-    (["--snr-db", "10,x"], {}),
-    ([], {"snr-db": ["a"]})], ids=["empty", "not-a-number", "config-list"])
-def test_bad_snr_db_exit_2(flag, config, tmp_path, capsys):
-    cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"mode": "real", "n": 2, "m": 1, "r": 0.5,
-                                   "trials": 100, "seed": 1, **config}), encoding="utf-8")
-    assert run(["outage", "--config", str(cfgfile)] + flag) == 2
-    assert "--snr-db" in capsys.readouterr().err
+@pytest.mark.parametrize("snr_db", ["", "10,x"], ids=["empty", "not-a-number"])
+def test_bad_snr_db_exit_2(snr_db, capsys):
+    assert run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
+                "--snr-db", snr_db, "--trials", "100", "--seed", "1"]) == 2
+    assert "--snr-db must be numbers" in capsys.readouterr().err
 
 
 def test_one_trials_entry_serves_every_point(tmp_path):
-    cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"mode": "real", "n": 2, "m": 1, "r": 0.5,
-                                   "snr-db": [10.0, 20.0], "trials": [1000], "seed": 1}),
-                       encoding="utf-8")
     out = tmp_path / "o.csv"
-    assert run(["outage", "--config", str(cfgfile), "--out", str(out),
-                "--summary", str(tmp_path / "o.json")]) == 0
+    assert run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
+                "--snr-db", "10,20", "--trials", "1000", "--seed", "1",
+                "--out", str(out), "--summary", str(tmp_path / "o.json")]) == 0
     rows = read(out).strip().split("\n")[2:]
     assert [row.split(",")[2] for row in rows] == ["1000", "1000"]
-
-
-@pytest.mark.parametrize("key,value", [("n", 2.9), ("m", 1.7), ("seed", 4.9)])
-def test_fractional_config_count_exit_2(key, value, tmp_path, capsys):
-    cfgfile = tmp_path / "run.json"
-    cfg = {"mode": "quaternion", "n": 2, "m": 1, "r": 0, "snr-db": [10.0],
-           "trials": 100, "seed": 4, key: value}
-    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
-    out = tmp_path / "o.csv"
-    assert run(["outage", "--config", str(cfgfile), "--out", str(out)]) == 2
-    assert f"--{key} must be whole numbers" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command,key,value", [
-    ("outage", "r", [0.5]), ("outage", "r", True), ("outage", "n", True),
-    ("outage", "m", True), ("outage", "seed", True), ("outage", "snr-db", [True, 20.0]),
-    ("outage", "mode", ["real"]), ("error", "lattice", ["split"])])
-def test_config_type_exit_2(command, key, value, tmp_path, capsys):
-    # a list where one number or a name belongs, or a JSON boolean where a
-    # number belongs, is rejected with the key named, never read as 1
-    cfgfile = tmp_path / "run.json"
-    cfg = {"mode": "real", "n": 2, "m": 1, "r": 0.5, "snr-db": [10.0], "trials": 100,
-           "seed": 4, **({"lattice": "split"} if command == "error" else {}), key: value}
-    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
-    out = tmp_path / "o.csv"
-    assert run([command, "--config", str(cfgfile), "--out", str(out)]) == 2
-    assert f"--{key} must be" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command,extra", [
-    ("outage", {"weighting": "uniform"}), ("outage", {"trails": 100}),
-    ("outage", {"lattice": "split"}), ("error", {"weighting": "uniform", "out": "x"})],
-    ids=["weighting", "misspelt-trials", "outage-lattice", "error-two-keys"])
-def test_config_unknown_key_exit_2(command, extra, tmp_path, capsys):
-    # the file holds exactly the run parameters: a key the command does not
-    # read (a flag-only option, a misspelling, another command's key) is
-    # named, not dropped
-    cfgfile = tmp_path / "run.json"
-    cfg = {"mode": "real", "n": 2, "m": 1, "r": 0.5, "snr-db": [10.0], "trials": 100,
-           "seed": 4, **({"lattice": "split"} if command == "error" else {}), **extra}
-    cfgfile.write_text(json.dumps(cfg), encoding="utf-8")
-    out = tmp_path / "o.csv"
-    assert run([command, "--config", str(cfgfile), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert all(repr(key) in err for key in extra) and "--config" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,15 +180,12 @@ def test_negative_seed_exit_2(argv, capsys):
     assert err == "error: --seed must be >= 0, got -1\n" and not out
 
 
-def test_whole_config_counts_run(tmp_path):
-    # a whole float count runs; an int seed beyond float precision stays exact
-    cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"mode": "quaternion", "n": 2.0, "m": 1, "r": 0,
-                                   "snr-db": [10.0], "trials": 100, "seed": 2**60 + 1}),
-                       encoding="utf-8")
+def test_large_seed_echoed_exactly(tmp_path):
+    # a seed beyond float precision reaches the generator and the header exact
     out = tmp_path / "o.csv"
-    assert run(["outage", "--config", str(cfgfile), "--out", str(out),
-                "--summary", str(tmp_path / "o.json")]) == 0
+    assert run(["outage", "--mode", "quaternion", "--n", "2", "--m", "1", "--r", "0",
+                "--snr-db", "10", "--trials", "100", "--seed", str(2**60 + 1),
+                "--out", str(out), "--summary", str(tmp_path / "o.json")]) == 0
     assert read(out).startswith(f"# seed={2**60 + 1} command=outage mode=quaternion n=2 m=1")
 
 
@@ -252,31 +193,16 @@ def test_outage_requires_seed(capsys):
     rc = run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
               "--snr-db", "10", "--trials", "100"])
     assert rc == 2
-    assert "seed" in capsys.readouterr().err
+    assert "--seed" in capsys.readouterr().err
 
 
-def test_outage_config_file(tmp_path):
-    cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"mode": "real", "n": 2, "m": 1, "r": 0.5,
-                                   "snr-db": [10.0, 16.0], "trials": 2000,
-                                   "seed": 4}), encoding="utf-8")
-    out = tmp_path / "o.csv"
-    rc = run(["outage", "--config", str(cfgfile), "--out", str(out),
-              "--summary", str(tmp_path / "s.json")])
-    assert rc == 0
-    assert "# seed=4 " in read(out)
-
-
-def test_outage_flag_overrides_config(tmp_path):
-    cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"mode": "real", "n": 2, "m": 1, "r": 0.5,
-                                   "snr-db": [10.0], "trials": 1000, "seed": 4}),
-                       encoding="utf-8")
-    out = tmp_path / "o.csv"
-    rc = run(["outage", "--config", str(cfgfile), "--seed", "9",
-              "--out", str(out), "--summary", str(tmp_path / "s.json")])
-    assert rc == 0
-    assert "# seed=9 " in read(out)
+@pytest.mark.parametrize("command", ["outage", "error"])
+def test_config_option_exit_2(command, capsys):
+    # the flags are the one way to give a sweep its parameters
+    argv = [command, "--mode", "real", "--n", "2", "--m", "1", "--r", "0",
+            "--snr-db", "10", "--trials", "100", "--seed", "1", "--config", "run.json"]
+    assert run(argv + (["--lattice", "split"] if command == "error" else [])) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_outage_weighting_option(tmp_path):
@@ -301,15 +227,6 @@ def test_outage_quaternion_rejects_odd_n(argv, capsys):
     rc = run(argv + ["--mode", "quaternion", "--n", "3", "--m", "1", "--seed", "1"])
     assert rc == 2
     assert capsys.readouterr().err == "error: quaternion mode needs even n\n"
-
-
-def test_config_unknown_mode_exit_2(tmp_path, capsys):
-    cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"mode": "banana", "n": 2, "m": 1, "r": 0.5,
-                                   "snr-db": [10.0], "trials": 100, "seed": 4}),
-                       encoding="utf-8")
-    assert run(["outage", "--config", str(cfgfile)]) == 2
-    assert "banana" in capsys.readouterr().err
 
 
 def test_outage_invalid_r(capsys):
@@ -360,15 +277,6 @@ def test_error_n_lattice_mismatch_exit_2(mode, name, n, capsys):
               "--r", "0", "--snr-db", "10,20", "--trials", "1000", "--seed", "1"])
     assert rc == 2
     assert "--n" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["outage", "error"])
-@pytest.mark.parametrize("payload", ["[1, 2]", '"x"', "3", "null"])
-def test_config_not_an_object_exit_2(command, payload, tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(payload, encoding="utf-8")
-    assert run([command, "--config", str(cfg)]) == 2
-    assert "--config must hold a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -480,6 +388,29 @@ def test_lattice_audit_rejects_complex_flavor(tmp_path, capsys):
     assert run(["lattice-audit", "--lattice", str(path), "--radius", "2"]) == 2
     out, err = capsys.readouterr()
     assert err == "error: flavor must be one of ('real', 'quaternionic')\n" and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-audit", "--radius", "2"],
+    ["error", "--mode", "real", "--n", "2", "--m", "1", "--r", "0", "--snr-db", "10",
+     "--trials", "100", "--seed", "1"]], ids=["lattice-audit", "error"])
+@pytest.mark.parametrize("payload,fragment", [
+    (None, "lat.json"), ([1, 2], "must be an object, got list"),
+    ({"ambient_n": 2, "flavor": "real", "basis": [[1, 2, 3, 4]]}, "'basis' is missing"),
+    ({"ambient_n": 2, "flavor": "real"}, "'basis' is missing"),
+    ({"flavor": "real", "basis": [[[1, 0]] * 4]}, "'ambient_n' is missing")],
+    ids=["directory", "list", "bare-number-basis", "no-basis", "no-ambient-n"])
+def test_bad_lattice_file_exit_2(argv, payload, fragment, tmp_path, capsys):
+    # a --lattice path that is a directory names the path, and a malformed
+    # document the key at fault; neither ends in a traceback
+    path = tmp_path / "lat.json"
+    if payload is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(argv + ["--lattice", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and fragment in err and not out
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "-1"])

@@ -10,7 +10,7 @@ from dmtlab import channel, lattice, sim
 from dmtlab.channel import SystemConfig
 from dmtlab.sim import (chi2_tail, check_mismatched_bound,
                         check_nvd_product_bound, estimate_error_prob,
-                        estimate_outage, fit_slope, min_received_distance)
+                        estimate_outage, fit_slope)
 
 
 HAMILTON = lattice.build_hamilton_order()
@@ -250,32 +250,7 @@ def test_fit_slope_rejects_impossible_counts(events, trials):
 # ---------------------------------------------------------------------------
 # distance and eigenvalue-product checks
 
-def test_min_received_distance_zero_channel():
-    cb = lattice.fixed_codebook(HAMILTON)
-    assert min_received_distance(np.zeros((2, 2)), cb, 10.0) == 0.0
-
-
-def test_min_received_distance_single_pair():
-    class Book:
-        points = (np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex) / np.sqrt(2))
-
-    val = min_received_distance(np.eye(2), Book(), 2.0)
-    assert val == pytest.approx(2.0, abs=1e-12)
-
-
-def test_min_received_distance_homogeneity():
-    rng = np.random.default_rng(11)
-    cb = lattice.fixed_codebook(HAMILTON)
-    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    base = min_received_distance(h, cb, 5.0)
-    scaled = min_received_distance(3.0 * h, cb, 5.0)
-    assert scaled == pytest.approx(9.0 * base, rel=1e-9)
-
-
-@pytest.mark.parametrize("check", [
-    lambda cb: min_received_distance(np.eye(2), cb, 5.0),
-    lambda cb: check_nvd_product_bound(cb)], ids=["distance", "nvd"])
-def test_min_received_distance_pair_cap(monkeypatch, check):
+def test_nvd_product_bound_pair_cap(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("eigenvalues computed before the pair cap was checked")
 
@@ -283,7 +258,7 @@ def test_min_received_distance_pair_cap(monkeypatch, check):
     monkeypatch.setattr(sim, "PAIR_CAP", 3)
     monkeypatch.setattr(np.linalg, "eigvalsh", never)
     with pytest.raises(lattice.ResourceLimitError):
-        check(cb)
+        check_nvd_product_bound(cb)
 
 
 def test_mismatched_bound_zero_difference():
