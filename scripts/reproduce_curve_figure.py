@@ -18,7 +18,7 @@ def main():
     OUTDIR.mkdir(exist_ok=True)
     csv_path = OUTDIR / "curves_n4_m2.csv"
     json_path = OUTDIR / "curves_n4_m2_anchors.json"
-    rc = run(["curves", "--n", "4", "--m", "2", "--step", "0.01",
+    rc = run(["curves", "--n", "4", "--m", "2",
               "--out", str(csv_path), "--anchors-out", str(json_path)])
     if rc:
         sys.exit(rc)

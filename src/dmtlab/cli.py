@@ -2,7 +2,7 @@
 
 Subcommands emit CSV/JSON only (plotting is out of scope):
 
-  curves        tradeoff curve family sampled on a grid
+  curves        tradeoff curve family sampled at r steps of 0.01, and its anchors
   outage        Monte Carlo outage sweep + slope summary
   error         Monte Carlo ML block-error sweep + slope summary
   lemma2-verify closed form vs brute-force oracle sweep
@@ -51,14 +51,11 @@ def _fmt(v):
 # curves
 
 def _cmd_curves(args):
-    if not args.step > 0:
-        raise ValueError("step must be positive")
-    rows = dmt.sample_curves(args.n, args.m, step=args.step)
+    fam, rows = dmt.sample_curves(args.n, args.m)
     lines = ["r,d_star,d1,d2"]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(_fmt(v) for v in row) for row in rows.tolist()]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.anchors_out:
-        fam = dmt.curve_family(args.n, args.m)
         payload = [fam[name].to_json(name) for name in ("d_star", "d1", "d2")]
         _write_text(args.anchors_out, json.dumps(payload, indent=2) + "\n")
     return 0
@@ -220,7 +217,6 @@ def _build_parser():
     c = sub.add_parser("curves", help="emit the d_star/d1/d2 curve family as CSV")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
-    c.add_argument("--step", type=float, default=0.01)
     c.add_argument("--out")
     c.add_argument("--anchors-out")
     c.set_defaults(fn=_cmd_curves)
@@ -231,7 +227,9 @@ def _build_parser():
         s.add_argument("--n", type=int, required=True)
         s.add_argument("--m", type=int, required=True)
         s.add_argument("--r", type=float, required=True)
-        s.add_argument("--snr-db", required=True, help="comma-separated dB values")
+        s.add_argument("--snr-db", required=True,
+                       help="comma-separated dB values; write a grid that starts "
+                            "below 0 as --snr-db=-10,0")
         s.add_argument("--trials", required=True, help="single count or one per SNR point")
         s.add_argument("--seed", type=int, required=True)
         if name == "error":

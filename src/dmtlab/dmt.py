@@ -12,6 +12,9 @@ independent brute-force grid oracle.  The real-code bound d1 uses s = 2r and
 halves the value; the quaternionic bound d2 uses s = r and doubles it.  All
 coefficients are positive only when q >= l, which every channel-derived
 instance satisfies (q = Delta + l); the problem constructor enforces it.
+
+The curves d* (c = 1, integer r), d1 (c = 2, half-integer r) and d2 (c = 2,
+integer r) share one anchor rule, (r, (m - r)(n - c r)) up to its first zero.
 """
 
 from __future__ import annotations
@@ -51,49 +54,43 @@ class PiecewiseLinearCurve:
         return self.anchors[-1][0]
 
     def __call__(self, r):
-        if r < self.r_min - 1e-12 or r > self.r_max + 1e-12:
+        """d at a scalar r (as a float) or at each point of an array r."""
+        r = np.asarray(r, dtype=float)
+        if r.size and (r.min() < self.r_min - 1e-12 or r.max() > self.r_max + 1e-12):
             raise ValueError(f"r={r} outside the curve domain "
                              f"[{self.r_min}, {self.r_max}]")
-        rs = np.array([a[0] for a in self.anchors])
-        ds = np.array([a[1] for a in self.anchors])
-        return float(np.interp(min(max(r, self.r_min), self.r_max), rs, ds))
+        rs, ds = np.array(self.anchors).T
+        d = np.interp(np.clip(r, self.r_min, self.r_max), rs, ds)
+        return float(d) if d.ndim == 0 else d
 
     def to_json(self, name):
         return {"curve": name, "anchors": [[float(r), float(d)] for r, d in self.anchors]}
 
 
-def classical_dmt(n, m):
-    """Optimal tradeoff of the unconstrained channel: (k, (m-k)(n-k)) anchors."""
+def _anchor_curve(n, m, c, step):
+    """Anchors (k step, (m - k step)(n - c k step)) for k = 0 ... min(m, n/c)/step."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    anchors = [(float(k), float((m - k) * (n - k))) for k in range(min(m, n) + 1)]
+    anchors = [(float(k * step), float((m - k * step) * (n - c * (k * step))))
+               for k in range(int(min(c * m, n) / (c * step)) + 1)]
     return PiecewiseLinearCurve(tuple(anchors))
 
 
-def _bound_curve(n, m, r_step):
-    """Anchors (r, [(m-r)(n-2r)]+) at r = 0, r_step, 2 r_step, ... up to the
-    first zero of (m-r)(n-2r)."""
-    if n < 1 or m < 1:
-        raise ValueError("need n, m >= 1")
-    anchors = []
-    for j in itertools.count():
-        r = j * r_step
-        val = (m - r) * (n - 2 * r)
-        anchors.append((float(r), max(float(val), 0.0)))
-        if val <= 0:
-            return PiecewiseLinearCurve(tuple(anchors))
+def classical_dmt(n, m):
+    """Optimal tradeoff of the unconstrained channel: (k, (m-k)(n-k)) anchors."""
+    return _anchor_curve(n, m, 1, 1)
 
 
 def d1_curve(n, m):
     """Upper bound for real-matrix codes: (r, [(m-r)(n-2r)]+) at half-integer r."""
-    return _bound_curve(n, m, 0.5)
+    return _anchor_curve(n, m, 2, 0.5)
 
 
 def d2_curve(n, m):
     """Upper bound for quaternionic codes: (r, [(m-r)(n-2r)]+) at integer r."""
     if n % 2:
         raise ValueError("quaternionic bound needs even n")
-    return _bound_curve(n, m, 1)
+    return _anchor_curve(n, m, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -138,6 +135,8 @@ def lemma2_closed_form(prob):
 
 # Entries (rows x columns) a brute-force grid or a curve sample may hold.
 GRID_CAP = 4 * 10**6
+# r spacing of the sampled curve rows; the anchors give each curve exactly.
+CURVE_STEP = 0.01
 # (q, l, s) cases one `lemma2-verify` run may check, each a brute-force sweep.
 CASE_CAP = 10**4
 
@@ -284,14 +283,15 @@ def curve_family(n, m):
     return {"d_star": classical_dmt(n, m), "d1": d1_curve(n, m), "d2": d2_curve(n, m)}
 
 
-def sample_curves(n, m, step=0.01):
-    """Rows (r, d_star, d1, d2) over the common domain [0, min(m, n/2)]."""
+def sample_curves(n, m):
+    """The curve family of (n, m) and its rows (r, d_star, d1, d2) at r = 0,
+    CURVE_STEP, 2 CURVE_STEP, ... up to min(m, n/2), where d1 and d2 reach 0.
+    The grid is bounded before any curve is built."""
+    r_max = min(2 * m, n, 2 * GRID_CAP) / 2  # min in ints: --n/--m may exceed a float
+    rows = round(r_max / CURVE_STEP) + 1
+    if rows * 4 > GRID_CAP:
+        raise ValueError(f"--n/--m give a curve grid of more than {GRID_CAP} entries")
     fam = curve_family(n, m)
-    r_max = min(c.r_max for c in fam.values())
-    if (min(r_max / step, GRID_CAP) + 2) * 4 > GRID_CAP:
-        raise ValueError(f"--step gives a grid of more than {GRID_CAP} entries")
-    count = int(math.floor(r_max / step + 1e-9))
-    grid = [i * step for i in range(count + 1)]
-    if grid[-1] < r_max - 1e-12:
-        grid.append(r_max)
-    return [(r, fam["d_star"](r), fam["d1"](r), fam["d2"](r)) for r in grid]
+    # r_max is a half-integer, which (rows - 1) CURVE_STEP rounds to exactly
+    grid = np.arange(rows) * CURVE_STEP
+    return fam, np.column_stack([grid] + [fam[name](grid) for name in ("d_star", "d1", "d2")])

@@ -270,8 +270,8 @@ def lattice_to_json(lat):
             "basis": [[[float(v.real), float(v.imag)] for v in b.ravel()] for b in lat.basis]}
 
 
-def lattice_from_json(data):
-    """Inverse of `lattice_to_json`; a malformed document names the key at fault."""
+def _generators_from_json(data):
+    """Generator matrices and flavor of a lattice JSON; a malformed one names the key at fault."""
     if not isinstance(data, dict):
         raise ValueError(f"a lattice JSON must be an object, got {type(data).__name__}")
     n, basis = data.get("ambient_n"), data.get("basis")
@@ -280,12 +280,22 @@ def lattice_from_json(data):
     except (TypeError, ValueError):
         key = "ambient_n" if type(n) is not int or n < 1 else "basis"
         raise ValueError(f"lattice JSON {key!r} is missing or malformed") from None
-    return matrix_lattice(mats, data.get("flavor"))
+    return mats, data.get("flavor")
+
+
+def lattice_from_json(data):
+    """Inverse of `lattice_to_json`."""
+    return matrix_lattice(*_generators_from_json(data))
 
 
 def load_lattice(name_or_path):
-    """Resolve a built-in lattice name or read a lattice JSON file."""
+    """Resolve a built-in lattice name or read a lattice JSON file, naming the
+    file if it is not JSON or not a lattice document."""
     if name_or_path in BUILTIN_LATTICES:
         return BUILTIN_LATTICES[name_or_path]()
     with open(name_or_path, encoding="utf-8") as fh:
-        return lattice_from_json(json.load(fh))
+        try:
+            mats, flavor = _generators_from_json(json.load(fh))
+        except ValueError as exc:  # json's decode errors are ValueErrors too
+            raise ValueError(f"lattice file {name_or_path}: {exc}") from None
+    return matrix_lattice(mats, flavor)

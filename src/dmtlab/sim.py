@@ -251,30 +251,20 @@ def log_alpha_density_upper(alphas, n, m, rho):
 # Tail bound
 
 def chi2_tail(x, half_dof):
-    """P{chi^2(2K) > 2x} = e^(-x) sum_{j<K} x^j / j!.
+    """P{chi^2(2K) > 2x} = e^(-x) sum_{j<K} x^j / j! for a whole K = half_dof >= 1.
 
-    Running-term recurrence; switches to log-space accumulation when e^(-x)
-    would underflow, so K up to a few hundred stays accurate.
+    Summed in log space, shifted by the largest term, so nothing under- or
+    overflows and K up to a few hundred stays accurate at any x.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    k = int(half_dof)
-    if k < 1:
-        raise ValueError("half_dof must be >= 1")
+    if not (half_dof >= 1 and float(half_dof).is_integer()):
+        raise ValueError(f"half_dof must be a whole number >= 1, got {half_dof}")
     if x == 0.0:
         return 1.0
-    if x <= 700.0:
-        term = math.exp(-x)
-        total = term
-        for j in range(1, k):
-            term *= x / j
-            total += term
-        return min(total, 1.0)
-    logs = [-x + j * math.log(x) - math.lgamma(j + 1) for j in range(k)]
+    logs = [-x + j * math.log(x) - math.lgamma(j + 1) for j in range(int(half_dof))]
     peak = max(logs)
-    acc = sum(math.exp(v - peak) for v in logs)
-    out = peak + math.log(acc)
-    return math.exp(out) if out > -745.0 else 0.0
+    return min(math.exp(peak + math.log(sum(math.exp(v - peak) for v in logs))), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,28 @@ def test_curves_rejects_odd_n(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["curves", "--n", "2", "--m", "1", "--step", "1e-9"], "--step"),
-    (["curves", "--n", "2", "--m", "1", "--step", "1e-320"], "--step"),
+    (["curves", "--n", "3000000", "--m", "3000000"], "--n/--m"),
+    (["curves", "--n", str(10**400), "--m", str(10**400)], "--n/--m"),
     (["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5",
       "--gridstep", "0.0001"], "--gridstep")])
-def test_grid_size_exit_2(argv, flag, capsys):
+def test_grid_size_exit_2(argv, flag, monkeypatch, capsys):
     # the benchmark's Lemma-2 grid (gridstep 0.02 at lmax 4: 316,251 rows of
-    # 4) fits the cap; these grids would need gigabytes
+    # 4) fits the cap; these grids would need gigabytes.  The curve grid is
+    # counted from --n/--m before any curve is built, even for a count beyond
+    # a float
+    def no_curves(n, m):
+        raise AssertionError("a curve was built before the grid was bounded")
+
+    monkeypatch.setattr(dmt, "curve_family", no_curves)
     assert 316_251 * 4 <= dmt.GRID_CAP
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_curves_has_no_step_option(capsys):
+    # the anchors JSON carries each curve exactly; the CSV grid is fixed at 0.01
+    assert run(["curves", "--n", "4", "--m", "2", "--step", "0.01"]) == 2
+    assert "unrecognized arguments: --step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("qmax,lmax,sstep,code", [
@@ -85,9 +97,11 @@ def test_lemma2_empty_sweep_exit_2(qmax, lmax, capsys):
 def test_grid_size_patched_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(dmt, "GRID_CAP", 1000)
     dmt._ascending_grid.cache_clear()  # a grid cached before the patch skips the check
-    assert run(["curves", "--n", "2", "--m", "1", "--step", "0.01"]) == 0
-    assert run(["curves", "--n", "2", "--m", "1", "--step", "0.001"]) == 2
-    assert "--step" in capsys.readouterr().err
+    # 201 rows of 4 fit 1000 entries at r_max = 2, and 301 rows do not at r_max = 3
+    assert run(["curves", "--n", "4", "--m", "2"]) == 0
+    capsys.readouterr()
+    assert run(["curves", "--n", "6", "--m", "3"]) == 2
+    assert "--n/--m" in capsys.readouterr().err
     assert run(["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5",
                 "--gridstep", "0.05"]) == 2
     assert "--gridstep" in capsys.readouterr().err
@@ -150,6 +164,15 @@ def test_fractional_trials_exit_2(trials, tmp_path, capsys):
     assert rc == 2
     assert "--trials" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_snr_db_help_shows_the_equals_form(capsys):
+    # argparse takes a separate "-10,0" for an option, so a grid below 0 dB
+    # needs --snr-db=-10,0; the help says so (rejoined across line wraps)
+    assert run(["outage", "--help"]) == 0
+    assert "--snr-db=-10,0" in "".join(capsys.readouterr().out.split())
+    assert run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5",
+                "--snr-db=-10,0", "--trials", "100", "--seed", "1"]) == 0
 
 
 @pytest.mark.parametrize("snr_db", ["", "10,x"], ids=["empty", "not-a-number"])
@@ -395,22 +418,24 @@ def test_lattice_audit_rejects_complex_flavor(tmp_path, capsys):
     ["error", "--mode", "real", "--n", "2", "--m", "1", "--r", "0", "--snr-db", "10",
      "--trials", "100", "--seed", "1"]], ids=["lattice-audit", "error"])
 @pytest.mark.parametrize("payload,fragment", [
-    (None, "lat.json"), ([1, 2], "must be an object, got list"),
+    (None, "lat.json"), (b"[", "Expecting value"), ([1, 2], "must be an object, got list"),
     ({"ambient_n": 2, "flavor": "real", "basis": [[1, 2, 3, 4]]}, "'basis' is missing"),
     ({"ambient_n": 2, "flavor": "real"}, "'basis' is missing"),
     ({"flavor": "real", "basis": [[[1, 0]] * 4]}, "'ambient_n' is missing")],
-    ids=["directory", "list", "bare-number-basis", "no-basis", "no-ambient-n"])
+    ids=["directory", "not-json", "list", "bare-number-basis", "no-basis", "no-ambient-n"])
 def test_bad_lattice_file_exit_2(argv, payload, fragment, tmp_path, capsys):
-    # a --lattice path that is a directory names the path, and a malformed
-    # document the key at fault; neither ends in a traceback
+    # every bad --lattice file is named, a malformed document with the key at
+    # fault; none ends in a traceback
     path = tmp_path / "lat.json"
     if payload is None:
         path.mkdir()
+    elif isinstance(payload, bytes):
+        path.write_bytes(payload)
     else:
         path.write_text(json.dumps(payload), encoding="utf-8")
     assert run(argv + ["--lattice", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: ") and fragment in err and not out
+    assert err.startswith("error: ") and str(path) in err and fragment in err and not out
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "1e200", "-1"])

@@ -47,6 +47,20 @@ def test_curve_domain_errors():
         c(-0.1)
     with pytest.raises(ValueError):
         c(1.1)
+    with pytest.raises(ValueError):
+        c(np.array([0.0, 0.5, 1.1]))
+
+
+def test_curve_array_matches_scalar_calls():
+    # one np.interp over an array gives each point's scalar value bit for bit,
+    # clamp within 1e-12 of the domain included
+    for c in (classical_dmt(5, 3), d1_curve(6, 4), d2_curve(8, 3)):
+        rs = np.concatenate([np.linspace(c.r_min, c.r_max, 257),
+                             [c.r_min - 1e-13, c.r_max + 1e-13, 0.37, 1.0]])
+        values = c(rs)
+        assert isinstance(values, np.ndarray) and values.shape == rs.shape
+        assert values.tolist() == [c(float(r)) for r in rs]
+        assert isinstance(c(0.5), float)
 
 
 def test_curve_anchor_validation():
@@ -289,9 +303,17 @@ def test_laplace_validation():
 # export
 
 def test_sample_curves_rows():
-    rows = dmt.sample_curves(4, 2, step=0.5)
-    assert [row[0] for row in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert [row[2] for row in rows] == [8.0, 4.5, 2.0, 0.5, 0.0]
+    fam, rows = dmt.sample_curves(4, 2)
+    assert fam == dmt.curve_family(4, 2)
+    assert rows.shape == (201, 4)
+    assert rows[::50].tolist() == [[0.0, 8.0, 8.0, 8.0], [0.5, 5.5, 4.5, 5.0],
+                                   [1.0, 3.0, 2.0, 2.0], [1.5, 1.5, 0.5, 1.0],
+                                   [2.0, 0.0, 0.0, 0.0]]
+    # the grid steps by CURVE_STEP and ends at min(m, n/2) exactly
+    for n, m in ((2, 1), (6, 3), (8, 1), (40, 7)):
+        _, rows = dmt.sample_curves(n, m)
+        assert rows[:, 0].tolist() == [k * dmt.CURVE_STEP for k in range(len(rows))]
+        assert rows[-1, 0] == min(m, n / 2)
 
 
 def test_curve_to_json():

@@ -1,6 +1,7 @@
-"""Smoke tests of the reproduction scripts: each runs end to end with the
-sweep replaced by a stub that parses its argv as the CLI would, so a CLI
-change that breaks a script fails here."""
+"""Smoke tests of the reproduction scripts.  The sweep scripts run end to
+end with the sweep replaced by a stub that parses its argv as the CLI would,
+so a CLI change that breaks a script fails here; the curve script runs for
+real and must reproduce its committed results byte for byte."""
 
 import importlib.util
 import json
@@ -10,7 +11,8 @@ import pytest
 
 from dmtlab import cli
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -42,3 +44,11 @@ def test_script_runs(name, commands, tmp_path, monkeypatch):
     if name == "outage_sweep":
         rows = (tmp_path / "outage_sweep.csv").read_text(encoding="utf-8").splitlines()
         assert rows[1] == "mode,r,slope,stderr,theory" and len(rows) == 2 + commands
+
+
+def test_curve_script_reproduces_results(tmp_path, monkeypatch):
+    script = _load("reproduce_curve_figure")
+    monkeypatch.setattr(script, "OUTDIR", tmp_path)
+    script.main()
+    for name in ("curves_n4_m2.csv", "curves_n4_m2_anchors.json"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes()

@@ -191,6 +191,10 @@ def test_chi2_tail_validation():
         chi2_tail(-1.0, 2)
     with pytest.raises(ValueError):
         chi2_tail(1.0, 0)
+    # K counts the terms of the sum, so 2.5 is not read as 2
+    for half_dof in (2.5, 1.0001, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="half_dof must be a whole number"):
+            chi2_tail(1.0, half_dof)
 
 
 @settings(max_examples=100, deadline=None)
