@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -33,12 +34,17 @@ class OutputError(RuntimeError):
 
 
 def _write_text(path, text):
+    """Write `text`, a string or an iterable of strings written in turn, to
+    `path` (stdout when None)."""
+    pieces = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
@@ -50,11 +56,17 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 # curves
 
+# Rows of the curve CSV formatted into one string at a time: the largest
+# grid the cap accepts (10^6 rows) peaked at 388 MB as one text.
+CSV_BLOCK_ROWS = 10_000
+
+
 def _cmd_curves(args):
     fam, rows = dmt.sample_curves(args.n, args.m)
-    lines = ["r,d_star,d1,d2"]
-    lines += [",".join(_fmt(v) for v in row) for row in rows.tolist()]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    blocks = ("".join(",".join(_fmt(v) for v in row) + "\n"
+                      for row in rows[lo:lo + CSV_BLOCK_ROWS].tolist())
+              for lo in range(0, len(rows), CSV_BLOCK_ROWS))
+    _write_text(args.out, itertools.chain(["r,d_star,d1,d2\n"], blocks))
     if args.anchors_out:
         payload = [fam[name].to_json(name) for name in ("d_star", "d1", "d2")]
         _write_text(args.anchors_out, json.dumps(payload, indent=2) + "\n")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,6 +72,8 @@ def _anchor_curve(n, m, c, step):
     """Anchors (k step, (m - k step)(n - c k step)) for k = 0 ... min(m, n/c)/step."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
+    if n * m > sys.float_info.max:  # the first anchor's d, m n, must be a float
+        raise ValueError("--n/--m give n * m beyond the float range")
     anchors = [(float(k * step), float((m - k * step) * (n - c * (k * step))))
                for k in range(int(min(c * m, n) / (c * step)) + 1)]
     return PiecewiseLinearCurve(tuple(anchors))

@@ -14,18 +14,25 @@ through `_sweep`, which alone checks the thread cap, the SNR grid, the
 trial counts and a chunk's array budget, runs the chunks of every SNR
 point in one pool and fits the slope to the summed integer events
 (`fit_slope`, NaN below two usable points); an estimator supplies only its
-per-point event counter and the bytes of a row of its widest array.  The
-outage counter takes the rates of a chunk in row blocks (`BLOCK_ROWS`).
-The ML decoder scores rows against the whole codebook with one real
-matrix product (`_ml_decode`).  The eigenvalue-product check walks the
-distinct codeword pairs through `_pair_differences`, which checks the
-codebook size and PAIR_CAP.
+per-point event counter and the bytes of a row of its widest array.  Both
+counters draw a chunk whole and take it in blocks of `BLOCK_ROWS` rows
+(`_sum_blocks`): outage rates, and ML-error lifts, received blocks, row
+features and decisions.  Their temporaries then have block size, and the
+allocator reuses them from block to block instead of faulting chunk-sized
+ones in again.  The ML decoder scores a block against the whole codebook
+with real matrix products (`_ml_decode`) of `_decode_rows` rows: under
+DECODE_MACS multiply-adds, so that OpenBLAS runs each on the calling thread
+instead of waking threads that take the CPUs of the pool's other workers,
+but at least 64 rows, and under DECODE_BUDGET_BYTES of metric.  The
+eigenvalue-product check walks the distinct codeword pairs through
+`_pair_differences`, which checks the codebook size and PAIR_CAP.
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
 or `ERROR_CHUNK` trials with ``Generator.spawn``.  Chunk results are
-integers summed per point, so the outcome is bit-identical regardless of
-how many worker threads (at most ``os.cpu_count()``, fewer when
+integers summed per point, and rows are independent, so the outcome is
+bit-identical regardless of the block and product sizes and of how many
+worker threads (at most ``os.cpu_count()``, fewer when
 ``DMTLAB_THREADS`` asks for fewer) execute the chunks or in which order.
 """
 
@@ -48,11 +55,14 @@ MIN_EVENTS = 50
 # Codeword pairs the eigenvalue-product check may visit.
 PAIR_CAP = 10_000_000
 
-# Rows of an outage chunk whose rates are taken at once.  The blocks bound
-# the memory of the rate temporaries: whole-chunk rates raised the peak RSS
-# of the benchmark's outage commands (n = 2, m = 1) from 43 to 59 MB (real)
-# and from 42 to 47 MB (quaternion), at no gain in speed.  Events do not
-# depend on it.
+# Rows of a drawn chunk whose rates (outage) or decisions (ML error) are
+# taken at once.  The blocks bound the memory of the temporaries, which the
+# allocator then reuses from block to block: whole-chunk rates raised the
+# peak RSS of the benchmark's outage commands (n = 2, m = 1) from 43 to
+# 59 MB (real) and from 42 to 47 MB (quaternion), and whole-chunk decoding
+# faulted about 17,000 pages per error-r0 command at one thread, against 9
+# in blocks.
+# Events do not depend on it.
 BLOCK_ROWS = 8192
 
 # Trials one sweep may run, summed over its SNR points: every chunk's
@@ -105,6 +115,12 @@ def _check_array_bytes(rows, row_bytes, flag):
     if rows * row_bytes > ARRAY_BUDGET_BYTES:
         raise ResourceLimitError(f"{flag}: {rows} rows of {row_bytes} bytes exceed "
                                  f"the array budget {ARRAY_BUDGET_BYTES}")
+
+
+def _sum_blocks(size, events):
+    """Sum of events(rows) over the BLOCK_ROWS row slices of a chunk of
+    `size` rows."""
+    return sum(int(events(slice(lo, lo + BLOCK_ROWS))) for lo in range(0, size, BLOCK_ROWS))
 
 
 def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
@@ -420,8 +436,7 @@ def estimate_outage(cfg, snr_grid_db, trials, rng, weighting="events"):
 
                 def rate(rows):
                     return channel.mutual_info_quaternion_batch(parts[:, rows], rho)
-            return sum(int(np.count_nonzero(rate(slice(lo, lo + BLOCK_ROWS)) <= thresh))
-                       for lo in range(0, size, BLOCK_ROWS))
+            return _sum_blocks(size, lambda rows: np.count_nonzero(rate(rows) <= thresh))
         return count
 
     return _sweep(snr_grid_db, trials, rng, OUTAGE_CHUNK, row_bytes, counter, weighting)
@@ -435,6 +450,13 @@ def estimate_outage(cfg, snr_grid_db, trials, rng, weighting="events"):
 # split an RNG chunk's rows after it is drawn, so events do not depend on
 # this value.
 DECODE_BUDGET_BYTES = 64 * 2**20
+# Multiply-adds of one metric product, rows x |C| x f, below which
+# OpenBLAS runs it on the calling thread: numpy's scipy-openblas 0.3.31
+# kept (M, 16) @ (16, 16) at a CPU/wall ratio of 1.00 up to M = 1536 and
+# woke its own threads from M = 2048 (2^19), which then took the CPUs of
+# the pool's other workers.  A sub-batch keeps at least 64 rows, so a large
+# codebook is not scored row by row.
+DECODE_MACS = 2**18
 # Bytes of any other array one sweep chunk or Wishart draw may build, per
 # worker: larger inputs are rejected before any draw; chunks never shrink.
 ARRAY_BUDGET_BYTES = 128 * 2**20
@@ -449,6 +471,13 @@ def _codeword_features(cwords, scale):
     return feats.reshape(len(cwords), -1).view(float)
 
 
+def _decode_rows(words, f):
+    """Rows of one metric product against `words` codewords of `f` features:
+    under DECODE_MACS multiply-adds but at least 64 rows, and under
+    DECODE_BUDGET_BYTES of metric but at least 1 row."""
+    return min(max(64, DECODE_MACS // (words * f)), max(1, DECODE_BUDGET_BYTES // (8 * words)))
+
+
 def _ml_decode(h, y, cword_feats):
     """Exhaustive-ML decisions argmin_k ||y - scale H C_k||^2 per row (lowest
     index on ties), `scale` being the amplitude `cword_feats` was built for.
@@ -457,11 +486,12 @@ def _ml_decode(h, y, cword_feats):
     with G = H^H H.  ||y||^2 is the same for every codeword and dropped, and
     Re tr(A^H B) is the dot product of the interleaved real views of A and
     B, so the metric is the real product of the row features [G | H^H y]
-    with `cword_feats`, sub-batched under DECODE_BUDGET_BYTES.
+    with `cword_feats`, sub-batched under DECODE_MACS (64 rows at least) and
+    DECODE_BUDGET_BYTES.
     """
     feats = np.einsum("bji,bjk->bik", h.conj(), np.concatenate([h, y], axis=2))
     feats = np.ascontiguousarray(feats).reshape(len(h), -1).view(float)
-    rows = max(1, DECODE_BUDGET_BYTES // (8 * len(cword_feats)))
+    rows = _decode_rows(*cword_feats.shape)
     return np.concatenate([np.argmin(feats[lo:lo + rows] @ cword_feats.T, axis=1)
                            for lo in range(0, len(h), rows)])
 
@@ -484,9 +514,15 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     if mode == "real":
         def draw(st, size):
             return channel.draw_real(st, (size, 2 * m, n))
+
+        def block(a, rows):
+            return a[rows]
     else:
-        def draw(st, size):
-            return channel.draw_lifted(st, size, m, cfg.p)
+        def draw(st, size):  # the real parts, lifted block by block
+            return channel.draw_real(st, (4, size, m, cfg.p))
+
+        def block(a, rows):
+            return channel.lift_parts(a[:, rows])
 
     def counter(rho):
         cb = fixed() if cfg.r == 0 else shape_codebook(lat, rho, cfg.r)
@@ -495,11 +531,14 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
         feats = _codeword_features(cwords, scale)
 
         def count(st, size):
-            h = draw(st, size)
-            w = draw(st, size)
+            hs, ws = draw(st, size), draw(st, size)
             tx = st.integers(0, len(cwords), size=size)
-            y = channel.receive(h, cwords[tx], scale, w)
-            return int(np.sum(_ml_decode(h, y, feats) != tx))
+
+            def errors(rows):
+                h = block(hs, rows)
+                y = channel.receive(h, cwords[tx[rows]], scale, block(ws, rows))
+                return np.count_nonzero(_ml_decode(h, y, feats) != tx[rows])
+            return _sum_blocks(size, errors)
         return count
 
     return _sweep(snr_grid_db, trials, rng, ERROR_CHUNK, row_bytes, counter, weighting)

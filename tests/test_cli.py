@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dmtlab import dmt, lattice, sim
+from dmtlab import cli, dmt, lattice, sim
 from dmtlab.channel import SystemConfig
 from dmtlab.cli import _build_parser, run
 
@@ -105,6 +105,30 @@ def test_grid_size_patched_exit_2(monkeypatch, capsys):
     assert run(["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5",
                 "--gridstep", "0.05"]) == 2
     assert "--gridstep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,m", [(10**400, 1), (2, 10**400), (10**200, 10**200)],
+                         ids=["n-1e400", "m-1e400", "nm-1e400"])
+def test_curves_beyond_float_exit_2(n, m, capsys):
+    # the grid is small (r_max = min(m, n/2) = 1 or huge and capped) but the
+    # first anchor's d = m n is no float
+    assert run(["curves", "--n", str(n), "--m", str(m)]) == 2
+    assert "--n/--m" in capsys.readouterr().err
+
+
+def test_curves_csv_blocks_byte_identical(tmp_path, monkeypatch, capsys):
+    # the CSV is formatted a block of rows at a time, to a file or to stdout;
+    # the bytes are those of the whole text joined at once
+    fam, rows = dmt.sample_curves(40, 7)
+    whole = "\n".join(["r,d_star,d1,d2"] + [",".join(f"{v:.12g}" for v in row)
+                                            for row in rows.tolist()]) + "\n"
+    for block in (1, 7, len(rows), 10_000):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        out = tmp_path / f"{block}.csv"
+        assert run(["curves", "--n", "40", "--m", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == whole.encode()
+        assert run(["curves", "--n", "40", "--m", "7"]) == 0
+        assert capsys.readouterr().out == whole
 
 
 def test_curves_idempotent(tmp_path):

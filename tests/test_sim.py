@@ -536,6 +536,83 @@ def test_error_events_independent_of_decode_budget(monkeypatch, mode, name, r):
     assert tiny.events == default.events and sum(default.events) > 0
 
 
+def _spy_metric_rows(monkeypatch):
+    """The (rows, |C|) shape of every metric the decoder takes an argmin of."""
+    shapes = []
+    argmin = np.argmin
+
+    def spy(a, axis=None, **kwargs):
+        if axis == 1:
+            shapes.append(a.shape)
+        return argmin(a, axis=axis, **kwargs)
+    monkeypatch.setattr(sim.np, "argmin", spy)
+    return shapes
+
+
+def test_error_events_independent_of_decode_macs(monkeypatch):
+    # DECODE_MACS = 1 leaves every product at the 64-row floor; events must
+    # not change
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
+    args = (HAMILTON, cfg, [12.0, 18.0], 3000, 21)
+    monkeypatch.setattr(sim, "ERROR_CHUNK", 1300)
+    default = estimate_error_prob(*args)
+    monkeypatch.setattr(sim, "DECODE_MACS", 1)
+    shapes = _spy_metric_rows(monkeypatch)
+    floor = estimate_error_prob(*args)
+    assert floor.events == default.events and sum(default.events) > 0
+    rows = [r for r, _ in shapes]
+    assert sum(rows) == 6000 and max(rows) == 64
+    assert sum(r < 64 for r in rows) <= 6  # one short product per chunk at most
+
+
+@pytest.mark.parametrize("snr_db,words", [(None, 16), (20.0, 137), (25.0, 321)])
+def test_metric_products_under_decode_macs(monkeypatch, snr_db, words):
+    # rows x |C| x f stays below 2^19 multiply-adds, where OpenBLAS starts
+    # threads of its own, for the benchmark's fixed and shaped codebooks
+    cb = (lattice.fixed_codebook(HAMILTON) if snr_db is None
+          else lattice.shape_codebook(HAMILTON, 10.0 ** (snr_db / 10.0), 0.5))
+    assert len(cb.points) == words
+    feats = sim._codeword_features(cb.points, 3.0)
+    rng = np.random.default_rng(5)
+    h, w = (channel.draw_lifted(rng, 5000, 1, 1) for _ in range(2))
+    y = channel.receive(h, cb.points[rng.integers(0, words, size=5000)], 3.0, w)
+    shapes = _spy_metric_rows(monkeypatch)
+    sim._ml_decode(h, y, feats)
+    assert sum(r for r, _ in shapes) == 5000 and len(shapes) > 1
+    assert all(c == words and r * c * feats.shape[1] < 2**19 for r, c in shapes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, lattice.SHELL_CAP), st.sampled_from([8, 16, 32, 64]))
+def test_decode_rows_within_budget(words, f):
+    # a codebook no larger than SHELL_CAP points gets a metric within the byte
+    # budget, and at least one row
+    rows = sim._decode_rows(words, f)
+    assert rows >= 1 and rows * words * 8 <= sim.DECODE_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("mode,name,r", [("quaternion", "hamilton", 0.0),
+                                         ("quaternion", "hamilton", 0.5),
+                                         ("real", "split", 0.5)])
+def test_error_events_independent_of_block_rows(monkeypatch, mode, name, r):
+    # a chunk is drawn whole, so how its rows are split into decode blocks
+    # changes no event, at one worker or two; the chunk holds more rows than
+    # the default block, so that the default splits it too
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    cfg = SystemConfig(mode, n=2, m=1, r=r)
+    lat = lattice.load_lattice(name)
+    chunk = sim.BLOCK_ROWS + 808
+    monkeypatch.setattr(sim, "ERROR_CHUNK", chunk)
+    seen = set()
+    for rows in (1, 7, sim.BLOCK_ROWS, 10 * chunk):
+        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DMTLAB_THREADS", threads)
+            est = estimate_error_prob(lat, cfg, [12.0, 18.0], [chunk + 500, 700], 8)
+            seen.add(est.events)
+    assert len(seen) == 1 and all(seen.pop())
+
+
 def _bruteforce_decode(h, y, scale, cwords):
     dist = np.sum(np.abs(y[:, None] - scale * np.einsum("bij,kjl->bkil", h, cwords)) ** 2,
                   axis=(-2, -1))
