@@ -5,10 +5,9 @@ outage / ML-error slope estimation."""
 
 from .channel import SystemConfig, power_check
 from .dmt import (Lemma2Problem, PiecewiseLinearCurve, a0_membership,
-                  classical_dmt, d1_curve, d2_curve, delta_k,
-                  exponent_quaternion, exponent_real,
-                  laplace_exponent_estimate, lemma2_bruteforce,
-                  lemma2_closed_form)
+                  classical_dmt, d1_curve, d2_curve, exponent_quaternion,
+                  exponent_real, laplace_exponent_estimate,
+                  lemma2_bruteforce, lemma2_closed_form)
 from .lattice import (Codebook, MatrixLattice, ResourceLimitError, audit,
                       build_hamilton_order, build_split_order,
                       fixed_codebook, lattice_from_json,

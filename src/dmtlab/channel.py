@@ -98,9 +98,9 @@ def draw_lifted(rng, count, m, p):
 
 
 def receive(h, x, scale, w):
-    """Received blocks scale * H X + W in the dtype of H X + W, formed in
-    place on the `linalg.bmm` product (batch axis last in memory)."""
-    y = bmm(h, x).astype(np.result_type(h, x, w), copy=False)
+    """Received blocks scale * H X + W, for H, X and W of one dtype, formed
+    in place on the `linalg.bmm` product (batch axis last in memory)."""
+    y = bmm(h, x)
     y *= scale
     y += w
     return y

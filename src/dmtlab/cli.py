@@ -76,17 +76,16 @@ def _cmd_curves(args):
 # ---------------------------------------------------------------------------
 # outage / error
 
-def _parse_numbers(value, flag, whole=False):
-    """The numbers of a comma-separated string, each a whole number (returned
-    as int) when `whole`; a bad or empty list is rejected with a message
-    naming `flag`."""
+def _parse_numbers(value, flag):
+    """The numbers of a comma-separated string; a bad or empty list is
+    rejected with a message naming `flag`."""
     try:
         nums = [float(v) for v in value.split(",") if v.strip()]
     except ValueError:
         nums = []
-    if not nums or (whole and not all(v.is_integer() for v in nums)):
-        raise ValueError(f"{flag} must be {'whole ' if whole else ''}numbers, got {value!r}")
-    return [int(v) for v in nums] if whole else nums
+    if not nums:
+        raise ValueError(f"{flag} must be numbers, got {value!r}")
+    return nums
 
 
 def _check_seed(seed):
@@ -126,7 +125,7 @@ def _cmd_sweep(args):
     snr_db = _parse_numbers(args.snr_db, "--snr-db")
     _check_seed(args.seed)
     cfg = SystemConfig(mode=args.mode, n=args.n, m=args.m, r=args.r)
-    trials = _parse_numbers(args.trials, "--trials", whole=True)
+    trials = _parse_numbers(args.trials, "--trials")  # whole counts: sim._sweep checks
     sweep = (functools.partial(sim.estimate_error_prob, lattice.load_lattice(args.lattice))
              if args.command == "error" else sim.estimate_outage)
     est = sweep(cfg, snr_db, trials, np.random.default_rng(args.seed), weighting=args.weighting)

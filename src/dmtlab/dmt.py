@@ -199,14 +199,6 @@ def a0_membership(alpha, s):
                 and np.all(np.cumsum(1.0 - a) <= s + 1e-12))
 
 
-def delta_k(alpha, s, k):
-    """Distance exponent -(1/k) (sum_{i<=k} alpha_i + s - k)."""
-    a = np.asarray(alpha, dtype=float)
-    if not 1 <= k <= a.size:
-        raise ValueError(f"k={k} outside 1..{a.size}")
-    return float(-(a[:k].sum() + s - k) / k)
-
-
 def exponent_real(n, m, r):
     """Real-code outage exponent dbar(2r)/2; equals d1_curve(n, m) at r."""
     l = min(2 * m, n)

@@ -141,7 +141,7 @@ BUILTIN_LATTICES = {"hamilton": build_hamilton_order, "split": build_split_order
 
 def shell_coordinates(lat, radius):
     """Integer coordinate vectors of all lattice points with norm <= radius,
-    in lexicographic order.
+    in lexicographic order, as the rows of a Fortran-ordered (N, k) array.
 
     Breadth-first branch-and-bound on a triangular factor of the Gram
     matrix (Fincke-Pohst): with G = A^T A for a lower-triangular A, level i
@@ -149,11 +149,12 @@ def shell_coordinates(lat, radius):
     the leading coordinates fixed so far and an (F,) array of remaining
     squared-norm budgets, and each level appends one coordinate to every
     row at once, its children in ascending order, so the rows stay in
-    lexicographic order without a sort.  The radius comparison and the
-    interval ends carry 1e-12 slacks so boundary shells like sqrt(2) do not
-    depend on rounding luck.  A level whose candidates would hold more than
-    SHELL_CAP coordinates raises ResourceLimitError before they are
-    allocated.
+    lexicographic order without a sort.  The next frontier is filled one
+    column at a time, so no gathered copy of the old one is held beside it.
+    The radius comparison and the interval ends carry 1e-12 slacks so
+    boundary shells like sqrt(2) do not depend on rounding luck.  A level
+    whose candidates would hold more than SHELL_CAP coordinates raises
+    ResourceLimitError before they are allocated.
     """
     radius = float(radius)
     if not math.isfinite(radius) or radius < 0:
@@ -182,20 +183,26 @@ def shell_coordinates(lat, radius):
         c = np.repeat(lo.astype(np.int64) - first, counts) + np.arange(int(total))
         step = aii * c + y[parent]
         rest = remaining[parent] - step * step
-        keep = rest >= -1e-12 * budget
-        fixed = np.column_stack([fixed[parent[keep]], c[keep]])
-        remaining = rest[keep]
+        keep = np.flatnonzero(rest >= -1e-12 * budget)
+        parent = parent[keep]
+        grown = np.empty((len(keep), level + 1), dtype=np.int64, order="F")
+        for j in range(level):  # mode="clip" writes to `out` unbuffered; no index clips
+            np.take(fixed[:, j], parent, out=grown[:, j], mode="clip")
+        np.take(c, keep, out=grown[:, level], mode="clip")
+        fixed, remaining = grown, rest[keep]
     return fixed
 
 
 def point_from_coordinates(lat, coords):
     """The lattice point sum_k c_k B_k: (k,) coordinates give one (n, n)
     matrix, (N, k) coordinates an (N, n, n) stack.  The terms are added in
-    basis order, so a row of a stack equals the point of that row alone."""
+    basis order, so a row of a stack equals the point of that row alone,
+    entry by entry (no stack-sized temporary) and only where B_k is nonzero."""
     c = np.asarray(coords)
     x = np.zeros(c.shape[:-1] + lat.basis.shape[1:], dtype=complex)
     for k, b in enumerate(lat.basis):
-        x += c[..., k, None, None] * b
+        for i, j in zip(*np.nonzero(b)):
+            x[..., i, j] += c[..., k] * b[i, j]
     return x
 
 
@@ -223,7 +230,7 @@ def audit(lat, radius):
 def shape_codebook(lat, rho, r):
     """Spherically shaped code: radius M = rho^(r n / k), points scaled by 1/M."""
     if rho < 1:
-        raise ValueError("rho must be >= 1")
+        raise ValueError(f"rho must be >= 1 (--snr-db >= 0), got {rho:g}")
     if r < 0:
         raise ValueError("r must be >= 0")
     m_radius = float(rho) ** (r * lat.ambient_n / lat.rank)

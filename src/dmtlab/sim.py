@@ -15,17 +15,11 @@ trial counts and a chunk's array budget, runs the chunks of every SNR
 point in one pool and fits the slope to the summed integer events
 (`fit_slope`, NaN below two usable points); an estimator supplies only its
 per-point event counter and the bytes of a row of its widest array.  Both
-counters draw a chunk whole and take it in blocks of `BLOCK_ROWS` rows
-(`_sum_blocks`): outage rates, and ML-error lifts, received blocks, row
-features and decisions.  Their temporaries then have block size, and the
-allocator reuses them from block to block instead of faulting chunk-sized
-ones in again.  The ML decoder scores a block against the whole codebook
-with real matrix products (`_ml_decode`) of `_decode_rows` rows: under
-DECODE_MACS multiply-adds, so that OpenBLAS runs each on the calling thread
-instead of waking threads that take the CPUs of the pool's other workers,
-but at least 64 rows, and under DECODE_BUDGET_BYTES of metric.  The
-eigenvalue-product check walks the distinct codeword pairs through
-`_pair_differences`, which checks the codebook size and PAIR_CAP.
+counters draw a chunk whole and take it in `BLOCK_ROWS`-row blocks
+(`_sum_blocks`), whose temporaries the allocator reuses from block to
+block.  The ML decoder scores a block against the whole codebook with real
+matrix products (`_ml_decode`) of `_decode_rows` rows, each small enough
+that OpenBLAS runs it on the calling thread (DECODE_MACS).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -47,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, linalg
-from .lattice import ResourceLimitError, fixed_codebook, shape_codebook
+from .lattice import SHELL_CAP, ResourceLimitError, fixed_codebook, shape_codebook
 
 # A point with fewer events is flagged and left out of the slope fit.
 MIN_EVENTS = 50
@@ -61,8 +55,7 @@ PAIR_CAP = 10_000_000
 # peak RSS of the benchmark's outage commands (n = 2, m = 1) from 43 to
 # 59 MB (real) and from 42 to 47 MB (quaternion), and whole-chunk decoding
 # faulted about 17,000 pages per error-r0 command at one thread, against 9
-# in blocks.
-# Events do not depend on it.
+# in blocks.  Events do not depend on it.
 BLOCK_ROWS = 8192
 
 # Trials one sweep may run, summed over its SNR points: every chunk's
@@ -149,7 +142,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     if len(trials_t) != len(snr_db):
         raise ValueError("trials list must match the SNR grid")
     if not all(t % 1 == 0 and t >= 1 for t in trials_t):
-        raise ValueError(f"trials must be whole numbers >= 1, got {trials}")
+        raise ValueError(f"--trials must be whole numbers >= 1, got {trials}")
     trials_t = [int(t) for t in trials_t]
     if sum(trials_t) > TRIAL_CAP:
         raise ResourceLimitError(f"{sum(trials_t)} trials exceed the cap {TRIAL_CAP}")
@@ -286,18 +279,6 @@ def chi2_tail(x, half_dof):
 # ---------------------------------------------------------------------------
 # Distance and eigenvalue-product checks
 
-def _pair_differences(pts):
-    """(i, pts[i] - pts[i+1:]) for every row i but the last, so that each
-    distinct pair of rows is differenced once.  Fewer than 2 rows, or more
-    than PAIR_CAP pairs, is rejected before the first difference."""
-    if len(pts) < 2:
-        raise ValueError("need at least 2 codewords")
-    n_pairs = len(pts) * (len(pts) - 1) // 2
-    if n_pairs > PAIR_CAP:
-        raise ResourceLimitError(f"{n_pairs} pairs exceed the cap {PAIR_CAP}")
-    return ((i, pts[i] - pts[i + 1:]) for i in range(len(pts) - 1))
-
-
 def check_mismatched_bound(h, dx):
     """trace(H dX dX^T H^T) >= sum of ascending-mu times descending-lambda.
 
@@ -330,15 +311,23 @@ def check_nvd_product_bound(cb):
     size.  Each upper factor 4 M^2 comes from mu_i <= ||dX||^2 <= (2M)^2;
     dropping them (keeping only the rho^(2r/n) scale they carry) is false at
     finite SNR, so the exact constants are kept.  Returns None when every
-    bound holds, else a dict describing the first offending pair.
+    bound holds, else a dict describing the first offending pair.  Fewer
+    than 2 codewords, or more than PAIR_CAP pairs, is rejected first.
     """
+    n_pairs = len(cb.points) * (len(cb.points) - 1) // 2
+    if n_pairs < 1:
+        raise ValueError("need at least 2 codewords")
+    if n_pairs > PAIR_CAP:
+        raise ResourceLimitError(f"{n_pairs} pairs exceed the cap {PAIR_CAP}")
+    pts = cb.points * cb.radius_m
     lat = cb.source
     quat = lat.flavor == "quaternionic"
     cap = 4.0 * cb.radius_m ** 2
     n_mu = lat.ambient_n // 2 if quat else lat.ambient_n
     bounds = np.array([cap ** -(n_mu - k) for k in range(1, n_mu + 1)])
     # row i against every later point: one eigvalsh on the (N-i-1, n, n) stack
-    for i, dx in _pair_differences(cb.points * cb.radius_m):
+    for i in range(len(pts) - 1):
+        dx = pts[i] - pts[i + 1:]
         mu = np.clip(np.linalg.eigvalsh(dx @ dx.conj().transpose(0, 2, 1)), 0.0, None)
         if quat:
             mu = mu[:, 0::2]
@@ -502,7 +491,9 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     Per SNR point the codebook is the spherically shaped shell at that SNR,
     except at r = 0 where one `fixed_codebook` constellation is reused
     across the sweep (constant rate).  `trials` is one count for every SNR
-    point or one per point.
+    point or one per point.  The counters keep their codebooks and features
+    (192 B a word at quaternion n = 2), so before any chunk runs a zero-word
+    codebook, or codebooks over the SHELL_CAP // rank words of one shell, fail.
     """
     mode, n, m = cfg.mode, cfg.n, cfg.m
     flavor = "real" if mode == "real" else "quaternionic"
@@ -524,8 +515,18 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
         def block(a, rows):
             return channel.lift_parts(a[:, rows])
 
+    words = 0  # in the points' codebooks so far, whose features the counters hold
+
     def counter(rho):
+        nonlocal words
         cb = fixed() if cfg.r == 0 else shape_codebook(lat, rho, cfg.r)
+        words += len(cb.points)
+        at = f"--snr-db/--r: at {10 * math.log10(rho):g} dB and r = {cfg.r:g}"
+        if len(cb.points) < 2:
+            raise ValueError(f"{at} the codebook holds only the zero word")
+        if words > SHELL_CAP // lat.rank:
+            raise ResourceLimitError(f"{at} the sweep's codebooks hold {words} words, "
+                                     f"over the {SHELL_CAP // lat.rank} one shell may list")
         cwords = cb.points.real if mode == "real" else cb.points
         scale = math.sqrt(rho / n)
         feats = _codeword_features(cwords, scale)

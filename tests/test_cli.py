@@ -179,7 +179,7 @@ def test_outage_trials_per_point(tmp_path):
     assert [row.split(",")[2] for row in rows] == ["1000", "2000"]
 
 
-@pytest.mark.parametrize("trials", ["2.7,3000.9", "3000.5", "1e5,x"])
+@pytest.mark.parametrize("trials", ["2.7,3000.9", "3000.5", "1e5,x", "0"])
 def test_fractional_trials_exit_2(trials, tmp_path, capsys):
     out = tmp_path / "e.csv"
     rc = run(["error", "--mode", "quaternion", "--lattice", "hamilton", "--n", "2",
@@ -338,6 +338,37 @@ def test_monte_carlo_array_budget_exit_2(argv, flag, capsys):
     assert 100_000 * 64 <= sim.ARRAY_BUDGET_BYTES
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+HAMILTON_R05 = ["error", "--mode", "quaternion", "--lattice", "hamilton", "--n", "2",
+                "--m", "1", "--r", "0.5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("snr_db,message", [
+    ("0,3,6.1", "--snr-db/--r: at 0 dB and r = 0.5 the codebook holds only the zero word"),
+    ("-10,0", "--snr-db >= 0")], ids=["zero-word-codebook", "below-0-dB"])
+def test_shaped_codebook_not_a_code_exit_2(snr_db, message, monkeypatch, capsys):
+    # hamilton's shortest nonzero point has norm sqrt(2), over rho^(1/4) at 0
+    # and 3 dB; a codebook of one word would report 0 errors
+    def never(*args, **kwargs):
+        raise AssertionError("a chunk ran before every codebook was checked")
+
+    monkeypatch.setattr(sim.channel, "draw_real", never)
+    assert run(HAMILTON_R05 + [f"--snr-db={snr_db}", "--trials", "2000"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_shaped_codebooks_over_one_shell_exit_2(dmtlab_process):
+    # eight 55 dB points of 389,977 words each: the third passes the
+    # 1,000,000 words one shell may list and the sweep stops before any
+    # chunk runs, holding two points' codebooks and features (about 75 MB
+    # each); unchecked, the eight peaked at 656 MB
+    code, err, peak_mib = dmtlab_process(
+        HAMILTON_R05 + ["--snr-db", ",".join(["55"] * 8), "--trials", "1"],
+        DMTLAB_THREADS="1")
+    assert code == 2
+    assert "--snr-db/--r: at 55 dB and r = 0.5 the sweep's codebooks hold 1169931 words" in err
+    assert peak_mib < 250
 
 
 @pytest.mark.parametrize("command", ["outage", "error"])

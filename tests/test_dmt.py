@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dmtlab import dmt
 from dmtlab.dmt import (Lemma2Problem, a0_membership, classical_dmt, d1_curve,
-                        d2_curve, delta_k, exponent_quaternion, exponent_real,
+                        d2_curve, exponent_quaternion, exponent_real,
                         laplace_exponent_estimate, lemma2_bruteforce,
                         lemma2_closed_form)
 
@@ -196,7 +196,7 @@ def test_box_reduction_preserves_feasibility():
 
 
 # ---------------------------------------------------------------------------
-# a0_membership / delta_k
+# a0_membership
 
 def test_a0_membership_examples():
     assert a0_membership([1.0, 1.0, 1.0], 0.0)
@@ -216,14 +216,6 @@ def test_a0_membership_two_characterizations(values, s):
     # second form: sum of clipped shortfalls (valid for ascending nonnegative)
     form_b = float(np.sum(np.clip(1.0 - alpha, 0.0, None))) <= s + 1e-12
     assert a0_membership(alpha, s) == form_b
-
-
-def test_delta_k_examples():
-    assert delta_k([0.0, 0.0], 2.0, 2) == pytest.approx(0.0, abs=0)
-    assert delta_k([1.0, 1.0], 0.0, 1) == pytest.approx(0.0, abs=0)
-    assert delta_k([0.5, 1.0], 0.5, 2) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        delta_k([0.5], 0.5, 2)
 
 
 # ---------------------------------------------------------------------------

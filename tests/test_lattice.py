@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ def test_shell_strictly_lexicographic(lat, radius):
     # no repeated row
     coords = [tuple(c) for c in lattice.shell_coordinates(lat, radius)]
     assert len(coords) > 1 and all(a < b for a, b in zip(coords, coords[1:]))
+
+
+def test_shell_peak_memory():
+    # Z^16's radius-2.3 shell, 174,881 points of 16 coordinates (21.3 MiB):
+    # a level holds the old frontier and the new one, which it fills a column
+    # at a time, with no gathered copy of the old one (67.9 MiB when it had)
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    z16 = lattice.matrix_lattice(units, "real")
+    tracemalloc.start()
+    try:
+        coords = lattice.shell_coordinates(z16, 2.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coords.shape == (174_881, 16)
+    assert peak <= 55 * 2**20
 
 
 def test_shell_cap_counts_coordinates():

@@ -265,6 +265,17 @@ def test_nvd_product_bound_pair_cap(monkeypatch):
         check_nvd_product_bound(cb)
 
 
+def test_nvd_product_bound_needs_two_codewords(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("eigenvalues computed before the codebook size was checked")
+
+    cb = lattice.shape_codebook(HAMILTON, 1.0, 0.5)  # the zero word alone
+    assert len(cb.points) == 1
+    monkeypatch.setattr(np.linalg, "eigvalsh", never)
+    with pytest.raises(ValueError, match="at least 2 codewords"):
+        check_nvd_product_bound(cb)
+
+
 def test_mismatched_bound_zero_difference():
     rng = np.random.default_rng(12)
     h = rng.standard_normal((2, 2))
@@ -834,6 +845,21 @@ def test_error_shaped_codebook_grows_with_snr():
     cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
     est = estimate_error_prob(HAMILTON, cfg, [10.0, 18.0], 4000, 9)
     assert all(0.0 <= p <= 1.0 for p in est.probs)
+
+
+def test_shaped_words_over_one_shell_rejected_before_sampling(monkeypatch):
+    # the cap is what one shell may list, SHELL_CAP // rank words, summed
+    # over the points built so far: here two 20 dB codebooks fit, three do not
+    words = len(lattice.shape_codebook(HAMILTON, 100.0, 0.5).points)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a chunk ran before the codebooks were counted")
+
+    monkeypatch.setattr(sim, "SHELL_CAP", 2 * words * HAMILTON.rank)
+    monkeypatch.setattr(channel, "draw_real", never)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
+    with pytest.raises(lattice.ResourceLimitError, match=f"hold {3 * words} words"):
+        estimate_error_prob(HAMILTON, cfg, [20.0, 20.0, 20.0], 100, 1)
 
 
 def test_fit_slope_uniform_weighting():
