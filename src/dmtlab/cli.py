@@ -218,7 +218,10 @@ def _cmd_wishart(args):
 # ---------------------------------------------------------------------------
 # parser / dispatch
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process (about 2 ms): parsing
+    keeps nothing on it, so every `run` call may share it."""
     parser = argparse.ArgumentParser(
         prog="dmtlab",
         description="Tradeoff curves, lattice audits and Monte Carlo sweeps "

@@ -144,31 +144,57 @@ CURVE_STEP = 0.01
 CASE_CAP = 10**4
 
 
+# Rows of the oracle's grid whose floats are gathered for one product: 2 MiB at l = 4.
+ORACLE_BLOCK_ROWS = 2**16
+
+
 @lru_cache(maxsize=8)
 def _ascending_grid(l, step):
-    """All ascending l-tuples over the [0, 1] grid and their full sums of
-    (1-a), accumulated in prefix order (the last prefix sum), the rows
-    stably sorted by that sum from the lexicographic order."""
-    if math.comb(int(min(1.0 / step, GRID_CAP)) + l + 1, l) * l > GRID_CAP:
-        raise ValueError(f"--gridstep gives a grid of more than {GRID_CAP} entries")
+    """The ascending l-tuples over the [0, 1] grid at `step`: (ticks, rows,
+    order, totals).  `rows` holds tick indices in lexicographic order, in
+    the smallest integer type that indexes `ticks`.  A row's total is its
+    sum of (1 - a), added left to right as cumsum adds (its last prefix
+    sum); `order` sorts the rows by total and `totals` is sorted.  Tie order
+    is left to argsort: the oracle takes every row up to a bound, ties
+    included, so the rows it reads are the same set whatever their order."""
     ticks = np.array([i * step for i in range(int(1.0 / step) + 1)])
     if ticks[-1] < 1.0:
         ticks = np.append(ticks, 1.0)
+    index = np.min_scalar_type(len(ticks) - 1)
     # tick indices column by column, one level at a time: each row is
     # followed by every index from its last one up, so the order stays lexicographic
-    cols = [np.arange(len(ticks))]
+    cols = [np.arange(len(ticks), dtype=index)]
     for _ in range(1, l):
-        counts = len(ticks) - cols[-1]
+        counts = len(ticks) - cols[-1].astype(np.intp)
         starts = np.cumsum(counts) - counts
         cols = [np.repeat(c, counts) for c in cols]
-        cols.append(np.arange(len(cols[0])) - np.repeat(starts, counts) + cols[-1])
+        cols.append((np.arange(len(cols[0])) - np.repeat(starts, counts)
+                     + cols[-1]).astype(index))
+    rows = np.column_stack(cols)
+    del cols
     gap = 1.0 - ticks
-    total = sum(gap[c] for c in cols)  # added left to right, as cumsum rounds
-    order = np.argsort(total, kind="stable")
-    pts = np.empty((len(order), l))
-    for j, c in enumerate(cols):
-        pts[:, j] = ticks[c[order]]
-    return pts, total[order]
+    total = gap[rows[:, 0]]
+    for j in range(1, l):  # added left to right, as cumsum rounds
+        total += gap[rows[:, j]]
+    order = np.argsort(total)
+    return ticks, rows, order, total[order]
+
+
+@lru_cache(maxsize=1)
+def _running_min(step, coefficients):
+    """Running minimum of f over the grid's rows in the order of their
+    totals, for the objective `coefficients` (a tuple): entry k is the
+    least f of the k + 1 rows of smallest total.  Each row is evaluated
+    once, `ORACLE_BLOCK_ROWS` at a time; one entry is cached, since a sweep
+    walks s innermost for each (l, q)."""
+    ticks, rows, order, _ = _ascending_grid(len(coefficients), step)
+    coefficients = np.array(coefficients)
+    values = np.empty(len(rows))
+    for lo in range(0, len(rows), ORACLE_BLOCK_ROWS):
+        block = rows[lo:lo + ORACLE_BLOCK_ROWS]
+        values[lo:lo + len(block)] = ticks[block] @ coefficients
+    values = values[order]
+    return np.minimum.accumulate(values, out=values)
 
 
 def lemma2_bruteforce(prob, grid_step):
@@ -179,14 +205,20 @@ def lemma2_bruteforce(prob, grid_step):
     the box restriction is exact up to the grid resolution; the result is
     within l*(q+l)*grid_step of the true infimum.  On the box every
     addend 1 - a_i is nonnegative, so the prefix sums never decrease and
-    only the last one needs testing against s; the grid is sorted by it, so
-    the feasible points are a prefix.
+    only the last one needs testing against s; the feasible points are the
+    rows of total at most s, a prefix of the grid sorted by total, and the
+    minimum over them is one entry of the running minimum of f over that
+    order.  The prefix is never empty: the all-ones row has total 0.
     """
     if not grid_step > 0:
         raise ValueError("grid_step must be positive")
-    pts, total = _ascending_grid(prob.l, float(grid_step))
-    feasible = pts[:np.searchsorted(total, prob.s + 1e-9, "right")]
-    return float((feasible @ prob.coefficients()).min())
+    step = float(grid_step)
+    # counted on every call, before any cached grid is looked up
+    if math.comb(int(min(1.0 / step, GRID_CAP)) + prob.l + 1, prob.l) * prob.l > GRID_CAP:
+        raise ValueError(f"--gridstep gives a grid of more than {GRID_CAP} entries")
+    totals = _ascending_grid(prob.l, step)[3]
+    best = _running_min(step, tuple(prob.coefficients().tolist()))
+    return float(best[np.searchsorted(totals, prob.s + 1e-9, "right") - 1])
 
 
 def a0_membership(alpha, s):

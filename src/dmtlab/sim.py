@@ -454,9 +454,18 @@ ARRAY_BUDGET_BYTES = 128 * 2**20
 def _codeword_features(cwords, scale):
     """(|C|, f) real features of the n x n codewords C sent at amplitude
     `scale`: [scale^2 C C^H | -2 scale C] row by row, with real and imaginary
-    parts interleaved when C is complex (f = 4 n^2; 2 n^2 when real)."""
-    feats = np.concatenate([scale ** 2 * (cwords @ np.swapaxes(cwords.conj(), 1, 2)),
-                            -2.0 * scale * cwords], axis=2)
+    parts interleaved when C is complex (f = 4 n^2; 2 n^2 when real).  Both
+    halves are written into one (|C|, n, 2n) array and at most one half-size
+    temporary lives beside it; the peak is 1.5 times the result.  Plain
+    assignments fill the strided halves: a ufunc writing into one would
+    buffer 128 KiB, as much as the whole result of a small codebook."""
+    n = cwords.shape[1]
+    gram = cwords @ np.swapaxes(cwords.conj(), 1, 2)
+    gram *= scale ** 2
+    feats = np.empty((len(cwords), n, 2 * n), dtype=cwords.dtype)
+    feats[:, :, :n] = gram
+    del gram  # before the other half's temporary is made
+    feats[:, :, n:] = -2.0 * scale * cwords
     return feats.reshape(len(cwords), -1).view(float)
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,9 @@ import pytest
 from dmtlab import cli, dmt, lattice, sim
 from dmtlab.channel import SystemConfig
 from dmtlab.cli import _build_parser, run
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read(path):
@@ -95,8 +101,9 @@ def test_lemma2_empty_sweep_exit_2(qmax, lmax, capsys):
 
 
 def test_grid_size_patched_exit_2(monkeypatch, capsys):
+    # the cap is checked before any cached grid is looked up: the grids of
+    # this gridstep may be cached by an earlier test, under the default cap
     monkeypatch.setattr(dmt, "GRID_CAP", 1000)
-    dmt._ascending_grid.cache_clear()  # a grid cached before the patch skips the check
     # 201 rows of 4 fit 1000 entries at r_max = 2, and 301 rows do not at r_max = 3
     assert run(["curves", "--n", "4", "--m", "2"]) == 0
     capsys.readouterr()
@@ -404,6 +411,16 @@ def test_lemma2_verify(capsys):
     assert "within tolerance" in capsys.readouterr().out
 
 
+def test_lemma2_verify_peak_rss(dmtlab_process):
+    # the benchmark's sweep evaluates each grid row once per (l, q) from
+    # small-integer tick indices; a sorted float copy of the grid peaked at
+    # 61.3 MiB, where the interpreter with numpy alone takes about 30 MiB
+    code, err, peak_mib = dmtlab_process(["lemma2-verify", "--qmax", "6", "--lmax", "4",
+                                          "--sstep", "0.25", "--gridstep", "0.02"])
+    assert code == 0, err
+    assert peak_mib <= 55
+
+
 def test_lattice_audit(tmp_path):
     out = tmp_path / "audit.json"
     rc = run(["lattice-audit", "--lattice", "hamilton", "--radius", "2",
@@ -538,6 +555,24 @@ def test_unwritable_output_exit_3():
     rc = run(["curves", "--n", "4", "--m", "2",
               "--out", "/nonexistent-dir/x.csv"])
     assert rc == 3
+
+
+def test_cached_parser_keeps_no_state(capsys):
+    # the parser is built once per process; after a rejected argv, each
+    # command prints through it what it prints in a fresh process
+    assert run(["curves", "--n", "9", "--anchors-out", "a.json", "--m", "x"]) == 2
+    capsys.readouterr()
+    assert _build_parser() is _build_parser()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for argv in (["lattice-audit", "--lattice", "split", "--radius", "4"],
+                 ["curves", "--n", "4", "--m", "2"],
+                 ["lemma2-verify", "--qmax", "3", "--lmax", "2", "--sstep", "0.5",
+                  "--gridstep", "0.1"]):
+        assert run(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "dmtlab", *argv], capture_output=True,
+                               text=True, env=env, timeout=120, check=True)
+        assert capsys.readouterr().out == fresh.stdout
 
 
 def test_missing_required_flag_exit_2():

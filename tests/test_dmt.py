@@ -125,30 +125,47 @@ def test_lemma2_bruteforce_examples():
     assert lemma2_bruteforce(Lemma2Problem(4.0, 3, 1.5), 0.02) == pytest.approx(v, abs=0.3)
 
 
+# the criterion-2 values of s and some off the quarter grid
+S_SWEEP = [0.25 * i for i in range(17)] + [0.1, 0.33, 0.9, 1.37, 2.71, 3.9]
+
+
 @pytest.mark.parametrize("step", [0.02, 0.05, 0.07, 0.3, 0.5, 1.0])
 def test_ascending_grid_matches_itertools(step):
-    # the lexicographic tuples stably sorted by the cumsum of (1 - a); at
-    # 0.07 and 0.3 the last tick falls short of 1 and 1.0 is appended
+    # the lexicographic tuples, as small-integer tick indices, and their
+    # totals, the cumsum of (1 - a); the permutation sorts the totals, and
+    # the rows up to s are those of total at most s, ties included.  At 0.07
+    # and 0.3 the last tick falls short of 1 and 1.0 is appended
     ticks = [i * step for i in range(int(1.0 / step) + 1)]
     if ticks[-1] < 1.0:
         ticks.append(1.0)
     for l in range(1, 5):
         ref = np.array(list(itertools.combinations_with_replacement(ticks, l)))
-        total = np.cumsum(1.0 - ref, axis=1)[:, -1]
-        order = np.argsort(total, kind="stable")
-        pts, got = dmt._ascending_grid(l, step)
-        assert np.array_equal(pts, ref[order]) and np.array_equal(got, total[order])
+        ref_total = np.cumsum(1.0 - ref, axis=1)[:, -1]
+        grid_ticks, rows, order, totals = dmt._ascending_grid(l, step)
+        assert rows.dtype == np.uint8 and np.array_equal(grid_ticks[rows], ref)
+        assert np.array_equal(np.sort(order), np.arange(len(ref)))
+        lex_total = np.empty_like(totals)
+        lex_total[order] = totals
+        assert np.array_equal(lex_total, ref_total) and np.all(np.diff(totals) >= 0)
+        for s in (s for s in S_SWEEP if s <= l):
+            taken = order[:np.searchsorted(totals, s + 1e-9, "right")]
+            assert np.array_equal(np.sort(taken), np.flatnonzero(ref_total <= s + 1e-9))
 
 
 def test_lemma2_bruteforce_matches_masked_min():
-    # the criterion-2 sweep: the sorted prefix gives the masked minimum
-    for l in range(1, 5):
-        pts, total = dmt._ascending_grid(l, 0.02)
+    # the criterion-2 sweep, s off the quarter grid, and grids with the
+    # appended 1.0 tick (0.07, 0.3): the running minimum read at the end of
+    # the feasible prefix is the minimum over the rows of total at most s
+    for step, l in itertools.product([0.02, 0.05, 0.07, 0.3], range(1, 5)):
+        ticks, rows, order, totals = dmt._ascending_grid(l, step)
+        pts = ticks[rows]
+        lex_total = np.empty_like(totals)
+        lex_total[order] = totals
         for q in range(l, 7):
-            for s in [0.25 * i for i in range(4 * l + 1)]:
+            for s in (s for s in S_SWEEP if s <= l):
                 prob = Lemma2Problem(float(q), l, s)
-                ref = float((pts[total <= s + 1e-9] @ prob.coefficients()).min())
-                assert lemma2_bruteforce(prob, 0.02) == ref
+                ref = float((pts[lex_total <= s + 1e-9] @ prob.coefficients()).min())
+                assert lemma2_bruteforce(prob, step) == ref
 
 
 def test_lemma2_oracle_agreement_sweep():
