@@ -9,10 +9,9 @@ from .dmt import (Lemma2Problem, PiecewiseLinearCurve, a0_membership,
                   exponent_real, laplace_exponent_estimate,
                   lemma2_bruteforce, lemma2_closed_form)
 from .lattice import (Codebook, MatrixLattice, ResourceLimitError, audit,
-                      build_hamilton_order, build_split_order,
-                      fixed_codebook, lattice_from_json,
-                      lattice_to_json, load_lattice,
-                      matrix_lattice, shape_codebook, structure_check)
+                      fixed_codebook, lattice_from_json, lattice_to_json,
+                      load_lattice, matrix_lattice, quaternion_order,
+                      shape_codebook, structure_check)
 from .linalg import determinant, frobenius_norm
 from .sim import (SlopeEstimate, check_mismatched_bound,
                   check_nvd_product_bound, chi2_tail, estimate_error_prob,

@@ -141,8 +141,9 @@ def _cmd_lemma2(args):
     if args.qmax < 1 or args.lmax < 1:
         raise ValueError(f"--qmax/--lmax must be >= 1 (an empty sweep checks nothing), "
                          f"got {args.qmax}, {args.lmax}")
-    if not (args.sstep > 0 and args.gridstep > 0):
-        raise ValueError("sstep and gridstep must be positive")
+    for flag, step in (("--sstep", args.sstep), ("--gridstep", args.gridstep)):
+        if not (step > 0 and math.isfinite(step)):
+            raise ValueError(f"{flag} must be positive and finite, got {step:g}")
     # about l / sstep + 1 values of s for each q in l..qmax; no case has l > qmax
     ls = range(1, min(args.lmax, args.qmax) + 1)
     if len(ls) > dmt.CASE_CAP or sum((args.qmax - l + 1) * (l / args.sstep + 1)

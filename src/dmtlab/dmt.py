@@ -210,9 +210,9 @@ def lemma2_bruteforce(prob, grid_step):
     minimum over them is one entry of the running minimum of f over that
     order.  The prefix is never empty: the all-ones row has total 0.
     """
-    if not grid_step > 0:
-        raise ValueError("grid_step must be positive")
     step = float(grid_step)
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"grid_step must be positive and finite, got {step:g}")
     # counted on every call, before any cached grid is looked up
     if math.comb(int(min(1.0 / step, GRID_CAP)) + prob.l + 1, prob.l) * prob.l > GRID_CAP:
         raise ValueError(f"--gridstep gives a grid of more than {GRID_CAP} entries")

@@ -5,17 +5,17 @@ bounds cover: ``real`` (real generator matrices, bound d1) and
 ``quaternionic`` (generators of the [[A, -B*], [B, A*]] block structure,
 bound d2).  Either structure spans n^2 real dimensions, which caps the rank.
 
-Two concrete rank-4 orders in 2x2 matrices are built in:
+Rank-4 orders in 2x2 matrices come from one builder, `quaternion_order(a, b)`:
+the natural order Z<i, j> of the quaternion algebra (a, b)_Q, real when a > 0
+or b > 0 and quaternionic when both are negative.  Its reduced norms are
+integers, so an order of a division algebra has minimum determinant at least
+1 over its nonzero points, which the enumeration-based audits verify.  The
+built-in names (BUILTIN_LATTICES) are two such orders:
 
-  * ``hamilton`` -- the Lipschitz order of Hamilton's quaternions, embedded
-    as quaternionic-structured complex matrices; det(image of a+bi+cj+dk)
-    is the quaternion norm a^2+b^2+c^2+d^2.
-  * ``split``    -- the order Z<i,j> of the rational quaternion algebra with
-    i^2 = 2, j^2 = 3, embedded in real 2x2 matrices; det(image of
-    (x, y, z, w)) = x^2 - 2y^2 - 3z^2 + 6w^2.
-
-Both have minimum determinant 1 over the nonzero points (reduced norms of
-an order are rational integers), which the enumeration-based audits verify.
+  * ``hamilton`` -- (a, b) = (-1, -1), the Lipschitz order of Hamilton's
+    quaternions; det(image of x+yi+zj+wk) = x^2+y^2+z^2+w^2.
+  * ``split``    -- (a, b) = (2, 3); det(image of (x, y, z, w)) =
+    x^2 - 2y^2 - 3z^2 + 6w^2.
 
 NVD audits (`audit`), shaped codebooks and fixed 16-word constellations
 all take their points from one breadth-first Cholesky branch-and-bound
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,6 @@ from . import linalg
 from .channel import quaternionic_defect
 
 FLAVORS = ("real", "quaternionic")
-
-SQRT2 = math.sqrt(2.0)
 
 # Integer coordinates (candidates times fixed depth) one level of a shell
 # enumeration may hold.
@@ -114,29 +113,26 @@ def matrix_lattice(basis, flavor):
     return MatrixLattice(ambient_n=n, basis=mats, flavor=flavor, gram=gram)
 
 
-def build_hamilton_order():
-    """Lipschitz order: images of 1, i, j, k under the standard embedding."""
-    one = np.array([[1, 0], [0, 1]], dtype=complex)
-    i_ = np.array([[1j, 0], [0, -1j]], dtype=complex)
-    j_ = np.array([[0, -1], [1, 0]], dtype=complex)
-    k_ = np.array([[0, -1j], [-1j, 0]], dtype=complex)
-    return matrix_lattice([one, i_, j_, k_], "quaternionic")
+def quaternion_order(a, b):
+    """The natural order Z<i, j> of (a, b)_Q (i^2 = a, j^2 = b, k = ij = -ji)
+    under its standard embedding, for nonzero integers a and b, which make
+    its reduced norms integers.  Real when a > 0 or b > 0: swapped so that
+    a > 0, i -> diag(sqrt a, -sqrt a) and j -> [[0, 1], [b, 0]].  Otherwise
+    quaternionic: i -> diag(i sqrt|a|, -i sqrt|a|), j -> sqrt|b| [[0, -1], [1, 0]]."""
+    if not (isinstance(a, numbers.Integral) and isinstance(b, numbers.Integral)) or not a * b:
+        raise ValueError(f"a and b must be nonzero integers, got a={a!r}, b={b!r}")
+    if a > 0 or b > 0:
+        a, b = (a, b) if a > 0 else (b, a)
+        i_ = np.diag([math.sqrt(a), -math.sqrt(a)])
+        j_, flavor = np.array([[0, 1], [b, 0]]), "real"
+    else:
+        i_ = np.diag([1j * math.sqrt(-a), -1j * math.sqrt(-a)])
+        j_, flavor = math.sqrt(-b) * np.array([[0, -1], [1, 0]]), "quaternionic"
+    return matrix_lattice([np.eye(2), i_, j_, i_ @ j_], flavor)
 
 
-def build_split_order():
-    """Order Z<i,j> of the (2, 3) rational quaternion algebra in real matrices.
-
-    (x, y, z, w) maps to [[x + y*sqrt(2), z + w*sqrt(2)],
-                          [3(z - w*sqrt(2)), x - y*sqrt(2)]].
-    """
-    one = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    i_ = np.array([[SQRT2, 0.0], [0.0, -SQRT2]], dtype=complex)
-    j_ = np.array([[0.0, 1.0], [3.0, 0.0]], dtype=complex)
-    k_ = np.array([[0.0, SQRT2], [-3.0 * SQRT2, 0.0]], dtype=complex)
-    return matrix_lattice([one, i_, j_, k_], "real")
-
-
-BUILTIN_LATTICES = {"hamilton": build_hamilton_order, "split": build_split_order}
+# The built-in orders, as the (a, b) of their algebra.
+BUILTIN_LATTICES = {"hamilton": (-1, -1), "split": (2, 3)}
 
 
 def shell_coordinates(lat, radius):
@@ -299,7 +295,7 @@ def load_lattice(name_or_path):
     """Resolve a built-in lattice name or read a lattice JSON file, naming the
     file if it is not JSON or not a lattice document."""
     if name_or_path in BUILTIN_LATTICES:
-        return BUILTIN_LATTICES[name_or_path]()
+        return quaternion_order(*BUILTIN_LATTICES[name_or_path])
     with open(name_or_path, encoding="utf-8") as fh:
         try:
             mats, flavor = _generators_from_json(json.load(fh))

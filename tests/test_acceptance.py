@@ -114,7 +114,7 @@ def test_criterion_4_nvd_audits(tmp_path):
         ok &= abs(data["min_det"] - 1.0) <= 1e-9
         details.append(f"{name}: {data['points']} pts min_det={data['min_det']:.3g}")
     # determinant integrality over the audited shells
-    for lat in (lattice.build_hamilton_order(), lattice.build_split_order()):
+    for lat in (lattice.load_lattice("hamilton"), lattice.load_lattice("split")):
         for c in lattice.shell_coordinates(lat, 4.0):
             if not np.any(c):
                 continue
@@ -159,7 +159,7 @@ def test_criterion_6_outage_slope_quaternion():
 
 def test_criterion_7_error_slope_zero_multiplexing():
     start = time.time()
-    lat = lattice.build_hamilton_order()
+    lat = lattice.load_lattice("hamilton")
     cfg = SystemConfig("quaternion", n=2, m=1, r=0.0)
     snr = [14, 17, 20, 23, 26]
     # >= 1e5 trials everywhere; the geometric ramp equalizes the relative
@@ -217,9 +217,8 @@ def test_criterion_8_structural_suites():
 
     # NVD eigenvalue-product bounds for both built-in orders
     nvd_ok = True
-    for build in (lattice.build_hamilton_order, lattice.build_split_order):
-        lat = build()
-        cb = lattice.shape_codebook(lat, 100.0, 0.5)
+    for name in ("hamilton", "split"):
+        cb = lattice.shape_codebook(lattice.load_lattice(name), 100.0, 0.5)
         nvd_ok &= sim.check_nvd_product_bound(cb) is None
     ok &= nvd_ok
 
@@ -264,10 +263,10 @@ def test_criterion_10_error_slope_shaped():
     start = time.time()
     snr = [25, 30, 35, 40]
     trials = [20_000, 40_000, 80_000, 160_000]
-    quat = sim.estimate_error_prob(lattice.build_hamilton_order(),
+    quat = sim.estimate_error_prob(lattice.load_lattice("hamilton"),
                                    SystemConfig("quaternion", n=2, m=1, r=0.5),
                                    snr, trials, 20240, weighting="uniform")
-    real = sim.estimate_error_prob(lattice.build_split_order(),
+    real = sim.estimate_error_prob(lattice.load_lattice("split"),
                                    SystemConfig("real", n=2, m=1, r=0.5),
                                    snr, trials, 20240, weighting="uniform")
     elapsed = time.time() - start

@@ -340,7 +340,7 @@ def test_power_check_empty_errors():
 
 
 def test_power_check_shaped_codebooks_pass():
-    lat = lattice.build_hamilton_order()
+    lat = lattice.load_lattice("hamilton")
     cb = lattice.shape_codebook(lat, 50.0, 0.5)
     avg, ok = power_check(cb)
     assert ok and avg <= 1.0 / lat.ambient_n ** 2 + 1e-12

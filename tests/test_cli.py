@@ -100,6 +100,18 @@ def test_lemma2_empty_sweep_exit_2(qmax, lmax, capsys):
     assert "--qmax/--lmax" in err and "within tolerance" not in out
 
 
+@pytest.mark.parametrize("sstep,gridstep,flag", [
+    ("1", "inf", "--gridstep"), ("1", "nan", "--gridstep"), ("1", "0", "--gridstep"),
+    ("inf", "0.5", "--sstep"), ("nan", "0.5", "--sstep"), ("-1", "0.5", "--sstep")])
+def test_lemma2_step_not_positive_finite_exit_2(sstep, gridstep, flag, capsys):
+    # a gridstep of inf makes the grid's only tick 0 * inf = nan and the
+    # tolerance l (q + l) gridstep infinite, so every case would pass
+    assert run(["lemma2-verify", "--qmax", "2", "--lmax", "2", "--sstep", sstep,
+                "--gridstep", gridstep]) == 2
+    out, err = capsys.readouterr()
+    assert f"{flag} must be positive and finite" in err and "within tolerance" not in out
+
+
 def test_grid_size_patched_exit_2(monkeypatch, capsys):
     # the cap is checked before any cached grid is looked up: the grids of
     # this gridstep may be cached by an earlier test, under the default cap
@@ -307,7 +319,7 @@ def test_error_command(tmp_path):
 def test_error_lattice_from_file(tmp_path):
     from dmtlab import lattice as lat
     path = tmp_path / "split.json"
-    path.write_text(json.dumps(lat.lattice_to_json(lat.build_split_order())),
+    path.write_text(json.dumps(lat.lattice_to_json(lat.load_lattice("split"))),
                     encoding="utf-8")
     rc = run(["error", "--mode", "real", "--lattice", str(path),
               "--n", "2", "--m", "1", "--r", "0", "--snr-db", "14",
@@ -477,7 +489,7 @@ def test_lattice_audit_split_pi(radius, report, capsys):
 
 
 def test_lattice_audit_rejects_complex_flavor(tmp_path, capsys):
-    data = lattice.lattice_to_json(lattice.build_hamilton_order())
+    data = lattice.lattice_to_json(lattice.load_lattice("hamilton"))
     path = tmp_path / "complex.json"
     path.write_text(json.dumps({**data, "flavor": "complex"}), encoding="utf-8")
     assert run(["lattice-audit", "--lattice", str(path), "--radius", "2"]) == 2

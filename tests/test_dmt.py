@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,13 @@ def test_lemma2_bruteforce_examples():
     assert lemma2_bruteforce(Lemma2Problem(3.0, 1, 0.5), 0.001) == pytest.approx(1.5, abs=0.01)
     v, _ = lemma2_closed_form(Lemma2Problem(4.0, 3, 1.5))
     assert lemma2_bruteforce(Lemma2Problem(4.0, 3, 1.5), 0.02) == pytest.approx(v, abs=0.3)
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.1])
+def test_lemma2_bruteforce_rejects_bad_step(step):
+    # at an infinite step the grid's only tick is 0 * inf = nan
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        lemma2_bruteforce(Lemma2Problem(2.0, 2, 1.0), step)
 
 
 # the criterion-2 values of s and some off the quarter grid

@@ -9,8 +9,8 @@ from dmtlab import lattice, linalg
 from dmtlab.channel import lift_parts, power_check
 
 
-HAMILTON = lattice.build_hamilton_order()
-SPLIT = lattice.build_split_order()
+HAMILTON = lattice.load_lattice("hamilton")
+SPLIT = lattice.load_lattice("split")
 
 
 def box_search_coordinates(lat, radius):

@@ -14,8 +14,8 @@ from dmtlab.sim import (chi2_tail, check_mismatched_bound,
                         estimate_outage, fit_slope)
 
 
-HAMILTON = lattice.build_hamilton_order()
-SPLIT = lattice.build_split_order()
+HAMILTON = lattice.load_lattice("hamilton")
+SPLIT = lattice.load_lattice("split")
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
 
 
