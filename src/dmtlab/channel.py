@@ -14,7 +14,10 @@ fixed order: h before w, the real part of a block before its imaginary part.
 Both mutual informations are log-determinants at the identity input
 covariance, the one behind the outage event of both bounds, taken with no
 eigensolver.  Eigenvalue spectra of the channel Gram are `sim`'s (the
-Wishart samplers).
+Wishart samplers).  Quaternion blocks are drawn as their real parts
+(`draw_real` of a (4, N, m, p) array); the ML-error sweep keeps them so
+(`receive` multiplies parts), while the quaternion mutual information and
+the Wishart sampler lift them to complex 2m x 2p matrices (`lift_parts`).
 """
 
 from __future__ import annotations
@@ -92,6 +95,16 @@ def lift_parts(parts):
     return out
 
 
+def quaternion_parts(lifted):
+    """The (4, b, m, p) real parts (Re M1, Im M1, Re M2, Im M2) of lifted
+    b x 2m x 2p blocks [[M1, M2], [-conj(M2), conj(M1)]]: the real and
+    imaginary parts of their top-left and top-right blocks, which
+    `lift_parts` lifts back."""
+    m, p = lifted.shape[1] // 2, lifted.shape[2] // 2
+    top_l, top_r = lifted[:, :m, :p], lifted[:, :m, p:]
+    return np.stack([top_l.real, top_l.imag, top_r.real, top_r.imag])
+
+
 def draw_lifted(rng, count, m, p):
     """`count` lifted 2m x 2p quaternionic channels (or noise blocks)."""
     return lift_parts(draw_real(rng, (4, count, m, p)))
@@ -99,7 +112,9 @@ def draw_lifted(rng, count, m, p):
 
 def receive(h, x, scale, w):
     """Received blocks scale * H X + W, for H, X and W of one dtype, formed
-    in place on the `linalg.bmm` product (batch axis last in memory)."""
+    in place on the `linalg.bmm` product (batch axis last in memory): real or
+    complex (N, ., .) stacks, or quaternion blocks as (4, N, ., .) real
+    parts, which is lift_parts(Y) = scale lift(H) lift(X) + lift(W)."""
     y = bmm(h, x)
     y *= scale
     y += w

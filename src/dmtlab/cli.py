@@ -144,6 +144,12 @@ def _cmd_lemma2(args):
     for flag, step in (("--sstep", args.sstep), ("--gridstep", args.gridstep)):
         if not (step > 0 and math.isfinite(step)):
             raise ValueError(f"{flag} must be positive and finite, got {step:g}")
+    # f spans [0, l q] on the unit box; at q = l the tolerance l (q + l)
+    # gridstep = 2 l^2 gridstep covers that range from gridstep 1/2 on, so
+    # no case of the sweep could fail
+    if args.gridstep >= 0.5:
+        raise ValueError(f"--gridstep must be below 0.5, where the tolerance l (q + l) "
+                         f"gridstep covers every value at q = l; got {args.gridstep:g}")
     # about l / sstep + 1 values of s for each q in l..qmax; no case has l > qmax
     ls = range(1, min(args.lmax, args.qmax) + 1)
     if len(ls) > dmt.CASE_CAP or sum((args.qmax - l + 1) * (l / args.sstep + 1)

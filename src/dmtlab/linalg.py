@@ -4,14 +4,16 @@ Everything downstream (channel models, lattices, Monte Carlo checks) runs on
 plain numpy arrays; this module owns the few primitives whose behavior we
 need to control precisely: finite-matrix coercion, an order-independent
 Frobenius norm, a square-checked determinant of one matrix or of an
-(N, n, n) stack, and two batch-axis kernels for stacks of small real or
-complex matrices, `bmm` (product) and `logdet_pd` (log-determinant), used by
-the real and quaternionic mutual information and the received blocks of the
-ML-error sweep.  numpy's stacked routines pay
-a fixed dispatch per matrix, which for 2x2 matrices outweighs the arithmetic
-many times over; the kernels instead run one vector operation over the batch
-axis per matrix entry.  Other products and eigenvalues come straight from
-numpy.
+(N, n, n) stack, and two batch-axis kernels for stacks of small matrices,
+`bmm` (product) and `logdet_pd` (log-determinant), used by the real and
+quaternionic mutual information, the received blocks and the decoder's
+metric features of the ML-error sweep.  `bmm` multiplies real or complex
+matrices, or quaternion matrices held as their four real parts, so the
+ML-error sweep decodes in the code's own algebra with no complex lift.
+numpy's stacked routines pay a fixed dispatch per matrix, which for 2x2
+matrices outweighs the arithmetic many times over; the kernels instead run
+one vector operation over the batch axis per matrix entry.  Other products
+and eigenvalues come straight from numpy.
 """
 
 from __future__ import annotations
@@ -60,25 +62,64 @@ def determinant(m):
     return complex(d) if a.ndim == 2 else d
 
 
-def bmm(a, b):
-    """a @ b for real or complex (N, i, j) and (N, j, k) stacks.
+# The product of quaternion matrices (A1, A2)(B1, B2) = (A1 B1 - A2 conj(B2),
+# A1 B2 + A2 conj(B1)), written on their real parts (Re A1, Im A1, Re A2,
+# Im A2): per output part, its four (left part, right part, sign) terms.
+# Each part's first term has left part 0, which the conjugate leaves
+# positive, and mirrored terms (s, t), (t, s) are adjacent, so that the
+# parts of a 1 x 1 Gram A^* A that vanish come out exactly 0.  The plain
+# product of one stack is the one-part case.
+PART_TERMS = {
+    1: (((0, 0, 1),),),
+    4: (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+        ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+        ((0, 2, 1), (2, 0, 1), (1, 3, -1), (3, 1, 1)),
+        ((0, 3, 1), (3, 0, 1), (1, 2, 1), (2, 1, -1))),
+}
 
-    Each output entry is one multiply and then one add per further inner
-    index, each a vector operation over the batch axis, inner indices
-    ascending, so every entry is rounded exactly as the plain ascending
-    sum of its products.
+
+def bmm(a, b, conj=False, out=None):
+    """a @ b for real or complex (N, i, j) and (N, j, k) stacks, or the
+    quaternion product of real (4, N, i, j) and (4, N, j, k) stacks of parts
+    (Re M1, Im M1, Re M2, Im M2), the layout `channel.lift_parts` lifts.
+
+    conj=True multiplies by the conjugate transpose of each left matrix, of
+    a real (j, i) stack or of (4, N, j, i) parts.  Each output entry is one
+    multiply and then one signed add per further term (`PART_TERMS`) and
+    inner index, each a vector operation over the batch axis, terms in table
+    order and inner indices ascending, so every entry of a one-part product
+    is rounded exactly as the plain ascending sum of its products.  The
+    result is written into `out` when given, else into a new array with the
+    batch axis last in memory.
     """
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1] or a.shape[2] < 1:
-        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}")
-    # batch axis last in memory, so that each entry is one contiguous vector
-    out = np.empty((a.shape[1], b.shape[2], len(a)), np.result_type(a, b)).transpose(2, 0, 1)
-    term = np.empty(len(a), dtype=out.dtype)
-    for p in range(a.shape[1]):
-        for q in range(b.shape[2]):
-            entry = out[:, p, q]
-            np.multiply(a[:, p, 0], b[:, 0, q], out=entry)
-            for j in range(1, a.shape[2]):
-                entry += np.multiply(a[:, p, j], b[:, j, q], out=term)
+    one = a.ndim == 3
+    if one:
+        a, b = a[None], b[None]
+    if conj:
+        a = a.swapaxes(2, 3)
+    if (a.ndim != 4 or b.ndim != 4 or len(a) not in PART_TERMS or a.shape[:2] != b.shape[:2]
+            or (conj and a.dtype.kind == "c") or a.shape[3] != b.shape[2] or a.shape[3] < 1):
+        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}"
+                         f"{' (conj)' if conj else ''}")
+    parts, batch, rows, inner = a.shape
+    if out is None:
+        # batch axis last in memory, so that each entry is one contiguous vector
+        out = np.empty((parts, rows, b.shape[3], batch),
+                       np.result_type(a, b)).transpose(0, 3, 1, 2)
+        out = out[0] if one else out
+    term = np.empty(batch, dtype=out.dtype)
+    for r, terms in enumerate(PART_TERMS[parts]):
+        for p in range(rows):
+            for q in range(b.shape[3]):
+                entry = out[:, p, q] if one else out[r, :, p, q]
+                for s, t, sign in terms:
+                    add = np.subtract if sign * (-1 if conj and s else 1) < 0 else np.add
+                    for j in range(inner):
+                        if s == 0 and j == 0:
+                            np.multiply(a[s, :, p, j], b[t, :, j, q], out=entry)
+                        else:
+                            add(entry, np.multiply(a[s, :, p, j], b[t, :, j, q], out=term),
+                                out=entry)
     return out
 
 

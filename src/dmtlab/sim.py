@@ -17,9 +17,13 @@ point in one pool and fits the slope to the summed integer events
 per-point event counter and the bytes of a row of its widest array.  Both
 counters draw a chunk whole and take it in `BLOCK_ROWS`-row blocks
 (`_sum_blocks`), whose temporaries the allocator reuses from block to
-block.  The ML decoder scores a block against the whole codebook with real
-matrix products (`_ml_decode`) of `_decode_rows` rows, each small enough
-that OpenBLAS runs it on the calling thread (DECODE_MACS).
+block.  The ML decoder works in the code's own algebra: channel, noise,
+received blocks and codewords stay real matrices, or quaternion matrices as
+their four real parts (`linalg.bmm` multiplies both), never lifted to
+complex ones.  It scores a block against the whole codebook with real
+matrix products (`_ml_decode`) of 2 n^2 features a row, `_decode_rows` rows
+each, small enough that OpenBLAS runs them on the calling thread
+(DECODE_MACS).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -263,7 +267,11 @@ def chi2_tail(x, half_dof):
     """P{chi^2(2K) > 2x} = e^(-x) sum_{j<K} x^j / j! for a whole K = half_dof >= 1.
 
     Summed in log space, shifted by the largest term, so nothing under- or
-    overflows and K up to a few hundred stays accurate at any x.
+    overflows and K up to a few hundred stays accurate at any x.  Below
+    x = K, where the tail lies above about 1/2, it is one minus the lower
+    tail e^(-x) sum_{j>=K} x^j / j!, whose terms are positive and shrink by
+    x / j < 1: a tail near 1 then keeps its last bits, and stays monotone
+    in x and K, where the direct sum of K terms can err by a few 1e-15.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -271,7 +279,16 @@ def chi2_tail(x, half_dof):
         raise ValueError(f"half_dof must be a whole number >= 1, got {half_dof}")
     if x == 0.0:
         return 1.0
-    logs = [-x + j * math.log(x) - math.lgamma(j + 1) for j in range(int(half_dof))]
+    k = int(half_dof)
+    if x < k:
+        total = term = 1.0
+        j = k
+        while term > 1e-17 * total:
+            j += 1
+            term *= x / j
+            total += term
+        return max(1.0 - math.exp(-x + k * math.log(x) - math.lgamma(k + 1)) * total, 0.0)
+    logs = [-x + j * math.log(x) - math.lgamma(j + 1) for j in range(k)]
     peak = max(logs)
     return min(math.exp(peak + math.log(sum(math.exp(v - peak) for v in logs))), 1.0)
 
@@ -443,30 +460,35 @@ DECODE_BUDGET_BYTES = 64 * 2**20
 # OpenBLAS runs it on the calling thread: numpy's scipy-openblas 0.3.31
 # kept (M, 16) @ (16, 16) at a CPU/wall ratio of 1.00 up to M = 1536 and
 # woke its own threads from M = 2048 (2^19), which then took the CPUs of
-# the pool's other workers.  A sub-batch keeps at least 64 rows, so a large
-# codebook is not scored row by row.
+# the pool's other workers.  The quaternion n = 2 product is (M, 8) @ (8, 16)
+# at |C| = 16, which this allows 2048 rows; on a 2-vCPU box it kept a ratio
+# of 1.00 up to M = 6144 and woke threads at M = 8192.  A sub-batch keeps at
+# least 64 rows, so a large codebook is not scored row by row.
 DECODE_MACS = 2**18
 # Bytes of any other array one sweep chunk or Wishart draw may build, per
 # worker: larger inputs are rejected before any draw; chunks never shrink.
 ARRAY_BUDGET_BYTES = 128 * 2**20
 
 
-def _codeword_features(cwords, scale):
-    """(|C|, f) real features of the n x n codewords C sent at amplitude
-    `scale`: [scale^2 C C^H | -2 scale C] row by row, with real and imaginary
-    parts interleaved when C is complex (f = 4 n^2; 2 n^2 when real).  Both
-    halves are written into one (|C|, n, 2n) array and at most one half-size
-    temporary lives beside it; the peak is 1.5 times the result.  Plain
-    assignments fill the strided halves: a ufunc writing into one would
-    buffer 128 KiB, as much as the whole result of a small codebook."""
-    n = cwords.shape[1]
-    gram = cwords @ np.swapaxes(cwords.conj(), 1, 2)
+def _codeword_features(cparts, scale):
+    """(f, |C|) real features of the codewords C sent at amplitude `scale`,
+    one column a word: the parts of scale^2 C C^* over those of -2 scale C,
+    laid out as `_ml_decode`'s row features.  `cparts` holds real n x n words
+    as an (|C|, n, n) stack or quaternion p x p words as (4, |C|, p, p)
+    parts, so f = 2 n^2 in both modes.  C^* is first written where -2 scale C
+    goes, as both factors of C C^* = (C^*)^* C^*, so beside the result only
+    one |C|-vector of `linalg.bmm` is allocated."""
+    k, words = cparts.shape[-1], cparts.shape[-3]
+    feats = np.empty((2, *cparts.shape[:-3], k, k, words))
+    gram, lin = np.moveaxis(feats, -1, -3)  # the word axis last in memory
+    np.copyto(lin, cparts.swapaxes(-1, -2))
+    if lin.ndim == 4:  # the conjugate negates a quaternion's parts 1-3
+        np.negative(lin[1:], out=lin[1:])
+    linalg.bmm(lin, lin, conj=True, out=gram)
     gram *= scale ** 2
-    feats = np.empty((len(cwords), n, 2 * n), dtype=cwords.dtype)
-    feats[:, :, :n] = gram
-    del gram  # before the other half's temporary is made
-    feats[:, :, n:] = -2.0 * scale * cwords
-    return feats.reshape(len(cwords), -1).view(float)
+    np.copyto(lin, cparts)  # a ufunc from cparts into the strided lin would buffer
+    lin *= -2.0 * scale
+    return feats.reshape(-1, words)
 
 
 def _decode_rows(words, f):
@@ -478,20 +500,25 @@ def _decode_rows(words, f):
 
 def _ml_decode(h, y, cword_feats):
     """Exhaustive-ML decisions argmin_k ||y - scale H C_k||^2 per row (lowest
-    index on ties), `scale` being the amplitude `cword_feats` was built for.
+    index on ties), `scale` being the amplitude `cword_feats` was built for;
+    H and y are real (N, ., .) stacks or (4, N, ., .) quaternion parts.
 
-    ||y - s H C||^2 = ||y||^2 - 2s Re tr((H^H y)^H C) + s^2 Re tr(G (C C^H)^H)
-    with G = H^H H.  ||y||^2 is the same for every codeword and dropped, and
-    Re tr(A^H B) is the dot product of the interleaved real views of A and
-    B, so the metric is the real product of the row features [G | H^H y]
-    with `cword_feats`, sub-batched under DECODE_MACS (64 rows at least) and
-    DECODE_BUDGET_BYTES.
+    ||y - s H C||^2 = ||y||^2 - 2s <H^* y, C> + s^2 <H^* H, C C^*>, where
+    <A, B> = Re tr(A^* B) is the dot product of the real parts (for
+    quaternion matrices half that of their lifts).  ||y||^2 is the same for
+    every codeword and dropped, so the metric is the real product of the row
+    features, the parts of [H^* H | H^* y], with `cword_feats`, sub-batched
+    under DECODE_MACS (64 rows at least) and DECODE_BUDGET_BYTES.
     """
-    feats = np.einsum("bji,bjk->bik", h.conj(), np.concatenate([h, y], axis=2))
-    feats = np.ascontiguousarray(feats).reshape(len(h), -1).view(float)
-    rows = _decode_rows(*cword_feats.shape)
-    return np.concatenate([np.argmin(feats[lo:lo + rows] @ cword_feats.T, axis=1)
-                           for lo in range(0, len(h), rows)])
+    k, batch = h.shape[-1], h.shape[-3]
+    feats = np.empty((2, *h.shape[:-3], k, k, batch))
+    gram, hy = np.moveaxis(feats, -1, -3)  # the batch axis last in memory
+    linalg.bmm(h, h, conj=True, out=gram)
+    linalg.bmm(h, y, conj=True, out=hy)
+    feats = feats.reshape(-1, batch)
+    rows = _decode_rows(cword_feats.shape[1], len(feats))
+    return np.concatenate([np.argmin(feats[:, lo:lo + rows].T @ cword_feats, axis=1)
+                           for lo in range(0, batch, rows)])
 
 
 def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
@@ -500,9 +527,10 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     Per SNR point the codebook is the spherically shaped shell at that SNR,
     except at r = 0 where one `fixed_codebook` constellation is reused
     across the sweep (constant rate).  `trials` is one count for every SNR
-    point or one per point.  The counters keep their codebooks and features
-    (192 B a word at quaternion n = 2), so before any chunk runs a zero-word
-    codebook, or codebooks over the SHELL_CAP // rank words of one shell, fail.
+    point or one per point.  The counters keep their codewords, as real
+    parts, and features (96 B a word at n = 2: 2 n^2 floats of features and
+    n^2 of parts), so before any chunk runs a zero-word codebook, or
+    codebooks over the SHELL_CAP // rank words of one shell, fail.
     """
     mode, n, m = cfg.mode, cfg.n, cfg.m
     flavor = "real" if mode == "real" else "quaternionic"
@@ -511,18 +539,9 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
                          f"codewords, not {lat.flavor} {lat.ambient_n}x{lat.ambient_n}")
     row_bytes = (16 if mode == "real" else 32) * n * max(2 * m, n)
     fixed = functools.cache(lambda: fixed_codebook(lat))
-    if mode == "real":
-        def draw(st, size):
-            return channel.draw_real(st, (size, 2 * m, n))
-
-        def block(a, rows):
-            return a[rows]
-    else:
-        def draw(st, size):  # the real parts, lifted block by block
-            return channel.draw_real(st, (4, size, m, cfg.p))
-
-        def block(a, rows):
-            return channel.lift_parts(a[:, rows])
+    # a chunk's channel or noise: real 2m x n blocks, or the parts of m x p
+    # quaternion blocks
+    lead, block = ((), (2 * m, n)) if mode == "real" else ((4,), (m, cfg.p))
 
     words = 0  # in the points' codebooks so far, whose features the counters hold
 
@@ -536,17 +555,18 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
         if words > SHELL_CAP // lat.rank:
             raise ResourceLimitError(f"{at} the sweep's codebooks hold {words} words, "
                                      f"over the {SHELL_CAP // lat.rank} one shell may list")
-        cwords = cb.points.real if mode == "real" else cb.points
+        cparts = (np.ascontiguousarray(cb.points.real) if mode == "real"
+                  else channel.quaternion_parts(cb.points))
         scale = math.sqrt(rho / n)
-        feats = _codeword_features(cwords, scale)
+        feats = _codeword_features(cparts, scale)
 
         def count(st, size):
-            hs, ws = draw(st, size), draw(st, size)
-            tx = st.integers(0, len(cwords), size=size)
+            hs, ws = (channel.draw_real(st, (*lead, size, *block)) for _ in range(2))
+            tx = st.integers(0, feats.shape[1], size=size)
 
             def errors(rows):
-                h = block(hs, rows)
-                y = channel.receive(h, cwords[tx[rows]], scale, block(ws, rows))
+                h = hs[..., rows, :, :]
+                y = channel.receive(h, cparts[..., tx[rows], :, :], scale, ws[..., rows, :, :])
                 return np.count_nonzero(_ml_decode(h, y, feats) != tx[rows])
             return _sum_blocks(size, errors)
         return count

@@ -158,15 +158,34 @@ def test_receive_leaves_inputs():
 
 
 def test_ml_decode_batch_last_y():
-    # receive lays Y out batch-last; the decoder decides as on a C-ordered copy
+    # receive lays Y out batch-last; the decoder decides as on a C-ordered
+    # copy (the parts of 2 x 1 quaternion blocks, m = 2, which are not
+    # C-ordered batch-last)
     rng = np.random.default_rng(34)
-    cwords = lattice.fixed_codebook(lattice.load_lattice("hamilton")).points
-    h, w = channel.draw_lifted(rng, 3000, 1, 1), channel.draw_lifted(rng, 3000, 1, 1)
-    y = channel.receive(h, cwords[rng.integers(0, len(cwords), 3000)], 2.0, w)
-    feats = sim._codeword_features(cwords, 2.0)
+    cparts = channel.quaternion_parts(
+        lattice.fixed_codebook(lattice.load_lattice("hamilton")).points)
+    h, w = (channel.draw_real(rng, (4, 3000, 2, 1)) for _ in range(2))
+    y = channel.receive(h, cparts[:, rng.integers(0, cparts.shape[1], 3000)], 2.0, w)
+    feats = sim._codeword_features(cparts, 2.0)
     assert not y.flags.c_contiguous
     np.testing.assert_array_equal(sim._ml_decode(h, y, feats),
                                   sim._ml_decode(h, np.ascontiguousarray(y), feats))
+
+
+@pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_receive_parts_match_lifted(m, p):
+    # on quaternion parts, lift_parts(Y) = scale lift(H) lift(X) + lift(W)
+    rng = np.random.default_rng(35)
+    h, w = (channel.draw_real(rng, (4, 500, m, p)) for _ in range(2))
+    x = rng.standard_normal((4, 500, p, p))
+    lift = channel.lift_parts
+    ref = 3.7 * (lift(h) @ lift(x)) + lift(w)
+    assert np.abs(lift(channel.receive(h, x, 3.7, w)) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_quaternion_parts_invert_lift():
+    parts = np.random.default_rng(36).standard_normal((4, 50, 2, 3))
+    assert np.array_equal(channel.quaternion_parts(channel.lift_parts(parts)), parts)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_curves_has_no_step_option(capsys):
 def test_lemma2_case_count(qmax, lmax, sstep, code, capsys):
     # counted before the first case: s += 1e-300 would never pass l = 1
     assert run(["lemma2-verify", "--qmax", qmax, "--lmax", lmax, "--sstep", sstep,
-                "--gridstep", "0.5"]) == code
+                "--gridstep", "0.25"]) == code
     out, err = capsys.readouterr()
     assert ("--sstep/--qmax/--lmax" in err) == (code == 2)
     assert code == 2 or "all 2 cases within tolerance" in out
@@ -95,9 +95,20 @@ def test_lemma2_case_count(qmax, lmax, sstep, code, capsys):
 def test_lemma2_empty_sweep_exit_2(qmax, lmax, capsys):
     # a verification with no case to check must not report success
     assert run(["lemma2-verify", "--qmax", qmax, "--lmax", lmax, "--sstep", "0.5",
-                "--gridstep", "0.5"]) == 2
+                "--gridstep", "0.25"]) == 2
     out, err = capsys.readouterr()
     assert "--qmax/--lmax" in err and "within tolerance" not in out
+
+
+@pytest.mark.parametrize("gridstep", ["0.5", "0.75", "1", "1e300"])
+def test_lemma2_coarse_gridstep_exit_2(gridstep, capsys):
+    # f spans [0, l q] on the unit box, and at q = l the tolerance
+    # l (q + l) gridstep reaches l q from gridstep 1/2 on: such a sweep could
+    # not fail, so it must not report success
+    assert run(["lemma2-verify", "--qmax", "3", "--lmax", "2", "--sstep", "0.5",
+                "--gridstep", gridstep]) == 2
+    out, err = capsys.readouterr()
+    assert "--gridstep must be below 0.5" in err and "within tolerance" not in out
 
 
 @pytest.mark.parametrize("sstep,gridstep,flag", [

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dmtlab import linalg
+from dmtlab import channel, linalg
 
 
 def cofactor_det(a):
@@ -168,6 +169,45 @@ def test_bmm_rejects_mismatched_shapes():
         linalg.bmm(np.ones((2, 2, 3)), np.ones((2, 2, 2)))
     with pytest.raises(ValueError):
         linalg.bmm(np.ones((2, 2, 2)), np.ones((3, 2, 2)))
+
+
+@pytest.mark.parametrize("conj", [False, True], ids=["plain", "conj"])
+@pytest.mark.parametrize("i,j,k", list(itertools.product((1, 2), repeat=3)))
+def test_bmm_quaternion_parts_match_lifted_product(i, j, k, conj):
+    # the product of (4, N, i, j) and (4, N, j, k) parts lifts to the product
+    # of the lifts (the left one conjugate-transposed with conj), to 1e-14 of
+    # |A| |B| entry by entry
+    rng = np.random.default_rng(7 + 8 * i + 4 * j + 2 * k + conj)
+    a = rng.standard_normal((4, 300, j, i) if conj else (4, 300, i, j))
+    b = rng.standard_normal((4, 300, j, k))
+    la, lb = channel.lift_parts(a), channel.lift_parts(b)
+    if conj:
+        la = la.conj().transpose(0, 2, 1)
+    ref = la @ lb
+    got = channel.lift_parts(linalg.bmm(a, b, conj=conj))
+    assert got.shape == ref.shape == (300, 2 * i, 2 * k)
+    assert np.all(np.abs(got - ref) <= 1e-14 * (np.abs(la) @ np.abs(lb)))
+
+
+def test_bmm_conj_of_one_stack_is_the_transpose():
+    # a real stack's conjugate transpose is its transpose, bit for bit, and
+    # `out` receives the product
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((200, 3, 2)), rng.standard_normal((200, 3, 4))
+    out = np.empty((200, 2, 4))
+    assert linalg.bmm(a, b, conj=True, out=out) is out
+    assert np.array_equal(out, linalg.bmm(a.transpose(0, 2, 1).copy(), b))
+
+
+def test_bmm_rejects_bad_part_stacks():
+    with pytest.raises(ValueError):  # three parts are no algebra
+        linalg.bmm(np.ones((3, 2, 1, 1)), np.ones((3, 2, 1, 1)))
+    with pytest.raises(ValueError):  # parts against a plain stack
+        linalg.bmm(np.ones((4, 2, 1, 1)), np.ones((2, 1, 1)))
+    with pytest.raises(ValueError):  # the conjugate of a complex stack
+        linalg.bmm(np.ones((2, 2, 2), dtype=complex), np.ones((2, 2, 2)), conj=True)
+    with pytest.raises(ValueError):  # conj transposes the left factor first
+        linalg.bmm(np.ones((4, 2, 1, 3)), np.ones((4, 2, 3, 1)), conj=True)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])

@@ -206,6 +206,17 @@ def test_chi2_tail_monotone(x1, x2, k):
     assert chi2_tail(lo, k + 1) >= chi2_tail(lo, k) - 1e-15
 
 
+def test_chi2_tail_monotone_near_one():
+    # below x = K the tail is one minus the small lower tail, so a tail near
+    # 1 keeps its last bits; the direct K-term sum gave chi2_tail(11.0, 46) =
+    # 0.9999999999999987 above chi2_tail(10.75, 46) = 0.9999999999999964
+    assert chi2_tail(11.0, 46) <= chi2_tail(10.75, 46)
+    xs = np.arange(0.0625, 50.0, 0.0625)
+    for k in (5, 20, 46, 50):
+        tails = [chi2_tail(float(x), k) for x in xs]
+        assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:])), k
+
+
 # ---------------------------------------------------------------------------
 # fit_slope
 
@@ -584,35 +595,55 @@ def test_metric_products_under_decode_macs(monkeypatch, snr_db, words):
     cb = (lattice.fixed_codebook(HAMILTON) if snr_db is None
           else lattice.shape_codebook(HAMILTON, 10.0 ** (snr_db / 10.0), 0.5))
     assert len(cb.points) == words
-    feats = sim._codeword_features(cb.points, 3.0)
+    cparts = channel.quaternion_parts(cb.points)
+    feats = sim._codeword_features(cparts, 3.0)
+    assert feats.shape == (8, words)  # f = 2 n^2
     rng = np.random.default_rng(5)
-    h, w = (channel.draw_lifted(rng, 5000, 1, 1) for _ in range(2))
-    y = channel.receive(h, cb.points[rng.integers(0, words, size=5000)], 3.0, w)
+    h, w = (channel.draw_real(rng, (4, 5000, 1, 1)) for _ in range(2))
+    y = channel.receive(h, cparts[:, rng.integers(0, words, size=5000)], 3.0, w)
     shapes = _spy_metric_rows(monkeypatch)
     sim._ml_decode(h, y, feats)
     assert sum(r for r, _ in shapes) == 5000 and len(shapes) > 1
-    assert all(c == words and r * c * feats.shape[1] < 2**19 for r, c in shapes)
+    assert all(c == words and r * c * len(feats) < 2**19 for r, c in shapes)
+
+
+def _code_parts(cb, mode):
+    """A codebook's words as `estimate_error_prob` keeps them: real n x n
+    words, or the (4, |C|, p, p) parts of quaternion ones."""
+    if mode == "real":
+        return np.ascontiguousarray(cb.points.real)
+    return channel.quaternion_parts(cb.points)
 
 
 @pytest.mark.parametrize("lat,mode", [(HAMILTON, "quaternion"), (SPLIT, "real")])
 def test_codeword_features_in_one_array(lat, mode):
-    # the two halves are written into one preallocated array: the features
-    # are bit-identical to the halves concatenated, and at 40 dB, r = 0.5
-    # (hamilton: 12,577 words) the allocations peak within 1.6 times the
-    # result, where the concatenation peaked at 2.0 times
+    # the features are written into one preallocated (f, |C|) array: they
+    # are bit-identical to an independent reference of that layout (one
+    # column a word: the parts of scale^2 C C^* over those of -2 scale C),
+    # and at 40 dB, r = 0.5 (hamilton: 12,577 words) the allocations peak
+    # within 1.6 times the result
     cb = lattice.shape_codebook(lat, 1e4, 0.5)
-    cwords = cb.points.real if mode == "real" else cb.points
+    cparts = _code_parts(cb, mode)
     scale = math.sqrt(1e4 / 2)
     tracemalloc.start()
     try:
-        feats = sim._codeword_features(cwords, scale)
+        feats = sim._codeword_features(cparts, scale)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ref = np.concatenate([scale ** 2 * (cwords @ np.swapaxes(cwords.conj(), 1, 2)),
-                          -2.0 * scale * cwords], axis=2)
-    ref = ref.reshape(len(cwords), -1).view(float)
-    assert feats.shape == ref.shape and feats.dtype == ref.dtype
+    if mode == "real":  # C C^T entry (i, j): the ascending sum over l of C_il C_jl
+        cols = [cparts[:, :, None, l] * cparts[:, None, :, l] for l in range(cparts.shape[2])]
+        gram = sum(cols[1:], cols[0])
+        lin = cparts
+    else:  # a 1 x 1 quaternion word c: c c^* = |c|^2, a real number
+        c1, c2 = cb.points[:, 0, 0], cb.points[:, 0, 1]
+        lin = np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=1)
+        gram = np.zeros_like(lin)
+        gram[:, 0] = ((c1.real * c1.real + c1.imag * c1.imag) + c2.real * c2.real) \
+            + c2.imag * c2.imag
+    ref = np.concatenate([(scale ** 2 * gram).reshape(len(lin), -1),
+                          (-2.0 * scale * lin).reshape(len(lin), -1)], axis=1).T
+    assert feats.shape == ref.shape == (8, len(cb.points)) and feats.dtype == ref.dtype
     assert np.array_equal(feats.view(np.uint64), ref.view(np.uint64))
     assert peak <= 1.6 * feats.nbytes
 
@@ -658,23 +689,45 @@ def _bruteforce_decode(h, y, scale, cwords):
                                          ("quaternion", "hamilton", 0.5),
                                          ("real", "split", 0.5)])
 def test_ml_decode_matches_bruteforce(mode, name, r):
-    # the expanded metric decides as the exhaustive sum of |y - s H C|^2,
-    # trial for trial; the first half of the rows is noiseless
+    # the expanded metric on the code's parts decides as the exhaustive sum
+    # of |y - s H C|^2 over the lifted (complex) blocks, trial for trial; the
+    # first half of the rows is noiseless
     lat, n, m, size = lattice.load_lattice(name), 2, 1, 4000
     rho = 10.0 ** 1.5
     cb = lattice.fixed_codebook(lat) if r == 0 else lattice.shape_codebook(lat, rho, r)
-    cwords = cb.points.real if mode == "real" else cb.points
+    cparts = _code_parts(cb, mode)
     rng = np.random.default_rng(23)
     if mode == "real":
         h, w = (channel.draw_real(rng, (size, 2 * m, n)) for _ in range(2))
+        lift, cwords = (lambda a: a), cparts
     else:
-        h, w = (channel.draw_lifted(rng, size, m, 1) for _ in range(2))
-    w[: size // 2] = 0.0
-    tx = rng.integers(0, len(cwords), size=size)
+        h, w = (channel.draw_real(rng, (4, size, m, 1)) for _ in range(2))
+        lift, cwords = channel.lift_parts, cb.points
+    w[..., : size // 2, :, :] = 0.0
+    tx = rng.integers(0, len(cb.points), size=size)
     scale = math.sqrt(rho / n)
-    y = channel.receive(h, cwords[tx], scale, w)
-    got = sim._ml_decode(h, y, sim._codeword_features(cwords, scale))
-    np.testing.assert_array_equal(got, _bruteforce_decode(h, y, scale, cwords))
+    y = channel.receive(h, cparts[..., tx, :, :], scale, w)
+    got = sim._ml_decode(h, y, sim._codeword_features(cparts, scale))
+    np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, cwords))
+    np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
+    assert np.sum(got != tx) > 50
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_ml_decode_matches_bruteforce_p2(m):
+    # no built-in lattice has 4 x 4 quaternion words yet, so a synthetic
+    # codebook of 24 random 2 x 2 quaternion words runs the decoder's p = 2
+    # loops; it decides as the lifted exhaustive sum, trial for trial, and
+    # the first half of the rows is noiseless
+    rng = np.random.default_rng(40 + m)
+    size, scale, lift = 3000, 0.3, channel.lift_parts
+    cparts = rng.standard_normal((4, 24, 2, 2))
+    h, w = (channel.draw_real(rng, (4, size, m, 2)) for _ in range(2))
+    w[:, : size // 2] = 0.0
+    tx = rng.integers(0, 24, size=size)
+    y = channel.receive(h, cparts[:, tx], scale, w)
+    got = sim._ml_decode(h, y, sim._codeword_features(cparts, scale))
+    np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, lift(cparts)))
     np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
     assert np.sum(got != tx) > 50
 
