@@ -15,15 +15,16 @@ trial counts and a chunk's array budget, runs the chunks of every SNR
 point in one pool and fits the slope to the summed integer events
 (`fit_slope`, NaN below two usable points); an estimator supplies only its
 per-point event counter and the bytes of a row of its widest array.  Both
-counters draw a chunk whole and take it in `BLOCK_ROWS`-row blocks
-(`_sum_blocks`), whose temporaries the allocator reuses from block to
-block.  The ML decoder works in the code's own algebra: channel, noise,
-received blocks and codewords stay real matrices, or quaternion matrices as
-their four real parts (`linalg.bmm` multiplies both), never lifted to
-complex ones.  It scores a block against the whole codebook with real
-matrix products (`_ml_decode`) of 2 n^2 features a row, `_decode_rows` rows
-each, small enough that OpenBLAS runs them on the calling thread
-(DECODE_MACS).
+counters draw a chunk whole and take it in equal blocks of at most
+`BLOCK_ROWS` rows (`_sum_blocks`), whose temporaries the allocator reuses
+from block to block and whose fixed cost in numpy calls is spread over as
+many rows as that memory allows.  The ML decoder works in the code's own
+algebra: channel, noise, received blocks and codewords stay real matrices,
+or quaternion matrices as their four real parts (`linalg.bmm` multiplies
+both), never lifted to complex ones.  It scores a block against the whole
+codebook with real matrix products (`_ml_decode`) of 2 n^2 features a row,
+`_decode_rows` rows each, small enough that OpenBLAS runs them on the
+calling thread (DECODE_MACS).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -53,14 +54,24 @@ MIN_EVENTS = 50
 # Codeword pairs the eigenvalue-product check may visit.
 PAIR_CAP = 10_000_000
 
-# Rows of a drawn chunk whose rates (outage) or decisions (ML error) are
-# taken at once.  The blocks bound the memory of the temporaries, which the
+# Most rows of a drawn chunk whose rates (outage) or decisions (ML error)
+# are taken at once.  `_sum_blocks` splits a chunk into ceil(size /
+# BLOCK_ROWS) blocks whose sizes differ by at most one row: a 50,000-row
+# error chunk into 4 of 12,500, a 100,000-row outage chunk into 7 of about
+# 14,286.  The blocks bound the memory of the temporaries, which the
 # allocator then reuses from block to block: whole-chunk rates raised the
 # peak RSS of the benchmark's outage commands (n = 2, m = 1) from 43 to
-# 59 MB (real) and from 42 to 47 MB (quaternion), and whole-chunk decoding
-# faulted about 17,000 pages per error-r0 command at one thread, against 9
-# in blocks.  Events do not depend on it.
-BLOCK_ROWS = 8192
+# 59 MB (real) and from 42 to 47 MB (quaternion).  A block also pays a fixed
+# cost, about 100 short numpy calls at quaternion n = 2 between which two
+# pool workers trade the interpreter lock, so blocks are long, short of
+# where their temporaries fault more pages.  The size was 8192 while
+# quaternion outage blocks of 12,288 rows or more crossed glibc's dynamic
+# trim threshold, so that every chunk faulted its pages in again
+# (15,000-17,000 minor faults per 1M-trial command); today's rate
+# temporaries do not: that command faults 1,984 pages at 16384 rows, 1,994
+# at the old 8192-row split and 2,528 at 32768 (after import, at one
+# thread).  Events do not depend on it.
+BLOCK_ROWS = 16384
 
 # Trials one sweep may run, summed over its SNR points: every chunk's
 # substream is spawned before any sampling, at about 1.3 KB each.
@@ -115,9 +126,12 @@ def _check_array_bytes(rows, row_bytes, flag):
 
 
 def _sum_blocks(size, events):
-    """Sum of events(rows) over the BLOCK_ROWS row slices of a chunk of
-    `size` rows."""
-    return sum(int(events(slice(lo, lo + BLOCK_ROWS))) for lo in range(0, size, BLOCK_ROWS))
+    """Sum of events(rows) over the ceil(size / BLOCK_ROWS) contiguous row
+    slices of a chunk of `size` rows, in order, whose sizes differ by at most
+    one row, so that no short last block pays a block's fixed cost."""
+    blocks = -(-size // BLOCK_ROWS)
+    return sum(int(events(slice(size * b // blocks, size * (b + 1) // blocks)))
+               for b in range(blocks))
 
 
 def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):

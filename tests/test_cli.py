@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from dmtlab.cli import _build_parser, run
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def read(path):
@@ -393,12 +395,33 @@ def test_shaped_codebooks_over_one_shell_exit_2(dmtlab_process):
     # 1,000,000 words one shell may list and the sweep stops before any
     # chunk runs, holding two points' codebooks and features (about 75 MB
     # each); unchecked, the eight peaked at 656 MB
-    code, err, peak_mib = dmtlab_process(
+    code, err, peak_mib, _ = dmtlab_process(
         HAMILTON_R05 + ["--snr-db", ",".join(["55"] * 8), "--trials", "1"],
         DMTLAB_THREADS="1")
     assert code == 2
     assert "--snr-db/--r: at 55 dB and r = 0.5 the sweep's codebooks hold 1169931 words" in err
     assert peak_mib < 250
+
+
+@pytest.mark.parametrize("label,faults", [("error-r0", 6_434), ("outage-quaternion", 2_028)])
+def test_benchmark_command_page_faults(dmtlab_process, monkeypatch, label, faults):
+    # the benchmark times its commands after a calibration kernel that raises
+    # glibc's trim thresholds, so allocation churn that costs a plain process
+    # thousands of page faults does not show there.  Here the command runs
+    # in a fresh process (DMTLAB_THREADS=1, the benchmark's default seed), and
+    # its minor faults over those of `dmtlab --help`, which starts and imports
+    # the same, stay within 10% of the count this code made on a 2-vCPU box
+    # with numpy 2.4.6.  error-r0 decoding whole chunks faults about 1,000
+    # pages more.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    argv = dict(cmd for name in workloads.WORKLOADS
+                for cmd in workloads.commands(name, workloads.DEFAULT_SEED))[label]
+    code, err, _, start = dmtlab_process(["--help"])
+    assert code == 0, err
+    code, err, _, total = dmtlab_process(argv, DMTLAB_THREADS="1")
+    assert code == 0, err
+    assert total - start <= 1.1 * faults, (total, start)
 
 
 @pytest.mark.parametrize("command", ["outage", "error"])
@@ -438,7 +461,7 @@ def test_lemma2_verify_peak_rss(dmtlab_process):
     # the benchmark's sweep evaluates each grid row once per (l, q) from
     # small-integer tick indices; a sorted float copy of the grid peaked at
     # 61.3 MiB, where the interpreter with numpy alone takes about 30 MiB
-    code, err, peak_mib = dmtlab_process(["lemma2-verify", "--qmax", "6", "--lmax", "4",
+    code, err, peak_mib, _ = dmtlab_process(["lemma2-verify", "--qmax", "6", "--lmax", "4",
                                           "--sstep", "0.25", "--gridstep", "0.02"])
     assert code == 0, err
     assert peak_mib <= 55

@@ -499,23 +499,51 @@ def test_outage_real_matches_quadrature_oracle():
         assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / t), (db, p_hat, p)
 
 
+@pytest.mark.parametrize("size", [1, sim.BLOCK_ROWS - 1, sim.BLOCK_ROWS, sim.BLOCK_ROWS + 1,
+                                  50_000, 100_000])
+def test_sum_blocks_splits_evenly(size):
+    # ceil(size / BLOCK_ROWS) slices that cover the chunk in order, none over
+    # BLOCK_ROWS rows and none two rows apart in length, so that no short
+    # last block pays a block's fixed cost
+    slices = []
+
+    def events(rows):
+        slices.append(rows)
+        return rows.stop - rows.start
+
+    assert sim._sum_blocks(size, events) == size
+    assert len(slices) == -(-size // sim.BLOCK_ROWS)
+    assert slices[0].start == 0 and slices[-1].stop == size
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    lengths = [rows.stop - rows.start for rows in slices]
+    assert max(lengths) <= sim.BLOCK_ROWS and max(lengths) - min(lengths) <= 1
+
+
+def _assert_events_independent_of_block_rows(monkeypatch, chunk_name, events):
+    """Rows are independent, so how a drawn chunk is split into blocks changes
+    no event, at one worker or two: `events(chunk)`, run with `chunk_name`
+    set to `chunk`, gives the same nonzero events whole-chunk as in 1- and
+    7-row blocks on a chunk of 301 rows, which 7 does not divide, and as
+    the default split on a chunk longer than the default block."""
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    default = sim.BLOCK_ROWS
+    for chunk, splits in ((301, (1, 7)), (default + 808, (default,))):
+        monkeypatch.setattr(sim, chunk_name, chunk)
+        seen = set()
+        for rows in (*splits, chunk):
+            monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("DMTLAB_THREADS", threads)
+                seen.add(events(chunk))
+        assert len(seen) == 1 and all(seen.pop()), chunk
+
+
 @pytest.mark.parametrize("mode", ["real", "quaternion"])
 def test_outage_events_independent_of_block_rows(monkeypatch, mode):
-    # rows are independent, so how a drawn chunk is split into rate blocks
-    # changes no event, at one worker or two; the chunk holds more rows than
-    # the default block, so that the default splits it too
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
     cfg = SystemConfig(mode, n=2, m=1, r=0.5)
-    chunk = sim.BLOCK_ROWS + 808
-    monkeypatch.setattr(sim, "OUTAGE_CHUNK", chunk)
-    seen = set()
-    for rows in (1, 7, sim.BLOCK_ROWS, 10 * chunk):
-        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("DMTLAB_THREADS", threads)
-            est = estimate_outage(cfg, [10.0, 14.0], [chunk + 500, 3000], 8)
-            seen.add(est.events)
-    assert len(seen) == 1 and all(seen.pop())
+    _assert_events_independent_of_block_rows(
+        monkeypatch, "OUTAGE_CHUNK",
+        lambda chunk: estimate_outage(cfg, [10.0, 14.0], [chunk + 500, 3000], 8).events)
 
 
 def test_outage_validation():
@@ -661,22 +689,11 @@ def test_decode_rows_within_budget(words, f):
                                          ("quaternion", "hamilton", 0.5),
                                          ("real", "split", 0.5)])
 def test_error_events_independent_of_block_rows(monkeypatch, mode, name, r):
-    # a chunk is drawn whole, so how its rows are split into decode blocks
-    # changes no event, at one worker or two; the chunk holds more rows than
-    # the default block, so that the default splits it too
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
     cfg = SystemConfig(mode, n=2, m=1, r=r)
     lat = lattice.load_lattice(name)
-    chunk = sim.BLOCK_ROWS + 808
-    monkeypatch.setattr(sim, "ERROR_CHUNK", chunk)
-    seen = set()
-    for rows in (1, 7, sim.BLOCK_ROWS, 10 * chunk):
-        monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("DMTLAB_THREADS", threads)
-            est = estimate_error_prob(lat, cfg, [12.0, 18.0], [chunk + 500, 700], 8)
-            seen.add(est.events)
-    assert len(seen) == 1 and all(seen.pop())
+    _assert_events_independent_of_block_rows(
+        monkeypatch, "ERROR_CHUNK",
+        lambda chunk: estimate_error_prob(lat, cfg, [12.0, 18.0], [chunk + 500, 700], 8).events)
 
 
 def _bruteforce_decode(h, y, scale, cwords):
