@@ -11,13 +11,15 @@ Conventions fixed here and used everywhere else:
 Each channel computation is defined once, on a leading batch axis, and the
 Monte Carlo estimators in `sim` call it.  Draws consume the generator in a
 fixed order: h before w, the real part of a block before its imaginary part.
-Both mutual informations are log-determinants at the identity input
+A run's draw shape is `SystemConfig.block_shape`.  `gram` alone forms the
+channel Gram behind a rate or a spectrum, on the smaller side of H: both
+mutual informations are log-determinants of I + c G at the identity input
 covariance, the one behind the outage event of both bounds, taken with no
-eigensolver.  Eigenvalue spectra of the channel Gram are `sim`'s (the
-Wishart samplers).  Quaternion blocks are drawn as their real parts
-(`draw_real` of a (4, N, m, p) array); the ML-error sweep keeps them so
-(`receive` multiplies parts), while the quaternion mutual information and
-the Wishart sampler lift them to complex 2m x 2p matrices (`lift_parts`).
+eigensolver, and the Wishart samplers of `sim` take eigenvalues of G.
+Quaternion blocks are drawn as their real parts (`draw_real` of a
+(4, N, m, p) array) and every consumer keeps them so: `receive` and `gram`
+multiply parts, and only `gram` lifts, and only the l x l Gram, to a
+complex 2l x 2l matrix (`lift_parts`).
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class SystemConfig:
         """Half the transmit count: the quaternion columns of a lifted block."""
         return self.n // 2
 
+    def block_shape(self, size):
+        """Shape of `size` channel (or noise) draws: real 2m x n blocks, or the
+        (4, size, m, p) real parts of m x p quaternion blocks."""
+        return (size, 2 * self.m, self.n) if self.mode == "real" else (4, size, self.m, self.p)
+
 
 def draw_real(rng, shape):
     """i.i.d. real N(0, 1/2) entries: the stacked-real channel or noise."""
@@ -105,11 +112,6 @@ def quaternion_parts(lifted):
     return np.stack([top_l.real, top_l.imag, top_r.real, top_r.imag])
 
 
-def draw_lifted(rng, count, m, p):
-    """`count` lifted 2m x 2p quaternionic channels (or noise blocks)."""
-    return lift_parts(draw_real(rng, (4, count, m, p)))
-
-
 def receive(h, x, scale, w):
     """Received blocks scale * H X + W, for H, X and W of one dtype, formed
     in place on the `linalg.bmm` product (batch axis last in memory): real or
@@ -121,32 +123,44 @@ def receive(h, x, scale, w):
     return y
 
 
+def gram(h):
+    """The Gram of a real (N, a, b) stack or of quaternion (4, N, a, b) parts,
+    taken on the smaller side of H: H H^* when a <= b, else H^* H, with the
+    same nonzero eigenvalues (Sylvester).  A quaternion Gram, l x l with
+    l = min(a, b), is lifted to a complex (N, 2l, 2l) stack (`lift_parts`);
+    H itself never is.  Batch axis last in memory (`linalg.bmm`)."""
+    if h.shape[-2] <= h.shape[-1]:  # H H^* = (H^*)^* H^*
+        h = h.swapaxes(-1, -2)
+        if h.ndim == 4:  # the conjugate negates a quaternion's parts 1-3
+            h = np.concatenate([h[:1], -h[1:]])
+    g = bmm(h, h, conj=True)
+    return lift_parts(g) if g.ndim == 4 else g
+
+
+def _logdet_eye_plus(g, c):
+    """log det(I + c G) per Gram G of a `gram` stack, formed in place on G."""
+    g *= c
+    g += np.eye(g.shape[1])
+    return logdet_pd(g)
+
+
 def mutual_info_real_batch(h, rho):
     """0.5 * log2 det(I + (rho/n) H H^T) per stacked-real channel (identity
     input covariance), n being the column count of H."""
-    g = bmm(h, h.transpose(0, 2, 1))
-    g *= rho / h.shape[2]
-    g += np.eye(h.shape[1])
-    return logdet_pd(g) / (2.0 * LOG2)
+    return _logdet_eye_plus(gram(h), rho / h.shape[2]) / (2.0 * LOG2)
 
 
 def mutual_info_quaternion_batch(parts, rho):
     """log2 det(I + rho H^dag H) per lifted channel H = lift_parts(parts), that
     is 2 sum log2(1 + rho lambda_i) over the distinct Gram eigenvalues, with
-    no pairing assumed; the Gram is taken on the smaller side of H
-    (Sylvester).  With one quaternion on that side (m or p = 1) the Gram is
-    (|M1|^2 + |M2|^2) I, which needs no lift and no elimination."""
+    no pairing assumed.  With one quaternion on the smaller side of H (m or
+    p = 1) the Gram is (|M1|^2 + |M2|^2) I, which needs no lift and no
+    elimination."""
     if min(parts.shape[2:]) == 1:
         g = np.einsum("abij,abij->b", parts, parts)
         g *= rho
         return 2.0 * np.log2(1.0 + g)
-    hq = lift_parts(parts)
-    hh = hq.conj().transpose(0, 2, 1)
-    g = bmm(hh, hq) if hq.shape[2] <= hq.shape[1] else bmm(hq, hh)
-    del hh  # a block's temporaries stay few, so the allocator keeps reusing them
-    g *= rho
-    g += np.eye(g.shape[1])
-    return logdet_pd(g) / LOG2
+    return _logdet_eye_plus(gram(parts), rho) / LOG2
 
 
 def quaternionic_defect(m):

@@ -196,7 +196,7 @@ def _cmd_lattice_audit(args):
 
 def _cmd_wishart(args):
     if args.samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     _check_seed(args.seed)
     cfg = SystemConfig(mode=args.mode, n=args.n, m=args.m)
     rng = np.random.default_rng(args.seed)

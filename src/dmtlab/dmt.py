@@ -71,7 +71,7 @@ class PiecewiseLinearCurve:
 def _anchor_curve(n, m, c, step):
     """Anchors (k step, (m - k step)(n - c k step)) for k = 0 ... min(m, n/c)/step."""
     if n < 1 or m < 1:
-        raise ValueError("need n, m >= 1")
+        raise ValueError(f"--n/--m must be >= 1, got n={n}, m={m}")
     if n * m > sys.float_info.max:  # the first anchor's d, m n, must be a float
         raise ValueError("--n/--m give n * m beyond the float range")
     anchors = [(float(k * step), float((m - k * step) * (n - c * (k * step))))
@@ -92,7 +92,7 @@ def d1_curve(n, m):
 def d2_curve(n, m):
     """Upper bound for quaternionic codes: (r, [(m-r)(n-2r)]+) at integer r."""
     if n % 2:
-        raise ValueError("quaternionic bound needs even n")
+        raise ValueError(f"--n: the quaternionic bound d2 needs even n, got {n}")
     return _anchor_curve(n, m, 2, 1)
 
 

@@ -1,6 +1,6 @@
 """Monte Carlo machinery: Wishart spectra, outage and ML-error estimation,
 tail bounds, and log-log slope fits that turn probability sweeps into
-empirical diversity estimates.  Channel draws, lifts, received blocks,
+empirical diversity estimates.  Channel draws, Grams, received blocks,
 log-determinants and capacities all come from the batched layer in
 `channel`.
 
@@ -14,17 +14,18 @@ through `_sweep`, which alone checks the thread cap, the SNR grid, the
 trial counts and a chunk's array budget, runs the chunks of every SNR
 point in one pool and fits the slope to the summed integer events
 (`fit_slope`, NaN below two usable points); an estimator supplies only its
-per-point event counter and the bytes of a row of its widest array.  Both
-counters draw a chunk whole and take it in equal blocks of at most
-`BLOCK_ROWS` rows (`_sum_blocks`), whose temporaries the allocator reuses
-from block to block and whose fixed cost in numpy calls is spread over as
-many rows as that memory allows.  The ML decoder works in the code's own
-algebra: channel, noise, received blocks and codewords stay real matrices,
-or quaternion matrices as their four real parts (`linalg.bmm` multiplies
-both), never lifted to complex ones.  It scores a block against the whole
-codebook with real matrix products (`_ml_decode`) of 2 n^2 features a row,
-`_decode_rows` rows each, small enough that OpenBLAS runs them on the
-calling thread (DECODE_MACS).
+per-point event counter, which draws a chunk whole in the shape
+`SystemConfig.block_shape` gives and returns the events of any rows of it,
+and the bytes of a row of its widest array.  The driver takes every chunk
+in equal blocks of at most `BLOCK_ROWS` rows (`_sum_blocks`), whose
+temporaries the allocator reuses from block to block and whose fixed cost
+in numpy calls is spread over as many rows as that memory allows.  The ML
+decoder works in the code's own algebra: channel, noise, received blocks
+and codewords stay real matrices, or quaternion matrices as their four
+real parts (`linalg.bmm` multiplies both), never lifted to complex ones.
+It scores a block against the whole codebook with real matrix products
+(`_ml_decode`) of 2 n^2 features a row, `_decode_rows` rows each, small
+enough that OpenBLAS runs them on the calling thread (DECODE_MACS).
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -138,9 +139,11 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     """Run one Monte Carlo SNR sweep and fit its slope.
 
     `trials` is one whole count per SNR point or one for all (a scalar or a
-    one-entry sequence); counter(rho) returns the chunk function
-    count(stream, size) -> events of `chunk` or fewer trials at that point,
-    whose widest array takes `row_bytes` a row.  A bad DMTLAB_THREADS,
+    one-entry sequence).  counter(rho) returns the chunk draw
+    draw(stream, size) -> events, which draws `chunk` or fewer trials at that
+    point, whose widest array takes `row_bytes` a row, and whose
+    events(rows) counts the events of a slice of them; the driver alone sums
+    it over the chunk's blocks (`_sum_blocks`).  A bad DMTLAB_THREADS,
     weighting, SNR grid (empty or not finite), trial count or trial total,
     or a largest chunk over ARRAY_BUDGET_BYTES, is rejected before any
     substream or counter (or codebook) is made.  Every chunk of every point
@@ -158,7 +161,8 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     if len(trials_t) == 1:
         trials_t *= len(snr_db)
     if len(trials_t) != len(snr_db):
-        raise ValueError("trials list must match the SNR grid")
+        raise ValueError(f"--trials gives {len(trials_t)} counts for the "
+                         f"{len(snr_db)} points of --snr-db")
     if not all(t % 1 == 0 and t >= 1 for t in trials_t):
         raise ValueError(f"--trials must be whole numbers >= 1, got {trials}")
     trials_t = [int(t) for t in trials_t]
@@ -175,7 +179,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
 
     def run(task):
         point, stream, size = task
-        return counters[point](stream, size)
+        return _sum_blocks(size, counters[point](stream, size))
 
     workers = min(threads, len(tasks))
     if workers == 1:  # a pool thread's own malloc arena adds 2-4 MB to the peak RSS
@@ -194,30 +198,24 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
 
 def sample_wishart_real_batch(n, m, count, rng):
     """Nonzero eigenvalues of H^T H for `count` stacked-real 2m x n channels
-    with N(0, 1/2) entries (descending rows of min(2m, n) values; the Gram
-    is taken on the smaller side of H)."""
+    with N(0, 1/2) entries (descending rows of min(2m, n) values of the Gram
+    `channel.gram` takes on the smaller side of H)."""
     _check_array_bytes(count, 16 * m * n, "--samples")
-    h = channel.draw_real(rng, (count, 2 * m, n))
-    if n <= 2 * m:
-        g = np.einsum("bji,bjk->bik", h, h)
-    else:
-        g = np.einsum("bij,bkj->bik", h, h)
-    lam = np.linalg.eigvalsh(g)
+    lam = np.linalg.eigvalsh(channel.gram(channel.draw_real(rng, (count, 2 * m, n))))
     return lam[:, ::-1]
 
 
 def sample_wishart_quaternion_batch(p, m, count, rng):
     """Distinct eigenvalues of H^dag H for `count` lifted 2m x 2p quaternionic
-    channels (descending rows of min(m, p) values).
+    channels (descending rows of l = min(m, p) values).
 
-    Each is a multiplicity-2 eigenvalue of the lifted Gram; a pairing gap
-    beyond 1e-8 relative to the top eigenvalue is a fault.
+    Each is a multiplicity-2 eigenvalue of the lifted 2l x 2l Gram that
+    `channel.gram` takes on the smaller side of H; a pairing gap beyond 1e-8
+    relative to the top eigenvalue is a fault.
     """
     _check_array_bytes(count, 32 * p * max(2 * m, 2 * p), "--samples")
-    h = channel.draw_lifted(rng, count, m, p)
-    lam = np.linalg.eigvalsh(np.einsum("bji,bjk->bik", h.conj(), h))[:, ::-1]
-    l = min(m, p)
-    top, bot = lam[:, 0:2 * l:2], lam[:, 1:2 * l:2]
+    lam = np.linalg.eigvalsh(channel.gram(channel.draw_real(rng, (4, count, m, p))))[:, ::-1]
+    top, bot = lam[:, 0::2], lam[:, 1::2]
     if np.any((top - bot) > 1e-8 * np.maximum(lam[:, :1], 1e-30)):
         raise RuntimeError("quaternionic eigenvalue pairing violated")
     return top
@@ -442,22 +440,16 @@ def estimate_outage(cfg, snr_grid_db, trials, rng, weighting="events"):
     mode, n, m = cfg.mode, cfg.n, cfg.m
     row_bytes = 16 * m * max(n, 2 * m) if mode == "real" else 16 * n * max(2 * m, n)
 
+    rate = (channel.mutual_info_real_batch if mode == "real"
+            else channel.mutual_info_quaternion_batch)
+
     def counter(rho):
         thresh = (1 if mode == "real" else 2) * cfg.r * math.log2(rho)
 
-        def count(st, size):
-            if mode == "real":
-                h = channel.draw_real(st, (size, 2 * m, n))
-
-                def rate(rows):
-                    return channel.mutual_info_real_batch(h[rows], rho)
-            else:
-                parts = channel.draw_real(st, (4, size, m, cfg.p))
-
-                def rate(rows):
-                    return channel.mutual_info_quaternion_batch(parts[:, rows], rho)
-            return _sum_blocks(size, lambda rows: np.count_nonzero(rate(rows) <= thresh))
-        return count
+        def draw(st, size):
+            h = channel.draw_real(st, cfg.block_shape(size))
+            return lambda rows: np.count_nonzero(rate(h[..., rows, :, :], rho) <= thresh)
+        return draw
 
     return _sweep(snr_grid_db, trials, rng, OUTAGE_CHUNK, row_bytes, counter, weighting)
 
@@ -553,9 +545,6 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
                          f"codewords, not {lat.flavor} {lat.ambient_n}x{lat.ambient_n}")
     row_bytes = (16 if mode == "real" else 32) * n * max(2 * m, n)
     fixed = functools.cache(lambda: fixed_codebook(lat))
-    # a chunk's channel or noise: real 2m x n blocks, or the parts of m x p
-    # quaternion blocks
-    lead, block = ((), (2 * m, n)) if mode == "real" else ((4,), (m, cfg.p))
 
     words = 0  # in the points' codebooks so far, whose features the counters hold
 
@@ -574,15 +563,15 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
         scale = math.sqrt(rho / n)
         feats = _codeword_features(cparts, scale)
 
-        def count(st, size):
-            hs, ws = (channel.draw_real(st, (*lead, size, *block)) for _ in range(2))
+        def draw(st, size):
+            hs, ws = (channel.draw_real(st, cfg.block_shape(size)) for _ in range(2))
             tx = st.integers(0, feats.shape[1], size=size)
 
             def errors(rows):
                 h = hs[..., rows, :, :]
                 y = channel.receive(h, cparts[..., tx[rows], :, :], scale, ws[..., rows, :, :])
                 return np.count_nonzero(_ml_decode(h, y, feats) != tx[rows])
-            return _sum_blocks(size, errors)
-        return count
+            return errors
+        return draw
 
     return _sweep(snr_grid_db, trials, rng, ERROR_CHUNK, row_bytes, counter, weighting)

@@ -71,7 +71,7 @@ def test_sample_channel_shapes():
     rng = np.random.default_rng(0)
     assert channel.draw_complex(rng, (7, 2, 4)).shape == (7, 2, 4)
     assert channel.draw_real(rng, (7, 4, 4)).dtype == float
-    assert channel.draw_lifted(rng, 7, 2, 2).shape == (7, 4, 4)
+    assert channel.lift_parts(channel.draw_real(rng, (4, 7, 2, 2))).shape == (7, 4, 4)
 
 
 def test_sample_channel_is_batch_row_zero():
@@ -125,7 +125,7 @@ def test_receive_bit_equal_einsum_lifted(m):
     # hamilton's fixed codewords, whose entry products are exact
     rng = np.random.default_rng(30)
     cwords = lattice.fixed_codebook(lattice.load_lattice("hamilton")).points
-    h, w = channel.draw_lifted(rng, 2000, m, 1), channel.draw_lifted(rng, 2000, m, 1)
+    h, w = (channel.lift_parts(channel.draw_real(rng, (4, 2000, m, 1))) for _ in range(2))
     x = cwords[rng.integers(0, len(cwords), 2000)]
     assert np.array_equal(channel.receive(h, x, 3.7, w), einsum_receive(h, x, 3.7, w))
 
@@ -267,6 +267,26 @@ def test_lift_eigenvalue_pairing_1000():
 
 
 # ---------------------------------------------------------------------------
+# gram
+
+@pytest.mark.parametrize("a,b", [(1, 3), (2, 3), (2, 2), (3, 2), (3, 1)])
+@pytest.mark.parametrize("mode", ["real", "quaternion"])
+def test_gram_matches_explicit_product(mode, a, b):
+    # the Gram on the smaller side of H: h h^T (a <= b) or h^T h of a real
+    # stack, L L^H or L^H L of the lift L of quaternion parts
+    shape = (50, a, b) if mode == "real" else (4, 50, a, b)
+    h = channel.draw_real(np.random.default_rng(40), shape)
+    full = h if mode == "real" else channel.lift_parts(h)
+    adj = full.conj().transpose(0, 2, 1)
+    expect = full @ adj if a <= b else adj @ full
+    got = channel.gram(h)
+    side = min(a, b) * (1 if mode == "real" else 2)
+    assert got.shape == expect.shape == (50, side, side)
+    err = np.max(np.abs(got - expect), axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.max(np.abs(expect), axis=(1, 2)))
+
+
+# ---------------------------------------------------------------------------
 # mutual_info_real_batch
 
 def test_mutual_info_zero_channel():
@@ -326,7 +346,7 @@ def test_capacity_matches_distinct_eigenvalues(m, p):
     # the determinant counts every eigenvalue of the lifted Gram, and each
     # distinct one twice, on either Gram side (2m x 2m or 2p x 2p), with a
     # single quaternion on the smaller side (m or p = 1) or more
-    # (the sampler lifts the same draw_real parts from the same stream)
+    # (the sampler draws the same parts from the same stream)
     parts = channel.draw_real(np.random.default_rng(13), (4, 200, m, p))
     lam = sim.sample_wishart_quaternion_batch(p, m, 200, np.random.default_rng(13))
     for rho in (0.5, 30.0, 1e4):

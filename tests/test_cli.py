@@ -403,7 +403,8 @@ def test_shaped_codebooks_over_one_shell_exit_2(dmtlab_process):
     assert peak_mib < 250
 
 
-@pytest.mark.parametrize("label,faults", [("error-r0", 6_434), ("outage-quaternion", 2_028)])
+@pytest.mark.parametrize("label,faults", [("error-r0", 6_434), ("outage-quaternion", 2_028),
+                                          ("outage-real", 3_948), ("error-shaped", 4_053)])
 def test_benchmark_command_page_faults(dmtlab_process, monkeypatch, label, faults):
     # the benchmark times its commands after a calibration kernel that raises
     # glibc's trim thresholds, so allocation churn that costs a plain process
@@ -592,6 +593,19 @@ def test_wishart_check_antenna_count_exit_2(mode, n, m, capsys):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+@pytest.mark.parametrize("argv,flag", [
+    (["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0.5", "--snr-db", "10,20",
+      "--trials", "100,200,300", "--seed", "1"], "--trials"),
+    (["curves", "--n", "0", "--m", "1"], "--n/--m"),
+    (["curves", "--n", "3", "--m", "1"], "--n"),
+    (["wishart-check", "--mode", "real", "--n", "2", "--m", "1", "--samples", "0",
+      "--seed", "1"], "--samples")], ids=["trials-list", "curves-zero", "curves-odd-n", "samples"])
+def test_exit_2_message_names_flag(argv, flag, capsys):
+    # a bad input exits 2 with a message that names the flag at fault
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
+
 
 def test_unknown_command_exit_2():
     assert run(["frobnicate"]) == 2

@@ -407,10 +407,12 @@ def _point_stream(seed):
     return np.random.default_rng(seed).spawn(1)[0].spawn(1)[0]
 
 
-def test_outage_real_event_matches_mutual_info_op():
+@pytest.mark.parametrize("n,m,r", [(4, 2, 1.0), (2, 2, 1.0), (1, 1, 0.25)])
+def test_outage_real_event_matches_mutual_info_op(n, m, r):
     # the batched event rule counts the outages of an independent slogdet of
-    # I + (rho/n) H H^T on the point's own draws
-    n, m, r, db, trials, seed = 4, 2, 1.0, 12.0, 3000, 14
+    # the 2m x 2m I + (rho/n) H H^T on the point's own draws, also where
+    # 2m > n and the rate takes the n x n Gram H^T H
+    db, trials, seed = 12.0, 3000, 14
     est = estimate_outage(SystemConfig("real", n=n, m=m, r=r), [db], trials, seed)
     rho = 10.0 ** (db / 10.0)
     h = channel.draw_real(_point_stream(seed), (trials, 2 * m, n))
@@ -427,7 +429,7 @@ def test_outage_quaternion_event_matches_capacity_op(n, m, r):
     db, trials, seed = 12.0, 3000, 31
     est = estimate_outage(cfg, [db], trials, seed)
     rho = 10.0 ** (db / 10.0)
-    hq = channel.draw_lifted(_point_stream(seed), trials, m, cfg.p)
+    hq = channel.lift_parts(channel.draw_real(_point_stream(seed), (4, trials, m, cfg.p)))
     _, logdet = np.linalg.slogdet(np.eye(n) + rho * (hq.conj().transpose(0, 2, 1) @ hq))
     expect = int(np.sum(logdet / math.log(2) <= 2 * cfg.r * math.log2(rho)))
     assert est.events == (expect,) and expect > 0
