@@ -8,10 +8,12 @@ The central object is the linear program
                         sum_{i<=j} (1 - alpha_i) <= s for every j }
 
 whose closed-form value dbar(s) and minimizer are implemented next to an
-independent brute-force grid oracle.  The real-code bound d1 uses s = 2r and
-halves the value; the quaternionic bound d2 uses s = r and doubles it.  All
-coefficients are positive only when q >= l, which every channel-derived
-instance satisfies (q = Delta + l); the problem constructor enforces it.
+independent exact oracle, which enumerates the vertices of A0(s) on the unit
+box.  The real-code bound d1 uses s = 2r and halves the value; the
+quaternionic bound d2 uses s = r and doubles it.  All coefficients are
+positive only when q >= l, which every channel-derived instance satisfies
+(q = Delta + l); the problem constructor enforces it, and the oracle's
+restriction to the unit box needs it.
 
 The curves d* (c = 1, integer r), d1 (c = 2, half-integer r) and d2 (c = 2,
 integer r) share one anchor rule, (r, (m - r)(n - c r)) up to its first zero.
@@ -23,7 +25,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -136,89 +137,50 @@ def lemma2_closed_form(prob):
     return float(value), alpha
 
 
-# Entries (rows x columns) a brute-force grid or a curve sample may hold.
+# Entries (rows x columns) a curve sample may hold.
 GRID_CAP = 4 * 10**6
 # r spacing of the sampled curve rows; the anchors give each curve exactly.
 CURVE_STEP = 0.01
-# (q, l, s) cases one `lemma2-verify` run may check, each a brute-force sweep.
+# (q, l, s) cases one `lemma2-verify` run may check, each an exact oracle call.
 CASE_CAP = 10**4
 
 
-# Rows of the oracle's grid whose floats are gathered for one product: 2 MiB at l = 4.
-ORACLE_BLOCK_ROWS = 2**16
-
-
-@lru_cache(maxsize=8)
-def _ascending_grid(l, step):
-    """The ascending l-tuples over the [0, 1] grid at `step`: (ticks, rows,
-    order, totals).  `rows` holds tick indices in lexicographic order, in
-    the smallest integer type that indexes `ticks`.  A row's total is its
-    sum of (1 - a), added left to right as cumsum adds (its last prefix
-    sum); `order` sorts the rows by total and `totals` is sorted.  Tie order
-    is left to argsort: the oracle takes every row up to a bound, ties
-    included, so the rows it reads are the same set whatever their order."""
-    ticks = np.array([i * step for i in range(int(1.0 / step) + 1)])
-    if ticks[-1] < 1.0:
-        ticks = np.append(ticks, 1.0)
-    index = np.min_scalar_type(len(ticks) - 1)
-    # tick indices column by column, one level at a time: each row is
-    # followed by every index from its last one up, so the order stays lexicographic
-    cols = [np.arange(len(ticks), dtype=index)]
-    for _ in range(1, l):
-        counts = len(ticks) - cols[-1].astype(np.intp)
-        starts = np.cumsum(counts) - counts
-        cols = [np.repeat(c, counts) for c in cols]
-        cols.append((np.arange(len(cols[0])) - np.repeat(starts, counts)
-                     + cols[-1]).astype(index))
-    rows = np.column_stack(cols)
-    del cols
-    gap = 1.0 - ticks
-    total = gap[rows[:, 0]]
-    for j in range(1, l):  # added left to right, as cumsum rounds
-        total += gap[rows[:, j]]
-    order = np.argsort(total)
-    return ticks, rows, order, total[order]
-
-
-@lru_cache(maxsize=1)
-def _running_min(step, coefficients):
-    """Running minimum of f over the grid's rows in the order of their
-    totals, for the objective `coefficients` (a tuple): entry k is the
-    least f of the k + 1 rows of smallest total.  Each row is evaluated
-    once, `ORACLE_BLOCK_ROWS` at a time; one entry is cached, since a sweep
-    walks s innermost for each (l, q)."""
-    ticks, rows, order, _ = _ascending_grid(len(coefficients), step)
-    coefficients = np.array(coefficients)
-    values = np.empty(len(rows))
-    for lo in range(0, len(rows), ORACLE_BLOCK_ROWS):
-        block = rows[lo:lo + ORACLE_BLOCK_ROWS]
-        values[lo:lo + len(block)] = ticks[block] @ coefficients
-    values = values[order]
-    return np.minimum.accumulate(values, out=values)
-
-
-def lemma2_bruteforce(prob, grid_step):
-    """Grid-search oracle over A0(s) restricted to the unit box.
+def lemma2_bruteforce(prob):
+    """Exact minimum of f over A0(s), by enumerating the vertices of the
+    feasible polytope; independent of the closed form's floor formula.
 
     Any feasible coordinate above 1 can be lowered to 1 without losing
     feasibility or increasing f (all coefficients positive for q >= l), so
-    the box restriction is exact up to the grid resolution; the result is
-    within l*(q+l)*grid_step of the true infimum.  On the box every
-    addend 1 - a_i is nonnegative, so the prefix sums never decrease and
-    only the last one needs testing against s; the feasible points are the
-    rows of total at most s, a prefix of the grid sorted by total, and the
-    minimum over them is one entry of the running minimum of f over that
-    order.  The prefix is never empty: the all-ones row has total 0.
+    the minimum is taken on the unit box.  There every addend 1 - a_i is
+    nonnegative, the prefix sums never decrease and A0(s) is the chain
+    simplex 0 <= a_1 <= ... <= a_l <= 1 cut by sum(a) >= t = l - s.  The
+    simplex's vertices v_j have j trailing ones (sum j), and every two of
+    them span an edge, so the cut polytope's vertices are the v_j with
+    j >= t and the points where an edge [v_j, v_k], j < t < k, crosses
+    sum(a) = t; the linear f attains its minimum at one of them.  A float q
+    or s is a ratio of integers, so every candidate is evaluated exactly, in
+    integers, and the least is rounded to a float once.
     """
-    step = float(grid_step)
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"grid_step must be positive and finite, got {step:g}")
-    # counted on every call, before any cached grid is looked up
-    if math.comb(int(min(1.0 / step, GRID_CAP)) + prob.l + 1, prob.l) * prob.l > GRID_CAP:
-        raise ValueError(f"--gridstep gives a grid of more than {GRID_CAP} entries")
-    totals = _ascending_grid(prob.l, step)[3]
-    best = _running_min(step, tuple(prob.coefficients().tolist()))
-    return float(best[np.searchsorted(totals, prob.s + 1e-9, "right") - 1])
+    l = prob.l
+    # q = qn / qd and s = sn / sd exactly; f(v_j) and t are kept times d
+    qn, qd = float(prob.q).as_integer_ratio()
+    sn, sd = float(prob.s).as_integer_ratio()
+    d = qd * sd
+    t = l * d - sn * qd
+    # f(v_j): the last j coefficients q + l + 1 - 2i, i = l, l - 1, ...
+    f = [0]
+    for i in range(l, 0, -1):
+        f.append(f[-1] + qn * sd + (l + 1 - 2 * i) * d)
+    # v_j lies in A0(s) from j = lo on, and strictly beyond the cut from j = hi on
+    lo, hi = -(-t // d), t // d + 1
+    # [v_j, v_k] crosses the cut at f(v_j) + (t - j)(f(v_k) - f(v_j)) / (k - j):
+    # times d^2 m, with m = lcm(1, ..., l), every candidate is an integer
+    m = math.lcm(*range(1, l + 1))
+    best = min(f[lo:]) * d * m  # never empty: t <= l
+    for j in range(lo):
+        for k in range(hi, l + 1):
+            best = min(best, f[j] * d * m + (t - j * d) * (f[k] - f[j]) * (m // (k - j)))
+    return best / (d * d * m)  # int / int rounds once, correctly
 
 
 def a0_membership(alpha, s):

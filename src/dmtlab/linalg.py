@@ -66,9 +66,11 @@ def determinant(m):
 # A1 B2 + A2 conj(B1)), written on their real parts (Re A1, Im A1, Re A2,
 # Im A2): per output part, its four (left part, right part, sign) terms.
 # Each part's first term has left part 0, which the conjugate leaves
-# positive, and mirrored terms (s, t), (t, s) are adjacent, so that the
-# parts of a 1 x 1 Gram A^* A that vanish come out exactly 0.  The plain
-# product of one stack is the one-part case.
+# positive, and mirrored terms (s, t), (t, s) are adjacent, so that when A
+# has one row the parts of the diagonal of A^* A that vanish come out
+# exactly 0.  With more rows each term is summed over the rows before its
+# mirror is subtracted, and those parts keep the rounding residue.  The
+# plain product of one stack is the one-part case.
 PART_TERMS = {
     1: (((0, 0, 1),),),
     4: (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),

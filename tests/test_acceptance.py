@@ -14,6 +14,7 @@ import numpy as np
 from dmtlab import channel, dmt, lattice, linalg, sim
 from dmtlab.channel import SystemConfig, quaternionic_defect
 from dmtlab.cli import run as cli_run
+from lemma2_grid import lemma2_grid
 
 
 def report(num, ok, detail):
@@ -69,13 +70,14 @@ def test_criterion_2_lemma2_oracle_equivalence():
             while s <= l + 1e-9:
                 prob = dmt.Lemma2Problem(float(q), l, min(s, float(l)))
                 value, alpha = dmt.lemma2_closed_form(prob)
-                brute = dmt.lemma2_bruteforce(prob, step)
+                brute = lemma2_grid(prob, step)
                 tol = l * (q + l) * step
                 gap = abs(value - brute)
                 worst = max(worst, gap / tol)
                 feas = dmt.a0_membership(alpha, prob.s)
                 attained = abs(float(prob.coefficients() @ alpha) - value) <= 1e-12
-                ok &= gap <= tol and feas and attained
+                exact = abs(dmt.lemma2_bruteforce(prob) - value) <= 1e-12
+                ok &= gap <= tol and feas and attained and exact
                 cases += 1
                 s += 0.25
     elapsed = time.time() - start

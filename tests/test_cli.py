@@ -1,10 +1,12 @@
 import importlib
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -55,21 +57,42 @@ def test_curves_rejects_odd_n(capsys):
 
 @pytest.mark.parametrize("argv,flag", [
     (["curves", "--n", "3000000", "--m", "3000000"], "--n/--m"),
-    (["curves", "--n", str(10**400), "--m", str(10**400)], "--n/--m"),
-    (["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5",
-      "--gridstep", "0.0001"], "--gridstep")])
+    (["curves", "--n", str(10**400), "--m", str(10**400)], "--n/--m")])
 def test_grid_size_exit_2(argv, flag, monkeypatch, capsys):
-    # the benchmark's Lemma-2 grid (gridstep 0.02 at lmax 4: 316,251 rows of
-    # 4) fits the cap; these grids would need gigabytes.  The curve grid is
-    # counted from --n/--m before any curve is built, even for a count beyond
-    # a float
+    # these grids would need gigabytes.  The curve grid is counted from
+    # --n/--m before any curve is built, even for a count beyond a float
     def no_curves(n, m):
         raise AssertionError("a curve was built before the grid was bounded")
 
     monkeypatch.setattr(dmt, "curve_family", no_curves)
-    assert 316_251 * 4 <= dmt.GRID_CAP
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gridstep", [["--gridstep", "0.0001"], ["--gridstep", "0.05"], []],
+                         ids=["0.0001", "0.05", "none"])
+def test_lemma2_gridstep_sets_no_grid(gridstep, monkeypatch, capsys):
+    # the oracle enumerates vertices, so no --gridstep builds a grid, however
+    # fine and whatever dmt.GRID_CAP; at 0.0001 the old grid held gigabytes
+    monkeypatch.setattr(dmt, "GRID_CAP", 1000)
+    assert run(["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5"]
+               + gridstep) == 0
+    out, err = capsys.readouterr()
+    assert out == "all 26 cases within tolerance (q in 1..3, l in 1..3, q >= l)\n" and not err
+
+
+def test_lemma2_verify_catches_rounded_floor(monkeypatch, capsys):
+    # the closed form with floor(s) mutated to round(s), its minimizer's
+    # feasibility left unchecked so that the value check is tested alone:
+    # at q = 6, l = 4, s = 2.75 the value is off by 0.5 and the minimizer
+    # attains it, which the grid tolerance l (q + l) 0.02 = 0.8 let through
+    monkeypatch.setattr(dmt, "math", types.SimpleNamespace(**{**vars(math), "floor": round}))
+    monkeypatch.setattr(dmt, "a0_membership", lambda alpha, s: True)
+    assert run(["lemma2-verify", "--qmax", "6", "--lmax", "4", "--sstep", "0.25",
+                "--gridstep", "0.02"]) == 1
+    out = capsys.readouterr().out
+    assert ("VIOLATION q=6 l=4 s=2.75: closed=3.75 brute=4.25 tol=1e-12 "
+            "feasible=True attained=True") in out
 
 
 def test_curves_has_no_step_option(capsys):
@@ -104,9 +127,9 @@ def test_lemma2_empty_sweep_exit_2(qmax, lmax, capsys):
 
 @pytest.mark.parametrize("gridstep", ["0.5", "0.75", "1", "1e300"])
 def test_lemma2_coarse_gridstep_exit_2(gridstep, capsys):
-    # f spans [0, l q] on the unit box, and at q = l the tolerance
-    # l (q + l) gridstep reaches l q from gridstep 1/2 on: such a sweep could
-    # not fail, so it must not report success
+    # --gridstep no longer sets the tolerance, but a value that once made
+    # it cover every value of f (l (q + l) gridstep >= l q at q = l) still
+    # exits 2, as it did
     assert run(["lemma2-verify", "--qmax", "3", "--lmax", "2", "--sstep", "0.5",
                 "--gridstep", gridstep]) == 2
     out, err = capsys.readouterr()
@@ -117,8 +140,8 @@ def test_lemma2_coarse_gridstep_exit_2(gridstep, capsys):
     ("1", "inf", "--gridstep"), ("1", "nan", "--gridstep"), ("1", "0", "--gridstep"),
     ("inf", "0.5", "--sstep"), ("nan", "0.5", "--sstep"), ("-1", "0.5", "--sstep")])
 def test_lemma2_step_not_positive_finite_exit_2(sstep, gridstep, flag, capsys):
-    # a gridstep of inf makes the grid's only tick 0 * inf = nan and the
-    # tolerance l (q + l) gridstep infinite, so every case would pass
+    # an --sstep that is not positive and finite would never end the sweep;
+    # such a --gridstep once made every case pass, and still exits 2
     assert run(["lemma2-verify", "--qmax", "2", "--lmax", "2", "--sstep", sstep,
                 "--gridstep", gridstep]) == 2
     out, err = capsys.readouterr()
@@ -126,17 +149,12 @@ def test_lemma2_step_not_positive_finite_exit_2(sstep, gridstep, flag, capsys):
 
 
 def test_grid_size_patched_exit_2(monkeypatch, capsys):
-    # the cap is checked before any cached grid is looked up: the grids of
-    # this gridstep may be cached by an earlier test, under the default cap
     monkeypatch.setattr(dmt, "GRID_CAP", 1000)
     # 201 rows of 4 fit 1000 entries at r_max = 2, and 301 rows do not at r_max = 3
     assert run(["curves", "--n", "4", "--m", "2"]) == 0
     capsys.readouterr()
     assert run(["curves", "--n", "6", "--m", "3"]) == 2
     assert "--n/--m" in capsys.readouterr().err
-    assert run(["lemma2-verify", "--qmax", "3", "--lmax", "3", "--sstep", "0.5",
-                "--gridstep", "0.05"]) == 2
-    assert "--gridstep" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,m", [(10**400, 1), (2, 10**400), (10**200, 10**200)],
@@ -403,8 +421,9 @@ def test_shaped_codebooks_over_one_shell_exit_2(dmtlab_process):
     assert peak_mib < 250
 
 
-@pytest.mark.parametrize("label,faults", [("error-r0", 6_434), ("outage-quaternion", 2_028),
-                                          ("outage-real", 3_948), ("error-shaped", 4_053)])
+@pytest.mark.parametrize("label,faults", [("error-r0", 5_723), ("outage-quaternion", 2_028),
+                                          ("outage-real", 3_948), ("error-shaped", 4_053),
+                                          ("lemma2", 12)])
 def test_benchmark_command_page_faults(dmtlab_process, monkeypatch, label, faults):
     # the benchmark times its commands after a calibration kernel that raises
     # glibc's trim thresholds, so allocation churn that costs a plain process
@@ -412,8 +431,9 @@ def test_benchmark_command_page_faults(dmtlab_process, monkeypatch, label, fault
     # in a fresh process (DMTLAB_THREADS=1, the benchmark's default seed), and
     # its minor faults over those of `dmtlab --help`, which starts and imports
     # the same, stay within 10% of the count this code made on a 2-vCPU box
-    # with numpy 2.4.6.  error-r0 decoding whole chunks faults about 1,000
-    # pages more.
+    # with numpy 2.4.6, or within 500 pages for a count too small for 10% to
+    # cover the box's noise of about 40 pages.  error-r0 decoding whole chunks
+    # faults about 1,000 pages more.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     argv = dict(cmd for name in workloads.WORKLOADS
@@ -422,7 +442,7 @@ def test_benchmark_command_page_faults(dmtlab_process, monkeypatch, label, fault
     assert code == 0, err
     code, err, _, total = dmtlab_process(argv, DMTLAB_THREADS="1")
     assert code == 0, err
-    assert total - start <= 1.1 * faults, (total, start)
+    assert total - start <= max(1.1 * faults, 500), (total, start)
 
 
 @pytest.mark.parametrize("command", ["outage", "error"])
@@ -459,13 +479,13 @@ def test_lemma2_verify(capsys):
 
 
 def test_lemma2_verify_peak_rss(dmtlab_process):
-    # the benchmark's sweep evaluates each grid row once per (l, q) from
-    # small-integer tick indices; a sorted float copy of the grid peaked at
-    # 61.3 MiB, where the interpreter with numpy alone takes about 30 MiB
+    # the benchmark's sweep holds O(l) integers a case, so the process peaks
+    # near the interpreter with numpy alone, about 30 MiB; its grid oracle
+    # peaked at 46.5 MiB, and a sorted float copy of that grid at 61.3 MiB
     code, err, peak_mib, _ = dmtlab_process(["lemma2-verify", "--qmax", "6", "--lmax", "4",
                                           "--sstep", "0.25", "--gridstep", "0.02"])
     assert code == 0, err
-    assert peak_mib <= 55
+    assert peak_mib <= 40
 
 
 def test_lattice_audit(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dmtlab.dmt import (Lemma2Problem, a0_membership, classical_dmt, d1_curve,
                         d2_curve, exponent_quaternion, exponent_real,
                         laplace_exponent_estimate, lemma2_bruteforce,
                         lemma2_closed_form)
+from lemma2_grid import _ascending_grid, lemma2_grid
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +122,58 @@ def test_lemma2_closed_form_examples():
 
 
 def test_lemma2_bruteforce_examples():
-    assert lemma2_bruteforce(Lemma2Problem(2.0, 2, 0.0), 0.01) == pytest.approx(4.0, abs=0.05)
+    # the grid oracle of the tests, within its resolution
+    assert lemma2_grid(Lemma2Problem(2.0, 2, 0.0), 0.01) == pytest.approx(4.0, abs=0.05)
     # 1-D exhaustive scan: value (-3-1+1)*0.5 + 3 = 1.5
-    assert lemma2_bruteforce(Lemma2Problem(3.0, 1, 0.5), 0.001) == pytest.approx(1.5, abs=0.01)
+    assert lemma2_grid(Lemma2Problem(3.0, 1, 0.5), 0.001) == pytest.approx(1.5, abs=0.01)
     v, _ = lemma2_closed_form(Lemma2Problem(4.0, 3, 1.5))
-    assert lemma2_bruteforce(Lemma2Problem(4.0, 3, 1.5), 0.02) == pytest.approx(v, abs=0.3)
+    assert lemma2_grid(Lemma2Problem(4.0, 3, 1.5), 0.02) == pytest.approx(v, abs=0.3)
 
 
 @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.1])
 def test_lemma2_bruteforce_rejects_bad_step(step):
     # at an infinite step the grid's only tick is 0 * inf = nan
     with pytest.raises(ValueError, match="grid_step must be positive and finite"):
-        lemma2_bruteforce(Lemma2Problem(2.0, 2, 1.0), step)
+        lemma2_grid(Lemma2Problem(2.0, 2, 1.0), step)
+
+
+def test_lemma2_oracle_exact_examples():
+    # vertex values by hand: v_2 = (1, 1) has f = 4 at q = l = 2; at s = 0.5
+    # the edge [v_1, v_2] meets sum(a) = 1.5 at (0.5, 1), f = 1.5 + 1 = 2.5
+    assert lemma2_bruteforce(Lemma2Problem(2.0, 2, 0.0)) == 4.0
+    assert lemma2_bruteforce(Lemma2Problem(2.0, 2, 0.5)) == 2.5
+    assert lemma2_bruteforce(Lemma2Problem(2.0, 2, 2.0)) == 0.0
+    assert lemma2_bruteforce(Lemma2Problem(3.0, 1, 0.5)) == 1.5
+    # q and s need not be integers or dyadic: at l = 1, f = q a_1 is least at
+    # a_1 = 1 - s, rounded once from the exact rational
+    assert lemma2_bruteforce(Lemma2Problem(2.5, 1, 0.1)) == float(
+        Fraction(2.5) * (1 - Fraction(0.1)))
+
+
+def test_lemma2_oracle_exact_sweep():
+    # criterion 2's 178 cases and every s on the 1/8 grid for l <= 12,
+    # q < 30: 13,980 cases, where the closed form and the oracle agree to
+    # 1e-12 (in fact exactly)
+    start = time.perf_counter()
+    cases = [(l, q, 0.25 * i) for l in range(1, 5) for q in range(l, 7)
+             for i in range(4 * l + 1)]
+    cases += [(l, q, i / 8) for l in range(1, 13) for q in range(l, 30)
+              for i in range(8 * l + 1)]
+    assert len(cases) == 178 + 13_802
+    for l, q, s in cases:
+        prob = Lemma2Problem(float(q), l, s)
+        assert abs(lemma2_bruteforce(prob) - lemma2_closed_form(prob)[0]) <= 1e-12, (q, l, s)
+    assert time.perf_counter() - start < 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.floats(0.0, 20.0), st.floats(0.0, 1.0))
+def test_lemma2_oracle_matches_closed_form_off_grid(l, excess, share):
+    # any float q >= l and s in [0, l]: the closed form, rounded a few times
+    # in floats, stays within a relative 1e-12 of the exact oracle
+    prob = Lemma2Problem(l + excess, l, share * l)
+    value, _ = lemma2_closed_form(prob)
+    assert abs(lemma2_bruteforce(prob) - value) <= 1e-12 * max(1.0, prob.q * l)
 
 
 # the criterion-2 values of s and some off the quarter grid
@@ -149,7 +192,7 @@ def test_ascending_grid_matches_itertools(step):
     for l in range(1, 5):
         ref = np.array(list(itertools.combinations_with_replacement(ticks, l)))
         ref_total = np.cumsum(1.0 - ref, axis=1)[:, -1]
-        grid_ticks, rows, order, totals = dmt._ascending_grid(l, step)
+        grid_ticks, rows, order, totals = _ascending_grid(l, step)
         assert rows.dtype == np.uint8 and np.array_equal(grid_ticks[rows], ref)
         assert np.array_equal(np.sort(order), np.arange(len(ref)))
         lex_total = np.empty_like(totals)
@@ -165,7 +208,7 @@ def test_lemma2_bruteforce_matches_masked_min():
     # appended 1.0 tick (0.07, 0.3): the running minimum read at the end of
     # the feasible prefix is the minimum over the rows of total at most s
     for step, l in itertools.product([0.02, 0.05, 0.07, 0.3], range(1, 5)):
-        ticks, rows, order, totals = dmt._ascending_grid(l, step)
+        ticks, rows, order, totals = _ascending_grid(l, step)
         pts = ticks[rows]
         lex_total = np.empty_like(totals)
         lex_total[order] = totals
@@ -173,7 +216,7 @@ def test_lemma2_bruteforce_matches_masked_min():
             for s in (s for s in S_SWEEP if s <= l):
                 prob = Lemma2Problem(float(q), l, s)
                 ref = float((pts[lex_total <= s + 1e-9] @ prob.coefficients()).min())
-                assert lemma2_bruteforce(prob, step) == ref
+                assert lemma2_grid(prob, step) == ref
 
 
 def test_lemma2_oracle_agreement_sweep():
@@ -183,7 +226,7 @@ def test_lemma2_oracle_agreement_sweep():
             for s in [0.25 * i for i in range(4 * l + 1)]:
                 prob = Lemma2Problem(float(q), l, s)
                 value, alpha = lemma2_closed_form(prob)
-                brute = lemma2_bruteforce(prob, step)
+                brute = lemma2_grid(prob, step)
                 assert abs(value - brute) <= l * (q + l) * step
                 assert a0_membership(alpha, s)
                 assert float(prob.coefficients() @ alpha) == pytest.approx(value, abs=1e-12)

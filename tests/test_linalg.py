@@ -199,6 +199,16 @@ def test_bmm_conj_of_one_stack_is_the_transpose():
     assert np.array_equal(out, linalg.bmm(a.transpose(0, 2, 1).copy(), b))
 
 
+@pytest.mark.parametrize("cols", [1, 3])
+def test_bmm_one_row_gram_diagonal_parts_exactly_zero(cols):
+    # A of one row: each diagonal entry of A^* A is |a|^2, whose three
+    # imaginary parts are sums of mirrored products that cancel exactly
+    a = np.random.default_rng(11).standard_normal((4, 1000, 1, cols))
+    gram = linalg.bmm(a, a, conj=True)
+    diag = gram[:, :, range(cols), range(cols)]
+    assert np.all(diag[1:] == 0) and np.all(diag[0] > 0)
+
+
 def test_bmm_rejects_bad_part_stacks():
     with pytest.raises(ValueError):  # three parts are no algebra
         linalg.bmm(np.ones((3, 2, 1, 1)), np.ones((3, 2, 1, 1)))
