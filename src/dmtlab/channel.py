@@ -74,8 +74,14 @@ class SystemConfig:
 
 
 def draw_real(rng, shape):
-    """i.i.d. real N(0, 1/2) entries: the stacked-real channel or noise."""
-    return rng.normal(0.0, math.sqrt(0.5), shape)
+    """i.i.d. real N(0, 1/2) entries: the stacked-real channel or noise.
+
+    One standard-normal fill scaled in place by sqrt(1/2): bit-equal to
+    ``rng.normal(0.0, sqrt(1/2), shape)``, which adds 0.0 to each scaled
+    variate, except that an exact -0.0 keeps its sign here."""
+    x = rng.standard_normal(shape)
+    x *= math.sqrt(0.5)
+    return x
 
 
 def draw_complex(rng, shape):

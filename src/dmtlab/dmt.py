@@ -100,7 +100,8 @@ def d2_curve(n, m):
 @dataclass(frozen=True)
 class Lemma2Problem:
     """Exponent-minimization instance (q, l, s); q >= l keeps all the
-    objective coefficients positive, which the closed form requires."""
+    objective coefficients positive, which the closed form requires, and q
+    must be finite."""
 
     q: float
     l: int
@@ -109,6 +110,8 @@ class Lemma2Problem:
     def __post_init__(self):
         if self.l < 1:
             raise ValueError("l must be >= 1")
+        if not math.isfinite(self.q):
+            raise ValueError(f"q={self.q} must be finite")
         if self.q < self.l:
             raise ValueError(f"q={self.q} < l={self.l}: objective coefficients "
                              "would go negative and the infimum diverges")

@@ -17,8 +17,9 @@ built-in names (BUILTIN_LATTICES) are two such orders:
   * ``split``    -- (a, b) = (2, 3); det(image of (x, y, z, w)) =
     x^2 - 2y^2 - 3z^2 + 6w^2.
 
-NVD audits (`audit`), shaped codebooks and fixed 16-word constellations
-all take their points from one breadth-first Cholesky branch-and-bound
+NVD audits (`audit`), shaped codebooks, fixed 16-word constellations and
+the minimum norm (`minimum_norm`) all take their points from one
+breadth-first Cholesky branch-and-bound
 (`shell_coordinates`), which holds its frontier as arrays, caps the integer
 coordinates each level holds at SHELL_CAP, and fixes the leading coordinate
 first, so that its points come out in lexicographic order of their
@@ -233,6 +234,14 @@ def shape_codebook(lat, rho, r):
     pts = point_from_coordinates(lat, shell_coordinates(lat, m_radius)) / m_radius
     pts.flags.writeable = False
     return Codebook(points=pts, radius_m=m_radius, source=lat)
+
+
+def minimum_norm(lat):
+    """lambda_1: the least norm of a nonzero lattice point, from the shell at
+    the norm of the shortest generator, which holds that generator."""
+    coords = shell_coordinates(lat, math.sqrt(float(np.min(np.diag(lat.gram)))))
+    nz = coords[np.any(coords != 0, axis=1)]
+    return math.sqrt(float(np.min(np.einsum("pi,ij,pj->p", nz, lat.gram, nz))))
 
 
 def fixed_codebook(lat):

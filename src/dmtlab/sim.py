@@ -23,7 +23,10 @@ in numpy calls is spread over as many rows as that memory allows.  The ML
 decoder works in the code's own algebra: channel, noise, received blocks
 and codewords stay real matrices, or quaternion matrices as their four
 real parts (`linalg.bmm` multiplies both), never lifted to complex ones.
-It scores a block against the whole codebook with real matrix products
+It first screens a block's rows (`_screen`): a row whose noise lies inside
+the code's packing radius, by a margin that rounding cannot cross, decides
+its sent word and is skipped, so the screen changes no event.  It scores
+the other rows against the whole codebook with real matrix products
 (`_ml_decode`) of 2 n^2 features a row, `_decode_rows` rows each, small
 enough that OpenBLAS runs them on the calling thread (DECODE_MACS).
 
@@ -47,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, linalg
-from .lattice import SHELL_CAP, ResourceLimitError, fixed_codebook, shape_codebook
+from .lattice import (SHELL_CAP, ResourceLimitError, fixed_codebook, minimum_norm,
+                      shape_codebook)
 
 # A point with fewer events is flagged and left out of the slope fit.
 MIN_EVENTS = 50
@@ -527,16 +531,124 @@ def _ml_decode(h, y, cword_feats):
                            for lo in range(0, batch, rows)])
 
 
+# The packing-radius screen (`_screen`): the share of the noise radius^2 a
+# skipped row may use, (1 - SCREEN_DELTA)^2, the least ratio of the Gram
+# floor to the Gram trace of a skipped row, and the least trace.  All three
+# follow from the rounding bound in `_screen`'s docstring; none is tuned.
+SCREEN_DELTA = 0.125
+SCREEN_KAPPA = 2.0 ** -20
+SCREEN_TINY = 2.0 ** -900
+
+
+def _sq_norms(x):
+    """Squared norms, on real parts, of the rows of a real (N, ., .) stack or
+    of (4, N, ., .) quaternion parts."""
+    return np.einsum("abij,abij->b" if x.ndim == 4 else "bij,bij->b", x, x)
+
+
+def _gram_floor(h):
+    """A lower bound lambda_lb on the least eigenvalue of H^* H per row (for
+    quaternion parts, of the p x p quaternion Gram), or 0 where H^* H is
+    singular (fewer rows than columns), where lambda_lb < SCREEN_KAPPA tr G
+    or where tr G < SCREEN_TINY.
+
+    One quaternion column (p = 1) has the Gram |h|^2, one real number, which
+    is its own bound.  Otherwise, of the k distinct eigenvalues (k columns),
+    AM-GM on all but the least gives lambda_min >= det ((k - 1) / tr)^(k - 1),
+    taken from `linalg.logdet_pd` of the `channel.gram` stack (whose lift
+    doubles each eigenvalue of a quaternion Gram).  Near-singular Grams,
+    whose elimination the rounding could carry below zero, fail the trace
+    ratio and get 0."""
+    batch, rows, cols = h.shape[-3:]
+    if rows < cols:
+        return np.zeros(batch)
+    if h.ndim == 4 and cols == 1:
+        tr = lb = _sq_norms(h)
+    else:
+        g = channel.gram(h)
+        mult = h.ndim - 2  # of each eigenvalue in the lift: 1 real, 2 quaternion
+        tr = np.einsum("bii->b", g).real / mult
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_lb = linalg.logdet_pd(g) / mult
+            if cols > 1:
+                log_lb += (cols - 1) * np.log((cols - 1) / tr)
+            lb = np.exp(log_lb)
+    return np.where((lb >= SCREEN_KAPPA * tr) & (tr >= SCREEN_TINY), lb, 0.0)
+
+
+def _screen_threshold(cfg, rho, cb, lam1):
+    """`_screen`'s thresh = (1 - SCREEN_DELTA)^2 s^2 d^2 for codebook `cb` at
+    SNR rho, s^2 = rho / n, or 0, which decodes every row, when rho < 1 or
+    the rounding bound 16 c u (M / lambda_1)^2 < SCREEN_DELTA SCREEN_KAPPA,
+    c = 2 n^2 + 4 max(n, m) + 3, fails.
+
+    Every codeword difference is a nonzero lattice point over M, so
+    d = lambda_1 / M (`lattice.minimum_norm`) bounds the codebook's minimum
+    distance from below with no pass over its pairs; on the parts of
+    quaternion words, whose lift has twice the parts norm, d^2 is halved."""
+    rounds = 2 * cfg.n ** 2 + 4 * max(cfg.n, cfg.m) + 3
+    if rho < 1 or (16 * rounds * 2.0 ** -53 * (cb.radius_m / lam1) ** 2
+                   >= SCREEN_DELTA * SCREEN_KAPPA):
+        return 0.0
+    d2 = (lam1 / cb.radius_m) ** 2 / (1 if cfg.mode == "real" else 2)
+    return (1 - SCREEN_DELTA) ** 2 * (rho / cfg.n) * d2
+
+
+def _screen(h, w, thresh):
+    """Indices of the rows of a block that the exhaustive decoder must decide;
+    every other row decides its sent word, and adds no error.
+
+    A row y = s H X + W is skipped when 4 ||W||^2 < thresh lambda_lb, with
+    thresh = (1 - delta)^2 s^2 d^2 (`_screen_threshold`), norms on real parts,
+    d a lower bound on the codebook's minimum distance and lambda_lb a lower
+    bound on lambda_min(H^* H) that is at least kappa tr G (`_gram_floor`).
+    Any other word X + D, ||D|| >= d, then scores a metric larger by
+
+        ||W - s H D||^2 - ||W||^2 >= s||HD|| (s||HD|| - 2||W||)
+                                  >= delta s^2 ||HD||^2 >= delta s^2 lambda_min d^2,
+
+    as ||HD||^2 >= lambda_min ||D||^2, so ML decides X with a margin and no
+    tie can arise (the bounded-distance argument: Agrell, Eriksson, Vardy
+    and Zeger, IEEE Trans. IT 2002).
+
+    Rounding, u = 2^-53.  Every word has norm at most 1 in the lattice's
+    norm, so its norm R over d is M / lambda_1 in both modes.  y, the
+    features and the codeword features are each a sum of at most
+    4 max(n, m) products, scaled or shifted at most twice, and a metric sums
+    2 n^2 products of them: c = 2 n^2 + 4 max(n, m) + 3 roundings of
+    relative size u lie between a computed metric and the exact metric of
+    the computed y, over terms whose magnitudes add to at most
+    4 s^2 tr G R^2 (Cauchy-Schwarz: ||G|| <= tr G, ||C C^*|| <= R^2,
+    ||H^* y|| <= sqrt(tr G) ||y|| and ||y|| <= 1.5 s sqrt(tr G) R on a
+    skipped row).  A computed gap is thus within 8 c u s^2 tr G R^2 of the
+    exact one.  The computed y moves the noise by a relative O(n u), and
+    lambda_lb, lambda_1 and the screen's own products err by a relative
+    O(c u / kappa) at most; half of delta covers these, which leaves a gap
+    of at least (delta / 2) s^2 lambda_min d^2 >= (delta / 2) kappa s^2 tr G d^2.
+    It exceeds the rounding while 16 c u (M / lambda_1)^2 < delta kappa: at
+    delta = 1/8, kappa = 2^-20 and n = 2, m = 1 (c = 19), while
+    M / lambda_1 < 1879, against about 21 at the largest rank-4 shell
+    SHELL_CAP admits.  A codebook beyond it, or an SNR below 0 dB, screens
+    no row; rows with tr G < 2^-900 are decoded, so that no feature
+    underflows.  delta costs (7/8)^2 of the noise radius^2, and kappa
+    decodes only rows whose least Gram eigenvalue lies under 1e-6 of the
+    trace.
+    """
+    return np.flatnonzero(4.0 * _sq_norms(w) >= thresh * _gram_floor(h))
+
+
 def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     """Block error rate of exhaustive-ML decoding with its fitted slope.
 
     Per SNR point the codebook is the spherically shaped shell at that SNR,
     except at r = 0 where one `fixed_codebook` constellation is reused
-    across the sweep (constant rate).  `trials` is one count for every SNR
-    point or one per point.  The counters keep their codewords, as real
-    parts, and features (96 B a word at n = 2: 2 n^2 floats of features and
-    n^2 of parts), so before any chunk runs a zero-word codebook, or
-    codebooks over the SHELL_CAP // rank words of one shell, fail.
+    across the sweep (constant rate).  Rows inside the packing radius skip
+    the decoder (`_screen`), which would decide them correctly.  `trials` is
+    one count for every SNR point or one per point.  The counters keep their
+    codewords, as real parts, and features (96 B a word at n = 2: 2 n^2
+    floats of features and n^2 of parts), so before any chunk runs a
+    zero-word codebook, or codebooks over the SHELL_CAP // rank words of one
+    shell, fail.
     """
     mode, n, m = cfg.mode, cfg.n, cfg.m
     flavor = "real" if mode == "real" else "quaternionic"
@@ -545,6 +657,7 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
                          f"codewords, not {lat.flavor} {lat.ambient_n}x{lat.ambient_n}")
     row_bytes = (16 if mode == "real" else 32) * n * max(2 * m, n)
     fixed = functools.cache(lambda: fixed_codebook(lat))
+    lam1 = functools.cache(lambda: minimum_norm(lat))
 
     words = 0  # in the points' codebooks so far, whose features the counters hold
 
@@ -562,15 +675,21 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
                   else channel.quaternion_parts(cb.points))
         scale = math.sqrt(rho / n)
         feats = _codeword_features(cparts, scale)
+        thresh = _screen_threshold(cfg, rho, cb, lam1())
 
         def draw(st, size):
             hs, ws = (channel.draw_real(st, cfg.block_shape(size)) for _ in range(2))
             tx = st.integers(0, feats.shape[1], size=size)
 
             def errors(rows):
-                h = hs[..., rows, :, :]
-                y = channel.receive(h, cparts[..., tx[rows], :, :], scale, ws[..., rows, :, :])
-                return np.count_nonzero(_ml_decode(h, y, feats) != tx[rows])
+                h, w, t = hs[..., rows, :, :], ws[..., rows, :, :], tx[rows]
+                keep = _screen(h, w, thresh)
+                if len(keep) < len(t):
+                    if not len(keep):
+                        return 0
+                    h, w, t = h.take(keep, axis=-3), w.take(keep, axis=-3), t[keep]
+                y = channel.receive(h, cparts.take(t, axis=-3), scale, w)
+                return np.count_nonzero(_ml_decode(h, y, feats) != t)
             return errors
         return draw
 

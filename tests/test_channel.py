@@ -74,6 +74,17 @@ def test_sample_channel_shapes():
     assert channel.lift_parts(channel.draw_real(rng, (4, 7, 2, 2))).shape == (7, 4, 4)
 
 
+def test_draw_real_equals_scaled_normal():
+    # one standard-normal fill scaled in place gives the variates of
+    # rng.normal(0, sqrt(1/2)) bit for bit, and leaves the generator in the
+    # same state (== also equates the two signs of zero, which may differ)
+    a, b = (np.random.default_rng(8) for _ in range(2))
+    x = channel.draw_real(a, (4, 100_000, 1, 1))
+    ref = b.normal(0.0, np.sqrt(0.5), (4, 100_000, 1, 1))
+    assert np.array_equal(x, ref)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_sample_channel_is_batch_row_zero():
     # the draw order: h before w, the real part of a block before its
     # imaginary part

@@ -112,6 +112,13 @@ def test_lemma2_problem_validation():
         Lemma2Problem(q=3.0, l=0, s=0.0)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_lemma2_problem_rejects_non_finite_q(q):
+    # a NaN or infinite q is named before any closed form or oracle sees it
+    with pytest.raises(ValueError, match=r"q=.* must be finite"):
+        Lemma2Problem(q=q, l=2, s=1.0)
+
+
 def test_lemma2_closed_form_examples():
     v, a = lemma2_closed_form(Lemma2Problem(2.0, 2, 0.0))
     assert v == pytest.approx(4.0, abs=1e-12) and np.allclose(a, [1, 1], atol=0)
@@ -312,6 +319,28 @@ def test_exponent_matches_curves_small():
     qcurve = d2_curve(2, 1)
     for r in np.linspace(0.0, qcurve.r_max, 51):
         assert exponent_quaternion(2, 1, r) == pytest.approx(qcurve(r), abs=1e-12)
+
+
+def test_exponent_closed_form_certified_by_oracle(monkeypatch):
+    # criterion 3's exponent == curve identity rests on the closed form: it
+    # equals the exact vertex oracle on every (q, l, s) that exponent_real
+    # and exponent_quaternion reach at 201 r per curve, for every n and m up
+    # to 12 (quaternion: p = n / 2 up to 12), which gives every l <= 12
+    seen = set()
+    closed_form = dmt.lemma2_closed_form
+
+    def spy(prob):
+        seen.add(prob)
+        return closed_form(prob)
+    monkeypatch.setattr(dmt, "lemma2_closed_form", spy)
+    for k, m in itertools.product(range(1, 13), repeat=2):
+        for r in np.linspace(0.0, min(2 * m, k) / 2, 201):
+            exponent_real(k, m, r)
+        for r in np.linspace(0.0, min(m, k), 201):
+            exponent_quaternion(2 * k, m, r)
+    assert {(p.q, p.l) for p in seen} >= {(q, l) for l in range(1, 13) for q in range(l, 13)}
+    worst = max(abs(closed_form(p)[0] - lemma2_bruteforce(p)) for p in seen)
+    assert worst <= 1e-12
 
 
 def test_exponent_weights_consistency():

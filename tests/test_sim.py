@@ -602,19 +602,34 @@ def _spy_metric_rows(monkeypatch):
     return shapes
 
 
+def _spy_screen(monkeypatch):
+    """The (kept, block) row counts of every block the screen sees."""
+    counts = []
+    screen = sim._screen
+
+    def spy(h, w, thresh):
+        keep = screen(h, w, thresh)
+        counts.append((len(keep), h.shape[-3]))
+        return keep
+    monkeypatch.setattr(sim, "_screen", spy)
+    return counts
+
+
 def test_error_events_independent_of_decode_macs(monkeypatch):
     # DECODE_MACS = 1 leaves every product at the 64-row floor; events must
-    # not change
+    # not change, and exactly the rows the screen keeps reach the metric
     cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
     args = (HAMILTON, cfg, [12.0, 18.0], 3000, 21)
     monkeypatch.setattr(sim, "ERROR_CHUNK", 1300)
     default = estimate_error_prob(*args)
     monkeypatch.setattr(sim, "DECODE_MACS", 1)
     shapes = _spy_metric_rows(monkeypatch)
+    kept = _spy_screen(monkeypatch)
     floor = estimate_error_prob(*args)
     assert floor.events == default.events and sum(default.events) > 0
     rows = [r for r, _ in shapes]
-    assert sum(rows) == 6000 and max(rows) == 64
+    assert sum(rows) == sum(k for k, _ in kept) and sum(b for _, b in kept) == 6000
+    assert max(rows) == 64
     assert sum(r < 64 for r in rows) <= 6  # one short product per chunk at most
 
 
@@ -696,6 +711,143 @@ def test_error_events_independent_of_block_rows(monkeypatch, mode, name, r):
     _assert_events_independent_of_block_rows(
         monkeypatch, "ERROR_CHUNK",
         lambda chunk: estimate_error_prob(lat, cfg, [12.0, 18.0], [chunk + 500, 700], 8).events)
+
+
+# ---------------------------------------------------------------------------
+# packing-radius screen
+
+def _quaternion_matrix_lattice():
+    """M_2 of the Lipschitz order: the 16 lifts of a 2 x 2 quaternion matrix
+    with one unit part, a quaternionic lattice of 4 x 4 words (p = 2)."""
+    return lattice.matrix_lattice(channel.lift_parts(np.eye(16).reshape(16, 4, 2, 2)
+                                                     .transpose(1, 0, 2, 3)), "quaternionic")
+
+
+SCREEN_CASES = [("quaternion", 2, 1, HAMILTON, 0.0), ("quaternion", 2, 1, HAMILTON, 0.5),
+                ("real", 2, 1, SPLIT, 0.5),
+                ("real", 2, 1, lattice.load_lattice(str(LATTICES / "m2z.json")), 0.5),
+                ("real", 2, 1, lattice.load_lattice(str(LATTICES / "split_pi.json")), 0.5),
+                ("quaternion", 4, 2, _quaternion_matrix_lattice(), 0.0)]
+SCREEN_IDS = ["hamilton-r0", "hamilton-r0.5", "split-r0.5", "m2z", "split_pi", "p2"]
+
+
+def _keep_every_row(h, w, thresh):
+    return np.arange(h.shape[-3])
+
+
+@pytest.mark.parametrize("mode,n,m,lat,r", SCREEN_CASES, ids=SCREEN_IDS)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_screened_events_equal_unscreened(monkeypatch, mode, n, m, lat, r, threads):
+    # the screen changes no event: every row decoded, at 1 and 2 threads
+    monkeypatch.setenv("DMTLAB_THREADS", threads)
+    cfg = SystemConfig(mode, n=n, m=m, r=r)
+    args = (lat, cfg, [14.0, 20.0, 26.0], [3000, 3000, 2000], 17)
+    monkeypatch.setattr(sim, "ERROR_CHUNK", 1100)
+    counts = _spy_screen(monkeypatch)
+    screened = estimate_error_prob(*args)
+    assert sum(k for k, _ in counts) < sum(b for _, b in counts)
+    monkeypatch.setattr(sim, "_screen", _keep_every_row)
+    assert estimate_error_prob(*args).events == screened.events
+
+
+@pytest.mark.parametrize("mode,n,m,lat,r", SCREEN_CASES, ids=SCREEN_IDS)
+def test_screened_rows_decide_the_sent_word(mode, n, m, lat, r):
+    # trial for trial: every row the screen skips is one the exhaustive
+    # decoder decides correctly; the second quarter of the rows is
+    # noiseless, and the third has near-singular channels (the last column
+    # the first plus 1e-6 of itself; one quaternion column scaled by 1e-3)
+    # with the noise scaled by 1e-6
+    cfg, rho, size = SystemConfig(mode, n=n, m=m, r=r), 100.0, 8000
+    cb = lattice.fixed_codebook(lat) if r == 0 else lattice.shape_codebook(lat, rho, r)
+    cparts = _code_parts(cb, mode)
+    rng = np.random.default_rng(29)
+    h, w = (channel.draw_real(rng, cfg.block_shape(size)) for _ in range(2))
+    q1, q2, q3 = size // 4, size // 2, 3 * size // 4
+    w[..., q1:q2, :, :] = 0.0
+    w[..., q2:q3, :, :] *= 1e-6
+    if h.shape[-1] > 1:
+        h[..., q2:q3, :, -1] = h[..., q2:q3, :, 0] + 1e-6 * h[..., q2:q3, :, -1]
+    else:
+        h[..., q2:q3, :, :] *= 1e-3
+    tx = rng.integers(0, len(cb.points), size=size)
+    scale = math.sqrt(rho / n)
+    thresh = sim._screen_threshold(cfg, rho, cb, lattice.minimum_norm(lat))
+    keep = sim._screen(h, w, thresh)
+    skipped = np.setdiff1d(np.arange(size), keep)
+    y = channel.receive(h, cparts.take(tx, axis=-3), scale, w)
+    got = sim._ml_decode(h, y, sim._codeword_features(cparts, scale))
+    np.testing.assert_array_equal(got[skipped], tx[skipped])
+    assert np.sum(got != tx) > 0
+    for lo, hi in ((0, q1), (q1, q2)):
+        assert np.sum((skipped >= lo) & (skipped < hi)) > 0
+
+
+def _parts_norm_min_distance(cparts):
+    """The least distance between two words, on real parts, pair by pair."""
+    flat = np.moveaxis(cparts, -3, 0).reshape(cparts.shape[-3], -1)
+    return min(np.sqrt(np.min(np.sum((flat[i + 1:] - flat[i]) ** 2, axis=1)))
+               for i in range(len(flat) - 1))
+
+
+@pytest.mark.parametrize("name,mode", [("hamilton", "quaternion"), ("split", "real"),
+                                       ("m2z.json", "real"), ("split_pi.json", "real")])
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_screen_distance_below_codebook_minimum(name, mode, r):
+    # d = lambda_1 / M (over sqrt 2 on quaternion parts) is at most the exact
+    # pairwise minimum distance of every built-in and JSON codebook, up to
+    # the relative rounding that half of SCREEN_DELTA covers: shaped
+    # codebooks hold 0 and a shortest lattice point, where d is attained
+    lat = lattice.load_lattice(name if mode == "quaternion" or name == "split"
+                               else str(LATTICES / name))
+    cfg = SystemConfig(mode, n=2, m=1, r=r)
+    lam1 = lattice.minimum_norm(lat)
+    for db in (10.0, 20.0, 30.0):
+        rho = 10.0 ** (db / 10.0)
+        cb = lattice.fixed_codebook(lat) if r == 0 else lattice.shape_codebook(lat, rho, r)
+        thresh = sim._screen_threshold(cfg, rho, cb, lam1)
+        d = math.sqrt(thresh / ((1 - sim.SCREEN_DELTA) ** 2 * rho / cfg.n))
+        assert 0 < d <= _parts_norm_min_distance(_code_parts(cb, mode)) * (1 + 1e-12)
+
+
+def test_minimum_norm_is_shortest_nonzero_point():
+    for lat, lam1 in ((HAMILTON, math.sqrt(2)), (SPLIT, math.sqrt(2)),
+                      (lattice.load_lattice(str(LATTICES / "m2z.json")), 1.0)):
+        assert lattice.minimum_norm(lat) == pytest.approx(lam1, rel=1e-15)
+        pts = lattice.point_from_coordinates(lat, lattice.shell_coordinates(lat, 3.0))
+        norms = np.sqrt(np.sum(np.abs(pts) ** 2, axis=(1, 2)))
+        assert np.min(norms[norms > 0]) == pytest.approx(lattice.minimum_norm(lat), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode,m,cols", [("real", 1, 2), ("real", 2, 2), ("real", 3, 4),
+                                         ("real", 2, 1), ("quaternion", 1, 1),
+                                         ("quaternion", 3, 1), ("quaternion", 2, 2),
+                                         ("quaternion", 3, 2)])
+def test_gram_floor_below_least_eigenvalue(mode, m, cols):
+    # lambda_lb <= lambda_min(H^* H) on random rows and on near-singular ones
+    # (the last column nearly the first), and it is not vacuous on random rows
+    rng = np.random.default_rng(31)
+    size = 4000
+    shape = (size, 2 * m, cols) if mode == "real" else (4, size, m, cols)
+    h = channel.draw_real(rng, shape)
+    near = slice(size // 2, None)
+    if cols > 1:
+        h[..., near, :, -1] = h[..., near, :, 0] * (1 + 1e-7 * h[..., near, :, -1])
+    lb = sim._gram_floor(h)
+    lifted = h if mode == "real" else channel.lift_parts(h)
+    lam = np.linalg.eigvalsh(np.conj(lifted.swapaxes(-1, -2)) @ lifted)[:, 0]
+    tr = sim._sq_norms(h)
+    assert np.all(lb <= lam + 1e-13 * tr)
+    assert np.all(lb >= 0) and np.mean(lb[: size // 2] > 0) > 0.9
+    if cols > 1:
+        assert np.mean(lb[near] > 0) < 0.1
+
+
+def test_gram_floor_zero_for_singular_gram():
+    # fewer rows than columns: H^* H is singular and no row is screened
+    rng = np.random.default_rng(3)
+    h, w = (channel.draw_real(rng, (500, 2, 3)) for _ in range(2))
+    assert not np.any(sim._gram_floor(h))
+    assert len(sim._screen(h, 0.0 * w, 1e6)) == 500
 
 
 def _bruteforce_decode(h, y, scale, cwords):
