@@ -4,7 +4,13 @@ and the mutual-information / power-constraint functionals.
 Conventions fixed here and used everywhere else:
   * received block  Y = sqrt(rho/n) H X + W, noise entries unit variance;
   * rates in bits (log base 2), so a rate threshold is r*log2(rho);
-  * the quaternionic equivalent channel also carries the 1/sqrt(n) factor.
+  * the quaternionic equivalent channel also carries the 1/sqrt(n) factor
+    in `receive`, that is in the ML-error sweeps.  The outage rates do not
+    share one convention: the real rate takes rho/n, the quaternion rate
+    (`mutual_info_quaternion_batch`, as `sim.estimate_outage` calls it)
+    takes rho.  A quaternion outage curve at rho thus has the rate of the
+    1/sqrt(n) convention at n rho, 10 log10(n) dB higher, against the
+    threshold of rho; the fitted slopes do not change.
 
 `SystemConfig` alone validates a run's mode, antenna counts and gain.
 
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, bmm, logdet_pd
+from .linalg import adjoint, as_matrix, bmm, logdet_pd, sq_norms
 
 LOG2 = np.log(2.0)
 # The two code classes: real (bound d1) and quaternionic (bound d2).
@@ -136,9 +142,7 @@ def gram(h):
     l = min(a, b), is lifted to a complex (N, 2l, 2l) stack (`lift_parts`);
     H itself never is.  Batch axis last in memory (`linalg.bmm`)."""
     if h.shape[-2] <= h.shape[-1]:  # H H^* = (H^*)^* H^*
-        h = h.swapaxes(-1, -2)
-        if h.ndim == 4:  # the conjugate negates a quaternion's parts 1-3
-            h = np.concatenate([h[:1], -h[1:]])
+        h = adjoint(h)
     g = bmm(h, h, conj=True)
     return lift_parts(g) if g.ndim == 4 else g
 
@@ -163,24 +167,18 @@ def mutual_info_quaternion_batch(parts, rho):
     p = 1) the Gram is (|M1|^2 + |M2|^2) I, which needs no lift and no
     elimination."""
     if min(parts.shape[2:]) == 1:
-        g = np.einsum("abij,abij->b", parts, parts)
-        g *= rho
-        return 2.0 * np.log2(1.0 + g)
+        return 2.0 * np.log2(1.0 + rho * sq_norms(parts))
     return _logdet_eye_plus(gram(parts), rho) / LOG2
 
 
 def quaternionic_defect(m):
-    """Max entry deviation from the [[A, -B*], [B, A*]] block structure."""
+    """Max entry deviation from the [[A, -B*], [B, A*]] block structure: from
+    the lift (`lift_parts`) of the matrix's own top blocks."""
     a = as_matrix(m)
     rows, cols = a.shape
     if rows != cols or rows % 2:
         raise ValueError("quaternionic structure needs an even square matrix")
-    p = rows // 2
-    top_l, top_r = a[:p, :p], a[:p, p:]
-    bot_l, bot_r = a[p:, :p], a[p:, p:]
-    d1 = np.abs(bot_l + top_r.conj()).max() if p else 0.0
-    d2 = np.abs(bot_r - top_l.conj()).max() if p else 0.0
-    return float(max(d1, d2))
+    return float(np.abs(a - lift_parts(quaternion_parts(a[None]))[0]).max(initial=0.0))
 
 
 def power_check(cb):

@@ -142,11 +142,7 @@ LEMMA2_TOL = 1e-12
 
 
 def _cmd_lemma2(args):
-    if args.qmax < 1 or args.lmax < 1:
-        raise ValueError(f"--qmax/--lmax must be >= 1 (an empty sweep checks nothing), "
-                         f"got {args.qmax}, {args.lmax}")
-    if not (args.sstep > 0 and math.isfinite(args.sstep)):
-        raise ValueError(f"--sstep must be positive and finite, got {args.sstep:g}")
+    cases = dmt.lemma2_cases(args.qmax, args.lmax, args.sstep)
     # --gridstep sets nothing since the oracle is exact, but a value that
     # once set a tolerance covering every value of f is still refused
     if args.gridstep is not None:
@@ -154,33 +150,21 @@ def _cmd_lemma2(args):
             raise ValueError(f"--gridstep must be positive and finite, got {args.gridstep:g}")
         if args.gridstep >= 0.5:
             raise ValueError(f"--gridstep must be below 0.5, got {args.gridstep:g}")
-    # about l / sstep + 1 values of s for each q in l..qmax; no case has l > qmax
-    ls = range(1, min(args.lmax, args.qmax) + 1)
-    if len(ls) > dmt.CASE_CAP or sum((args.qmax - l + 1) * (l / args.sstep + 1)
-                                     for l in ls) > dmt.CASE_CAP:
-        raise ValueError(f"--sstep/--qmax/--lmax give more than {dmt.CASE_CAP} cases")
-    checked = 0
     failures = []
-    for l in ls:
-        for q in range(l, args.qmax + 1):
-            s = 0.0
-            while s <= l + 1e-12:
-                prob = dmt.Lemma2Problem(q=float(q), l=l, s=min(s, float(l)))
-                value, alpha = dmt.lemma2_closed_form(prob)
-                brute = dmt.lemma2_bruteforce(prob)
-                feasible = dmt.a0_membership(alpha, prob.s)
-                attained = abs(float(prob.coefficients() @ alpha) - value) <= 1e-12
-                if abs(value - brute) > LEMMA2_TOL or not feasible or not attained:
-                    failures.append((q, l, prob.s, value, brute, feasible, attained))
-                checked += 1
-                s += args.sstep
+    for prob in cases:
+        value, alpha = dmt.lemma2_closed_form(prob)
+        brute = dmt.lemma2_bruteforce(prob)
+        feasible = dmt.a0_membership(alpha, prob.s)
+        attained = abs(float(prob.coefficients() @ alpha) - value) <= 1e-12
+        if abs(value - brute) > LEMMA2_TOL or not feasible or not attained:
+            failures.append((int(prob.q), prob.l, prob.s, value, brute, feasible, attained))
     if failures:
         for f in failures:
             print(f"VIOLATION q={f[0]} l={f[1]} s={f[2]}: closed={f[3]:.6g} "
                   f"brute={f[4]:.6g} tol={LEMMA2_TOL:.3g} feasible={f[5]} attained={f[6]}")
-        print(f"{len(failures)} of {checked} cases failed")
+        print(f"{len(failures)} of {len(cases)} cases failed")
         return 1
-    print(f"all {checked} cases within tolerance "
+    print(f"all {len(cases)} cases within tolerance "
           f"(q in 1..{args.qmax}, l in 1..{args.lmax}, q >= l)")
     return 0
 

@@ -148,6 +148,25 @@ CURVE_STEP = 0.01
 CASE_CAP = 10**4
 
 
+def lemma2_cases(qmax, lmax, sstep):
+    """The (q, l, s) problems of a Lemma-2 sweep, for l in 1..lmax, q in
+    l..qmax and s = min(k sstep, l) for k = 0 .. floor((l + 1e-12) / sstep),
+    in that order.  Each s is one product, so no sum drifts off the grid.
+    Bounds that leave no case, a step that is not positive and finite, or
+    about more than CASE_CAP cases are rejected before any case is built."""
+    if qmax < 1 or lmax < 1:
+        raise ValueError(f"--qmax/--lmax must be >= 1 (an empty sweep checks nothing), "
+                         f"got {qmax}, {lmax}")
+    if not (sstep > 0 and math.isfinite(sstep)):
+        raise ValueError(f"--sstep must be positive and finite, got {sstep:g}")
+    # about l / sstep + 1 values of s for each q in l..qmax; no case has l > qmax
+    ls = range(1, min(lmax, qmax) + 1)
+    if len(ls) > CASE_CAP or sum((qmax - l + 1) * (l / sstep + 1) for l in ls) > CASE_CAP:
+        raise ValueError(f"--sstep/--qmax/--lmax give more than {CASE_CAP} cases")
+    return [Lemma2Problem(float(q), l, min(k * sstep, float(l))) for l in ls
+            for q in range(l, qmax + 1) for k in range(math.floor((l + 1e-12) / sstep) + 1)]
+
+
 def lemma2_bruteforce(prob):
     """Exact minimum of f over A0(s), by enumerating the vertices of the
     feasible polytope; independent of the closed form's floor formula.

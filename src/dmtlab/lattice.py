@@ -18,7 +18,8 @@ built-in names (BUILTIN_LATTICES) are two such orders:
     x^2 - 2y^2 - 3z^2 + 6w^2.
 
 NVD audits (`audit`), shaped codebooks, fixed 16-word constellations and
-the minimum norm (`minimum_norm`) all take their points from one
+the minimum norm (`minimum_norm`; the last two share one search for the
+least shell that holds enough points) all take their points from one
 breadth-first Cholesky branch-and-bound
 (`shell_coordinates`), which holds its frontier as arrays, caps the integer
 coordinates each level holds at SHELL_CAP, and fixes the leading coordinate
@@ -236,12 +237,23 @@ def shape_codebook(lat, rho, r):
     return Codebook(points=pts, radius_m=m_radius, source=lat)
 
 
+def _short_vectors(lat, count):
+    """The nonzero coordinate vectors of the least shell, from the norm of the
+    shortest generator up by factors of 1.5, that holds at least `count` of
+    them, and their squared norms."""
+    radius = math.sqrt(float(np.min(np.diag(lat.gram))))
+    while True:
+        coords = shell_coordinates(lat, radius)
+        nz = coords[np.any(coords != 0, axis=1)]
+        if len(nz) >= count:
+            return nz, np.einsum("pi,ij,pj->p", nz, lat.gram, nz)
+        radius *= 1.5
+
+
 def minimum_norm(lat):
     """lambda_1: the least norm of a nonzero lattice point, from the shell at
     the norm of the shortest generator, which holds that generator."""
-    coords = shell_coordinates(lat, math.sqrt(float(np.min(np.diag(lat.gram)))))
-    nz = coords[np.any(coords != 0, axis=1)]
-    return math.sqrt(float(np.min(np.einsum("pi,ij,pj->p", nz, lat.gram, nz))))
+    return math.sqrt(float(np.min(_short_vectors(lat, 1)[1])))
 
 
 def fixed_codebook(lat):
@@ -254,14 +266,7 @@ def fixed_codebook(lat):
     lexicographic coordinates); points are scaled by the largest norm so the
     power constraint holds.
     """
-    radius = math.sqrt(float(np.min(np.diag(lat.gram))))
-    while True:
-        coords = shell_coordinates(lat, radius)
-        nz = coords[np.any(coords != 0, axis=1)]
-        if len(nz) >= 32:
-            break
-        radius *= 1.5
-    n2 = np.einsum("pi,ij,pj->p", nz, lat.gram, nz)
+    nz, n2 = _short_vectors(lat, 32)
     order = np.argsort(n2, kind="stable")
     _, first, count = np.unique(np.round(n2[order], 9), return_index=True,
                                 return_counts=True)

@@ -13,7 +13,10 @@ ML-error sweep decodes in the code's own algebra with no complex lift.
 numpy's stacked routines pay a fixed dispatch per matrix, which for 2x2
 matrices outweighs the arithmetic many times over; the kernels instead run
 one vector operation over the batch axis per matrix entry.  Other products
-and eigenvalues come straight from numpy.
+and eigenvalues come straight from numpy.  Two rules of those stacks live
+here too, for every layer: `adjoint`, the conjugate transpose (of quaternion
+parts it negates parts 1-3), and `sq_norms`, the squared norm of each matrix
+on its real parts.
 """
 
 from __future__ import annotations
@@ -123,6 +126,28 @@ def bmm(a, b, conj=False, out=None):
                             add(entry, np.multiply(a[s, :, p, j], b[t, :, j, q], out=term),
                                 out=entry)
     return out
+
+
+def adjoint(x, out=None):
+    """The conjugate transpose of each matrix of a real (N, i, j) stack or of
+    quaternion (4, N, i, j) parts, whose conjugate negates parts 1-3, so that
+    bmm(adjoint(a), b) equals bmm(a, b, conj=True) bit for bit.  Written into
+    `out` when given; else a real stack's adjoint is a view and parts go to a
+    new array."""
+    t = x.swapaxes(-1, -2)
+    if x.ndim == 3 and out is None:
+        return t
+    out = np.empty(t.shape, t.dtype) if out is None else out
+    np.copyto(out, t)
+    if x.ndim == 4:
+        np.negative(out[1:], out=out[1:])
+    return out
+
+
+def sq_norms(x):
+    """(N,) squared norms, on real parts, of the matrices of a real (N, i, j)
+    stack or of quaternion (4, N, i, j) parts."""
+    return np.einsum("abij,abij->b" if x.ndim == 4 else "bij,bij->b", x, x)
 
 
 def logdet_pd(g):

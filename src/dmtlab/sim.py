@@ -13,7 +13,7 @@ Both estimators read mode, antenna counts and multiplexing gain from one
 through `_sweep`, which alone checks the thread cap, the SNR grid, the
 trial counts and a chunk's array budget, runs the chunks of every SNR
 point in one pool and fits the slope to the summed integer events
-(`fit_slope`, NaN below two usable points); an estimator supplies only its
+(`fit_slope`, NaN below two usable SNRs); an estimator supplies only its
 per-point event counter, which draws a chunk whole in the shape
 `SystemConfig.block_shape` gives and returns the events of any rows of it,
 and the bytes of a row of its widest array.  The driver takes every chunk
@@ -97,7 +97,7 @@ class SlopeEstimate:
 
     Points with fewer than the minimum event count are flagged and excluded
     from the fit, never dropped from the record.  slope/stderr are NaN when
-    fewer than two points are usable.
+    fewer than two points are usable or all of them share one SNR.
     """
 
     snr_db: tuple
@@ -148,10 +148,11 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     point, whose widest array takes `row_bytes` a row, and whose
     events(rows) counts the events of a slice of them; the driver alone sums
     it over the chunk's blocks (`_sum_blocks`).  A bad DMTLAB_THREADS,
-    weighting, SNR grid (empty or not finite), trial count or trial total,
-    or a largest chunk over ARRAY_BUDGET_BYTES, is rejected before any
-    substream or counter (or codebook) is made.  Every chunk of every point
-    runs in one pool, largest first (in turn on this thread at one worker).
+    weighting, SNR grid (empty, or a point whose rho is not finite and > 0),
+    trial count or trial total, or a largest chunk over ARRAY_BUDGET_BYTES,
+    is rejected before any substream or counter (or codebook) is made.
+    Every chunk of every point runs in one pool, largest first (in turn on
+    this thread at one worker).
     """
     threads = _thread_cap()
     if weighting not in WEIGHTINGS:
@@ -159,8 +160,13 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     snr_db = [float(v) for v in snr_grid_db]
     if not snr_db:
         raise ValueError("the SNR grid --snr-db is empty")
-    if not all(math.isfinite(db) for db in snr_db):
-        raise ValueError(f"--snr-db values must be finite, got {snr_db}")
+    try:
+        rhos = [10.0 ** (db / 10.0) for db in snr_db]
+    except OverflowError:  # a rho over the float range, refused as inf
+        rhos = [math.inf]
+    if not all(0 < rho < math.inf for rho in rhos):
+        raise ValueError(f"--snr-db values must be finite and give an SNR 10^(dB/10) "
+                         f"that is finite and > 0 in floats, got {snr_db}")
     trials_t = [trials] if np.ndim(trials) == 0 else list(trials)
     if len(trials_t) == 1:
         trials_t *= len(snr_db)
@@ -173,7 +179,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     if sum(trials_t) > TRIAL_CAP:
         raise ResourceLimitError(f"{sum(trials_t)} trials exceed the cap {TRIAL_CAP}")
     _check_array_bytes(min(chunk, max(trials_t)), row_bytes, "--n/--m")
-    counters = [counter(10.0 ** (db / 10.0)) for db in snr_db]
+    counters = [counter(rho) for rho in rhos]
     tasks = []
     for point, (stream, t) in enumerate(
             zip(np.random.default_rng(rng).spawn(len(snr_db)), trials_t)):
@@ -392,8 +398,9 @@ def fit_slope(snr_db, events, trials, weighting="events"):
     leans less on the shallow low-SNR region and tracks the asymptotic
     slope better when the sweep is still curving.  Points with fewer than
     MIN_EVENTS events are flagged and left out of the fit; with fewer than
-    two usable points slope and stderr are NaN.  Every count must be a
-    whole number with trials >= 1 and 0 <= events <= trials.
+    two usable points, or all of them at one SNR, slope and stderr are NaN.
+    Every count must be a whole number with trials >= 1 and
+    0 <= events <= trials.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
@@ -419,12 +426,13 @@ def fit_slope(snr_db, events, trials, weighting="events"):
         xb = (w * x).sum() / wsum
         yb = (w * y).sum() / wsum
         sxx = (w * (x - xb) ** 2).sum()
-        slope = float((w * (x - xb) * (y - yb)).sum() / sxx)
-        intercept = yb - slope * xb
-        resid = y - slope * x - intercept
-        dof = len(usable) - 2
-        sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else 0.0
-        stderr = math.sqrt(sigma2 / sxx)
+        if sxx > 0:  # else every usable point lies at one SNR
+            slope = float((w * (x - xb) * (y - yb)).sum() / sxx)
+            intercept = yb - slope * xb
+            resid = y - slope * x - intercept
+            dof = len(usable) - 2
+            sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else 0.0
+            stderr = math.sqrt(sigma2 / sxx)
     return SlopeEstimate(snr_db=snr_db, probs=probs, trials=trials,
                          events=events, slope=slope, stderr=stderr, flagged=flagged)
 
@@ -438,8 +446,11 @@ def estimate_outage(cfg, snr_grid_db, trials, rng, weighting="events"):
     Real mode: P{ 0.5 log2 det(I + (rho/n) H H^T) <= r log2 rho } with the
     identity input covariance.  Quaternion mode: P{ log2 det(I + rho H^dag
     H) <= 2 r log2 rho } for the lifted channel H, i.e. 2 sum log2(1 + rho
-    lambda_i) over the distinct Gram eigenvalues.  `trials` is one count
-    for every SNR point or one per point.
+    lambda_i) over the distinct Gram eigenvalues.  The quaternion rate takes
+    rho where the real one takes rho/n (see `channel`): at rho it is the
+    rate of the ML-error sweeps' 1/sqrt(n) convention at n rho, 10 log10(n)
+    dB higher, against the threshold at rho, and the slope is the same.
+    `trials` is one count for every SNR point or one per point.
     """
     mode, n, m = cfg.mode, cfg.n, cfg.m
     row_bytes = 16 * m * max(n, 2 * m) if mode == "real" else 16 * n * max(2 * m, n)
@@ -491,9 +502,7 @@ def _codeword_features(cparts, scale):
     k, words = cparts.shape[-1], cparts.shape[-3]
     feats = np.empty((2, *cparts.shape[:-3], k, k, words))
     gram, lin = np.moveaxis(feats, -1, -3)  # the word axis last in memory
-    np.copyto(lin, cparts.swapaxes(-1, -2))
-    if lin.ndim == 4:  # the conjugate negates a quaternion's parts 1-3
-        np.negative(lin[1:], out=lin[1:])
+    linalg.adjoint(cparts, out=lin)
     linalg.bmm(lin, lin, conj=True, out=gram)
     gram *= scale ** 2
     np.copyto(lin, cparts)  # a ufunc from cparts into the strided lin would buffer
@@ -540,12 +549,6 @@ SCREEN_KAPPA = 2.0 ** -20
 SCREEN_TINY = 2.0 ** -900
 
 
-def _sq_norms(x):
-    """Squared norms, on real parts, of the rows of a real (N, ., .) stack or
-    of (4, N, ., .) quaternion parts."""
-    return np.einsum("abij,abij->b" if x.ndim == 4 else "bij,bij->b", x, x)
-
-
 def _gram_floor(h):
     """A lower bound lambda_lb on the least eigenvalue of H^* H per row (for
     quaternion parts, of the p x p quaternion Gram), or 0 where H^* H is
@@ -563,7 +566,7 @@ def _gram_floor(h):
     if rows < cols:
         return np.zeros(batch)
     if h.ndim == 4 and cols == 1:
-        tr = lb = _sq_norms(h)
+        tr = lb = linalg.sq_norms(h)
     else:
         g = channel.gram(h)
         mult = h.ndim - 2  # of each eigenvalue in the lift: 1 real, 2 quaternion
@@ -634,7 +637,7 @@ def _screen(h, w, thresh):
     decodes only rows whose least Gram eigenvalue lies under 1e-6 of the
     trace.
     """
-    return np.flatnonzero(4.0 * _sq_norms(w) >= thresh * _gram_floor(h))
+    return np.flatnonzero(4.0 * linalg.sq_norms(w) >= thresh * _gram_floor(h))
 
 
 def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):

@@ -62,24 +62,18 @@ def test_criterion_2_lemma2_oracle_equivalence():
     worst = 0.0
     cases = 0
     ok = True
-    for l in range(1, 5):
-        for q in range(1, 7):
-            if q < l:   # constructor invariant: coefficients stay positive
-                continue
-            s = 0.0
-            while s <= l + 1e-9:
-                prob = dmt.Lemma2Problem(float(q), l, min(s, float(l)))
-                value, alpha = dmt.lemma2_closed_form(prob)
-                brute = lemma2_grid(prob, step)
-                tol = l * (q + l) * step
-                gap = abs(value - brute)
-                worst = max(worst, gap / tol)
-                feas = dmt.a0_membership(alpha, prob.s)
-                attained = abs(float(prob.coefficients() @ alpha) - value) <= 1e-12
-                exact = abs(dmt.lemma2_bruteforce(prob) - value) <= 1e-12
-                ok &= gap <= tol and feas and attained and exact
-                cases += 1
-                s += 0.25
+    # q >= l keeps the coefficients positive: no case has q < l
+    for prob in dmt.lemma2_cases(6, 4, 0.25):
+        value, alpha = dmt.lemma2_closed_form(prob)
+        brute = lemma2_grid(prob, step)
+        tol = prob.l * (prob.q + prob.l) * step
+        gap = abs(value - brute)
+        worst = max(worst, gap / tol)
+        feas = dmt.a0_membership(alpha, prob.s)
+        attained = abs(float(prob.coefficients() @ alpha) - value) <= 1e-12
+        exact = abs(dmt.lemma2_bruteforce(prob) - value) <= 1e-12
+        ok &= gap <= tol and feas and attained and exact
+        cases += 1
     elapsed = time.time() - start
     ok = ok and elapsed < 120.0
     report(2, ok, f"{cases} (q,l,s) cases, worst gap/tol={worst:.3f}, "

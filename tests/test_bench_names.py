@@ -3,6 +3,7 @@ name it reads that no longer exists makes a traced run die with KeyError,
 so every such name must stay a public function of its layer."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 from dmtlab import channel, cli, dmt, lattice, linalg, sim
@@ -22,3 +23,10 @@ def test_layer_metrics_read_only_traced_names(monkeypatch):
     summary = {"functions": funcs, "spans": 0, "wishart_parent_s": 0.0}
     metrics = bench.layer_metrics(summary, 0, 2)
     assert metrics and all(value == 0 for value, _ in metrics.values())
+
+
+def test_wishart_row_count_is_the_third_argument():
+    # the tracer's WORK reads args[2] of sample_wishart_quaternion_batch as
+    # its row count
+    params = list(inspect.signature(sim.sample_wishart_quaternion_batch).parameters)
+    assert params[2] == "count"

@@ -270,6 +270,26 @@ def test_lift_closure_under_product():
         assert quaternionic_defect(a.conj().T) <= 1e-12
 
 
+def slice_defect(a):
+    """The block-slice formula of the quaternionic defect, max over
+    |bottom-left + conj(top-right)| and |bottom-right - conj(top-left)|."""
+    p = len(a) // 2
+    d1 = np.abs(a[p:, :p] + a[:p, p:].conj()).max() if p else 0.0
+    d2 = np.abs(a[p:, p:] - a[:p, :p].conj()).max() if p else 0.0
+    return float(max(d1, d2))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_quaternionic_defect_equals_slice_formula(p):
+    # the defect from the lift of the top blocks equals the slice formula bit
+    # for bit, on lifts, on perturbed lifts and on unstructured matrices
+    rng = np.random.default_rng(20 + p)
+    lifts = lift_pairs(rng, 50, p, p) if p else np.zeros((50, 0, 0), dtype=complex)
+    noise = random_complex(rng, lifts.shape) * 10.0 ** rng.integers(-16, 1, (50, 1, 1))
+    for a in [*lifts, *(lifts + noise), *random_complex(rng, lifts.shape)]:
+        assert quaternionic_defect(a) == slice_defect(a)
+
+
 def test_lift_eigenvalue_pairing_1000():
     h = lift_pairs(np.random.default_rng(8), 1000, 2, 2)
     lam = np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)[:, ::-1]

@@ -112,6 +112,12 @@ def test_lemma2_case_count(qmax, lmax, sstep, code, capsys):
     out, err = capsys.readouterr()
     assert ("--sstep/--qmax/--lmax" in err) == (code == 2)
     assert code == 2 or "all 2 cases within tolerance" in out
+    # the library's sweep gives the same count, or the same refusal
+    if code == 0:
+        assert len(dmt.lemma2_cases(int(qmax), int(lmax), float(sstep))) == 2
+    else:
+        with pytest.raises(ValueError, match="--sstep/--qmax/--lmax"):
+            dmt.lemma2_cases(int(qmax), int(lmax), float(sstep))
     # the benchmark's sweep (qmax 6, lmax 4, sstep 0.25) has 178 cases
     assert 178 <= dmt.CASE_CAP
 
@@ -676,8 +682,9 @@ def test_bad_thread_count_exit_2(value, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["outage", "error"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "4000", "-4000"])
 def test_non_finite_snr_exit_2(command, value, tmp_path, capsys):
+    # 4000 dB gives rho = inf (an OverflowError before), -4000 dB rho = 0
     out = tmp_path / "s.csv"
     argv = [command, "--mode", "quaternion", "--n", "2", "--m", "1", "--r", "0",
             "--snr-db", f"10,{value}", "--trials", "1000", "--seed", "1",

@@ -173,6 +173,23 @@ def test_lemma2_oracle_exact_sweep():
     assert time.perf_counter() - start < 2.0
 
 
+def test_lemma2_cases_lie_on_the_step_grid():
+    # each s is one product min(k sstep, l), so at sstep 0.1 every l ends at
+    # s = l exactly; summing 0.1 drifts (to 11.999999999999973 at l = 12)
+    cases = dmt.lemma2_cases(12, 12, 0.1)
+    assert len(cases) == sum((13 - l) * (10 * l + 1) for l in range(1, 13)) == 3718
+    sweeps = {}
+    for prob in cases:
+        sweeps.setdefault((prob.l, prob.q), []).append(prob.s)
+    assert list(sweeps) == [(l, float(q)) for l in range(1, 13) for q in range(l, 13)]
+    for (l, _), ss in sweeps.items():
+        assert ss == [min(k * 0.1, float(l)) for k in range(10 * l + 1)] and ss[-1] == l
+    # the benchmark's 0.25 grid is exact in binary: criterion 2's 178 cases
+    assert [(p.q, p.l, p.s) for p in dmt.lemma2_cases(6, 4, 0.25)] == [
+        (float(q), l, 0.25 * i) for l in range(1, 5) for q in range(l, 7)
+        for i in range(4 * l + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10), st.floats(0.0, 20.0), st.floats(0.0, 1.0))
 def test_lemma2_oracle_matches_closed_form_off_grid(l, excess, share):

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dmtlab import channel, linalg
 
@@ -207,6 +210,40 @@ def test_bmm_one_row_gram_diagonal_parts_exactly_zero(cols):
     gram = linalg.bmm(a, a, conj=True)
     diag = gram[:, :, range(cols), range(cols)]
     assert np.all(diag[1:] == 0) and np.all(diag[0] > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([(), (4,)]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 5))
+def test_adjoint_matches_bmm_conj_bit_for_bit(data, parts, i, j, k, batch):
+    # bmm(adjoint(a), b) is bmm(a, b, conj=True), signed zeros included, on
+    # real stacks and on quaternion parts, and the adjoint is an involution
+    floats = st.floats(-1e6, 1e6, allow_subnormal=False)
+    a = data.draw(hnp.arrays(float, (*parts, batch, j, i), elements=floats))
+    b = data.draw(hnp.arrays(float, (*parts, batch, j, k), elements=floats))
+    got, ref = linalg.bmm(linalg.adjoint(a), b), linalg.bmm(a, b, conj=True)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    twice = linalg.adjoint(linalg.adjoint(a))
+    assert np.array_equal(twice, a) and np.array_equal(np.signbit(twice), np.signbit(a))
+
+
+def test_adjoint_of_a_real_stack_is_a_view_and_fills_out():
+    a = np.random.default_rng(12).standard_normal((5, 2, 3))
+    assert np.shares_memory(linalg.adjoint(a), a)
+    out = np.empty((5, 3, 2))
+    assert linalg.adjoint(a, out=out) is out and np.array_equal(out, a.transpose(0, 2, 1))
+    parts = np.random.default_rng(13).standard_normal((4, 5, 2, 3))
+    adj = linalg.adjoint(parts)
+    assert not np.shares_memory(adj, parts)
+    assert np.array_equal(adj[0], parts[0].transpose(0, 2, 1))
+    assert np.array_equal(adj[1:], -parts[1:].transpose(0, 1, 3, 2))
+
+
+@pytest.mark.parametrize("shape", [(6, 2, 3), (4, 6, 2, 3)], ids=["real", "parts"])
+def test_sq_norms_sum_every_squared_entry_of_a_row(shape):
+    x = np.random.default_rng(14).standard_normal(shape)
+    rows = np.moveaxis(x, -3, 0).reshape(6, -1)
+    assert np.allclose(linalg.sq_norms(x), (rows ** 2).sum(axis=1), rtol=1e-15, atol=0)
 
 
 def test_bmm_rejects_bad_part_stacks():

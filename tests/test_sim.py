@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmtlab import channel, lattice, sim
+from dmtlab import channel, lattice, linalg, sim
 from dmtlab.channel import SystemConfig
 from dmtlab.sim import (chi2_tail, check_mismatched_bound,
                         check_nvd_product_bound, estimate_error_prob,
@@ -252,6 +252,15 @@ def test_fit_slope_insufficient_points():
     assert math.isnan(est.slope) and math.isnan(est.stderr)
     assert est.flagged == (False, True)
     assert est.probs == (0.1, 0.0) and est.events == (100, 0)
+
+
+@pytest.mark.parametrize("weighting", ["events", "uniform"])
+def test_fit_slope_usable_points_at_one_snr(weighting):
+    # two usable points at one SNR span no slope: NaN, without dividing by
+    # the zero spread (which would warn, an error in this suite)
+    est = fit_slope([10.0, 10.0, 20.0], [100, 200, 0], [1000, 1000, 1000], weighting)
+    assert math.isnan(est.slope) and math.isnan(est.stderr)
+    assert est.flagged == (False, False, True) and est.probs == (0.1, 0.2, 0.0)
 
 
 @pytest.mark.parametrize("events,trials", [([500, 2000], [1000, 1000]),
@@ -835,7 +844,7 @@ def test_gram_floor_below_least_eigenvalue(mode, m, cols):
     lb = sim._gram_floor(h)
     lifted = h if mode == "real" else channel.lift_parts(h)
     lam = np.linalg.eigvalsh(np.conj(lifted.swapaxes(-1, -2)) @ lifted)[:, 0]
-    tr = sim._sq_norms(h)
+    tr = linalg.sq_norms(h)
     assert np.all(lb <= lam + 1e-13 * tr)
     assert np.all(lb >= 0) and np.mean(lb[: size // 2] > 0) > 0.9
     if cols > 1:
@@ -945,6 +954,29 @@ def test_empty_snr_grid_rejected_before_sampling(monkeypatch, estimate):
     monkeypatch.setattr(np.random, "default_rng", never)
     with pytest.raises(ValueError, match="SNR grid"):
         estimate([], 100, 1)
+
+
+@pytest.mark.parametrize("db", [4000.0, 3083.0, -3237.0, -4000.0])
+@pytest.mark.parametrize("estimate", [
+    lambda *a: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a),
+    lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0),
+                                   *a)], ids=["outage", "error"])
+def test_snr_out_of_float_range_rejected_before_sampling(monkeypatch, estimate, db):
+    # rho = 10^(dB/10) overflows from about 3082.55 dB and is 0 below about
+    # -3236.07 dB; either is refused naming --snr-db before any draw
+    def never(*args, **kwargs):
+        raise AssertionError("spawned or built a codebook before the SNR grid was checked")
+
+    monkeypatch.setattr(sim, "fixed_codebook", never)
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValueError, match="--snr-db"):
+        estimate([10.0, db], 100, 1)
+
+
+def test_snr_near_the_float_range_ends_runs():
+    # a subnormal rho is finite and > 0: the sweep runs
+    est = estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), [-3236.0, 10.0], 100, 1)
+    assert est.trials == (100, 100) and est.events[0] == 0
 
 
 @pytest.mark.parametrize("env,workers", [("5000", 3), ("2", 2), ("", 3)])
