@@ -5,7 +5,7 @@ Conventions fixed here and used everywhere else:
   * received block  Y = sqrt(rho/n) H X + W, noise entries unit variance;
   * rates in bits (log base 2), so a rate threshold is r*log2(rho);
   * the quaternionic equivalent channel also carries the 1/sqrt(n) factor
-    in `receive`, that is in the ML-error sweeps.  The outage rates do not
+    of `receive` into the ML-error sweeps.  The outage rates do not
     share one convention: the real rate takes rho/n, the quaternion rate
     (`mutual_info_quaternion_batch`, as `sim.estimate_outage` calls it)
     takes rho.  A quaternion outage curve at rho thus has the rate of the

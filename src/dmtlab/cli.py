@@ -100,7 +100,7 @@ def _sweep_csv(command, cfg, seed, est):
              "snr_db,rate_bits,trials,events,prob,stderr"]
     for db, prob, trials, events in zip(est.snr_db, est.probs, est.trials, est.events):
         rho = 10.0 ** (db / 10.0)
-        rate = cfg.r * math.log2(rho)
+        rate = cfg.r * math.log2(rho) + 0.0  # 0 * log2(rho < 1) = -0.0 prints as 0
         se = math.sqrt(max(prob * (1.0 - prob), 0.0) / trials)
         lines.append(",".join([_fmt(db), _fmt(rate), str(trials), str(events),
                                _fmt(prob), _fmt(se)]))

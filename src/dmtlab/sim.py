@@ -27,8 +27,12 @@ It first screens a block's rows (`_screen`): a row whose noise lies inside
 the code's packing radius, by a margin that rounding cannot cross, decides
 its sent word and is skipped, so the screen changes no event.  It scores
 the other rows against the whole codebook with real matrix products
-(`_ml_decode`) of 2 n^2 features a row, `_decode_rows` rows each, small
-enough that OpenBLAS runs them on the calling thread (DECODE_MACS).
+(`_ml_decode`), `_decode_rows` rows each, small enough that OpenBLAS runs
+them on the calling thread (DECODE_MACS).  On one quaternion column (p = 1,
+every quaternion code at n = 2) H^* H = ||H||^2 I, so a row is scored on
+5 features, ||H||^2 and s ||H||^2 X + H^* W, from H, W and the sent word X,
+and no received block is formed; elsewhere on the 2 n^2 parts of
+[H^* H | H^* y], y = s H X + W from `channel.receive`.
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -86,6 +90,11 @@ TRIAL_CAP = 10**9
 # chunk draws from its own substream, so these fix the events of a seed.
 OUTAGE_CHUNK = 100_000
 ERROR_CHUNK = 50_000
+
+# The largest SNR rho a sweep accepts (3000 dB).  From about 3075 dB, short
+# of the float range's end at about 3082.55 dB, the rates overflow: rho/n G
+# turns inf, its log-determinant NaN, and a NaN rate counts as no outage.
+RHO_MAX = 1e300
 
 # Slope-fit weightings `fit_slope` knows.
 WEIGHTINGS = ("events", "uniform")
@@ -148,7 +157,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     point, whose widest array takes `row_bytes` a row, and whose
     events(rows) counts the events of a slice of them; the driver alone sums
     it over the chunk's blocks (`_sum_blocks`).  A bad DMTLAB_THREADS,
-    weighting, SNR grid (empty, or a point whose rho is not finite and > 0),
+    weighting, SNR grid (empty, or a point whose rho is not in (0, RHO_MAX]),
     trial count or trial total, or a largest chunk over ARRAY_BUDGET_BYTES,
     is rejected before any substream or counter (or codebook) is made.
     Every chunk of every point runs in one pool, largest first (in turn on
@@ -164,9 +173,10 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
         rhos = [10.0 ** (db / 10.0) for db in snr_db]
     except OverflowError:  # a rho over the float range, refused as inf
         rhos = [math.inf]
-    if not all(0 < rho < math.inf for rho in rhos):
+    if not all(0 < rho <= RHO_MAX for rho in rhos):
         raise ValueError(f"--snr-db values must be finite and give an SNR 10^(dB/10) "
-                         f"that is finite and > 0 in floats, got {snr_db}")
+                         f"that is > 0 in floats and at most {RHO_MAX:g} (3000 dB), "
+                         f"got {snr_db}")
     trials_t = [trials] if np.ndim(trials) == 0 else list(trials)
     if len(trials_t) == 1:
         trials_t *= len(snr_db)
@@ -481,25 +491,39 @@ DECODE_BUDGET_BYTES = 64 * 2**20
 # OpenBLAS runs it on the calling thread: numpy's scipy-openblas 0.3.31
 # kept (M, 16) @ (16, 16) at a CPU/wall ratio of 1.00 up to M = 1536 and
 # woke its own threads from M = 2048 (2^19), which then took the CPUs of
-# the pool's other workers.  The quaternion n = 2 product is (M, 8) @ (8, 16)
-# at |C| = 16, which this allows 2048 rows; on a 2-vCPU box it kept a ratio
-# of 1.00 up to M = 6144 and woke threads at M = 8192.  A sub-batch keeps at
-# least 64 rows, so a large codebook is not scored row by row.
+# the pool's other workers.  The quaternion n = 2 product is (M, 5) @ (5, 16)
+# at |C| = 16, which this allows 3276 rows; its 8-feature form (M, 8) @
+# (8, 16) kept a ratio of 1.00 on a 2-vCPU box up to M = 6144 and woke
+# threads at M = 8192.  A sub-batch keeps at least 64 rows, so a large
+# codebook is not scored row by row.
 DECODE_MACS = 2**18
 # Bytes of any other array one sweep chunk or Wishart draw may build, per
 # worker: larger inputs are rejected before any draw; chunks never shrink.
 ARRAY_BUDGET_BYTES = 128 * 2**20
 
 
+def _one_column(a):
+    """Whether `a` holds the quaternion parts (4, N, ., 1) of one-column
+    blocks (p = 1), whose Gram H^* H = ||H||^2 is one real number a row."""
+    return a.ndim == 4 and a.shape[-1] == 1
+
+
 def _codeword_features(cparts, scale):
     """(f, |C|) real features of the codewords C sent at amplitude `scale`,
-    one column a word: the parts of scale^2 C C^* over those of -2 scale C,
-    laid out as `_ml_decode`'s row features.  `cparts` holds real n x n words
-    as an (|C|, n, n) stack or quaternion p x p words as (4, |C|, p, p)
-    parts, so f = 2 n^2 in both modes.  C^* is first written where -2 scale C
-    goes, as both factors of C C^* = (C^*)^* C^*, so beside the result only
-    one |C|-vector of `linalg.bmm` is allocated."""
-    k, words = cparts.shape[-1], cparts.shape[-3]
+    one column a word, laid out as `_ml_decode`'s row features.  `cparts`
+    holds real n x n words as an (|C|, n, n) stack or quaternion p x p words
+    as (4, |C|, p, p) parts.  A 1 x 1 quaternion word c (`_one_column`) has
+    the f = 5 features s^2 |c|^2 over the parts of -2 s c.  Otherwise f =
+    2 n^2: the parts of s^2 C C^* over those of -2 s C, where C^* is first
+    written where -2 s C goes, as both factors of C C^* = (C^*)^* C^*, so
+    beside the result only one |C|-vector of `linalg.bmm` is allocated."""
+    words = cparts.shape[-3]
+    if _one_column(cparts):
+        feats = np.empty((5, words))
+        np.multiply(linalg.sq_norms(cparts), scale ** 2, out=feats[0])
+        np.multiply(cparts[..., 0, 0], -2.0 * scale, out=feats[1:])
+        return feats
+    k = cparts.shape[-1]
     feats = np.empty((2, *cparts.shape[:-3], k, k, words))
     gram, lin = np.moveaxis(feats, -1, -3)  # the word axis last in memory
     linalg.adjoint(cparts, out=lin)
@@ -517,24 +541,38 @@ def _decode_rows(words, f):
     return min(max(64, DECODE_MACS // (words * f)), max(1, DECODE_BUDGET_BYTES // (8 * words)))
 
 
-def _ml_decode(h, y, cword_feats):
-    """Exhaustive-ML decisions argmin_k ||y - scale H C_k||^2 per row (lowest
-    index on ties), `scale` being the amplitude `cword_feats` was built for;
-    H and y are real (N, ., .) stacks or (4, N, ., .) quaternion parts.
+def _ml_decode(h, w, x, scale, cword_feats):
+    """Exhaustive-ML decisions argmin_k ||y - s H C_k||^2 per row (lowest
+    index on ties) for the received blocks y = s H X + W of the sent words
+    X, at the amplitude s = `scale` that `cword_feats` was built for; H, W
+    and X are real (N, ., .) stacks or (4, N, ., .) quaternion parts.
 
     ||y - s H C||^2 = ||y||^2 - 2s <H^* y, C> + s^2 <H^* H, C C^*>, where
     <A, B> = Re tr(A^* B) is the dot product of the real parts (for
     quaternion matrices half that of their lifts).  ||y||^2 is the same for
     every codeword and dropped, so the metric is the real product of the row
-    features, the parts of [H^* H | H^* y], with `cword_feats`, sub-batched
-    under DECODE_MACS (64 rows at least) and DECODE_BUDGET_BYTES.
+    features with `cword_feats`, sub-batched under DECODE_MACS (64 rows at
+    least) and DECODE_BUDGET_BYTES.  On one quaternion column
+    (`_one_column`) H^* H = ||H||^2 is a real number and H^* y = s ||H||^2 X
+    + H^* W, so the row features [||H||^2 | s ||H||^2 X + H^* W] take 5
+    numbers and y is never formed (Alamouti's decoupling, IEEE JSAC 1998).
+    Otherwise they are the parts of [H^* H | H^* y], y from `channel.receive`.
     """
-    k, batch = h.shape[-1], h.shape[-3]
-    feats = np.empty((2, *h.shape[:-3], k, k, batch))
-    gram, hy = np.moveaxis(feats, -1, -3)  # the batch axis last in memory
-    linalg.bmm(h, h, conj=True, out=gram)
-    linalg.bmm(h, y, conj=True, out=hy)
-    feats = feats.reshape(-1, batch)
+    batch = h.shape[-3]
+    if _one_column(h):
+        feats = np.empty((5, batch))
+        norms = linalg.sq_norms(h)
+        feats[0] = norms
+        linalg.bmm(h, w, conj=True, out=feats[1:, :, None, None])
+        norms *= scale
+        feats[1:] += norms * x[..., 0, 0]
+    else:
+        k = h.shape[-1]
+        feats = np.empty((2, *h.shape[:-3], k, k, batch))
+        gram, hy = np.moveaxis(feats, -1, -3)  # the batch axis last in memory
+        linalg.bmm(h, h, conj=True, out=gram)
+        linalg.bmm(h, channel.receive(h, x, scale, w), conj=True, out=hy)
+        feats = feats.reshape(-1, batch)
     rows = _decode_rows(cword_feats.shape[1], len(feats))
     return np.concatenate([np.argmin(feats[:, lo:lo + rows].T @ cword_feats, axis=1)
                            for lo in range(0, batch, rows)])
@@ -565,7 +603,7 @@ def _gram_floor(h):
     batch, rows, cols = h.shape[-3:]
     if rows < cols:
         return np.zeros(batch)
-    if h.ndim == 4 and cols == 1:
+    if _one_column(h):
         tr = lb = linalg.sq_norms(h)
     else:
         g = channel.gram(h)
@@ -583,7 +621,8 @@ def _screen_threshold(cfg, rho, cb, lam1):
     """`_screen`'s thresh = (1 - SCREEN_DELTA)^2 s^2 d^2 for codebook `cb` at
     SNR rho, s^2 = rho / n, or 0, which decodes every row, when rho < 1 or
     the rounding bound 16 c u (M / lambda_1)^2 < SCREEN_DELTA SCREEN_KAPPA,
-    c = 2 n^2 + 4 max(n, m) + 3, fails.
+    c = 2 n^2 + 4 max(n, m) + 3, fails; c bounds the roundings of both
+    decoder forms (`_screen`).
 
     Every codeword difference is a nonzero lattice point over M, so
     d = lambda_1 / M (`lattice.minimum_norm`) bounds the codebook's minimum
@@ -615,16 +654,22 @@ def _screen(h, w, thresh):
     and Zeger, IEEE Trans. IT 2002).
 
     Rounding, u = 2^-53.  Every word has norm at most 1 in the lattice's
-    norm, so its norm R over d is M / lambda_1 in both modes.  y, the
-    features and the codeword features are each a sum of at most
-    4 max(n, m) products, scaled or shifted at most twice, and a metric sums
-    2 n^2 products of them: c = 2 n^2 + 4 max(n, m) + 3 roundings of
-    relative size u lie between a computed metric and the exact metric of
-    the computed y, over terms whose magnitudes add to at most
-    4 s^2 tr G R^2 (Cauchy-Schwarz: ||G|| <= tr G, ||C C^*|| <= R^2,
-    ||H^* y|| <= sqrt(tr G) ||y|| and ||y|| <= 1.5 s sqrt(tr G) R on a
+    norm, so its norm R over d is M / lambda_1 in both modes.  In the
+    2 n^2-feature form, y, the features and the codeword features are each
+    a sum of at most 4 max(n, m) products, scaled or shifted at most twice,
+    and a metric sums 2 n^2 products of them: c = 2 n^2 + 4 max(n, m) + 3
+    roundings of relative size u lie between a computed metric and the
+    exact metric of the computed y.  In the one-column form (n = 2, p = 1)
+    no y is computed.  ||H||^2 and each part of H^* W are sums of 4m
+    products (4m roundings), s ||H||^2 X + H^* W adds 3, s^2 |c|^2 takes
+    4 + 2 and -2 s c takes 1, and the metric's product and its sum of 5
+    terms add 5: at most 4m + 11 roundings a term, within
+    c = 4 max(2, m) + 11 at n = 2.  In both forms the terms
+    add in magnitude to at most 4 s^2 tr G R^2 (Cauchy-Schwarz:
+    ||G|| <= tr G, ||C C^*|| <= R^2, ||H^* y|| <= sqrt(tr G) ||y||,
+    ||y|| <= 1.5 s sqrt(tr G) R and ||W|| <= 0.5 s sqrt(tr G) R on a
     skipped row).  A computed gap is thus within 8 c u s^2 tr G R^2 of the
-    exact one.  The computed y moves the noise by a relative O(n u), and
+    exact one.  A computed y moves the noise by a relative O(n u), and
     lambda_lb, lambda_1 and the screen's own products err by a relative
     O(c u / kappa) at most; half of delta covers these, which leaves a gap
     of at least (delta / 2) s^2 lambda_min d^2 >= (delta / 2) kappa s^2 tr G d^2.
@@ -648,10 +693,10 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     across the sweep (constant rate).  Rows inside the packing radius skip
     the decoder (`_screen`), which would decide them correctly.  `trials` is
     one count for every SNR point or one per point.  The counters keep their
-    codewords, as real parts, and features (96 B a word at n = 2: 2 n^2
-    floats of features and n^2 of parts), so before any chunk runs a
-    zero-word codebook, or codebooks over the SHELL_CAP // rank words of one
-    shell, fail.
+    codewords, as real parts, and features (at n = 2, 96 B a real word:
+    2 n^2 floats of features and n^2 of parts; 72 B a quaternion one: 5 and
+    4), so before any chunk runs a zero-word codebook, or codebooks over the
+    SHELL_CAP // rank words of one shell, fail.
     """
     mode, n, m = cfg.mode, cfg.n, cfg.m
     flavor = "real" if mode == "real" else "quaternionic"
@@ -691,8 +736,8 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
                     if not len(keep):
                         return 0
                     h, w, t = h.take(keep, axis=-3), w.take(keep, axis=-3), t[keep]
-                y = channel.receive(h, cparts.take(t, axis=-3), scale, w)
-                return np.count_nonzero(_ml_decode(h, y, feats) != t)
+                x = cparts.take(t, axis=-3)
+                return np.count_nonzero(_ml_decode(h, w, x, scale, feats) != t)
             return errors
         return draw
 

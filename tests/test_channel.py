@@ -168,19 +168,21 @@ def test_receive_leaves_inputs():
     assert np.array_equal(h, h0) and np.array_equal(x, x0) and np.array_equal(w, w0)
 
 
-def test_ml_decode_batch_last_y():
-    # receive lays Y out batch-last; the decoder decides as on a C-ordered
-    # copy (the parts of 2 x 1 quaternion blocks, m = 2, which are not
-    # C-ordered batch-last)
+def test_ml_decode_batch_last_inputs():
+    # H, W and X laid out batch-last, as `linalg.bmm` lays out its products,
+    # decide as their C-ordered copies: 2 x 1 quaternion blocks (m = 2, one
+    # column, 5 features) and 1 x 2 ones (p = 2, Y formed by `receive`)
     rng = np.random.default_rng(34)
-    cparts = channel.quaternion_parts(
+    hamilton = channel.quaternion_parts(
         lattice.fixed_codebook(lattice.load_lattice("hamilton")).points)
-    h, w = (channel.draw_real(rng, (4, 3000, 2, 1)) for _ in range(2))
-    y = channel.receive(h, cparts[:, rng.integers(0, cparts.shape[1], 3000)], 2.0, w)
-    feats = sim._codeword_features(cparts, 2.0)
-    assert not y.flags.c_contiguous
-    np.testing.assert_array_equal(sim._ml_decode(h, y, feats),
-                                  sim._ml_decode(h, np.ascontiguousarray(y), feats))
+    for (m, p), cparts in (((2, 1), hamilton), ((1, 2), rng.standard_normal((4, 24, 2, 2)))):
+        h, w = (channel.draw_real(rng, (4, 3000, m, p)) for _ in range(2))
+        x = cparts[:, rng.integers(0, cparts.shape[1], 3000)]
+        feats = sim._codeword_features(cparts, 2.0)
+        hb, wb, xb = (np.moveaxis(np.moveaxis(a, 1, -1).copy(), -1, 1) for a in (h, w, x))
+        assert not (hb.flags.c_contiguous or wb.flags.c_contiguous)
+        np.testing.assert_array_equal(sim._ml_decode(hb, wb, xb, 2.0, feats),
+                                      sim._ml_decode(h, w, x, 2.0, feats))
 
 
 @pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (1, 2), (2, 2)])

@@ -696,6 +696,16 @@ def test_non_finite_snr_exit_2(command, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_rate_below_0_db_prints_0(tmp_path):
+    # r log2(rho) at r = 0 and rho < 1 is -0.0 in floats; the CSV writes 0
+    out = tmp_path / "s.csv"
+    assert run(["outage", "--mode", "real", "--n", "2", "--m", "1", "--r", "0",
+                "--snr-db=-10,0", "--trials", "1000", "--seed", "1", "--out", str(out),
+                "--summary", str(tmp_path / "s.json")]) == 0
+    rows = read(out).strip().split("\n")[2:]
+    assert [row.split(",")[:2] for row in rows] == [["-10", "0"], ["0", "0"]]
+
+
 # ---------------------------------------------------------------------------
 # README
 

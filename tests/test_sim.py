@@ -570,8 +570,19 @@ def test_outage_validation():
 # error estimation
 
 def test_error_noiseless_decodes_exactly(monkeypatch):
-    receive = channel.receive
-    monkeypatch.setattr(channel, "receive", lambda h, x, scale, w: receive(h, x, scale, 0.0 * w))
+    # W is zeroed where the counter draws it, the second block drawn from a
+    # chunk's stream, and the screen keeps every row, so the exhaustive
+    # decoder decides every sent word
+    draw, seen = channel.draw_real, set()
+
+    def noiseless(stream, shape):
+        x = draw(stream, shape)
+        if stream in seen:
+            x[...] = 0.0
+        seen.add(stream)
+        return x
+    monkeypatch.setattr(channel, "draw_real", noiseless)
+    monkeypatch.setattr(sim, "_screen", _keep_every_row)
     cfg = SystemConfig("quaternion", n=2, m=1, r=0.0)
     est = estimate_error_prob(HAMILTON, cfg, [10.0, 20.0], 2000, 3)
     assert est.probs == (0.0, 0.0)
@@ -651,12 +662,12 @@ def test_metric_products_under_decode_macs(monkeypatch, snr_db, words):
     assert len(cb.points) == words
     cparts = channel.quaternion_parts(cb.points)
     feats = sim._codeword_features(cparts, 3.0)
-    assert feats.shape == (8, words)  # f = 2 n^2
+    assert feats.shape == (5, words)  # one quaternion column: f = 5
     rng = np.random.default_rng(5)
     h, w = (channel.draw_real(rng, (4, 5000, 1, 1)) for _ in range(2))
-    y = channel.receive(h, cparts[:, rng.integers(0, words, size=5000)], 3.0, w)
+    x = cparts[:, rng.integers(0, words, size=5000)]
     shapes = _spy_metric_rows(monkeypatch)
-    sim._ml_decode(h, y, feats)
+    sim._ml_decode(h, w, x, 3.0, feats)
     assert sum(r for r, _ in shapes) == 5000 and len(shapes) > 1
     assert all(c == words and r * c * len(feats) < 2**19 for r, c in shapes)
 
@@ -673,8 +684,9 @@ def _code_parts(cb, mode):
 def test_codeword_features_in_one_array(lat, mode):
     # the features are written into one preallocated (f, |C|) array: they
     # are bit-identical to an independent reference of that layout (one
-    # column a word: the parts of scale^2 C C^* over those of -2 scale C),
-    # and at 40 dB, r = 0.5 (hamilton: 12,577 words) the allocations peak
+    # column a word: the parts of scale^2 C C^* over those of -2 scale C,
+    # and for a 1 x 1 quaternion word c the one number scale^2 |c|^2 over
+    # the parts of -2 scale c), and at 40 dB, r = 0.5 (hamilton: 12,577 words) the allocations peak
     # within 1.6 times the result
     cb = lattice.shape_codebook(lat, 1e4, 0.5)
     cparts = _code_parts(cb, mode)
@@ -692,18 +704,18 @@ def test_codeword_features_in_one_array(lat, mode):
     else:  # a 1 x 1 quaternion word c: c c^* = |c|^2, a real number
         c1, c2 = cb.points[:, 0, 0], cb.points[:, 0, 1]
         lin = np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=1)
-        gram = np.zeros_like(lin)
-        gram[:, 0] = ((c1.real * c1.real + c1.imag * c1.imag) + c2.real * c2.real) \
+        gram = ((c1.real * c1.real + c1.imag * c1.imag) + c2.real * c2.real) \
             + c2.imag * c2.imag
     ref = np.concatenate([(scale ** 2 * gram).reshape(len(lin), -1),
                           (-2.0 * scale * lin).reshape(len(lin), -1)], axis=1).T
-    assert feats.shape == ref.shape == (8, len(cb.points)) and feats.dtype == ref.dtype
+    f = 8 if mode == "real" else 5
+    assert feats.shape == ref.shape == (f, len(cb.points)) and feats.dtype == ref.dtype
     assert np.array_equal(feats.view(np.uint64), ref.view(np.uint64))
     assert peak <= 1.6 * feats.nbytes
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, lattice.SHELL_CAP), st.sampled_from([8, 16, 32, 64]))
+@given(st.integers(1, lattice.SHELL_CAP), st.sampled_from([5, 8, 16, 32, 64]))
 def test_decode_rows_within_budget(words, f):
     # a codebook no larger than SHELL_CAP points gets a metric within the byte
     # budget, and at least one row
@@ -783,8 +795,8 @@ def test_screened_rows_decide_the_sent_word(mode, n, m, lat, r):
     thresh = sim._screen_threshold(cfg, rho, cb, lattice.minimum_norm(lat))
     keep = sim._screen(h, w, thresh)
     skipped = np.setdiff1d(np.arange(size), keep)
-    y = channel.receive(h, cparts.take(tx, axis=-3), scale, w)
-    got = sim._ml_decode(h, y, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, w, cparts.take(tx, axis=-3), scale,
+                         sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got[skipped], tx[skipped])
     assert np.sum(got != tx) > 0
     for lo, hi in ((0, q1), (q1, q2)):
@@ -886,11 +898,46 @@ def test_ml_decode_matches_bruteforce(mode, name, r):
     w[..., : size // 2, :, :] = 0.0
     tx = rng.integers(0, len(cb.points), size=size)
     scale = math.sqrt(rho / n)
-    y = channel.receive(h, cparts[..., tx, :, :], scale, w)
-    got = sim._ml_decode(h, y, sim._codeword_features(cparts, scale))
+    x = cparts[..., tx, :, :]
+    y = channel.receive(h, x, scale, w)
+    got = sim._ml_decode(h, w, x, scale, sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, cwords))
     np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
     assert np.sum(got != tx) > 50
+
+
+def _gram_hy_decode(h, w, x, scale, cparts):
+    """The 2 n^2-feature decisions, [H^* H | H^* y] with y from
+    `channel.receive`, on quaternion parts: the arithmetic that one
+    quaternion column was decoded with before it got its own 5 features."""
+    y = channel.receive(h, x, scale, w)
+    rows = np.concatenate([linalg.bmm(h, h, conj=True), linalg.bmm(h, y, conj=True)])
+    rows = np.moveaxis(rows, 1, -1).reshape(-1, h.shape[1])
+    adj = linalg.adjoint(cparts)
+    words = np.concatenate([scale ** 2 * linalg.bmm(adj, adj, conj=True), -2.0 * scale * cparts])
+    words = np.moveaxis(words, 1, -1).reshape(-1, cparts.shape[1])
+    step = sim._decode_rows(words.shape[1], len(rows))
+    return np.concatenate([np.argmin(rows[:, lo:lo + step].T @ words, axis=1)
+                           for lo in range(0, h.shape[1], step)])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("snr_db,r", [(15.0, 0.5), (14.0, 0.0)])
+def test_one_column_decisions_equal_gram_hy_decode(m, snr_db, r):
+    # ||H||^2 and H^* W in place of the received block change the rounding
+    # but no decision: every row of a 50,000-row chunk, none screened, the
+    # sent word drawn as the counter draws it
+    rho = 10.0 ** (snr_db / 10.0)
+    cb = (lattice.fixed_codebook(HAMILTON) if r == 0
+          else lattice.shape_codebook(HAMILTON, rho, r))
+    cparts, scale = channel.quaternion_parts(cb.points), math.sqrt(rho / 2)
+    rng = np.random.default_rng(int(snr_db) + 100 * m)
+    h, w = (channel.draw_real(rng, (4, sim.ERROR_CHUNK, m, 1)) for _ in range(2))
+    tx = rng.integers(0, len(cb.points), size=sim.ERROR_CHUNK)
+    x = cparts.take(tx, axis=-3)
+    got = sim._ml_decode(h, w, x, scale, sim._codeword_features(cparts, scale))
+    np.testing.assert_array_equal(got, _gram_hy_decode(h, w, x, scale, cparts))
+    assert np.sum(got != tx) > 100
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -906,7 +953,7 @@ def test_ml_decode_matches_bruteforce_p2(m):
     w[:, : size // 2] = 0.0
     tx = rng.integers(0, 24, size=size)
     y = channel.receive(h, cparts[:, tx], scale, w)
-    got = sim._ml_decode(h, y, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, w, cparts[:, tx], scale, sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, lift(cparts)))
     np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
     assert np.sum(got != tx) > 50
@@ -956,14 +1003,15 @@ def test_empty_snr_grid_rejected_before_sampling(monkeypatch, estimate):
         estimate([], 100, 1)
 
 
-@pytest.mark.parametrize("db", [4000.0, 3083.0, -3237.0, -4000.0])
+@pytest.mark.parametrize("db", [4000.0, 3083.0, 3082.0, 3001.0, -3237.0, -4000.0])
 @pytest.mark.parametrize("estimate", [
     lambda *a: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a),
     lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0),
                                    *a)], ids=["outage", "error"])
 def test_snr_out_of_float_range_rejected_before_sampling(monkeypatch, estimate, db):
-    # rho = 10^(dB/10) overflows from about 3082.55 dB and is 0 below about
-    # -3236.07 dB; either is refused naming --snr-db before any draw
+    # rho = 10^(dB/10) over RHO_MAX (3000 dB), where the rates overflow, or
+    # beyond the float range (from about 3082.55 dB), or 0 (below about
+    # -3236.07 dB) is refused naming --snr-db before any draw
     def never(*args, **kwargs):
         raise AssertionError("spawned or built a codebook before the SNR grid was checked")
 
@@ -977,6 +1025,15 @@ def test_snr_near_the_float_range_ends_runs():
     # a subnormal rho is finite and > 0: the sweep runs
     est = estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), [-3236.0, 10.0], 100, 1)
     assert est.trials == (100, 100) and est.events[0] == 0
+
+
+@pytest.mark.parametrize("mode", ["real", "quaternion"])
+def test_outage_at_the_largest_snr_runs_clean(mode):
+    # at RHO_MAX (3000 dB) neither rate overflows: no warning (the suite
+    # raises on one), and r log2 rho = 498 bits is no outage
+    assert 10.0 ** (3000.0 / 10.0) == sim.RHO_MAX
+    est = estimate_outage(SystemConfig(mode, n=2, m=1, r=0.5), [3000.0], 2000, 1)
+    assert est.events == (0,)
 
 
 @pytest.mark.parametrize("env,workers", [("5000", 3), ("2", 2), ("", 3)])
