@@ -125,7 +125,8 @@ def quaternion_parts(lifted):
 
 
 def receive(h, x, scale, w):
-    """Received blocks scale * H X + W, for H, X and W of one dtype, formed
+    """Received blocks scale * H X + W, the model's definition (the ML-error
+    sweep never forms them), for H, X and W of one dtype, formed
     in place on the `linalg.bmm` product (batch axis last in memory): real or
     complex (N, ., .) stacks, or quaternion blocks as (4, N, ., .) real
     parts, which is lift_parts(Y) = scale lift(H) lift(X) + lift(W)."""

@@ -1,7 +1,7 @@
 """Monte Carlo machinery: Wishart spectra, outage and ML-error estimation,
 tail bounds, and log-log slope fits that turn probability sweeps into
-empirical diversity estimates.  Channel draws, Grams, received blocks,
-log-determinants and capacities all come from the batched layer in
+empirical diversity estimates.  Channel draws, the rates' and spectra's
+Grams, log-determinants and capacities all come from the batched layer in
 `channel`.
 
 A spectrum is an (N, l) array of descending eigenvalues, one draw per row:
@@ -20,19 +20,20 @@ and the bytes of a row of its widest array.  The driver takes every chunk
 in equal blocks of at most `BLOCK_ROWS` rows (`_sum_blocks`), whose
 temporaries the allocator reuses from block to block and whose fixed cost
 in numpy calls is spread over as many rows as that memory allows.  The ML
-decoder works in the code's own algebra: channel, noise, received blocks
-and codewords stay real matrices, or quaternion matrices as their four
-real parts (`linalg.bmm` multiplies both), never lifted to complex ones.
-It first screens a block's rows (`_screen`): a row whose noise lies inside
-the code's packing radius, by a margin that rounding cannot cross, decides
-its sent word and is skipped, so the screen changes no event.  It scores
-the other rows against the whole codebook with real matrix products
-(`_ml_decode`), `_decode_rows` rows each, small enough that OpenBLAS runs
-them on the calling thread (DECODE_MACS).  On one quaternion column (p = 1,
-every quaternion code at n = 2) H^* H = ||H||^2 I, so a row is scored on
-5 features, ||H||^2 and s ||H||^2 X + H^* W, from H, W and the sent word X,
-and no received block is formed; elsewhere on the 2 n^2 parts of
-[H^* H | H^* y], y = s H X + W from `channel.receive`.
+decoder works in the code's own algebra: channel, noise, Grams and
+codewords stay real matrices, or quaternion matrices as their four real
+parts (`linalg.bmm` multiplies both), never lifted to complex ones (the
+screen lifts a p x p quaternion Gram for its log-determinant).  The
+error counter forms each block's Gram G = H^* H once (on one quaternion
+column, p = 1 as in every quaternion code at n = 2, the real number
+||H||^2).  It first screens the block's rows on G (`_screen`): a row whose
+noise lies inside the code's packing radius, by a margin that rounding
+cannot cross, decides its sent word and is skipped, so the screen changes
+no event.  It scores the other rows against the whole codebook on
+[G | s G X + H^* W], from G, H, the noise W and the sent word X, with real
+matrix products (`_ml_decode`), `_decode_rows` rows each, small enough that
+OpenBLAS runs them on the calling thread (DECODE_MACS); no received block
+is formed.
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -132,8 +133,8 @@ def _thread_cap():
 
 
 def _check_array_bytes(rows, row_bytes, flag):
-    """Reject `rows` rows of the widest per-row array (channel, Gram or
-    received block) when they exceed ARRAY_BUDGET_BYTES."""
+    """Reject `rows` rows of the widest per-row array (channel, noise or
+    Gram) when they exceed ARRAY_BUDGET_BYTES."""
     if rows * row_bytes > ARRAY_BUDGET_BYTES:
         raise ResourceLimitError(f"{flag}: {rows} rows of {row_bytes} bytes exceed "
                                  f"the array budget {ARRAY_BUDGET_BYTES}")
@@ -541,37 +542,37 @@ def _decode_rows(words, f):
     return min(max(64, DECODE_MACS // (words * f)), max(1, DECODE_BUDGET_BYTES // (8 * words)))
 
 
-def _ml_decode(h, w, x, scale, cword_feats):
+def _ml_decode(h, g, w, x, scale, cword_feats):
     """Exhaustive-ML decisions argmin_k ||y - s H C_k||^2 per row (lowest
     index on ties) for the received blocks y = s H X + W of the sent words
     X, at the amplitude s = `scale` that `cword_feats` was built for; H, W
-    and X are real (N, ., .) stacks or (4, N, ., .) quaternion parts.
+    and X are real (N, ., .) stacks or (4, N, ., .) quaternion parts, and g
+    is the block's Gram G = H^* H, in the same layout or, on one quaternion
+    column (`_one_column`), the (N,) real numbers ||H||^2.
 
-    ||y - s H C||^2 = ||y||^2 - 2s <H^* y, C> + s^2 <H^* H, C C^*>, where
+    ||y - s H C||^2 = ||y||^2 - 2s <H^* y, C> + s^2 <G, C C^*>, where
     <A, B> = Re tr(A^* B) is the dot product of the real parts (for
-    quaternion matrices half that of their lifts).  ||y||^2 is the same for
-    every codeword and dropped, so the metric is the real product of the row
-    features with `cword_feats`, sub-batched under DECODE_MACS (64 rows at
-    least) and DECODE_BUDGET_BYTES.  On one quaternion column
-    (`_one_column`) H^* H = ||H||^2 is a real number and H^* y = s ||H||^2 X
-    + H^* W, so the row features [||H||^2 | s ||H||^2 X + H^* W] take 5
-    numbers and y is never formed (Alamouti's decoupling, IEEE JSAC 1998).
-    Otherwise they are the parts of [H^* H | H^* y], y from `channel.receive`.
+    quaternion matrices half that of their lifts), and H^* y = s G X + H^* W.
+    ||y||^2 is the same for every codeword and dropped, so the metric is the
+    real product of the row features [G | s G X + H^* W] with `cword_feats`,
+    sub-batched under DECODE_MACS (64 rows at least) and
+    DECODE_BUDGET_BYTES; y is never formed.  On one column G is a real
+    number, and the features take 5 numbers (Alamouti's decoupling, IEEE
+    JSAC 1998); otherwise the 2 n^2 parts of the two matrices.
     """
     batch = h.shape[-3]
-    if _one_column(h):
+    if g.ndim == 1:
         feats = np.empty((5, batch))
-        norms = linalg.sq_norms(h)
-        feats[0] = norms
         linalg.bmm(h, w, conj=True, out=feats[1:, :, None, None])
-        norms *= scale
-        feats[1:] += norms * x[..., 0, 0]
+        np.multiply(g, scale, out=feats[0])  # s ||H||^2, staged where ||H||^2 goes
+        feats[1:] += feats[0] * x[..., 0, 0]
+        feats[0] = g
     else:
-        k = h.shape[-1]
-        feats = np.empty((2, *h.shape[:-3], k, k, batch))
+        feats = np.empty((2, *g.shape[:-3], *g.shape[-2:], batch))  # [G | H^* y], G's shape
         gram, hy = np.moveaxis(feats, -1, -3)  # the batch axis last in memory
-        linalg.bmm(h, h, conj=True, out=gram)
-        linalg.bmm(h, channel.receive(h, x, scale, w), conj=True, out=hy)
+        np.copyto(gram, g)
+        linalg.bmm(h, w, conj=True, out=hy)
+        hy += scale * linalg.bmm(g, x)
         feats = feats.reshape(-1, batch)
     rows = _decode_rows(cword_feats.shape[1], len(feats))
     return np.concatenate([np.argmin(feats[:, lo:lo + rows].T @ cword_feats, axis=1)
@@ -587,27 +588,25 @@ SCREEN_KAPPA = 2.0 ** -20
 SCREEN_TINY = 2.0 ** -900
 
 
-def _gram_floor(h):
-    """A lower bound lambda_lb on the least eigenvalue of H^* H per row (for
-    quaternion parts, of the p x p quaternion Gram), or 0 where H^* H is
-    singular (fewer rows than columns), where lambda_lb < SCREEN_KAPPA tr G
-    or where tr G < SCREEN_TINY.
+def _gram_floor(g):
+    """A lower bound lambda_lb on the least eigenvalue of each Gram of
+    `_ml_decode`'s g (for quaternion parts, of the p x p quaternion Gram), or
+    0 where lambda_lb < SCREEN_KAPPA tr G or where tr G < SCREEN_TINY.
 
-    One quaternion column (p = 1) has the Gram |h|^2, one real number, which
-    is its own bound.  Otherwise, of the k distinct eigenvalues (k columns),
-    AM-GM on all but the least gives lambda_min >= det ((k - 1) / tr)^(k - 1),
-    taken from `linalg.logdet_pd` of the `channel.gram` stack (whose lift
-    doubles each eigenvalue of a quaternion Gram).  Near-singular Grams,
-    whose elimination the rounding could carry below zero, fail the trace
+    The (N,) Grams ||H||^2 of one quaternion column are their own bound.
+    Otherwise, of the k distinct eigenvalues (k columns), AM-GM on all but
+    the least gives lambda_min >= det ((k - 1) / tr)^(k - 1), taken from
+    `linalg.logdet_pd` of G or of its lift (`channel.lift_parts`, which
+    doubles each eigenvalue of a quaternion Gram).  Singular and
+    near-singular Grams (fewer rows than columns), whose elimination leaves
+    a last pivot of rounding size or carries it below zero, fail the trace
     ratio and get 0."""
-    batch, rows, cols = h.shape[-3:]
-    if rows < cols:
-        return np.zeros(batch)
-    if _one_column(h):
-        tr = lb = linalg.sq_norms(h)
+    if g.ndim == 1:
+        tr = lb = g
     else:
-        g = channel.gram(h)
-        mult = h.ndim - 2  # of each eigenvalue in the lift: 1 real, 2 quaternion
+        cols = g.shape[-1]
+        mult = g.ndim - 2  # of each eigenvalue in the lift: 1 real, 2 quaternion
+        g = channel.lift_parts(g) if mult == 2 else g
         tr = np.einsum("bii->b", g).real / mult
         with np.errstate(divide="ignore", invalid="ignore"):
             log_lb = linalg.logdet_pd(g) / mult
@@ -621,14 +620,14 @@ def _screen_threshold(cfg, rho, cb, lam1):
     """`_screen`'s thresh = (1 - SCREEN_DELTA)^2 s^2 d^2 for codebook `cb` at
     SNR rho, s^2 = rho / n, or 0, which decodes every row, when rho < 1 or
     the rounding bound 16 c u (M / lambda_1)^2 < SCREEN_DELTA SCREEN_KAPPA,
-    c = 2 n^2 + 4 max(n, m) + 3, fails; c bounds the roundings of both
-    decoder forms (`_screen`).
+    c = 2 n^2 + 4 m + 2 n + 3, fails; c bounds the roundings of the
+    decoder's metric (`_screen`).
 
     Every codeword difference is a nonzero lattice point over M, so
     d = lambda_1 / M (`lattice.minimum_norm`) bounds the codebook's minimum
     distance from below with no pass over its pairs; on the parts of
     quaternion words, whose lift has twice the parts norm, d^2 is halved."""
-    rounds = 2 * cfg.n ** 2 + 4 * max(cfg.n, cfg.m) + 3
+    rounds = 2 * cfg.n ** 2 + 4 * cfg.m + 2 * cfg.n + 3
     if rho < 1 or (16 * rounds * 2.0 ** -53 * (cb.radius_m / lam1) ** 2
                    >= SCREEN_DELTA * SCREEN_KAPPA):
         return 0.0
@@ -636,15 +635,17 @@ def _screen_threshold(cfg, rho, cb, lam1):
     return (1 - SCREEN_DELTA) ** 2 * (rho / cfg.n) * d2
 
 
-def _screen(h, w, thresh):
+def _screen(g, w, thresh):
     """Indices of the rows of a block that the exhaustive decoder must decide;
-    every other row decides its sent word, and adds no error.
+    every other row decides its sent word, and adds no error.  g holds the
+    block's Grams in `_ml_decode`'s layout, w its noise.
 
     A row y = s H X + W is skipped when 4 ||W||^2 < thresh lambda_lb, with
     thresh = (1 - delta)^2 s^2 d^2 (`_screen_threshold`), norms on real parts,
     d a lower bound on the codebook's minimum distance and lambda_lb a lower
-    bound on lambda_min(H^* H) that is at least kappa tr G (`_gram_floor`).
-    Any other word X + D, ||D|| >= d, then scores a metric larger by
+    bound on lambda_min(G), G = H^* H, that is at least kappa tr G
+    (`_gram_floor`).  Any other word X + D, ||D|| >= d, then scores a metric
+    larger by
 
         ||W - s H D||^2 - ||W||^2 >= s||HD|| (s||HD|| - 2||W||)
                                   >= delta s^2 ||HD||^2 >= delta s^2 lambda_min d^2,
@@ -654,35 +655,30 @@ def _screen(h, w, thresh):
     and Zeger, IEEE Trans. IT 2002).
 
     Rounding, u = 2^-53.  Every word has norm at most 1 in the lattice's
-    norm, so its norm R over d is M / lambda_1 in both modes.  In the
-    2 n^2-feature form, y, the features and the codeword features are each
-    a sum of at most 4 max(n, m) products, scaled or shifted at most twice,
-    and a metric sums 2 n^2 products of them: c = 2 n^2 + 4 max(n, m) + 3
-    roundings of relative size u lie between a computed metric and the
-    exact metric of the computed y.  In the one-column form (n = 2, p = 1)
-    no y is computed.  ||H||^2 and each part of H^* W are sums of 4m
-    products (4m roundings), s ||H||^2 X + H^* W adds 3, s^2 |c|^2 takes
-    4 + 2 and -2 s c takes 1, and the metric's product and its sum of 5
-    terms add 5: at most 4m + 11 roundings a term, within
-    c = 4 max(2, m) + 11 at n = 2.  In both forms the terms
-    add in magnitude to at most 4 s^2 tr G R^2 (Cauchy-Schwarz:
-    ||G|| <= tr G, ||C C^*|| <= R^2, ||H^* y|| <= sqrt(tr G) ||y||,
-    ||y|| <= 1.5 s sqrt(tr G) R and ||W|| <= 0.5 s sqrt(tr G) R on a
-    skipped row).  A computed gap is thus within 8 c u s^2 tr G R^2 of the
-    exact one.  A computed y moves the noise by a relative O(n u), and
-    lambda_lb, lambda_1 and the screen's own products err by a relative
-    O(c u / kappa) at most; half of delta covers these, which leaves a gap
-    of at least (delta / 2) s^2 lambda_min d^2 >= (delta / 2) kappa s^2 tr G d^2.
-    It exceeds the rounding while 16 c u (M / lambda_1)^2 < delta kappa: at
-    delta = 1/8, kappa = 2^-20 and n = 2, m = 1 (c = 19), while
-    M / lambda_1 < 1879, against about 21 at the largest rank-4 shell
-    SHELL_CAP admits.  A codebook beyond it, or an SNR below 0 dB, screens
-    no row; rows with tr G < 2^-900 are decoded, so that no feature
-    underflows.  delta costs (7/8)^2 of the noise radius^2, and kappa
-    decodes only rows whose least Gram eigenvalue lies under 1e-6 of the
-    trace.
+    norm, so its norm R over d is M / lambda_1 in both modes.  The decoder
+    scores [G | s G X + H^* W] against [s^2 C C^* | -2 s C], and no path
+    from an input to a metric passes more than c = 2 n^2 + 4 m + 2 n + 3
+    roundings: an entry of G or of H^* W sums 4m products (2m on real
+    blocks), G X adds 2n (n real), the scaling and the sum with H^* W add 2,
+    -2 s C takes 1 (the 2n + 2 of s^2 C C^* meet only G's 4m), and the
+    metric's product and sum of f <= 2 n^2 terms add f.  One column has
+    ||H||^2 X, one product, for G X and f = 5: 4m + 11.  The terms add in
+    magnitude to at most 4 s^2 tr G R^2 (Cauchy-Schwarz: ||G|| <= tr G,
+    ||C C^*|| <= R^2, ||X|| <= R and ||W|| <= 0.5 s sqrt(tr G) R on a
+    skipped row), so a computed gap is within 8 c u s^2 tr G R^2 of the
+    exact one.  lambda_lb, lambda_1 and the screen's own products err by a
+    relative O(c u / kappa) at most; half of delta covers these, which
+    leaves a gap of at least (delta / 2) s^2 lambda_min d^2 >= (delta / 2)
+    kappa s^2 tr G d^2.  It exceeds the rounding while
+    16 c u (M / lambda_1)^2 < delta kappa: at delta = 1/8, kappa = 2^-20
+    and n = 2, m = 1 (c = 19), while M / lambda_1 < 1879, against about 21
+    at the largest rank-4 shell SHELL_CAP admits.  A codebook beyond it, or
+    an SNR below 0 dB, screens no row; rows with tr G < 2^-900 are decoded,
+    so that no feature underflows.  delta costs (7/8)^2 of the noise
+    radius^2, and kappa decodes only rows whose least Gram eigenvalue lies
+    under 1e-6 of the trace.
     """
-    return np.flatnonzero(4.0 * linalg.sq_norms(w) >= thresh * _gram_floor(h))
+    return np.flatnonzero(4.0 * linalg.sq_norms(w) >= thresh * _gram_floor(g))
 
 
 def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
@@ -731,13 +727,15 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
 
             def errors(rows):
                 h, w, t = hs[..., rows, :, :], ws[..., rows, :, :], tx[rows]
-                keep = _screen(h, w, thresh)
+                g = linalg.sq_norms(h) if _one_column(h) else linalg.bmm(h, h, conj=True)
+                keep = _screen(g, w, thresh)
                 if len(keep) < len(t):
                     if not len(keep):
                         return 0
-                    h, w, t = h.take(keep, axis=-3), w.take(keep, axis=-3), t[keep]
+                    g, h, w, t = (a.take(keep, axis=-3) if a.ndim > 1 else a[keep]
+                                  for a in (g, h, w, t))
                 x = cparts.take(t, axis=-3)
-                return np.count_nonzero(_ml_decode(h, w, x, scale, feats) != t)
+                return np.count_nonzero(_ml_decode(h, g, w, x, scale, feats) != t)
             return errors
         return draw
 

@@ -30,6 +30,23 @@ atexit.register(write_usage)
 runpy.run_module("dmtlab", run_name="__main__", alter_sys=True)
 """
 
+# Runs `dmtlab.cli.run` on the argv that follows the report path twice in one
+# process, and writes there both exit codes and the minor page faults of the
+# second run alone: the faults of a heap that the first run has grown, which
+# start-up, imports and where glibc's trim thresholds first stand leave out.
+STEADY_CHILD = """
+import resource, sys
+from dmtlab import cli
+
+report, argv = sys.argv[1], sys.argv[2:]
+first = cli.run(argv)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+second = cli.run(argv)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+with open(report, "w", encoding="utf-8") as fh:
+    fh.write(f"{first} {second} {faults}")
+"""
+
 
 @pytest.fixture
 def dmtlab_process(tmp_path):
@@ -41,13 +58,35 @@ def dmtlab_process(tmp_path):
     if not os.path.exists("/proc/self/status"):
         pytest.skip("the peak RSS is read from /proc/self/status")
     report = tmp_path / "usage"
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
     def run(argv, **env):
-        child_env = {**os.environ, **env, "PYTHONPATH": pythonpath}
-        proc = subprocess.run([sys.executable, "-c", CHILD, str(report), *argv],
-                              capture_output=True, text=True, env=child_env, timeout=300)
+        proc = _run_child(CHILD, report, argv, env)
         peak_kib, faults = map(int, report.read_text(encoding="utf-8").split())
         return proc.returncode, proc.stderr, peak_kib / 1024, faults
 
     return run
+
+
+@pytest.fixture
+def dmtlab_steady_faults(tmp_path):
+    """run(argv, **env) runs the dmtlab command `argv` twice in one fresh
+    process, with `env` added to the environment, and returns both exit
+    codes, the stderr and the minor page faults of the second run."""
+    report = tmp_path / "steady"
+
+    def run(argv, **env):
+        proc = _run_child(STEADY_CHILD, report, argv, env)
+        assert proc.returncode == 0, proc.stderr
+        first, second, faults = map(int, report.read_text(encoding="utf-8").split())
+        return first, second, proc.stderr, faults
+
+    return run
+
+
+def _run_child(code, report, argv, env):
+    """Run the Python `code` with the report path and `argv` as its arguments,
+    dmtlab's sources first on its path."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child_env = {**os.environ, **env, "PYTHONPATH": pythonpath}
+    return subprocess.run([sys.executable, "-c", code, str(report), *argv],
+                          capture_output=True, text=True, env=child_env, timeout=300)

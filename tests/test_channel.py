@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmtlab import channel, lattice, sim
+from dmtlab import channel, lattice, linalg, sim
 from dmtlab.channel import SystemConfig, power_check, quaternionic_defect
 from dmtlab.linalg import frobenius_norm
 
@@ -171,18 +171,21 @@ def test_receive_leaves_inputs():
 def test_ml_decode_batch_last_inputs():
     # H, W and X laid out batch-last, as `linalg.bmm` lays out its products,
     # decide as their C-ordered copies: 2 x 1 quaternion blocks (m = 2, one
-    # column, 5 features) and 1 x 2 ones (p = 2, Y formed by `receive`)
+    # column, 5 features) and 1 x 2 ones (p = 2, whose Gram H^* H from `bmm`
+    # is batch-last too, against its C-ordered copy)
     rng = np.random.default_rng(34)
     hamilton = channel.quaternion_parts(
         lattice.fixed_codebook(lattice.load_lattice("hamilton")).points)
     for (m, p), cparts in (((2, 1), hamilton), ((1, 2), rng.standard_normal((4, 24, 2, 2)))):
         h, w = (channel.draw_real(rng, (4, 3000, m, p)) for _ in range(2))
         x = cparts[:, rng.integers(0, cparts.shape[1], 3000)]
+        gb = linalg.sq_norms(h) if p == 1 else linalg.bmm(h, h, conj=True)
         feats = sim._codeword_features(cparts, 2.0)
         hb, wb, xb = (np.moveaxis(np.moveaxis(a, 1, -1).copy(), -1, 1) for a in (h, w, x))
         assert not (hb.flags.c_contiguous or wb.flags.c_contiguous)
-        np.testing.assert_array_equal(sim._ml_decode(hb, wb, xb, 2.0, feats),
-                                      sim._ml_decode(h, w, x, 2.0, feats))
+        np.testing.assert_array_equal(sim._ml_decode(hb, gb, wb, xb, 2.0, feats),
+                                      sim._ml_decode(h, np.ascontiguousarray(gb), w, x, 2.0,
+                                                     feats))
 
 
 @pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (1, 2), (2, 2)])
@@ -416,3 +419,9 @@ def test_power_check_shaped_codebooks_pass():
     cb = lattice.shape_codebook(lat, 50.0, 0.5)
     avg, ok = power_check(cb)
     assert ok and avg <= 1.0 / lat.ambient_n ** 2 + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+def test_quaternionic_defect_rejects_odd_or_non_square(shape):
+    with pytest.raises(ValueError, match="even square matrix"):
+        quaternionic_defect(np.zeros(shape))

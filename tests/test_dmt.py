@@ -425,3 +425,16 @@ def test_sample_curves_rows():
 def test_curve_to_json():
     data = d2_curve(4, 2).to_json("d2")
     assert data == {"curve": "d2", "anchors": [[0.0, 8.0], [1.0, 2.0], [2.0, 0.0]]}
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: dmt.PiecewiseLinearCurve(((0.0, 2.0), (0.0, 1.0))), "strictly increasing"),
+    (lambda: a0_membership([[0.1, 0.2]], 1.0), "nonempty 1-D"),
+    (lambda: a0_membership([], 1.0), "nonempty 1-D"),
+    (lambda: dmt.exponent_quaternion(4, 2, 2.5), r"r=2.5 outside \[0, 2\]"),
+    (lambda: dmt.laplace_exponent_estimate([1.0], -5.0, [1e6, 1e9]),
+     "integration domain is empty")],
+    ids=["anchors-r", "alpha-2d", "alpha-empty", "quaternion-r", "laplace-empty"])
+def test_dmt_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -337,3 +337,18 @@ def test_lattice_json_roundtrip():
         for a, b in zip(back.basis, lat.basis):
             assert np.array_equal(a, b)
         assert np.allclose(back.gram, lat.gram, atol=0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: lattice.structure_check(np.eye(2), "banana"), "unknown flavor 'banana'"),
+    (lambda: lattice.matrix_lattice([], "real"), "empty generator list"),
+    (lambda: lattice.matrix_lattice([np.eye(2), np.eye(3)], "real"),
+     "square matrices of equal size"),
+    (lambda: lattice.shell_coordinates(
+        lattice.MatrixLattice(ambient_n=1, basis=np.ones((1, 1, 1), dtype=complex),
+                              flavor="real", gram=-np.ones((1, 1))), 1.0),
+     "Gram matrix is not positive definite")],
+    ids=["flavor", "no-generators", "unequal-sizes", "indefinite-gram"])
+def test_lattice_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

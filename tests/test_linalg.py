@@ -305,3 +305,13 @@ def test_logdet_pd_leaves_input_and_flags_indefinite():
     with np.errstate(invalid="ignore"):
         assert np.isnan(linalg.logdet_pd(g)[0])
     assert np.array_equal(g, before)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: linalg.as_matrix(np.zeros(3)), "expected a matrix, got ndim=1"),
+    (lambda: linalg.determinant(np.zeros((2, 2, 2, 2))), "finite matrix or"),
+    (lambda: linalg.determinant(np.full((2, 2), np.inf)), "finite matrix or")],
+    ids=["as_matrix-vector", "determinant-4d", "determinant-inf"])
+def test_matrix_coercion_rejects_bad_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -52,3 +52,33 @@ def test_curve_script_reproduces_results(tmp_path, monkeypatch):
     script.main()
     for name in ("curves_n4_m2.csv", "curves_n4_m2_anchors.json"):
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes()
+
+
+def test_code_lines_counts_code_only(capsys):
+    # blank lines, comment-only lines and docstrings are not code; a string
+    # statement that is not a docstring, and every line of a statement split
+    # over lines, are
+    script = _load("code_lines")
+    source = '''"""Module
+docstring."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """One line."""
+        x = (1,
+             2)
+        "not a docstring"
+        return x
+'''
+    assert script.code_lines(source) == 7
+    assert script.main([str(ROOT / "src" / "dmtlab")]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in rows] == sorted(p.name for p in
+                                                (ROOT / "src" / "dmtlab").glob("*.py")) + ["total"]
+    assert sum(int(n) for _, n in rows[:-1]) == int(rows[-1][1]) > 0

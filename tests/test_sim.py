@@ -272,6 +272,11 @@ def test_fit_slope_rejects_impossible_counts(events, trials):
         fit_slope([10.0, 20.0], events, trials)
 
 
+def test_fit_slope_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        fit_slope([10.0, 20.0], [100], [1000, 1000])
+
+
 # ---------------------------------------------------------------------------
 # distance and eigenvalue-product checks
 
@@ -295,6 +300,15 @@ def test_nvd_product_bound_needs_two_codewords(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", never)
     with pytest.raises(ValueError, match="at least 2 codewords"):
         check_nvd_product_bound(cb)
+
+
+def test_nvd_product_bound_reports_an_upper_violation():
+    # a word of norm 3 at M = 1 lies outside the codebook's ball: the
+    # difference's eigenvalues 9 pass the cap 4 M^2 = 4, and the first
+    # offending pair is reported as an upper violation
+    points = np.array([np.zeros((2, 2)), 3.0 * np.eye(2)], dtype=complex)
+    bad = check_nvd_product_bound(lattice.Codebook(points=points, radius_m=1.0, source=SPLIT))
+    assert bad == {"pair": (0, 1), "kind": "upper", "mu_max": 9.0, "cap": 4.0}
 
 
 def test_mismatched_bound_zero_difference():
@@ -623,13 +637,14 @@ def _spy_metric_rows(monkeypatch):
 
 
 def _spy_screen(monkeypatch):
-    """The (kept, block) row counts of every block the screen sees."""
+    """The (kept, block) row counts and the threshold of every block the
+    screen sees."""
     counts = []
     screen = sim._screen
 
-    def spy(h, w, thresh):
-        keep = screen(h, w, thresh)
-        counts.append((len(keep), h.shape[-3]))
+    def spy(g, w, thresh):
+        keep = screen(g, w, thresh)
+        counts.append((len(keep), w.shape[-3], thresh))
         return keep
     monkeypatch.setattr(sim, "_screen", spy)
     return counts
@@ -648,7 +663,7 @@ def test_error_events_independent_of_decode_macs(monkeypatch):
     floor = estimate_error_prob(*args)
     assert floor.events == default.events and sum(default.events) > 0
     rows = [r for r, _ in shapes]
-    assert sum(rows) == sum(k for k, _ in kept) and sum(b for _, b in kept) == 6000
+    assert sum(rows) == sum(k for k, _, _ in kept) and sum(b for _, b, _ in kept) == 6000
     assert max(rows) == 64
     assert sum(r < 64 for r in rows) <= 6  # one short product per chunk at most
 
@@ -667,7 +682,7 @@ def test_metric_products_under_decode_macs(monkeypatch, snr_db, words):
     h, w = (channel.draw_real(rng, (4, 5000, 1, 1)) for _ in range(2))
     x = cparts[:, rng.integers(0, words, size=5000)]
     shapes = _spy_metric_rows(monkeypatch)
-    sim._ml_decode(h, w, x, 3.0, feats)
+    sim._ml_decode(h, _gram(h), w, x, 3.0, feats)
     assert sum(r for r, _ in shapes) == 5000 and len(shapes) > 1
     assert all(c == words and r * c * len(feats) < 2**19 for r, c in shapes)
 
@@ -752,8 +767,14 @@ SCREEN_CASES = [("quaternion", 2, 1, HAMILTON, 0.0), ("quaternion", 2, 1, HAMILT
 SCREEN_IDS = ["hamilton-r0", "hamilton-r0.5", "split-r0.5", "m2z", "split_pi", "p2"]
 
 
-def _keep_every_row(h, w, thresh):
-    return np.arange(h.shape[-3])
+def _gram(h):
+    """The Gram the error counter forms of a block: ||H||^2 on one
+    quaternion column, else H^* H."""
+    return linalg.sq_norms(h) if sim._one_column(h) else linalg.bmm(h, h, conj=True)
+
+
+def _keep_every_row(g, w, thresh):
+    return np.arange(w.shape[-3])
 
 
 @pytest.mark.parametrize("mode,n,m,lat,r", SCREEN_CASES, ids=SCREEN_IDS)
@@ -766,9 +787,34 @@ def test_screened_events_equal_unscreened(monkeypatch, mode, n, m, lat, r, threa
     monkeypatch.setattr(sim, "ERROR_CHUNK", 1100)
     counts = _spy_screen(monkeypatch)
     screened = estimate_error_prob(*args)
-    assert sum(k for k, _ in counts) < sum(b for _, b in counts)
+    assert sum(k for k, _, _ in counts) < sum(b for _, b, _ in counts)
     monkeypatch.setattr(sim, "_screen", _keep_every_row)
     assert estimate_error_prob(*args).events == screened.events
+
+
+def test_screen_decodes_every_row_below_0_db(monkeypatch):
+    # below 0 dB the threshold is 0 and every row reaches the decoder; at 0
+    # and 3 dB it is not, and the events equal an unscreened sweep's
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.0)
+    args = (HAMILTON, cfg, [-3.0, 0.0, 3.0], 3000, 13)
+    seen = _spy_screen(monkeypatch)
+    screened = estimate_error_prob(*args)
+    below = [(k, b) for k, b, t in seen if t == 0.0]
+    assert sum(b for _, b in below) == 3000 and all(k == b for k, b in below)
+    assert sum(t > 0 for _, _, t in seen) == 2
+    monkeypatch.setattr(sim, "_screen", _keep_every_row)
+    assert estimate_error_prob(*args).events == screened.events
+
+
+def test_screen_refused_when_rounding_bound_fails(monkeypatch):
+    # a kappa so small that 16 c u (M / lambda_1)^2 >= delta kappa: no SNR
+    # gets a threshold, and every row of every block is decoded
+    monkeypatch.setattr(sim, "SCREEN_KAPPA", 2.0 ** -60)
+    cfg = SystemConfig("quaternion", n=2, m=1, r=0.5)
+    seen = _spy_screen(monkeypatch)
+    est = estimate_error_prob(HAMILTON, cfg, [14.0, 20.0], 2000, 13)
+    assert seen and all(t == 0.0 and k == b for k, b, t in seen)
+    assert sum(b for _, b, _ in seen) == 4000 and sum(est.events) > 0
 
 
 @pytest.mark.parametrize("mode,n,m,lat,r", SCREEN_CASES, ids=SCREEN_IDS)
@@ -793,9 +839,10 @@ def test_screened_rows_decide_the_sent_word(mode, n, m, lat, r):
     tx = rng.integers(0, len(cb.points), size=size)
     scale = math.sqrt(rho / n)
     thresh = sim._screen_threshold(cfg, rho, cb, lattice.minimum_norm(lat))
-    keep = sim._screen(h, w, thresh)
+    g = _gram(h)
+    keep = sim._screen(g, w, thresh)
     skipped = np.setdiff1d(np.arange(size), keep)
-    got = sim._ml_decode(h, w, cparts.take(tx, axis=-3), scale,
+    got = sim._ml_decode(h, g, w, cparts.take(tx, axis=-3), scale,
                          sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got[skipped], tx[skipped])
     assert np.sum(got != tx) > 0
@@ -853,7 +900,7 @@ def test_gram_floor_below_least_eigenvalue(mode, m, cols):
     near = slice(size // 2, None)
     if cols > 1:
         h[..., near, :, -1] = h[..., near, :, 0] * (1 + 1e-7 * h[..., near, :, -1])
-    lb = sim._gram_floor(h)
+    lb = sim._gram_floor(_gram(h))
     lifted = h if mode == "real" else channel.lift_parts(h)
     lam = np.linalg.eigvalsh(np.conj(lifted.swapaxes(-1, -2)) @ lifted)[:, 0]
     tr = linalg.sq_norms(h)
@@ -867,8 +914,8 @@ def test_gram_floor_zero_for_singular_gram():
     # fewer rows than columns: H^* H is singular and no row is screened
     rng = np.random.default_rng(3)
     h, w = (channel.draw_real(rng, (500, 2, 3)) for _ in range(2))
-    assert not np.any(sim._gram_floor(h))
-    assert len(sim._screen(h, 0.0 * w, 1e6)) == 500
+    assert not np.any(sim._gram_floor(_gram(h)))
+    assert len(sim._screen(_gram(h), 0.0 * w, 1e6)) == 500
 
 
 def _bruteforce_decode(h, y, scale, cwords):
@@ -900,7 +947,7 @@ def test_ml_decode_matches_bruteforce(mode, name, r):
     scale = math.sqrt(rho / n)
     x = cparts[..., tx, :, :]
     y = channel.receive(h, x, scale, w)
-    got = sim._ml_decode(h, w, x, scale, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, _gram(h), w, x, scale, sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, cwords))
     np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
     assert np.sum(got != tx) > 50
@@ -908,17 +955,18 @@ def test_ml_decode_matches_bruteforce(mode, name, r):
 
 def _gram_hy_decode(h, w, x, scale, cparts):
     """The 2 n^2-feature decisions, [H^* H | H^* y] with y from
-    `channel.receive`, on quaternion parts: the arithmetic that one
-    quaternion column was decoded with before it got its own 5 features."""
+    `channel.receive`, on real blocks or quaternion parts: the received-block
+    arithmetic that every code was decoded with before the decoder took
+    s G X + H^* W for H^* y, and one quaternion column its own 5 features."""
     y = channel.receive(h, x, scale, w)
-    rows = np.concatenate([linalg.bmm(h, h, conj=True), linalg.bmm(h, y, conj=True)])
-    rows = np.moveaxis(rows, 1, -1).reshape(-1, h.shape[1])
+    rows = np.stack([linalg.bmm(h, h, conj=True), linalg.bmm(h, y, conj=True)])
+    rows = np.moveaxis(rows, -3, -1).reshape(-1, h.shape[-3])
     adj = linalg.adjoint(cparts)
-    words = np.concatenate([scale ** 2 * linalg.bmm(adj, adj, conj=True), -2.0 * scale * cparts])
-    words = np.moveaxis(words, 1, -1).reshape(-1, cparts.shape[1])
+    words = np.stack([scale ** 2 * linalg.bmm(adj, adj, conj=True), -2.0 * scale * cparts])
+    words = np.moveaxis(words, -3, -1).reshape(-1, cparts.shape[-3])
     step = sim._decode_rows(words.shape[1], len(rows))
     return np.concatenate([np.argmin(rows[:, lo:lo + step].T @ words, axis=1)
-                           for lo in range(0, h.shape[1], step)])
+                           for lo in range(0, h.shape[-3], step)])
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -935,9 +983,39 @@ def test_one_column_decisions_equal_gram_hy_decode(m, snr_db, r):
     h, w = (channel.draw_real(rng, (4, sim.ERROR_CHUNK, m, 1)) for _ in range(2))
     tx = rng.integers(0, len(cb.points), size=sim.ERROR_CHUNK)
     x = cparts.take(tx, axis=-3)
-    got = sim._ml_decode(h, w, x, scale, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, _gram(h), w, x, scale, sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _gram_hy_decode(h, w, x, scale, cparts))
     assert np.sum(got != tx) > 100
+
+
+@pytest.mark.parametrize("mode,n,m,lat,r", SCREEN_CASES[2:], ids=SCREEN_IDS[2:])
+def test_gram_decisions_equal_gram_hy_decode(mode, n, m, lat, r):
+    # s G X + H^* W in place of H^* y changes the rounding but no decision
+    # of the real codes and of p = 2: every row of a 50,000-row chunk at
+    # 15 dB, none screened, the sent word drawn as the counter draws it
+    rho = 10.0 ** 1.5
+    cb = lattice.fixed_codebook(lat) if r == 0 else lattice.shape_codebook(lat, rho, r)
+    cparts, scale = _code_parts(cb, mode), math.sqrt(rho / n)
+    rng = np.random.default_rng(61)
+    shape = SystemConfig(mode, n=n, m=m, r=r).block_shape(sim.ERROR_CHUNK)
+    h, w = (channel.draw_real(rng, shape) for _ in range(2))
+    tx = rng.integers(0, len(cb.points), size=sim.ERROR_CHUNK)
+    x = cparts.take(tx, axis=-3)
+    got = sim._ml_decode(h, _gram(h), w, x, scale, sim._codeword_features(cparts, scale))
+    np.testing.assert_array_equal(got, _gram_hy_decode(h, w, x, scale, cparts))
+    assert np.sum(got != tx) > 100
+
+
+@pytest.mark.parametrize("mode,n,m,lat,r", SCREEN_CASES, ids=SCREEN_IDS)
+def test_error_sweep_forms_no_received_block(monkeypatch, mode, n, m, lat, r):
+    # every code class is screened and decoded on its Gram and H^* W alone:
+    # a sweep that counts errors calls neither `receive` nor `gram`
+    def never(*args, **kwargs):
+        raise AssertionError("the error counter called channel.receive or channel.gram")
+    monkeypatch.setattr(channel, "receive", never)
+    monkeypatch.setattr(channel, "gram", never)
+    est = estimate_error_prob(lat, SystemConfig(mode, n=n, m=m, r=r), [14.0, 20.0], 3000, 5)
+    assert sum(est.events) > 0
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -953,7 +1031,8 @@ def test_ml_decode_matches_bruteforce_p2(m):
     w[:, : size // 2] = 0.0
     tx = rng.integers(0, 24, size=size)
     y = channel.receive(h, cparts[:, tx], scale, w)
-    got = sim._ml_decode(h, w, cparts[:, tx], scale, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, _gram(h), w, cparts[:, tx], scale,
+                         sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, lift(cparts)))
     np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
     assert np.sum(got != tx) > 50
