@@ -1,5 +1,5 @@
 """MIMO channel model, its stacked-real and quaternionic equivalents,
-and the mutual-information / power-constraint functionals.
+and their mutual informations.
 
 Conventions fixed here and used everywhere else:
   * received block  Y = sqrt(rho/n) H X + W, noise entries unit variance;
@@ -180,11 +180,3 @@ def quaternionic_defect(m):
     if rows != cols or rows % 2:
         raise ValueError("quaternionic structure needs an even square matrix")
     return float(np.abs(a - lift_parts(quaternion_parts(a[None]))[0]).max(initial=0.0))
-
-
-def power_check(cb):
-    """Average power (1/|C|)(1/n^2) sum ||X||^2 and whether it is <= 1 + 1e-12."""
-    if not len(cb.points):
-        raise ValueError("empty codebook")
-    avg = float(np.mean(np.abs(cb.points) ** 2))
-    return avg, avg <= 1.0 + 1e-12

@@ -204,13 +204,6 @@ def point_from_coordinates(lat, coords):
     return x
 
 
-def coordinates_of(lat, x):
-    """Real coordinates of a matrix in the generator basis (via the Gram system)."""
-    a = linalg.as_matrix(x)
-    rhs = np.array([float(np.sum(a.real * b.real + a.imag * b.imag)) for b in lat.basis])
-    return np.linalg.solve(lat.gram, rhs)
-
-
 def audit(lat, radius):
     """NVD audit of the lattice points of norm <= radius: their number, the
     minimum |det| over the nonzero ones (None when there is none), and
@@ -283,6 +276,7 @@ def fixed_codebook(lat):
 # JSON interchange: matrices as row-major [re, im] pairs.
 
 def lattice_to_json(lat):
+    """The lattice JSON document of `lat`, the format `load_lattice` reads."""
     return {"ambient_n": lat.ambient_n, "flavor": lat.flavor,
             "basis": [[[float(v.real), float(v.imag)] for v in b.ravel()] for b in lat.basis]}
 
@@ -298,11 +292,6 @@ def _generators_from_json(data):
         key = "ambient_n" if type(n) is not int or n < 1 else "basis"
         raise ValueError(f"lattice JSON {key!r} is missing or malformed") from None
     return mats, data.get("flavor")
-
-
-def lattice_from_json(data):
-    """Inverse of `lattice_to_json`."""
-    return matrix_lattice(*_generators_from_json(data))
 
 
 def load_lattice(name_or_path):

@@ -4,9 +4,8 @@ empirical diversity estimates.  Channel draws, the rates' and spectra's
 Grams, log-determinants and capacities all come from the batched layer in
 `channel`.
 
-A spectrum is an (N, l) array of descending eigenvalues, one draw per row:
-the samplers return one, and the eigenvalue and exponent densities take
-(..., l) arrays and return one value per row.
+A spectrum is an (N, l) array of descending eigenvalues, one draw per row,
+as the Wishart samplers return it.
 
 Both estimators read mode, antenna counts and multiplexing gain from one
 `channel.SystemConfig`, which validated them when it was built.  Both run
@@ -18,7 +17,8 @@ per-point event counter, which draws a chunk whole in the shape
 `SystemConfig.block_shape` gives and returns the events of any rows of it,
 and the bytes of a row of its widest array.  The driver takes every chunk
 in equal blocks of at most `BLOCK_ROWS` rows (`_sum_blocks`), whose
-temporaries the allocator reuses from block to block and whose fixed cost
+temporaries the allocator reuses from block to block (and from chunk to
+chunk, once `_sweep` has raised glibc's trim threshold) and whose fixed cost
 in numpy calls is spread over as many rows as that memory allows.  The ML
 decoder works in the code's own algebra: channel, noise, Grams and
 codewords stay real matrices, or quaternion matrices as their four real
@@ -78,9 +78,10 @@ PAIR_CAP = 10_000_000
 # quaternion outage blocks of 12,288 rows or more crossed glibc's dynamic
 # trim threshold, so that every chunk faulted its pages in again
 # (15,000-17,000 minor faults per 1M-trial command); today's rate
-# temporaries do not: that command faults 1,984 pages at 16384 rows, 1,994
+# temporaries do not: that command faulted 1,984 pages at 16384 rows, 1,994
 # at the old 8192-row split and 2,528 at 32768 (after import, at one
-# thread).  Events do not depend on it.
+# thread), before `_sweep` raised those thresholds.  Events do not depend
+# on it.
 BLOCK_ROWS = 16384
 
 # Trials one sweep may run, summed over its SNR points: every chunk's
@@ -191,6 +192,18 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
         raise ResourceLimitError(f"{sum(trials_t)} trials exceed the cap {TRIAL_CAP}")
     _check_array_bytes(min(chunk, max(trials_t)), row_bytes, "--n/--m")
     counters = [counter(rho) for rho in rhos]
+    # glibc's malloc maps a block of at least its mmap threshold on its own,
+    # and freeing one raises that threshold to the block's size and the
+    # heap's trim threshold to twice it (mallopt(3)).  While the trim
+    # threshold lies below the heap top that a chunk's draws and temporaries
+    # free (about 6 MB at n = 2), that memory goes back to the system after
+    # each chunk and the next chunk faults it in again: 1,770 to 1,850 pages
+    # for a second error-shaped run in one process, by where imports left
+    # holes in the heap.  Freeing one untouched 8 MiB block raises the two
+    # thresholds to 8 and 16 MiB, so that the chunks reuse their memory (2
+    # or 3 pages a run).  Where they stand higher already, the block comes
+    # from the heap and changes nothing.  Events do not depend on it.
+    np.empty(2**20)
     tasks = []
     for point, (stream, t) in enumerate(
             zip(np.random.default_rng(rng).spawn(len(snr_db)), trials_t)):
@@ -243,57 +256,6 @@ def sample_wishart_quaternion_batch(p, m, count, rng):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue densities (unnormalized; constants cancel in ratios)
-
-def _add_log_vandermonde(val, lam):
-    """val + sum_{i<j} log(lam_i - lam_j) per row, -inf on a row with a
-    non-positive gap."""
-    i, j = np.triu_indices(lam.shape[-1], 1)
-    gaps = lam[..., i] - lam[..., j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.all(gaps > 0, axis=-1), val + np.log(gaps).sum(axis=-1), -np.inf)
-
-
-def log_eigenvalue_density_real(lambdas, n, m):
-    """log of e^(-sum lam) * prod lam^((Delta-1)/2) * prod_{i<j}(lam_i - lam_j)
-    per row of descending eigenvalues, up to the normalization constant.
-    -inf when eigenvalues coincide; a row whose length is not min(2m, n) is
-    rejected."""
-    lam = np.asarray(lambdas, dtype=float)
-    l, delta = min(2 * m, n), abs(n - 2 * m)
-    if lam.shape[-1:] != (l,):
-        raise ValueError(f"eigenvalue rows must have min(2m, n) = {l} entries, "
-                         f"got shape {lam.shape}")
-    val = -lam.sum(axis=-1)
-    if delta != 1:  # at Delta = 1 the factor is lam^0 = 1, also at lam = 0
-        val = val + 0.5 * (delta - 1) * np.log(lam).sum(axis=-1)
-    return _add_log_vandermonde(val, lam)
-
-
-def log_alpha_density_real(alphas, n, m, rho):
-    """Exponent-domain density of the stacked-real spectrum (unnormalized)
-    per row of ascending exponents alpha = -log(lambda)/log(rho)."""
-    a = np.asarray(alphas, dtype=float)
-    delta = abs(n - 2 * m)
-    logr = math.log(rho)
-    lam = rho ** (-a)
-    return _add_log_vandermonde(a.shape[-1] * math.log(logr) - lam.sum(axis=-1)
-                                - logr * 0.5 * (delta + 1) * a.sum(axis=-1), lam)
-
-
-def log_alpha_density_upper(alphas, n, m, rho):
-    """Dominating exponent-domain density per row: the Vandermonde factors
-    are bounded by rho^(-alpha_i) per pair, giving weights (Delta+2l-2i+1)/2."""
-    a = np.asarray(alphas, dtype=float)
-    l = a.shape[-1]
-    delta = abs(n - 2 * m)
-    logr = math.log(rho)
-    weights = (delta + 2 * l - 2 * np.arange(1, l + 1) + 1) / 2.0
-    lam = rho ** (-a)
-    return l * math.log(logr) - lam.sum(axis=-1) - logr * (a @ weights)
-
-
-# ---------------------------------------------------------------------------
 # Tail bound
 
 def chi2_tail(x, half_dof):
@@ -305,13 +267,16 @@ def chi2_tail(x, half_dof):
     tail e^(-x) sum_{j>=K} x^j / j!, whose terms are positive and shrink by
     x / j < 1: a tail near 1 then keeps its last bits, and stays monotone
     in x and K, where the direct sum of K terms can err by a few 1e-15.
+    x = inf gives 0; a negative or NaN x is rejected.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not x >= 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     if not (half_dof >= 1 and float(half_dof).is_integer()):
         raise ValueError(f"half_dof must be a whole number >= 1, got {half_dof}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     k = int(half_dof)
     if x < k:
         total = term = 1.0
@@ -410,12 +375,14 @@ def fit_slope(snr_db, events, trials, weighting="events"):
     slope better when the sweep is still curving.  Points with fewer than
     MIN_EVENTS events are flagged and left out of the fit; with fewer than
     two usable points, or all of them at one SNR, slope and stderr are NaN.
-    Every count must be a whole number with trials >= 1 and
-    0 <= events <= trials.
+    Every SNR must be finite, and every count a whole number with
+    trials >= 1 and 0 <= events <= trials.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     snr_db = tuple(float(v) for v in snr_db)
+    if not all(map(math.isfinite, snr_db)):
+        raise ValueError(f"snr_db values must be finite, got {snr_db}")
     events, trials = tuple(events), tuple(trials)
     if not len(snr_db) == len(events) == len(trials):
         raise ValueError("snr_db, events and trials must have equal length")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmtlab import channel, lattice, linalg, sim
-from dmtlab.channel import SystemConfig, power_check, quaternionic_defect
+from dmtlab.channel import SystemConfig, quaternionic_defect
 from dmtlab.linalg import frobenius_norm
 
 
@@ -389,36 +389,6 @@ def test_capacity_matches_distinct_eigenvalues(m, p):
         expect = 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
         got = channel.mutual_info_quaternion_batch(parts, rho)
         assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
-
-
-# ---------------------------------------------------------------------------
-# power_check
-
-class _Book:
-    def __init__(self, points):
-        self.points = tuple(np.asarray(p, dtype=complex) for p in points)
-
-
-def test_power_check_zero_codebook():
-    avg, ok = power_check(_Book([np.zeros((2, 2))]))
-    assert avg == 0.0 and ok
-
-
-def test_power_check_scaled_identity():
-    avg, ok = power_check(_Book([np.eye(2) / np.sqrt(2)]))
-    assert avg == pytest.approx(0.25, abs=1e-15) and ok
-
-
-def test_power_check_empty_errors():
-    with pytest.raises(ValueError):
-        power_check(_Book([]))
-
-
-def test_power_check_shaped_codebooks_pass():
-    lat = lattice.load_lattice("hamilton")
-    cb = lattice.shape_codebook(lat, 50.0, 0.5)
-    avg, ok = power_check(cb)
-    assert ok and avg <= 1.0 / lat.ambient_n ** 2 + 1e-12
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])

@@ -5,6 +5,8 @@ real and must reproduce its committed results byte for byte."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,14 @@ class A:
     assert [name for name, _ in rows] == sorted(p.name for p in
                                                 (ROOT / "src" / "dmtlab").glob("*.py")) + ["total"]
     assert sum(int(n) for _, n in rows[:-1]) == int(rows[-1][1]) > 0
+
+
+def test_reach_lists_the_functions_a_command_does_not_call():
+    # `curves` reaches the tradeoff curves but no Monte Carlo sweep
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "reach.py"), "curves --n 2 --m 1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    unreached = proc.stdout.split()
+    assert "sim.estimate_error_prob" in unreached
+    assert "dmt.sample_curves" not in unreached
+    assert "cli.run" not in unreached

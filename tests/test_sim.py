@@ -12,6 +12,7 @@ from dmtlab.channel import SystemConfig
 from dmtlab.sim import (chi2_tail, check_mismatched_bound,
                         check_nvd_product_bound, estimate_error_prob,
                         estimate_outage, fit_slope)
+from wishart_density import log_eigenvalue_density_real
 
 
 HAMILTON = lattice.load_lattice("hamilton")
@@ -73,14 +74,14 @@ def test_wishart_quaternion_scalar_case():
 
 
 # ---------------------------------------------------------------------------
-# densities
+# the eigenvalue density of the real spectrum (tests/wishart_density.py)
 
 def test_density_ratio_coincident_sentinel():
     # a row with coincident eigenvalues has density 0 (log -inf), so its log
     # ratio against a drawn row is -inf, and +inf the other way round
     good = sim.sample_wishart_real_batch(2, 1, 3, np.random.default_rng(6))
     rows = np.vstack([good[:1], [[1.0, 1.0]], [[1.0, 2.0]], good[1:]])
-    dens = sim.log_eigenvalue_density_real(rows, 2, 1)
+    dens = log_eigenvalue_density_real(rows, 2, 1)
     assert dens.shape == (5,)
     assert list(np.isneginf(dens)) == [False, True, True, False, False]
     assert dens[1] - dens[0] == -math.inf
@@ -93,16 +94,16 @@ def test_density_zero_eigenvalue(n, expect):
     # lam = 0 enters through lam^((Delta-1)/2): a pole at Delta = 0, the
     # factor 1 at Delta = 1 and a zero at Delta >= 2
     with np.errstate(divide="ignore"):
-        assert sim.log_eigenvalue_density_real([[2.0, 0.0]], n, 1)[0] == expect
+        assert log_eigenvalue_density_real([[2.0, 0.0]], n, 1)[0] == expect
 
 
 def test_density_ratio_shape_mismatch():
     # (n, m) = (4, 2) has min(2m, n) = 4 eigenvalues, not the 2 of (2, 1)
     lam = sim.sample_wishart_real_batch(2, 1, 5, np.random.default_rng(7))
-    assert sim.log_eigenvalue_density_real(lam, 2, 1).shape == (5,)
+    assert log_eigenvalue_density_real(lam, 2, 1).shape == (5,)
     for bad in (lam, lam[0], lam[:, :1], np.float64(1.0)):
         with pytest.raises(ValueError, match="min\\(2m, n\\) = 4"):
-            sim.log_eigenvalue_density_real(bad, 4, 2)
+            log_eigenvalue_density_real(bad, 4, 2)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (2, 3), (1, 2), (6, 2)])
@@ -111,25 +112,14 @@ def test_density_rows_match_scalar_form(n, m):
     # (the summation order differs, hence the float64 tolerance), and a
     # stack of stacks keeps its leading shape
     lam = sim.sample_wishart_real_batch(n, m, 40, np.random.default_rng(10))
-    l, delta, rho = lam.shape[1], abs(n - 2 * m), 1e4
-    logr = math.log(rho)
-    alphas = -np.log(lam) / logr
-    dens = sim.log_eigenvalue_density_real(lam, n, m)
-    low = sim.log_alpha_density_real(alphas, n, m, rho)
-    up = sim.log_alpha_density_upper(alphas, n, m, rho)
+    l, delta = lam.shape[1], abs(n - 2 * m)
+    dens = log_eigenvalue_density_real(lam, n, m)
     pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
-    for k, (row, a) in enumerate(zip(lam, alphas)):
+    for k, row in enumerate(lam):
         vander = sum(math.log(row[i] - row[j]) for i, j in pairs)
         expect = -sum(row) + 0.5 * (delta - 1) * sum(math.log(x) for x in row) + vander
         assert dens[k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-        e = [rho ** -x for x in a]
-        expect = (l * math.log(logr) - sum(e) - logr * 0.5 * (delta + 1) * sum(a)
-                  + sum(math.log(e[i] - e[j]) for i, j in pairs))
-        assert low[k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-        expect = l * math.log(logr) - sum(e) - logr * sum(
-            (delta + 2 * l - 2 * i - 1) / 2.0 * a[i] for i in range(l))
-        assert up[k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-    stacked = sim.log_eigenvalue_density_real(lam.reshape(4, 10, l), n, m)
+    stacked = log_eigenvalue_density_real(lam.reshape(4, 10, l), n, m)
     assert stacked.shape == (4, 10) and np.array_equal(stacked.ravel(), dens)
 
 
@@ -144,21 +134,10 @@ def test_density_ratio_1d_gamma_histogram():
     counts = np.histogram(lam, bins=edges)[0].astype(float)
     dens = counts / np.diff(edges)
     observed = np.diff(np.log(dens))
-    expected = np.diff(sim.log_eigenvalue_density_real(centers[:, None], n, m))
+    expected = np.diff(log_eigenvalue_density_real(centers[:, None], n, m))
     se = np.sqrt(1.0 / counts[1:] + 1.0 / counts[:-1])
     # binning bias is second order; allow it alongside the 3-sigma band
     assert np.all(np.abs(observed - expected) <= 3.0 * se + 0.02)
-
-
-def test_alpha_density_domination_10k():
-    # unnormalized exponent-domain density never exceeds its bounding form
-    n, m, rho = 2, 1, 1e4
-    rng = np.random.default_rng(9)
-    alphas = -np.log(sim.sample_wishart_real_batch(n, m, 10_000, rng)) / math.log(rho)
-    lo = sim.log_alpha_density_real(alphas, n, m, rho)
-    hi = sim.log_alpha_density_upper(alphas, n, m, rho)
-    assert lo.shape == hi.shape == (10_000,)
-    assert np.all(lo <= hi + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +166,19 @@ def test_chi2_tail_large_x_no_overflow():
     assert 0.0 <= v < 1e-100
 
 
+def test_chi2_tail_at_infinity():
+    # the tail of every K vanishes at x = inf; the log-space sum would read
+    # -inf + 0 * inf = NaN there
+    for k in (1, 2, 46):
+        assert chi2_tail(math.inf, k) == 0.0
+
+
 def test_chi2_tail_validation():
     with pytest.raises(ValueError):
         chi2_tail(-1.0, 2)
+    # NaN fails every comparison, so `x < 0` alone let it through to a NaN tail
+    with pytest.raises(ValueError, match="x must be nonnegative, got nan"):
+        chi2_tail(math.nan, 2)
     with pytest.raises(ValueError):
         chi2_tail(1.0, 0)
     # K counts the terms of the sum, so 2.5 is not read as 2
@@ -270,6 +259,13 @@ def test_fit_slope_usable_points_at_one_snr(weighting):
 def test_fit_slope_rejects_impossible_counts(events, trials):
     with pytest.raises(ValueError, match="whole numbers"):
         fit_slope([10.0, 20.0], events, trials)
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+def test_fit_slope_rejects_non_finite_snr(snr):
+    # a NaN SNR made the slope NaN with no word of why
+    with pytest.raises(ValueError, match="snr_db values must be finite"):
+        fit_slope([10.0, snr], [100, 60], [1000, 1000])
 
 
 def test_fit_slope_rejects_unequal_lengths():
