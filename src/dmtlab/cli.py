@@ -214,7 +214,7 @@ def _cmd_wishart(args):
 
 @functools.cache
 def _build_parser():
-    """The command-line parser, built once per process (about 2 ms): parsing
+    """The command-line parser, built once per process (3-7 ms): parsing
     keeps nothing on it, so every `run` call may share it."""
     parser = argparse.ArgumentParser(
         prog="dmtlab",

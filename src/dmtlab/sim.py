@@ -11,7 +11,8 @@ Both estimators read mode, antenna counts and multiplexing gain from one
 `channel.SystemConfig`, which validated them when it was built.  Both run
 through `_sweep`, which alone checks the thread cap, the SNR grid, the
 trial counts and a chunk's array budget, runs the chunks of every SNR
-point in one pool and fits the slope to the summed integer events
+point on the calling thread and workers - 1 pool threads, and fits the
+slope to the summed integer events
 (`fit_slope`, NaN below two usable SNRs); an estimator supplies only its
 per-point event counter, which draws a chunk whole in the shape
 `SystemConfig.block_shape` gives and returns the events of any rows of it,
@@ -42,6 +43,11 @@ integers summed per point, and rows are independent, so the outcome is
 bit-identical regardless of the block and product sizes and of how many
 worker threads (at most ``os.cpu_count()``, fewer when
 ``DMTLAB_THREADS`` asks for fewer) execute the chunks or in which order.
+The calling thread is one of them, so a sweep starts one thread fewer than
+it has workers, none at one: that saves a thread start and the fresh malloc
+arena a new thread faults in, a fixed 2-6 ms a sweep, in a process whose
+heap already holds freed memory (a library caller, a script, the
+benchmark's child), but not in a one-shot CLI run, whose heap holds none.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -73,7 +80,7 @@ PAIR_CAP = 10_000_000
 # peak RSS of the benchmark's outage commands (n = 2, m = 1) from 43 to
 # 59 MB (real) and from 42 to 47 MB (quaternion).  A block also pays a fixed
 # cost, about 100 short numpy calls at quaternion n = 2 between which two
-# pool workers trade the interpreter lock, so blocks are long, short of
+# workers trade the interpreter lock, so blocks are long, short of
 # where their temporaries fault more pages.  The size was 8192 while
 # quaternion outage blocks of 12,288 rows or more crossed glibc's dynamic
 # trim threshold, so that every chunk faulted its pages in again
@@ -162,8 +169,12 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     weighting, SNR grid (empty, or a point whose rho is not in (0, RHO_MAX]),
     trial count or trial total, or a largest chunk over ARRAY_BUDGET_BYTES,
     is rejected before any substream or counter (or codebook) is made.
-    Every chunk of every point runs in one pool, largest first (in turn on
-    this thread at one worker).
+    The chunks of every point form one task list, largest first, which
+    this thread and workers - 1 pool threads drain: each takes the next
+    task left until none is.  Counts are stored by task and summed in list
+    order.  An error in a task ends the sweep after the tasks already begun;
+    a pool thread's error is raised from its future once this thread's
+    drain is done.
     """
     threads = _thread_cap()
     if weighting not in WEIGHTINGS:
@@ -210,17 +221,38 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
         sizes = [chunk] * (t // chunk) + ([t % chunk] if t % chunk else [])
         tasks += [(point, st, size) for st, size in zip(stream.spawn(len(sizes)), sizes)]
     tasks.sort(key=lambda task: -task[2])
+    counts = [0] * len(tasks)
+    order, lock = iter(range(len(tasks))), threading.Lock()
 
-    def run(task):
-        point, stream, size = task
-        return _sum_blocks(size, counters[point](stream, size))
+    def drain():
+        """Take the next task index and run its task until none is left.  A
+        thread whose task raises first takes every index left, so that the
+        other threads stop after the task they run."""
+        try:
+            while True:
+                with lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                point, stream, size = tasks[i]
+                counts[i] = _sum_blocks(size, counters[point](stream, size))
+        finally:
+            with lock:
+                for _ in order:
+                    pass
 
+    # The calling thread is one of the workers.  Its heap already holds the
+    # memory that imports and set-up freed, where a new thread faults in a
+    # malloc arena of its own (about 1,000 pages at error-r0).  The pool
+    # starts a thread per submission, so none at one worker (max_workers
+    # must be >= 1), where a pool thread's arena would add 4-5 MB to the
+    # benchmark child's peak RSS.
     workers = min(threads, len(tasks))
-    if workers == 1:  # a pool thread's own malloc arena adds 2-4 MB to the peak RSS
-        counts = map(run, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run, tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
     events = [0] * len(snr_db)
     for (point, _, _), count in zip(tasks, counts):
         events[point] += count
@@ -459,7 +491,7 @@ DECODE_BUDGET_BYTES = 64 * 2**20
 # OpenBLAS runs it on the calling thread: numpy's scipy-openblas 0.3.31
 # kept (M, 16) @ (16, 16) at a CPU/wall ratio of 1.00 up to M = 1536 and
 # woke its own threads from M = 2048 (2^19), which then took the CPUs of
-# the pool's other workers.  The quaternion n = 2 product is (M, 5) @ (5, 16)
+# the sweep's other workers.  The quaternion n = 2 product is (M, 5) @ (5, 16)
 # at |C| = 16, which this allows 3276 rows; its 8-feature form (M, 8) @
 # (8, 16) kept a ratio of 1.00 on a 2-vCPU box up to M = 6144 and woke
 # threads at M = 8192.  A sub-batch keeps at least 64 rows, so a large

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -1113,9 +1116,10 @@ def test_outage_at_the_largest_snr_runs_clean(mode):
 
 @pytest.mark.parametrize("env,workers", [("5000", 3), ("2", 2), ("", 3)])
 def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
-    # a stand-in executor records the pool size and runs the tasks in turn,
-    # so no thread is started
-    seen = []
+    # a stand-in executor records the pool size and its submissions and runs
+    # each at once, so no thread is started; the calling thread is the last
+    # worker, so the pool gets one submission fewer than there are workers
+    seen, submitted = [], []
 
     class Recorder:
         def __init__(self, max_workers):
@@ -1127,8 +1131,11 @@ def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return list(map(fn, tasks))
+        def submit(self, fn):
+            submitted.append(fn)
+            done = Future()
+            done.set_result(fn())
+            return done
 
     monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
@@ -1136,7 +1143,80 @@ def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
     monkeypatch.setenv("DMTLAB_THREADS", env)
     cfg = SystemConfig("real", n=2, m=1, r=0.5)
     est = estimate_outage(cfg, [10.0, 13.0], 3000, 7)
-    assert seen == [workers] and est.trials == (3000, 3000)
+    assert seen == [workers] and len(submitted) == workers - 1
+    assert est.trials == (3000, 3000)
+
+
+def _chunk_draws(monkeypatch, raise_on=None):
+    """Record (spawn key, thread) of each chunk that `channel.draw_real`
+    draws.  With `raise_on` ("caller" or "helper") set, the first chunk drawn
+    on that kind of thread raises; the calling thread first waits until a
+    helper has begun a chunk, where one runs."""
+    seen = []
+    helper_began = threading.Event()
+    draw_real, calling = channel.draw_real, threading.get_ident()
+
+    def draw(st, shape):
+        caller = threading.get_ident() == calling
+        if not caller:
+            helper_began.set()
+        elif sim._thread_cap() > 1:
+            assert helper_began.wait(60)
+        if raise_on == ("caller" if caller else "helper") and not any(
+                t == threading.get_ident() for _, t in seen):
+            raise ArithmeticError(f"chunk on the {raise_on} thread")
+        seen.append((st.bit_generator.seed_seq.spawn_key, threading.get_ident()))
+        return draw_real(st, shape)
+
+    monkeypatch.setattr(channel, "draw_real", draw)
+    return seen
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Threads trade the interpreter lock every microsecond, not every 5 ms,
+    so that the sweep's threads interleave often while they take tasks."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads,raise_on", [("1", "caller"), ("2", "caller"),
+                                              ("2", "helper")])
+def test_failing_chunk_raises_from_the_sweep(monkeypatch, short_switch_interval, threads,
+                                             raise_on):
+    # a chunk that raises, on the calling thread or on a pool thread, ends
+    # the sweep with its error, and the other thread takes no new chunk
+    # after it: of the 32 chunks, about 1 runs (31 if the other went on)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("DMTLAB_THREADS", threads)
+    _set_chunks(monkeypatch, 500)
+    seen = _chunk_draws(monkeypatch, raise_on)
+    with pytest.raises(ArithmeticError, match=f"on the {raise_on} thread"):
+        estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), [10.0, 14.0], 8000, 3)
+    assert len(seen) < 16
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_every_chunk_runs_once(monkeypatch, short_switch_interval, threads):
+    # each chunk of every point runs exactly once, on the calling thread or
+    # on one of threads - 1 others, with the events of a one-thread sweep
+    # (four threads on a 2-vCPU box: more workers than cores)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    _set_chunks(monkeypatch, 300)
+    cfg = SystemConfig("real", n=2, m=1, r=0.5)
+    args = ([10.0, 13.0, 16.0], [7100, 4300, 2900], 7)
+    monkeypatch.setenv("DMTLAB_THREADS", "1")
+    one = estimate_outage(cfg, *args)
+    monkeypatch.setenv("DMTLAB_THREADS", threads)
+    seen = _chunk_draws(monkeypatch)
+    many = estimate_outage(cfg, *args)
+    keys = sorted(key for key, _ in seen)
+    assert keys == sorted((p, c) for p, t in enumerate(args[1]) for c in range(-(-t // 300)))
+    ran_on = {t for _, t in seen}
+    assert threading.get_ident() in ran_on and 1 < len(ran_on) <= int(threads)
+    assert many.events == one.events
 
 
 def test_error_flavor_mode_mismatch():
