@@ -186,19 +186,15 @@ def _cmd_wishart(args):
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     _check_seed(args.seed)
     cfg = SystemConfig(mode=args.mode, n=args.n, m=args.m)
-    rng = np.random.default_rng(args.seed)
-    if cfg.mode == "real":
-        lam = sim.sample_wishart_real_batch(cfg.n, cfg.m, args.samples, rng)
-        expected = float(cfg.m * cfg.n)
-        observed = float(lam.sum(axis=1).mean())
-        count_ok = lam.shape[1] == min(2 * cfg.m, cfg.n)
-        extra = {}
-    else:
-        lam = sim.sample_wishart_quaternion_batch(cfg.p, cfg.m, args.samples, rng)
-        expected = float(2 * cfg.m * cfg.n)  # E tr H^dag H of the 2m x 2p lift
-        observed = float(2.0 * lam.sum(axis=1).mean())
-        count_ok = lam.shape[1] == min(cfg.m, cfg.p)
-        extra = {"pairing_checked": True}
+    # each distinct quaternion eigenvalue is a double one of the 2m x 2p lift,
+    # whose trace has E tr H^dag H = 2 m n; the real 2m x n one has m n
+    mult = 1 if cfg.mode == "real" else 2
+    sample = sim.sample_wishart_real_batch if mult == 1 else sim.sample_wishart_quaternion_batch
+    lam = sample(cfg.n // mult, cfg.m, args.samples, np.random.default_rng(args.seed))
+    expected = float(mult * cfg.m * cfg.n)
+    observed = float(mult * lam.sum(axis=1).mean())
+    count_ok = mult * lam.shape[1] == min(2 * cfg.m, cfg.n)
+    extra = {} if mult == 1 else {"pairing_checked": True}
     rel_err = abs(observed - expected) / expected
     report = {"mode": args.mode, "n": args.n, "m": args.m,
               "samples": args.samples, "seed": args.seed,

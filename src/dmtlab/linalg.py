@@ -144,10 +144,11 @@ def adjoint(x, out=None):
     return out
 
 
-def sq_norms(x):
+def sq_norms(x, out=None):
     """(N,) squared norms, on real parts, of the matrices of a real (N, i, j)
-    stack or of quaternion (4, N, i, j) parts."""
-    return np.einsum("abij,abij->b" if x.ndim == 4 else "bij,bij->b", x, x)
+    stack or of quaternion (4, N, i, j) parts, written into `out` when
+    given."""
+    return np.einsum("abij,abij->b" if x.ndim == 4 else "bij,bij->b", x, x, out=out)
 
 
 def logdet_pd(g):

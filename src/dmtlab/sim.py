@@ -16,25 +16,31 @@ slope to the summed integer events
 (`fit_slope`, NaN below two usable SNRs); an estimator supplies only its
 per-point event counter, which draws a chunk whole in the shape
 `SystemConfig.block_shape` gives and returns the events of any rows of it,
-and the bytes of a row of its widest array.  The driver takes every chunk
-in equal blocks of at most `BLOCK_ROWS` rows (`_sum_blocks`), whose
-temporaries the allocator reuses from block to block (and from chunk to
-chunk, once `_sweep` has raised glibc's trim threshold) and whose fixed cost
-in numpy calls is spread over as many rows as that memory allows.  The ML
-decoder works in the code's own algebra: channel, noise, Grams and
-codewords stay real matrices, or quaternion matrices as their four real
-parts (`linalg.bmm` multiplies both), never lifted to complex ones (the
-screen lifts a p x p quaternion Gram for its log-determinant).  The
-error counter forms each block's Gram G = H^* H once (on one quaternion
-column, p = 1 as in every quaternion code at n = 2, the real number
-||H||^2).  It first screens the block's rows on G (`_screen`): a row whose
-noise lies inside the code's packing radius, by a margin that rounding
-cannot cross, decides its sent word and is skipped, so the screen changes
-no event.  It scores the other rows against the whole codebook on
-[G | s G X + H^* W], from G, H, the noise W and the sent word X, with real
-matrix products (`_ml_decode`), `_decode_rows` rows each, small enough that
-OpenBLAS runs them on the calling thread (DECODE_MACS); no received block
-is formed.
+and the bytes of a row of its widest array.  That price is stated once, from
+the block shape (`_row_bytes`): 8 times the larger of a drawn row's entries
+and the reals of the widest array derived from a row, the Gram of
+`channel.gram` (outage, and the Wishart samplers, whose one draw is priced
+alike) or the decoder's 2 n^2 (ML error), so a budget refuses no input
+whose arrays fit it.  The driver takes every chunk in equal blocks of at
+most `BLOCK_ROWS` rows (`_sum_blocks`), whose temporaries the allocator
+reuses from block to block, and from chunk to chunk since `_sweep` raises
+glibc's trim threshold, and whose fixed cost in numpy calls is spread over
+as many rows as that memory allows.  The ML decoder works in the code's own
+algebra: channel, noise, Grams and codewords stay real matrices, or
+quaternion matrices as their four real parts (`linalg.bmm` multiplies
+both), never lifted to complex ones (the screen lifts a p x p quaternion
+Gram for its log-determinant).  The error counter forms each block's Gram
+G = H^* H once (`_gram`: on one quaternion column, p = 1 as in every
+quaternion code at n = 2, the real number ||H||^2).  It first screens the
+block's rows on G (`_screen`): a row whose noise lies inside the code's
+packing radius, by a margin that rounding cannot cross, decides its sent
+word and is skipped, so the screen changes no event.  It scores the other
+rows against the whole codebook on [G | s G X + H^* W], from G, H, the
+noise W and the sent word X, with real matrix products (`_ml_decode`),
+`_decode_rows` rows each, small enough that OpenBLAS runs them on the
+calling thread (DECODE_MACS); no received block is formed.  The rows' and
+the codewords' features share one layout (`_feature_array`), so that their
+product is the metric.
 
 Determinism: every sweep takes a root generator (or integer seed) and
 derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
@@ -76,19 +82,15 @@ PAIR_CAP = 10_000_000
 # BLOCK_ROWS) blocks whose sizes differ by at most one row: a 50,000-row
 # error chunk into 4 of 12,500, a 100,000-row outage chunk into 7 of about
 # 14,286.  The blocks bound the memory of the temporaries, which the
-# allocator then reuses from block to block: whole-chunk rates raised the
+# allocator then reuses from block to block: whole-chunk rates raise the
 # peak RSS of the benchmark's outage commands (n = 2, m = 1) from 43 to
 # 59 MB (real) and from 42 to 47 MB (quaternion).  A block also pays a fixed
 # cost, about 100 short numpy calls at quaternion n = 2 between which two
-# workers trade the interpreter lock, so blocks are long, short of
-# where their temporaries fault more pages.  The size was 8192 while
-# quaternion outage blocks of 12,288 rows or more crossed glibc's dynamic
-# trim threshold, so that every chunk faulted its pages in again
-# (15,000-17,000 minor faults per 1M-trial command); today's rate
-# temporaries do not: that command faulted 1,984 pages at 16384 rows, 1,994
-# at the old 8192-row split and 2,528 at 32768 (after import, at one
-# thread), before `_sweep` raised those thresholds.  Events do not depend
-# on it.
+# workers trade the interpreter lock, so blocks are as long as they can be
+# short of where their temporaries fault more pages: under glibc's default
+# trim threshold a 1M-trial quaternion outage command faulted 1,984 pages at
+# 16384 rows, 1,994 at 8192 and 2,528 at 32768 (after import, at one
+# thread).  Events do not depend on it.
 BLOCK_ROWS = 16384
 
 # Trials one sweep may run, summed over its SNR points: every chunk's
@@ -146,6 +148,21 @@ def _check_array_bytes(rows, row_bytes, flag):
     if rows * row_bytes > ARRAY_BUDGET_BYTES:
         raise ResourceLimitError(f"{flag}: {rows} rows of {row_bytes} bytes exceed "
                                  f"the array budget {ARRAY_BUDGET_BYTES}")
+
+
+def _row_bytes(cfg, derived):
+    """Bytes a row of the widest array a sweep or sampler holds: 8 times the
+    larger of a drawn row's entries (`SystemConfig.block_shape`) and the
+    `derived` reals of the widest array it computes from one row."""
+    return 8 * max(math.prod(cfg.block_shape(1)), derived)
+
+
+def _gram_row_bytes(cfg):
+    """`_row_bytes` where the widest derived array is the Gram `channel.gram`
+    forms on the smaller side l of a block: l^2 reals, or for quaternion
+    blocks the 2l x 2l complex lift, 8 l^2 reals."""
+    l = min(cfg.block_shape(1)[-2:])
+    return _row_bytes(cfg, l * l if cfg.mode == "real" else 8 * l * l)
 
 
 def _sum_blocks(size, events):
@@ -266,8 +283,9 @@ def sample_wishart_real_batch(n, m, count, rng):
     """Nonzero eigenvalues of H^T H for `count` stacked-real 2m x n channels
     with N(0, 1/2) entries (descending rows of min(2m, n) values of the Gram
     `channel.gram` takes on the smaller side of H)."""
-    _check_array_bytes(count, 16 * m * n, "--samples")
-    lam = np.linalg.eigvalsh(channel.gram(channel.draw_real(rng, (count, 2 * m, n))))
+    cfg = channel.SystemConfig("real", n, m)
+    _check_array_bytes(count, _gram_row_bytes(cfg), "--samples")
+    lam = np.linalg.eigvalsh(channel.gram(channel.draw_real(rng, cfg.block_shape(count))))
     return lam[:, ::-1]
 
 
@@ -279,8 +297,9 @@ def sample_wishart_quaternion_batch(p, m, count, rng):
     `channel.gram` takes on the smaller side of H; a pairing gap beyond 1e-8
     relative to the top eigenvalue is a fault.
     """
-    _check_array_bytes(count, 32 * p * max(2 * m, 2 * p), "--samples")
-    lam = np.linalg.eigvalsh(channel.gram(channel.draw_real(rng, (4, count, m, p))))[:, ::-1]
+    cfg = channel.SystemConfig("quaternion", 2 * p, m)
+    _check_array_bytes(count, _gram_row_bytes(cfg), "--samples")
+    lam = np.linalg.eigvalsh(channel.gram(channel.draw_real(rng, cfg.block_shape(count))))[:, ::-1]
     top, bot = lam[:, 0::2], lam[:, 1::2]
     if np.any((top - bot) > 1e-8 * np.maximum(lam[:, :1], 1e-30)):
         raise RuntimeError("quaternionic eigenvalue pairing violated")
@@ -462,21 +481,19 @@ def estimate_outage(cfg, snr_grid_db, trials, rng, weighting="events"):
     dB higher, against the threshold at rho, and the slope is the same.
     `trials` is one count for every SNR point or one per point.
     """
-    mode, n, m = cfg.mode, cfg.n, cfg.m
-    row_bytes = 16 * m * max(n, 2 * m) if mode == "real" else 16 * n * max(2 * m, n)
-
-    rate = (channel.mutual_info_real_batch if mode == "real"
+    rate = (channel.mutual_info_real_batch if cfg.mode == "real"
             else channel.mutual_info_quaternion_batch)
 
     def counter(rho):
-        thresh = (1 if mode == "real" else 2) * cfg.r * math.log2(rho)
+        thresh = (1 if cfg.mode == "real" else 2) * cfg.r * math.log2(rho)
 
         def draw(st, size):
             h = channel.draw_real(st, cfg.block_shape(size))
             return lambda rows: np.count_nonzero(rate(h[..., rows, :, :], rho) <= thresh)
         return draw
 
-    return _sweep(snr_grid_db, trials, rng, OUTAGE_CHUNK, row_bytes, counter, weighting)
+    return _sweep(snr_grid_db, trials, rng, OUTAGE_CHUNK, _gram_row_bytes(cfg), counter,
+                  weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -504,34 +521,53 @@ ARRAY_BUDGET_BYTES = 128 * 2**20
 
 def _one_column(a):
     """Whether `a` holds the quaternion parts (4, N, ., 1) of one-column
-    blocks (p = 1), whose Gram H^* H = ||H||^2 is one real number a row."""
+    blocks (p = 1), whose Gram A^* A = ||A||^2 is one real number a row."""
     return a.ndim == 4 and a.shape[-1] == 1
+
+
+def _gram(a, out=None):
+    """The Gram A^* A of each block of a real (N, ., k) stack or of
+    quaternion (4, N, ., k) parts: on one quaternion column (`_one_column`)
+    the (N,) real numbers ||A||^2 (Alamouti's decoupling, IEEE JSAC 1998),
+    else `linalg.bmm`'s (N, k, k) stack or parts.  Written into `out` when
+    given."""
+    if _one_column(a):
+        return linalg.sq_norms(a, out=out)
+    return linalg.bmm(a, a, conj=True, out=out)
+
+
+def _feature_array(like, count):
+    """The (f, count) array of the real metric features of `count` blocks
+    laid out as `like` (a decoded block's rows, or codewords), one column a
+    block, and two views of it: the Gram rows, shaped as `_gram` returns
+    `count` Grams, and the linear rows, shaped as `count` k x k blocks, k
+    the columns of `like`.  On one quaternion column f = 5, one Gram number
+    over the four parts of a 1 x 1 block; otherwise f = 2 k^2, and both
+    views keep the count axis last in memory, as `linalg.bmm` writes."""
+    if _one_column(like):
+        feats = np.empty((5, count))
+        return feats, feats[0], feats[1:, :, None, None]
+    k = like.shape[-1]
+    feats = np.empty((2, *like.shape[:-3], k, k, count))
+    gram, lin = np.moveaxis(feats, -1, -3)
+    return feats.reshape(-1, count), gram, lin
 
 
 def _codeword_features(cparts, scale):
     """(f, |C|) real features of the codewords C sent at amplitude `scale`,
-    one column a word, laid out as `_ml_decode`'s row features.  `cparts`
-    holds real n x n words as an (|C|, n, n) stack or quaternion p x p words
-    as (4, |C|, p, p) parts.  A 1 x 1 quaternion word c (`_one_column`) has
-    the f = 5 features s^2 |c|^2 over the parts of -2 s c.  Otherwise f =
-    2 n^2: the parts of s^2 C C^* over those of -2 s C, where C^* is first
-    written where -2 s C goes, as both factors of C C^* = (C^*)^* C^*, so
-    beside the result only one |C|-vector of `linalg.bmm` is allocated."""
-    words = cparts.shape[-3]
-    if _one_column(cparts):
-        feats = np.empty((5, words))
-        np.multiply(linalg.sq_norms(cparts), scale ** 2, out=feats[0])
-        np.multiply(cparts[..., 0, 0], -2.0 * scale, out=feats[1:])
-        return feats
-    k = cparts.shape[-1]
-    feats = np.empty((2, *cparts.shape[:-3], k, k, words))
-    gram, lin = np.moveaxis(feats, -1, -3)  # the word axis last in memory
+    one column a word, laid out as `_ml_decode`'s row features
+    (`_feature_array`): the Grams s^2 C C^* over the parts of -2 s C.
+    `cparts` holds real n x n words as an (|C|, n, n) stack or quaternion
+    p x p words as (4, |C|, p, p) parts.  C^* is first written where -2 s C
+    goes, as both factors of C C^* = (C^*)^* C^*, so beside the result at
+    most one |C|-vector of `linalg.bmm` is allocated."""
+    feats, gram, lin = _feature_array(cparts, cparts.shape[-3])
     linalg.adjoint(cparts, out=lin)
-    linalg.bmm(lin, lin, conj=True, out=gram)
+    _gram(lin, out=gram)
     gram *= scale ** 2
     np.copyto(lin, cparts)  # a ufunc from cparts into the strided lin would buffer
     lin *= -2.0 * scale
-    return feats.reshape(-1, words)
+    return feats
 
 
 def _decode_rows(words, f):
@@ -546,33 +582,22 @@ def _ml_decode(h, g, w, x, scale, cword_feats):
     index on ties) for the received blocks y = s H X + W of the sent words
     X, at the amplitude s = `scale` that `cword_feats` was built for; H, W
     and X are real (N, ., .) stacks or (4, N, ., .) quaternion parts, and g
-    is the block's Gram G = H^* H, in the same layout or, on one quaternion
-    column (`_one_column`), the (N,) real numbers ||H||^2.
+    is the block's Gram G = H^* H as `_gram` returns it.
 
     ||y - s H C||^2 = ||y||^2 - 2s <H^* y, C> + s^2 <G, C C^*>, where
     <A, B> = Re tr(A^* B) is the dot product of the real parts (for
     quaternion matrices half that of their lifts), and H^* y = s G X + H^* W.
     ||y||^2 is the same for every codeword and dropped, so the metric is the
-    real product of the row features [G | s G X + H^* W] with `cword_feats`,
-    sub-batched under DECODE_MACS (64 rows at least) and
+    real product of the row features [G | s G X + H^* W] (`_feature_array`)
+    with `cword_feats`, sub-batched under DECODE_MACS (64 rows at least) and
     DECODE_BUDGET_BYTES; y is never formed.  On one column G is a real
-    number, and the features take 5 numbers (Alamouti's decoupling, IEEE
-    JSAC 1998); otherwise the 2 n^2 parts of the two matrices.
+    number and s G X the product (s ||H||^2) X.
     """
     batch = h.shape[-3]
-    if g.ndim == 1:
-        feats = np.empty((5, batch))
-        linalg.bmm(h, w, conj=True, out=feats[1:, :, None, None])
-        np.multiply(g, scale, out=feats[0])  # s ||H||^2, staged where ||H||^2 goes
-        feats[1:] += feats[0] * x[..., 0, 0]
-        feats[0] = g
-    else:
-        feats = np.empty((2, *g.shape[:-3], *g.shape[-2:], batch))  # [G | H^* y], G's shape
-        gram, hy = np.moveaxis(feats, -1, -3)  # the batch axis last in memory
-        np.copyto(gram, g)
-        linalg.bmm(h, w, conj=True, out=hy)
-        hy += scale * linalg.bmm(g, x)
-        feats = feats.reshape(-1, batch)
+    feats, gram, hy = _feature_array(h, batch)
+    np.copyto(gram, g)
+    linalg.bmm(h, w, conj=True, out=hy)
+    hy += (scale * g)[:, None, None] * x if g.ndim == 1 else scale * linalg.bmm(g, x)
     rows = _decode_rows(cword_feats.shape[1], len(feats))
     return np.concatenate([np.argmin(feats[:, lo:lo + rows].T @ cword_feats, axis=1)
                            for lo in range(0, batch, rows)])
@@ -693,12 +718,11 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     4), so before any chunk runs a zero-word codebook, or codebooks over the
     SHELL_CAP // rank words of one shell, fail.
     """
-    mode, n, m = cfg.mode, cfg.n, cfg.m
+    mode, n = cfg.mode, cfg.n
     flavor = "real" if mode == "real" else "quaternionic"
     if (lat.flavor, lat.ambient_n) != (flavor, n):
         raise ValueError(f"{mode} mode at --n={n} needs a {flavor} lattice of {n}x{n} "
                          f"codewords, not {lat.flavor} {lat.ambient_n}x{lat.ambient_n}")
-    row_bytes = (16 if mode == "real" else 32) * n * max(2 * m, n)
     fixed = functools.cache(lambda: fixed_codebook(lat))
     lam1 = functools.cache(lambda: minimum_norm(lat))
 
@@ -726,7 +750,7 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
 
             def errors(rows):
                 h, w, t = hs[..., rows, :, :], ws[..., rows, :, :], tx[rows]
-                g = linalg.sq_norms(h) if _one_column(h) else linalg.bmm(h, h, conj=True)
+                g = _gram(h)
                 keep = _screen(g, w, thresh)
                 if len(keep) < len(t):
                     if not len(keep):
@@ -738,4 +762,5 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
             return errors
         return draw
 
-    return _sweep(snr_grid_db, trials, rng, ERROR_CHUNK, row_bytes, counter, weighting)
+    return _sweep(snr_grid_db, trials, rng, ERROR_CHUNK, _row_bytes(cfg, 2 * n * n), counter,
+                  weighting)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmtlab import channel, lattice, linalg, sim
+from dmtlab import channel, lattice, sim
 from dmtlab.channel import SystemConfig, quaternionic_defect
 from dmtlab.linalg import frobenius_norm
 
@@ -179,7 +179,7 @@ def test_ml_decode_batch_last_inputs():
     for (m, p), cparts in (((2, 1), hamilton), ((1, 2), rng.standard_normal((4, 24, 2, 2)))):
         h, w = (channel.draw_real(rng, (4, 3000, m, p)) for _ in range(2))
         x = cparts[:, rng.integers(0, cparts.shape[1], 3000)]
-        gb = linalg.sq_norms(h) if p == 1 else linalg.bmm(h, h, conj=True)
+        gb = sim._gram(h)
         feats = sim._codeword_features(cparts, 2.0)
         hb, wb, xb = (np.moveaxis(np.moveaxis(a, 1, -1).copy(), -1, 1) for a in (h, w, x))
         assert not (hb.flags.c_contiguous or wb.flags.c_contiguous)

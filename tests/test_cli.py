@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from dmtlab import cli, dmt, lattice, sim
-from dmtlab.channel import SystemConfig
+from dmtlab.channel import MODES, SystemConfig
 from dmtlab.cli import _build_parser, run
 
 
@@ -386,14 +386,29 @@ def test_error_n_lattice_mismatch_exit_2(mode, name, n, capsys):
     (["outage", "--mode", "real", "--n", "40", "--m", "20", "--r", "0",
       "--snr-db", "10,20", "--trials", "1000000", "--seed", "1"], "--n/--m"),
     (["wishart-check", "--mode", "real", "--n", "2", "--m", "1",
-      "--samples", "100000000", "--seed", "1"], "--samples")])
+      "--samples", "100000000", "--seed", "1"], "--samples"),
+    (["outage", "--mode", "real", "--n", "2", "--m", "42", "--r", "0",
+      "--snr-db", "10", "--trials", "100000", "--seed", "1"], "--n/--m")])
 def test_monte_carlo_array_budget_exit_2(argv, flag, capsys):
-    # the benchmark's largest chunk (100k rows of 2 x 2 lifted complex
-    # blocks) fits the budget; these inputs need gigabytes and are
-    # rejected before any draw
+    # the benchmark's largest chunk (100k rows of 64 bytes: quaternion
+    # n = 2, m = 1 blocks, whose 2 x 2 complex Gram lift is the widest)
+    # fits the budget; these inputs are rejected before any draw: 84 x 2
+    # real blocks take 1,344 bytes a row, 134.4 MB a chunk, over 128 MiB
     assert 100_000 * 64 <= sim.ARRAY_BUDGET_BYTES
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,n,m", [("real", "2", "41"), ("quaternion", "16", "1")])
+def test_outage_priced_by_its_draw(mode, n, m, capsys):
+    # a chunk is priced by its widest array a row: the 82 x 2 real draw
+    # (1,312 bytes, 131.2 MB a chunk, under 128 MiB) over its 2 x 2 Gram,
+    # and the parts of 1 x 8 quaternion blocks (256 bytes) over their one
+    # lifted 2 x 2 Gram (64 bytes); neither forms the Gram on the larger side
+    assert run(["outage", "--mode", mode, "--n", n, "--m", m, "--r", "0",
+                "--snr-db", "10", "--trials", "100000", "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "10,0,100000," in out and not err
 
 
 HAMILTON_R05 = ["error", "--mode", "quaternion", "--lattice", "hamilton", "--n", "2",
@@ -627,6 +642,23 @@ def test_wishart_check_quaternion(tmp_path):
               "--samples", "50000", "--seed", "2", "--out", str(out)])
     assert rc == 0
     assert json.loads(read(out))["pass"] is True
+
+
+@pytest.mark.parametrize("mode,n,m,report", [
+    ("real", "4", "3",
+     '{"count_ok": true, "expected_trace": 12.0, "m": 3, "mean_trace": 11.913408983149441, '
+     '"mode": "real", "n": 4, "pass": true, "rel_err": 0.007215918070879883, '
+     '"samples": 2000, "seed": 7}\n'),
+    ("quaternion", "6", "2",
+     '{"count_ok": true, "expected_trace": 24.0, "m": 2, "mean_trace": 23.826817966298886, '
+     '"mode": "quaternion", "n": 6, "pairing_checked": true, "pass": true, '
+     '"rel_err": 0.007215918070879734, "samples": 2000, "seed": 7}\n')], ids=MODES)
+def test_wishart_check_report_pinned(mode, n, m, report, capsys):
+    # one seed's report, byte for byte, in both code classes: the smaller
+    # side of the real 6 x 4 blocks is n, of the quaternion 2 x 3 ones m
+    assert run(["wishart-check", "--mode", mode, "--n", n, "--m", m,
+                "--samples", "2000", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == report
 
 
 @pytest.mark.parametrize("mode,n,m", [("real", "2", "0"), ("real", "0", "1"),

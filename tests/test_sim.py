@@ -681,7 +681,7 @@ def test_metric_products_under_decode_macs(monkeypatch, snr_db, words):
     h, w = (channel.draw_real(rng, (4, 5000, 1, 1)) for _ in range(2))
     x = cparts[:, rng.integers(0, words, size=5000)]
     shapes = _spy_metric_rows(monkeypatch)
-    sim._ml_decode(h, _gram(h), w, x, 3.0, feats)
+    sim._ml_decode(h, sim._gram(h), w, x, 3.0, feats)
     assert sum(r for r, _ in shapes) == 5000 and len(shapes) > 1
     assert all(c == words and r * c * len(feats) < 2**19 for r, c in shapes)
 
@@ -766,12 +766,6 @@ SCREEN_CASES = [("quaternion", 2, 1, HAMILTON, 0.0), ("quaternion", 2, 1, HAMILT
 SCREEN_IDS = ["hamilton-r0", "hamilton-r0.5", "split-r0.5", "m2z", "split_pi", "p2"]
 
 
-def _gram(h):
-    """The Gram the error counter forms of a block: ||H||^2 on one
-    quaternion column, else H^* H."""
-    return linalg.sq_norms(h) if sim._one_column(h) else linalg.bmm(h, h, conj=True)
-
-
 def _keep_every_row(g, w, thresh):
     return np.arange(w.shape[-3])
 
@@ -838,7 +832,7 @@ def test_screened_rows_decide_the_sent_word(mode, n, m, lat, r):
     tx = rng.integers(0, len(cb.points), size=size)
     scale = math.sqrt(rho / n)
     thresh = sim._screen_threshold(cfg, rho, cb, lattice.minimum_norm(lat))
-    g = _gram(h)
+    g = sim._gram(h)
     keep = sim._screen(g, w, thresh)
     skipped = np.setdiff1d(np.arange(size), keep)
     got = sim._ml_decode(h, g, w, cparts.take(tx, axis=-3), scale,
@@ -899,7 +893,7 @@ def test_gram_floor_below_least_eigenvalue(mode, m, cols):
     near = slice(size // 2, None)
     if cols > 1:
         h[..., near, :, -1] = h[..., near, :, 0] * (1 + 1e-7 * h[..., near, :, -1])
-    lb = sim._gram_floor(_gram(h))
+    lb = sim._gram_floor(sim._gram(h))
     lifted = h if mode == "real" else channel.lift_parts(h)
     lam = np.linalg.eigvalsh(np.conj(lifted.swapaxes(-1, -2)) @ lifted)[:, 0]
     tr = linalg.sq_norms(h)
@@ -913,8 +907,8 @@ def test_gram_floor_zero_for_singular_gram():
     # fewer rows than columns: H^* H is singular and no row is screened
     rng = np.random.default_rng(3)
     h, w = (channel.draw_real(rng, (500, 2, 3)) for _ in range(2))
-    assert not np.any(sim._gram_floor(_gram(h)))
-    assert len(sim._screen(_gram(h), 0.0 * w, 1e6)) == 500
+    assert not np.any(sim._gram_floor(sim._gram(h)))
+    assert len(sim._screen(sim._gram(h), 0.0 * w, 1e6)) == 500
 
 
 def _bruteforce_decode(h, y, scale, cwords):
@@ -946,7 +940,7 @@ def test_ml_decode_matches_bruteforce(mode, name, r):
     scale = math.sqrt(rho / n)
     x = cparts[..., tx, :, :]
     y = channel.receive(h, x, scale, w)
-    got = sim._ml_decode(h, _gram(h), w, x, scale, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, sim._gram(h), w, x, scale, sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, cwords))
     np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
     assert np.sum(got != tx) > 50
@@ -982,7 +976,7 @@ def test_one_column_decisions_equal_gram_hy_decode(m, snr_db, r):
     h, w = (channel.draw_real(rng, (4, sim.ERROR_CHUNK, m, 1)) for _ in range(2))
     tx = rng.integers(0, len(cb.points), size=sim.ERROR_CHUNK)
     x = cparts.take(tx, axis=-3)
-    got = sim._ml_decode(h, _gram(h), w, x, scale, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, sim._gram(h), w, x, scale, sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _gram_hy_decode(h, w, x, scale, cparts))
     assert np.sum(got != tx) > 100
 
@@ -1000,7 +994,7 @@ def test_gram_decisions_equal_gram_hy_decode(mode, n, m, lat, r):
     h, w = (channel.draw_real(rng, shape) for _ in range(2))
     tx = rng.integers(0, len(cb.points), size=sim.ERROR_CHUNK)
     x = cparts.take(tx, axis=-3)
-    got = sim._ml_decode(h, _gram(h), w, x, scale, sim._codeword_features(cparts, scale))
+    got = sim._ml_decode(h, sim._gram(h), w, x, scale, sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _gram_hy_decode(h, w, x, scale, cparts))
     assert np.sum(got != tx) > 100
 
@@ -1030,7 +1024,7 @@ def test_ml_decode_matches_bruteforce_p2(m):
     w[:, : size // 2] = 0.0
     tx = rng.integers(0, 24, size=size)
     y = channel.receive(h, cparts[:, tx], scale, w)
-    got = sim._ml_decode(h, _gram(h), w, cparts[:, tx], scale,
+    got = sim._ml_decode(h, sim._gram(h), w, cparts[:, tx], scale,
                          sim._codeword_features(cparts, scale))
     np.testing.assert_array_equal(got, _bruteforce_decode(lift(h), lift(y), scale, lift(cparts)))
     np.testing.assert_array_equal(got[: size // 2], tx[: size // 2])
@@ -1243,7 +1237,7 @@ def test_error_n_lattice_mismatch(monkeypatch, mode, lat, n, r):
     (lambda *a: estimate_outage(SystemConfig("real", n=2, m=1), *a), 32),
     (lambda *a: estimate_outage(SystemConfig("quaternion", n=2, m=1), *a), 64),
     (lambda *a: estimate_error_prob(SPLIT, SystemConfig("real", n=2, m=1), *a), 64),
-    (lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1), *a), 128)],
+    (lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1), *a), 64)],
     ids=["outage-real", "outage-quaternion", "error-real", "error-quaternion"])
 def test_sweep_array_budget(monkeypatch, estimate, row_bytes):
     # the largest chunk (here 700 rows) must fit ARRAY_BUDGET_BYTES; at the
@@ -1270,6 +1264,64 @@ def test_wishart_array_budget(monkeypatch):
         sim.sample_wishart_real_batch(2, 1, 1001, rng)
     with pytest.raises(lattice.ResourceLimitError, match="--samples"):
         sim.sample_wishart_quaternion_batch(1, 1, 501, rng)
+
+
+def _price_run(kind, cfg, rows):
+    """Run one sweep of `rows` trials at one SNR point, or one Wishart draw of
+    `rows` samples, for `cfg`; error sweeps use a lattice of cfg.n x cfg.n
+    words: hamilton or split at n = 2, else M_n(Z) or the quaternion M_2."""
+    if kind == "outage":
+        return estimate_outage(cfg, [10.0], rows, 4)
+    if kind == "error":
+        if cfg.n == 2:
+            lat = SPLIT if cfg.mode == "real" else HAMILTON
+        elif cfg.mode == "real":
+            lat = lattice.matrix_lattice(np.eye(cfg.n ** 2).reshape(-1, cfg.n, cfg.n), "real")
+        else:
+            lat = _quaternion_matrix_lattice()
+        return estimate_error_prob(lat, cfg, [10.0], rows, 4)
+    if cfg.mode == "real":
+        return sim.sample_wishart_real_batch(cfg.n, cfg.m, rows, np.random.default_rng(4))
+    return sim.sample_wishart_quaternion_batch(cfg.p, cfg.m, rows, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("mode,n,m", [("real", 2, 2), ("real", 2, 1), ("real", 3, 1),
+                                      ("quaternion", 2, 2), ("quaternion", 2, 1),
+                                      ("quaternion", 4, 1)])
+@pytest.mark.parametrize("kind", ["outage", "error", "wishart"])
+def test_array_price_matches_the_draw(monkeypatch, kind, mode, n, m):
+    # each run is priced at 8 bytes times the larger of a drawn row's entries
+    # and the reals of the widest array derived from a row: the Gram on the
+    # smaller side l of a block (l x l, or for quaternion blocks the
+    # 2l x 2l complex lift) in outage sweeps and Wishart draws, and in error
+    # sweeps the 2 n^2 of the decoder's features and of the lifted Gram of
+    # the screen.  So the price is at least the drawn bytes of a row, and
+    # equal to them where no derived array is wider.  A budget of exactly
+    # rows x price passes, one byte less refuses the run before any draw;
+    # at n < 2m, n = 2m and n > 2m
+    cfg, rows = SystemConfig(mode, n=n, m=m), 300
+    drawn = []
+    draw_real = channel.draw_real
+
+    def spy(rng, shape):
+        drawn.append(shape)
+        return draw_real(rng, shape)
+
+    monkeypatch.setattr(channel, "draw_real", spy)
+    _price_run(kind, cfg, rows)
+    assert drawn and set(drawn) == {cfg.block_shape(rows)}
+    row = 8 * math.prod(drawn[0]) // rows
+    l = min(2 * m, n) if mode == "real" else min(m, n // 2)
+    derived = 2 * n * n if kind == "error" else l * l if mode == "real" else 8 * l * l
+    price = max(row, 8 * derived)
+    monkeypatch.setattr(sim, "ARRAY_BUDGET_BYTES", rows * price)
+    _price_run(kind, cfg, rows)
+    monkeypatch.setattr(sim, "ARRAY_BUDGET_BYTES", rows * price - 1)
+    drawn.clear()
+    flag = "--samples" if kind == "wishart" else "--n/--m"
+    with pytest.raises(lattice.ResourceLimitError, match=flag):
+        _price_run(kind, cfg, rows)
+    assert not drawn
 
 
 @pytest.mark.parametrize("estimate", [
