@@ -1,16 +1,19 @@
 """MIMO channel model, its stacked-real and quaternionic equivalents,
-and their mutual informations.
+and the outage rate of both.
 
 Conventions fixed here and used everywhere else:
   * received block  Y = sqrt(rho/n) H X + W, noise entries unit variance;
-  * rates in bits (log base 2), so a rate threshold is r*log2(rho);
+  * rates in bits (log base 2);
+  * one outage event for both code classes (the outage formulation of
+    Zheng and Tse, IEEE Trans. IT 2003): log2 det(I + c G) <= 2 r log2 rho
+    (`log2_det_eye_plus`), G the Gram of the stacked-real channel (bound
+    d1) or of the lifted quaternionic one (bound d2);
   * the quaternionic equivalent channel also carries the 1/sqrt(n) factor
-    of `receive` into the ML-error sweeps.  The outage rates do not
-    share one convention: the real rate takes rho/n, the quaternion rate
-    (`mutual_info_quaternion_batch`, as `sim.estimate_outage` calls it)
-    takes rho.  A quaternion outage curve at rho thus has the rate of the
-    1/sqrt(n) convention at n rho, 10 log10(n) dB higher, against the
-    threshold of rho; the fitted slopes do not change.
+    of `receive` into the ML-error sweeps.  The outage event does not:
+    `sim.estimate_outage` takes c = rho/n for real codes and c = rho for
+    quaternionic ones.  A quaternion outage curve at rho thus has the rate
+    of the 1/sqrt(n) convention at n rho, 10 log10(n) dB higher, against
+    the threshold of rho; the fitted slopes do not change.
 
 `SystemConfig` alone validates a run's mode, antenna counts and gain.
 
@@ -18,10 +21,10 @@ Each channel computation is defined once, on a leading batch axis, and the
 Monte Carlo estimators in `sim` call it.  Draws consume the generator in a
 fixed order: h before w, the real part of a block before its imaginary part.
 A run's draw shape is `SystemConfig.block_shape`.  `gram` alone forms the
-channel Gram behind a rate or a spectrum, on the smaller side of H: both
-mutual informations are log-determinants of I + c G at the identity input
-covariance, the one behind the outage event of both bounds, taken with no
-eigensolver, and the Wishart samplers of `sim` take eigenvalues of G.
+channel Gram behind a rate or a spectrum, on the smaller side of H: the
+outage rate is the log-determinant of I + c G at the identity input
+covariance, taken with no eigensolver, and the Wishart samplers of `sim`
+take eigenvalues of G.
 Quaternion blocks are drawn as their real parts (`draw_real` of a
 (4, N, m, p) array) and every consumer keeps them so: `receive` and `gram`
 multiply parts, and only `gram` lifts, and only the l x l Gram, to a
@@ -37,7 +40,6 @@ import numpy as np
 
 from .linalg import adjoint, as_matrix, bmm, logdet_pd, sq_norms
 
-LOG2 = np.log(2.0)
 # The two code classes: real (bound d1) and quaternionic (bound d2).
 MODES = ("real", "quaternion")
 
@@ -142,34 +144,25 @@ def gram(h):
     same nonzero eigenvalues (Sylvester).  A quaternion Gram, l x l with
     l = min(a, b), is lifted to a complex (N, 2l, 2l) stack (`lift_parts`);
     H itself never is.  Batch axis last in memory (`linalg.bmm`)."""
-    if h.shape[-2] <= h.shape[-1]:  # H H^* = (H^*)^* H^*
-        h = adjoint(h)
-    g = bmm(h, h, conj=True)
+    g = bmm(h, adjoint(h)) if h.shape[-2] <= h.shape[-1] else bmm(adjoint(h), h)
     return lift_parts(g) if g.ndim == 4 else g
 
 
-def _logdet_eye_plus(g, c):
-    """log det(I + c G) per Gram G of a `gram` stack, formed in place on G."""
+def log2_det_eye_plus(h, c):
+    """log2 det(I + c G) per channel of a real (N, a, b) stack or of quaternion
+    (4, N, a, b) parts, G its `gram`: the rate of the outage event of both
+    code classes at the identity input covariance.  Of a stacked-real 2m x n
+    channel it is twice the real mutual information at c = rho/n; of a lifted
+    channel it is 2 sum log2(1 + c lambda_i) over the distinct Gram
+    eigenvalues, with no pairing assumed.  With one quaternion on the smaller
+    side of H (m or p = 1) the lifted Gram is (|M1|^2 + |M2|^2) I, so the
+    rate is 2 log2(1 + c ||H||^2), with no lift and no elimination."""
+    if h.ndim == 4 and min(h.shape[2:]) == 1:
+        return 2.0 * np.log2(1.0 + c * sq_norms(h))
+    g = gram(h)
     g *= c
     g += np.eye(g.shape[1])
-    return logdet_pd(g)
-
-
-def mutual_info_real_batch(h, rho):
-    """0.5 * log2 det(I + (rho/n) H H^T) per stacked-real channel (identity
-    input covariance), n being the column count of H."""
-    return _logdet_eye_plus(gram(h), rho / h.shape[2]) / (2.0 * LOG2)
-
-
-def mutual_info_quaternion_batch(parts, rho):
-    """log2 det(I + rho H^dag H) per lifted channel H = lift_parts(parts), that
-    is 2 sum log2(1 + rho lambda_i) over the distinct Gram eigenvalues, with
-    no pairing assumed.  With one quaternion on the smaller side of H (m or
-    p = 1) the Gram is (|M1|^2 + |M2|^2) I, which needs no lift and no
-    elimination."""
-    if min(parts.shape[2:]) == 1:
-        return 2.0 * np.log2(1.0 + rho * sq_norms(parts))
-    return _logdet_eye_plus(gram(parts), rho) / LOG2
+    return logdet_pd(g) / np.log(2.0)
 
 
 def quaternionic_defect(m):

@@ -5,18 +5,19 @@ plain numpy arrays; this module owns the few primitives whose behavior we
 need to control precisely: finite-matrix coercion, an order-independent
 Frobenius norm, a square-checked determinant of one matrix or of an
 (N, n, n) stack, and two batch-axis kernels for stacks of small matrices,
-`bmm` (product) and `logdet_pd` (log-determinant), used by the real and
-quaternionic mutual information, the received blocks and the decoder's
-metric features of the ML-error sweep.  `bmm` multiplies real or complex
+`bmm` (product) and `logdet_pd` (log-determinant), used by the outage
+rate of both code classes, the received blocks and the decoder's metric
+features of the ML-error sweep.  `bmm` multiplies real or complex
 matrices, or quaternion matrices held as their four real parts, so the
 ML-error sweep decodes in the code's own algebra with no complex lift.
 numpy's stacked routines pay a fixed dispatch per matrix, which for 2x2
 matrices outweighs the arithmetic many times over; the kernels instead run
 one vector operation over the batch axis per matrix entry.  Other products
 and eigenvalues come straight from numpy.  Two rules of those stacks live
-here too, for every layer: `adjoint`, the conjugate transpose (of quaternion
-parts it negates parts 1-3), and `sq_norms`, the squared norm of each matrix
-on its real parts.
+here too, for every layer: `adjoint`, the one conjugate transpose (of
+quaternion parts it negates parts 1-3), which a product A^* B takes as
+bmm(adjoint(a), b), and `sq_norms`, the squared norm of each matrix on its
+real parts.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ def determinant(m):
 # The product of quaternion matrices (A1, A2)(B1, B2) = (A1 B1 - A2 conj(B2),
 # A1 B2 + A2 conj(B1)), written on their real parts (Re A1, Im A1, Re A2,
 # Im A2): per output part, its four (left part, right part, sign) terms.
-# Each part's first term has left part 0, which the conjugate leaves
-# positive, and mirrored terms (s, t), (t, s) are adjacent, so that when A
-# has one row the parts of the diagonal of A^* A that vanish come out
-# exactly 0.  With more rows each term is summed over the rows before its
+# Each part's first term has left part 0, which `adjoint` does not negate,
+# and mirrored terms (s, t), (t, s) are adjacent, so that when A has one row
+# the parts of the diagonal of A^* A = bmm(adjoint(A), A) that vanish come
+# out exactly 0.  With more rows each term is summed over the rows before its
 # mirror is subtracted, and those parts keep the rounding residue.  The
 # plain product of one stack is the one-part case.
 PART_TERMS = {
@@ -83,29 +84,25 @@ PART_TERMS = {
 }
 
 
-def bmm(a, b, conj=False, out=None):
+def bmm(a, b, out=None):
     """a @ b for real or complex (N, i, j) and (N, j, k) stacks, or the
     quaternion product of real (4, N, i, j) and (4, N, j, k) stacks of parts
     (Re M1, Im M1, Re M2, Im M2), the layout `channel.lift_parts` lifts.
 
-    conj=True multiplies by the conjugate transpose of each left matrix, of
-    a real (j, i) stack or of (4, N, j, i) parts.  Each output entry is one
-    multiply and then one signed add per further term (`PART_TERMS`) and
-    inner index, each a vector operation over the batch axis, terms in table
-    order and inner indices ascending, so every entry of a one-part product
-    is rounded exactly as the plain ascending sum of its products.  The
-    result is written into `out` when given, else into a new array with the
-    batch axis last in memory.
+    A product with a conjugate transpose is bmm(adjoint(a), b).  Each output
+    entry is one multiply and then one signed add per further term
+    (`PART_TERMS`) and inner index, each a vector operation over the batch
+    axis, terms in table order and inner indices ascending, so every entry
+    of a one-part product is rounded exactly as the plain ascending sum of
+    its products.  The result is written into `out` when given, else into a
+    new array with the batch axis last in memory.
     """
     one = a.ndim == 3
     if one:
         a, b = a[None], b[None]
-    if conj:
-        a = a.swapaxes(2, 3)
     if (a.ndim != 4 or b.ndim != 4 or len(a) not in PART_TERMS or a.shape[:2] != b.shape[:2]
-            or (conj and a.dtype.kind == "c") or a.shape[3] != b.shape[2] or a.shape[3] < 1):
-        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}"
-                         f"{' (conj)' if conj else ''}")
+            or a.shape[3] != b.shape[2] or a.shape[3] < 1):
+        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}")
     parts, batch, rows, inner = a.shape
     if out is None:
         # batch axis last in memory, so that each entry is one contiguous vector
@@ -118,7 +115,7 @@ def bmm(a, b, conj=False, out=None):
             for q in range(b.shape[3]):
                 entry = out[:, p, q] if one else out[r, :, p, q]
                 for s, t, sign in terms:
-                    add = np.subtract if sign * (-1 if conj and s else 1) < 0 else np.add
+                    add = np.subtract if sign < 0 else np.add
                     for j in range(inner):
                         if s == 0 and j == 0:
                             np.multiply(a[s, :, p, j], b[t, :, j, q], out=entry)
@@ -130,10 +127,13 @@ def bmm(a, b, conj=False, out=None):
 
 def adjoint(x, out=None):
     """The conjugate transpose of each matrix of a real (N, i, j) stack or of
-    quaternion (4, N, i, j) parts, whose conjugate negates parts 1-3, so that
-    bmm(adjoint(a), b) equals bmm(a, b, conj=True) bit for bit.  Written into
-    `out` when given; else a real stack's adjoint is a view and parts go to a
-    new array."""
+    quaternion (4, N, i, j) parts, whose conjugate negates parts 1-3: the one
+    conjugate transpose of every layer, as bmm(adjoint(a), b) for A^* B.
+    Written into `out` when given; else a real stack's adjoint is a view and
+    parts go to a new array.  A complex stack, whose transpose alone is no
+    adjoint, is rejected."""
+    if x.dtype.kind == "c":
+        raise ValueError(f"adjoint takes real stacks or parts, not {x.dtype} ones")
     t = x.swapaxes(-1, -2)
     if x.ndim == 3 and out is None:
         return t

@@ -16,12 +16,14 @@ slope to the summed integer events
 (`fit_slope`, NaN below two usable SNRs); an estimator supplies only its
 per-point event counter, which draws a chunk whole in the shape
 `SystemConfig.block_shape` gives and returns the events of any rows of it,
-and the bytes of a row of its widest array.  That price is stated once, from
-the block shape (`_row_bytes`): 8 times the larger of a drawn row's entries
-and the reals of the widest array derived from a row, the Gram of
-`channel.gram` (outage, and the Wishart samplers, whose one draw is priced
-alike) or the decoder's 2 n^2 (ML error), so a budget refuses no input
-whose arrays fit it.  The driver takes every chunk in equal blocks of at
+and the price of a row's arrays.  That price is stated once, from the block
+shape (`_row_bytes`): 8 times the larger of a drawn row's entries and the
+reals of the widest array derived from a row.  Outage sweeps and the
+Wishart samplers hold one draw and its Gram (`channel.gram`); an ML-error
+chunk holds two draws, channel and noise, and the decoder's 2 n^2
+features, so its row costs 8 max(2 drawn entries, 2 n^2) bytes.  A budget
+thus refuses no input whose arrays fit it, and admits none whose draws
+together exceed it.  The driver takes every chunk in equal blocks of at
 most `BLOCK_ROWS` rows (`_sum_blocks`), whose temporaries the allocator
 reuses from block to block, and from chunk to chunk since `_sweep` raises
 glibc's trim threshold, and whose fixed cost in numpy calls is spread over
@@ -117,7 +119,8 @@ class SlopeEstimate:
 
     Points with fewer than the minimum event count are flagged and excluded
     from the fit, never dropped from the record.  slope/stderr are NaN when
-    fewer than two points are usable or all of them share one SNR.
+    fewer than two points are usable or all of them share one SNR, stderr
+    also when exactly two are.
     """
 
     snr_db: tuple
@@ -143,8 +146,8 @@ def _thread_cap():
 
 
 def _check_array_bytes(rows, row_bytes, flag):
-    """Reject `rows` rows of the widest per-row array (channel, noise or
-    Gram) when they exceed ARRAY_BUDGET_BYTES."""
+    """Reject `rows` rows of `row_bytes` each (the price of a row's arrays,
+    `_row_bytes`) when they exceed ARRAY_BUDGET_BYTES."""
     if rows * row_bytes > ARRAY_BUDGET_BYTES:
         raise ResourceLimitError(f"{flag}: {rows} rows of {row_bytes} bytes exceed "
                                  f"the array budget {ARRAY_BUDGET_BYTES}")
@@ -180,7 +183,7 @@ def _sweep(snr_grid_db, trials, rng, chunk, row_bytes, counter, weighting):
     `trials` is one whole count per SNR point or one for all (a scalar or a
     one-entry sequence).  counter(rho) returns the chunk draw
     draw(stream, size) -> events, which draws `chunk` or fewer trials at that
-    point, whose widest array takes `row_bytes` a row, and whose
+    point, whose arrays are priced at `row_bytes` a row, and whose
     events(rows) counts the events of a slice of them; the driver alone sums
     it over the chunk's blocks (`_sum_blocks`).  A bad DMTLAB_THREADS,
     weighting, SNR grid (empty, or a point whose rho is not in (0, RHO_MAX]),
@@ -425,7 +428,9 @@ def fit_slope(snr_db, events, trials, weighting="events"):
     leans less on the shallow low-SNR region and tracks the asymptotic
     slope better when the sweep is still curving.  Points with fewer than
     MIN_EVENTS events are flagged and left out of the fit; with fewer than
-    two usable points, or all of them at one SNR, slope and stderr are NaN.
+    two usable points, or all of them at one SNR, slope and stderr are NaN,
+    and with exactly two, which leave no residual degree of freedom, stderr
+    alone is NaN.
     Every SNR must be finite, and every count a whole number with
     trials >= 1 and 0 <= events <= trials.
     """
@@ -460,7 +465,7 @@ def fit_slope(snr_db, events, trials, weighting="events"):
             intercept = yb - slope * xb
             resid = y - slope * x - intercept
             dof = len(usable) - 2
-            sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else 0.0
+            sigma2 = float((w * resid ** 2).sum() / dof) if dof > 0 else math.nan
             stderr = math.sqrt(sigma2 / sxx)
     return SlopeEstimate(snr_db=snr_db, probs=probs, trials=trials,
                          events=events, slope=slope, stderr=stderr, flagged=flagged)
@@ -472,24 +477,23 @@ def fit_slope(snr_db, events, trials, weighting="events"):
 def estimate_outage(cfg, snr_grid_db, trials, rng, weighting="events"):
     """Outage probability sweep and its fitted slope.
 
-    Real mode: P{ 0.5 log2 det(I + (rho/n) H H^T) <= r log2 rho } with the
-    identity input covariance.  Quaternion mode: P{ log2 det(I + rho H^dag
-    H) <= 2 r log2 rho } for the lifted channel H, i.e. 2 sum log2(1 + rho
-    lambda_i) over the distinct Gram eigenvalues.  The quaternion rate takes
-    rho where the real one takes rho/n (see `channel`): at rho it is the
-    rate of the ML-error sweeps' 1/sqrt(n) convention at n rho, 10 log10(n)
-    dB higher, against the threshold at rho, and the slope is the same.
-    `trials` is one count for every SNR point or one per point.
+    Both modes count P{ log2 det(I + c G) <= 2 r log2 rho }
+    (`channel.log2_det_eye_plus`) with the identity input covariance, G the
+    Gram of the stacked-real channel H H^T or of the lifted one H^dag H.
+    Real mode takes c = rho/n, quaternion mode c = rho (see `channel`): the
+    quaternion rate at rho is the rate of the ML-error sweeps' 1/sqrt(n)
+    convention at n rho, 10 log10(n) dB higher, against the threshold at
+    rho, and the slope is the same.  `trials` is one count for every SNR
+    point or one per point.
     """
-    rate = (channel.mutual_info_real_batch if cfg.mode == "real"
-            else channel.mutual_info_quaternion_batch)
-
     def counter(rho):
-        thresh = (1 if cfg.mode == "real" else 2) * cfg.r * math.log2(rho)
+        c = rho / cfg.n if cfg.mode == "real" else rho  # the SNR convention of `channel`
+        thresh = 2 * cfg.r * math.log2(rho)
 
         def draw(st, size):
             h = channel.draw_real(st, cfg.block_shape(size))
-            return lambda rows: np.count_nonzero(rate(h[..., rows, :, :], rho) <= thresh)
+            return lambda rows: np.count_nonzero(
+                channel.log2_det_eye_plus(h[..., rows, :, :], c) <= thresh)
         return draw
 
     return _sweep(snr_grid_db, trials, rng, OUTAGE_CHUNK, _gram_row_bytes(cfg), counter,
@@ -514,8 +518,9 @@ DECODE_BUDGET_BYTES = 64 * 2**20
 # threads at M = 8192.  A sub-batch keeps at least 64 rows, so a large
 # codebook is not scored row by row.
 DECODE_MACS = 2**18
-# Bytes of any other array one sweep chunk or Wishart draw may build, per
-# worker: larger inputs are rejected before any draw; chunks never shrink.
+# Bytes of the other arrays one sweep chunk or Wishart draw may hold, per
+# worker, as its rows times their price (`_row_bytes`): larger inputs are
+# rejected before any draw; chunks never shrink.
 ARRAY_BUDGET_BYTES = 128 * 2**20
 
 
@@ -529,11 +534,11 @@ def _gram(a, out=None):
     """The Gram A^* A of each block of a real (N, ., k) stack or of
     quaternion (4, N, ., k) parts: on one quaternion column (`_one_column`)
     the (N,) real numbers ||A||^2 (Alamouti's decoupling, IEEE JSAC 1998),
-    else `linalg.bmm`'s (N, k, k) stack or parts.  Written into `out` when
-    given."""
+    else the (N, k, k) stack or parts bmm(adjoint(A), A).  Written into
+    `out` when given."""
     if _one_column(a):
         return linalg.sq_norms(a, out=out)
-    return linalg.bmm(a, a, conj=True, out=out)
+    return linalg.bmm(linalg.adjoint(a), a, out=out)
 
 
 def _feature_array(like, count):
@@ -559,8 +564,9 @@ def _codeword_features(cparts, scale):
     (`_feature_array`): the Grams s^2 C C^* over the parts of -2 s C.
     `cparts` holds real n x n words as an (|C|, n, n) stack or quaternion
     p x p words as (4, |C|, p, p) parts.  C^* is first written where -2 s C
-    goes, as both factors of C C^* = (C^*)^* C^*, so beside the result at
-    most one |C|-vector of `linalg.bmm` is allocated."""
+    goes, and C C^* = (C^*)^* C^* is its Gram (`_gram`), so beside the result
+    at most one |C|-vector of `linalg.bmm` and, of quaternion parts, the
+    adjoint's copy of C are allocated."""
     feats, gram, lin = _feature_array(cparts, cparts.shape[-3])
     linalg.adjoint(cparts, out=lin)
     _gram(lin, out=gram)
@@ -596,7 +602,7 @@ def _ml_decode(h, g, w, x, scale, cword_feats):
     batch = h.shape[-3]
     feats, gram, hy = _feature_array(h, batch)
     np.copyto(gram, g)
-    linalg.bmm(h, w, conj=True, out=hy)
+    linalg.bmm(linalg.adjoint(h), w, out=hy)
     hy += (scale * g)[:, None, None] * x if g.ndim == 1 else scale * linalg.bmm(g, x)
     rows = _decode_rows(cword_feats.shape[1], len(feats))
     return np.concatenate([np.argmin(feats[:, lo:lo + rows].T @ cword_feats, axis=1)
@@ -716,7 +722,9 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
     codewords, as real parts, and features (at n = 2, 96 B a real word:
     2 n^2 floats of features and n^2 of parts; 72 B a quaternion one: 5 and
     4), so before any chunk runs a zero-word codebook, or codebooks over the
-    SHELL_CAP // rank words of one shell, fail.
+    SHELL_CAP // rank words of one shell, fail.  A chunk holds two draws,
+    channel and noise, beside the decoder's 2 n^2 features a row, so a row
+    is priced at twice `_row_bytes` of n^2.
     """
     mode, n = cfg.mode, cfg.n
     flavor = "real" if mode == "real" else "quaternionic"
@@ -762,5 +770,5 @@ def estimate_error_prob(lat, cfg, snr_grid_db, trials, rng, weighting="events"):
             return errors
         return draw
 
-    return _sweep(snr_grid_db, trials, rng, ERROR_CHUNK, _row_bytes(cfg, 2 * n * n), counter,
+    return _sweep(snr_grid_db, trials, rng, ERROR_CHUNK, 2 * _row_bytes(cfg, n * n), counter,
                   weighting)

@@ -323,15 +323,16 @@ def test_gram_matches_explicit_product(mode, a, b):
 
 
 # ---------------------------------------------------------------------------
-# mutual_info_real_batch
+# log2_det_eye_plus of stacked-real channels: twice the real mutual
+# information 0.5 log2 det(I + (rho/n) H H^T) at c = rho/n
 
 def test_mutual_info_zero_channel():
-    assert channel.mutual_info_real_batch(np.zeros((1, 4, 2)), 10.0)[0] == 0.0
+    assert channel.log2_det_eye_plus(np.zeros((1, 4, 2)), 10.0 / 2)[0] / 2 == 0.0
 
 
 def test_mutual_info_rank_one_example():
     # 0.5 log2 det(I + H H^T) with H = (1, 0)^T is 0.5 log2(2)
-    val = channel.mutual_info_real_batch(np.array([[[1.0], [0.0]]]), 1.0)[0]
+    val = channel.log2_det_eye_plus(np.array([[[1.0], [0.0]]]), 1.0 / 1)[0] / 2
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
@@ -343,27 +344,28 @@ def test_mutual_info_identity_q_eigen_identity():
     lam = np.clip(np.linalg.eigvalsh(h @ h.transpose(0, 2, 1)), 0, None)
     for rho in (0.5, 50.0):
         expect = 0.5 * np.sum(np.log2(1.0 + (rho / 3.0) * lam), axis=1)
-        assert np.allclose(channel.mutual_info_real_batch(h, rho), expect, rtol=0, atol=1e-9)
+        got = channel.log2_det_eye_plus(h, rho / 3.0) / 2
+        assert np.allclose(got, expect, rtol=0, atol=1e-9)
 
 
 def test_mutual_info_monotone_in_rho():
     h = np.random.default_rng(10).standard_normal((1, 2, 2))
-    vals = [channel.mutual_info_real_batch(h, rho)[0] for rho in (0.1, 1.0, 10.0, 100.0)]
+    vals = [channel.log2_det_eye_plus(h, rho / 2)[0] / 2 for rho in (0.1, 1.0, 10.0, 100.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
-# quaternionic capacity
+# log2_det_eye_plus of quaternion parts: the quaternionic capacity at c = rho
 
 def test_capacity_zero():
     zero = np.zeros((4, 1, 1, 1))
-    assert channel.mutual_info_quaternion_batch(zero, 10.0)[0] == 0.0
+    assert channel.log2_det_eye_plus(zero, 10.0)[0] == 0.0
 
 
 def test_capacity_identity():
     eye = np.zeros((4, 1, 1, 1))
     eye[0] = 1.0  # M1 = 1, M2 = 0: the lift is the 2 x 2 identity
-    assert channel.mutual_info_quaternion_batch(eye, 3.0)[0] == pytest.approx(4.0, abs=1e-12)
+    assert channel.log2_det_eye_plus(eye, 3.0)[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_capacity_matches_full_determinant():
@@ -373,7 +375,7 @@ def test_capacity_matches_full_determinant():
     rho = rng.uniform(0.5, 20.0, size=50)
     g = np.eye(4) + rho[:, None, None] * (h.conj().transpose(0, 2, 1) @ h)
     _, logdet = np.linalg.slogdet(g)
-    got = channel.mutual_info_quaternion_batch(parts, rho[:, None, None])
+    got = channel.log2_det_eye_plus(parts, rho[:, None, None])
     assert got == pytest.approx(logdet / np.log(2.0), rel=1e-8, abs=1e-8)
 
 
@@ -387,7 +389,7 @@ def test_capacity_matches_distinct_eigenvalues(m, p):
     lam = sim.sample_wishart_quaternion_batch(p, m, 200, np.random.default_rng(13))
     for rho in (0.5, 30.0, 1e4):
         expect = 2.0 * np.sum(np.log2(1.0 + rho * lam), axis=1)
-        got = channel.mutual_info_quaternion_batch(parts, rho)
+        got = channel.log2_det_eye_plus(parts, rho)
         assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 

@@ -411,6 +411,23 @@ def test_outage_priced_by_its_draw(mode, n, m, capsys):
     assert "10,0,100000," in out and not err
 
 
+@pytest.mark.parametrize("m,code", [("41", 0), ("42", 2)])
+def test_error_chunk_priced_by_both_draws(dmtlab_process, m, code):
+    # an error chunk holds its channel and its noise draw: at m = 42 the two
+    # 84 x 2 real blocks take 2,688 bytes a row, 134.4 MB for 50,000 rows,
+    # over 128 MiB, and the run is refused before any draw; m = 41 (131.2 MB)
+    # runs, and peaked at 165.5 MiB at one thread (two 65.6 MB draws over a
+    # 44 MiB process), where pricing one draw admitted m = 83 at 294 MiB
+    rc, err, peak_mib, _ = dmtlab_process(
+        ["error", "--mode", "real", "--lattice", "split", "--n", "2", "--m", m, "--r", "0",
+         "--snr-db", "10", "--trials", "50000", "--seed", "1"], DMTLAB_THREADS="1")
+    assert rc == code
+    if code:
+        assert "--n/--m: 50000 rows of 2688 bytes" in err and peak_mib < 60
+    else:
+        assert not err and peak_mib < 175
+
+
 HAMILTON_R05 = ["error", "--mode", "quaternion", "--lattice", "hamilton", "--n", "2",
                 "--m", "1", "--r", "0.5", "--seed", "1"]
 

@@ -178,8 +178,8 @@ def test_bmm_rejects_mismatched_shapes():
 @pytest.mark.parametrize("i,j,k", list(itertools.product((1, 2), repeat=3)))
 def test_bmm_quaternion_parts_match_lifted_product(i, j, k, conj):
     # the product of (4, N, i, j) and (4, N, j, k) parts lifts to the product
-    # of the lifts (the left one conjugate-transposed with conj), to 1e-14 of
-    # |A| |B| entry by entry
+    # of the lifts (the left one conjugate-transposed by `adjoint` with conj),
+    # to 1e-14 of |A| |B| entry by entry
     rng = np.random.default_rng(7 + 8 * i + 4 * j + 2 * k + conj)
     a = rng.standard_normal((4, 300, j, i) if conj else (4, 300, i, j))
     b = rng.standard_normal((4, 300, j, k))
@@ -187,7 +187,7 @@ def test_bmm_quaternion_parts_match_lifted_product(i, j, k, conj):
     if conj:
         la = la.conj().transpose(0, 2, 1)
     ref = la @ lb
-    got = channel.lift_parts(linalg.bmm(a, b, conj=conj))
+    got = channel.lift_parts(linalg.bmm(linalg.adjoint(a) if conj else a, b))
     assert got.shape == ref.shape == (300, 2 * i, 2 * k)
     assert np.all(np.abs(got - ref) <= 1e-14 * (np.abs(la) @ np.abs(lb)))
 
@@ -198,7 +198,7 @@ def test_bmm_conj_of_one_stack_is_the_transpose():
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((200, 3, 2)), rng.standard_normal((200, 3, 4))
     out = np.empty((200, 2, 4))
-    assert linalg.bmm(a, b, conj=True, out=out) is out
+    assert linalg.bmm(linalg.adjoint(a), b, out=out) is out
     assert np.array_equal(out, linalg.bmm(a.transpose(0, 2, 1).copy(), b))
 
 
@@ -207,7 +207,7 @@ def test_bmm_one_row_gram_diagonal_parts_exactly_zero(cols):
     # A of one row: each diagonal entry of A^* A is |a|^2, whose three
     # imaginary parts are sums of mirrored products that cancel exactly
     a = np.random.default_rng(11).standard_normal((4, 1000, 1, cols))
-    gram = linalg.bmm(a, a, conj=True)
+    gram = linalg.bmm(linalg.adjoint(a), a)
     diag = gram[:, :, range(cols), range(cols)]
     assert np.all(diag[1:] == 0) and np.all(diag[0] > 0)
 
@@ -215,14 +215,19 @@ def test_bmm_one_row_gram_diagonal_parts_exactly_zero(cols):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([(), (4,)]), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 3), st.integers(1, 5))
-def test_adjoint_matches_bmm_conj_bit_for_bit(data, parts, i, j, k, batch):
-    # bmm(adjoint(a), b) is bmm(a, b, conj=True), signed zeros included, on
-    # real stacks and on quaternion parts, and the adjoint is an involution
+def test_adjoint_product_matches_lifted_product(data, parts, i, j, k, batch):
+    # bmm(adjoint(a), b) is A^* B, on real stacks and on quaternion parts
+    # (whose lift is the product of the lifts, the left one
+    # conjugate-transposed), to 1e-14 of |A| |B| entry by entry, signed zeros
+    # among the inputs, and the adjoint is an involution, bit for bit
     floats = st.floats(-1e6, 1e6, allow_subnormal=False)
     a = data.draw(hnp.arrays(float, (*parts, batch, j, i), elements=floats))
     b = data.draw(hnp.arrays(float, (*parts, batch, j, k), elements=floats))
-    got, ref = linalg.bmm(linalg.adjoint(a), b), linalg.bmm(a, b, conj=True)
-    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    got = linalg.bmm(linalg.adjoint(a), b)
+    la, lb = (channel.lift_parts(x) if parts else x for x in (a, b))
+    got = channel.lift_parts(got) if parts else got
+    la = la.conj().transpose(0, 2, 1)
+    assert np.all(np.abs(got - la @ lb) <= 1e-14 * (np.abs(la) @ np.abs(lb)) + 1e-300)
     twice = linalg.adjoint(linalg.adjoint(a))
     assert np.array_equal(twice, a) and np.array_equal(np.signbit(twice), np.signbit(a))
 
@@ -252,9 +257,9 @@ def test_bmm_rejects_bad_part_stacks():
     with pytest.raises(ValueError):  # parts against a plain stack
         linalg.bmm(np.ones((4, 2, 1, 1)), np.ones((2, 1, 1)))
     with pytest.raises(ValueError):  # the conjugate of a complex stack
-        linalg.bmm(np.ones((2, 2, 2), dtype=complex), np.ones((2, 2, 2)), conj=True)
-    with pytest.raises(ValueError):  # conj transposes the left factor first
-        linalg.bmm(np.ones((4, 2, 1, 3)), np.ones((4, 2, 3, 1)), conj=True)
+        linalg.adjoint(np.ones((2, 2, 2), dtype=complex))
+    with pytest.raises(ValueError):  # the adjoint transposes the left factor
+        linalg.bmm(linalg.adjoint(np.ones((4, 2, 1, 3))), np.ones((4, 2, 3, 1)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
