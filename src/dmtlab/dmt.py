@@ -211,8 +211,11 @@ def a0_membership(alpha, s):
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("alpha must be a nonempty 1-D sequence")
-    return bool(np.all(a >= -1e-12) and np.all(np.diff(a) >= -1e-12)
-                and np.all(np.cumsum(1.0 - a) <= s + 1e-12))
+    # on Python floats, which for a few entries cost less than numpy calls;
+    # accumulate adds in order, as cumsum does, so every verdict is the same
+    a = a.tolist()
+    return (all(v >= -1e-12 for v in a) and all(y - x >= -1e-12 for x, y in zip(a, a[1:]))
+            and all(p <= s + 1e-12 for p in itertools.accumulate(1.0 - v for v in a)))
 
 
 def exponent_real(n, m, r):

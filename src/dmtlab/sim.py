@@ -49,8 +49,8 @@ derives one substream per SNR point and per work chunk of `OUTAGE_CHUNK`
 or `ERROR_CHUNK` trials with ``Generator.spawn``.  Chunk results are
 integers summed per point, and rows are independent, so the outcome is
 bit-identical regardless of the block and product sizes and of how many
-worker threads (at most ``os.cpu_count()``, fewer when
-``DMTLAB_THREADS`` asks for fewer) execute the chunks or in which order.
+worker threads (at most the CPUs of the process's affinity mask, fewer
+when ``DMTLAB_THREADS`` asks for fewer) execute the chunks or in which order.
 The calling thread is one of them, so a sweep starts one thread fewer than
 it has workers, none at one: that saves a thread start and the fresh malloc
 arena a new thread faults in, a fixed 2-6 ms a sweep, in a process whose
@@ -133,10 +133,14 @@ class SlopeEstimate:
 
 
 def _thread_cap():
-    """The worker-thread cap: the available parallelism, lowered to
+    """The worker-thread cap: the CPUs this process may run on (its affinity
+    mask where the platform has one, else os.cpu_count()), lowered to
     DMTLAB_THREADS when that is set.  A value that is not an integer >= 1
     is rejected."""
-    cpus = os.cpu_count() or 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
     env = os.environ.get("DMTLAB_THREADS", "").strip()
     if not env:
         return cpus

@@ -310,6 +310,45 @@ def test_a0_membership_two_characterizations(values, s):
     assert a0_membership(alpha, s) == form_b
 
 
+def _a0_membership_numpy(alpha, s):
+    """a0_membership as numpy reductions, the reference of its plain-float form."""
+    a = np.asarray(alpha, dtype=float)
+    return bool(np.all(a >= -1e-12) and np.all(np.diff(a) >= -1e-12)
+                and np.all(np.cumsum(1.0 - a) <= s + 1e-12))
+
+
+def test_a0_membership_matches_numpy_form():
+    # random alphas, and alphas or s put within 1e-12 of one of the three
+    # bounds (an entry at -1e-12, a step at -1e-12, a prefix sum at s +
+    # 1e-12), on it or an ulp either side, with NaN among entries and s
+    rng = np.random.default_rng(35)
+
+    def nudge(v):
+        return float(np.nextafter(v, rng.choice([-np.inf, v, np.inf])))
+
+    for case in range(6000):
+        l = int(rng.integers(1, 6))
+        alpha = rng.uniform(-0.5, 1.5, l)
+        if case % 2:
+            alpha.sort()
+        i = int(rng.integers(l))
+        near = rng.uniform(-1e-12, 1e-12) if case % 3 == 0 else 0.0
+        s = float(rng.uniform(0.0, 4.0))
+        bound = case % 5
+        if bound == 1:
+            alpha[i] = nudge(-1e-12 + near)
+        elif bound == 2 and i:  # fl(1e-12) - fl(2e-12) is exactly -fl(1e-12)
+            alpha = np.concatenate([np.zeros(i - 1), [nudge(2e-12 + near), 1e-12],
+                                    np.sort(rng.uniform(1e-12, 1.0, l - i - 1))])
+        elif bound == 3:
+            s = nudge(float(np.cumsum(1.0 - alpha)[i]) - 1e-12 + near)
+        elif bound == 4 and case % 3:
+            alpha[i] = np.nan
+        elif bound == 4:
+            s = np.nan
+        assert a0_membership(alpha, s) is _a0_membership_numpy(alpha, s), (alpha, s)
+
+
 # ---------------------------------------------------------------------------
 # exponents
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +142,104 @@ def test_min_det_hamilton():
 def test_min_det_split():
     report = lattice.audit(SPLIT, 5.0)
     assert report["min_det"] == pytest.approx(1.0, abs=1e-9) and report["nvd"]
+
+
+def _audit_by_lapack(lat, radius):
+    """The audit with every determinant from LAPACK, the reference that the
+    screened `lattice.audit` must equal."""
+    coords = lattice.shell_coordinates(lat, radius)
+    nonzero = coords[np.any(coords != 0, axis=1)]
+    dets = np.abs(linalg.determinant(lattice.point_from_coordinates(lat, nonzero)))
+    nearest = np.round(dets)
+    nvd = bool(dets.size) and bool(np.all((np.abs(dets - nearest) <= 1e-9) & (nearest >= 1)))
+    return {"points": len(coords), "min_det": float(dets.min()) if dets.size else None,
+            "nvd": nvd}
+
+
+SQUAREFREE = [n for n in range(-11, 12) if n and all(abs(n) % (p * p) for p in (2, 3))]
+LATTICES = Path(__file__).resolve().parent.parent / "lattices"
+
+
+def test_audit_equals_lapack_over_squarefree_orders():
+    # the orders of all 136 algebras (a, b)_Q, a <= b squarefree in [-11, 11]
+    for a, b in itertools.combinations_with_replacement(SQUAREFREE, 2):
+        lat = lattice.quaternion_order(a, b)
+        assert lattice.audit(lat, 12) == _audit_by_lapack(lat, 12), (a, b)
+
+
+@pytest.mark.parametrize("name,radius", [("split_pi", r) for r in (2, 4, 8, 12, 16, 24, 32, 48)]
+                         + [("m2z", r) for r in range(1, 9)])
+def test_audit_equals_lapack_on_controls(name, radius):
+    lat = lattice.load_lattice(str(LATTICES / f"{name}.json"))
+    assert lattice.audit(lat, radius) == _audit_by_lapack(lat, radius)
+
+
+def _random_basis(rng, flavor, integer):
+    """Four 2 x 2 generators of a random real or quaternionic lattice,
+    with small integer entries or normal ones."""
+    draw = ((lambda: rng.integers(-3, 4, size=(2, 2)).astype(float)) if integer
+            else (lambda: rng.normal(size=(2, 2))))
+    if flavor == "real":
+        return [draw() for _ in range(4)]
+    return [np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+            for a, b in (draw()[0] + 1j * draw()[0] for _ in range(4))]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e70, 1e-70, 1e150, 1e-150])
+@pytest.mark.parametrize("flavor", ["real", "quaternionic"])
+def test_audit_equals_lapack_on_random_lattices(flavor, scale):
+    # entries of 1e+-150 lie outside the screen's range (products that could
+    # overflow or underflow), and at 1e70 the rounding of each |det| spans
+    # integers, so LAPACK takes every point of those; at 1 and 1e-70 the
+    # closed form decides all but a few
+    rng = np.random.default_rng(35)
+    for trial in range(12):
+        integer = trial % 2 == 1
+        try:
+            lat = lattice.matrix_lattice([scale * m for m in _random_basis(rng, flavor, integer)],
+                                         flavor)
+        except ValueError:  # dependent generators
+            continue
+        radius = scale * float(rng.uniform(2.0, 6.0))
+        assert lattice.audit(lat, radius) == _audit_by_lapack(lat, radius), trial
+
+
+def _assert_screen_sound(x):
+    """LAPACK's least |det| of the stack x lies among the points that
+    `_det_screen` leaves undecided, and every other point has LAPACK's band
+    verdict; returns the undecided mask."""
+    in_band, undecided = lattice._det_screen(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.abs(linalg.determinant(x))
+        assert dets.min() == dets[undecided].min()
+        assert np.array_equal(in_band[~undecided], lattice._in_nvd_band(dets[~undecided]))
+    return undecided
+
+
+def test_det_screen_leaves_lapack_what_it_cannot_decide():
+    # the first point's LU underflows (l b = 2^-1200), so LAPACK's |det| is
+    # 0, not the 2^-800 of the closed form, whose least value is the second
+    # point's 2^-900: only the range guard sends the first to LAPACK
+    pair = np.array([[[2.0 ** 400, 2.0 ** -400], [2.0 ** -400, 0.0]],
+                     [[2.0 ** -450, 0.0], [0.0, 2.0 ** -450]]], dtype=complex)
+    assert _assert_screen_sound(pair).all()
+    # stacks beyond any lattice's shell: entries from 2^-600 to 2^600, zeros
+    # included, or small integers with dets on and near the band edges
+    rng = np.random.default_rng(35)
+    n = 20000
+    size = np.ldexp(1.0, rng.integers(-600, 601, (n, 2, 2))) * (rng.random((n, 2, 2)) < 0.9)
+    wild = size * rng.choice([-1, 1], (n, 2, 2)) * np.exp(2j * np.pi * rng.random((n, 2, 2)))
+    near = rng.integers(-4, 5, (n, 2, 2)).astype(complex)
+    near[:, 1, 1] += rng.choice([0.0, 1e-9, -1e-9, 3e-10, 1e-15], n)
+    assert not _assert_screen_sound(np.where(rng.random((n, 1, 1)) < 0.5, wild, near)).all()
+
+
+def test_audit_of_3x3_points_is_lapack():
+    # no closed form screens points larger than 2 x 2
+    gens = [np.eye(3), np.diag([1.0, -1.0, 2.0]), np.roll(np.eye(3), 1, axis=0),
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])]
+    lat = lattice.matrix_lattice(gens, "real")
+    assert lattice.audit(lat, 5.0) == _audit_by_lapack(lat, 5.0)
 
 
 # ---------------------------------------------------------------------------

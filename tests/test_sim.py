@@ -396,6 +396,15 @@ def _set_chunks(monkeypatch, rows):
     monkeypatch.setattr(sim, "ERROR_CHUNK", rows)
 
 
+def _report_cpus(monkeypatch, cpus, mask=None):
+    """Have os report `cpus` CPUs, of which an affinity mask lets the process
+    run on `mask` (all when None), so that a sweep's thread cap is what the
+    test asks on any machine."""
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    allowed = set(range(cpus if mask is None else mask))
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: allowed, raising=False)
+
+
 @pytest.mark.parametrize("estimate", [
     lambda *a: estimate_outage(SystemConfig("real", n=2, m=1, r=0.5), *a),
     lambda *a: estimate_error_prob(HAMILTON, SystemConfig("quaternion", n=2, m=1, r=0.5),
@@ -404,7 +413,7 @@ def test_outage_thread_count_invariance(monkeypatch, estimate):
     # no count is a chunk multiple, so chunks of different points interleave
     # in the one pool of the sweep; four CPUs are reported so that the pool
     # really has four workers on any machine
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    _report_cpus(monkeypatch, 4)
     _set_chunks(monkeypatch, 2000)
     args = ([10.0, 13.0, 16.0], [7100, 4300, 2900], 7)
     monkeypatch.setenv("DMTLAB_THREADS", "1")
@@ -550,7 +559,7 @@ def _assert_events_independent_of_block_rows(monkeypatch, chunk_name, events):
     set to `chunk`, gives the same nonzero events whole-chunk as in 1- and
     7-row blocks on a chunk of 301 rows, which 7 does not divide, and as
     the default split on a chunk longer than the default block."""
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     default = sim.BLOCK_ROWS
     for chunk, splits in ((301, (1, 7)), (default + 808, (default,))):
         monkeypatch.setattr(sim, chunk_name, chunk)
@@ -1110,11 +1119,16 @@ def test_outage_at_the_largest_snr_runs_clean(mode):
     assert est.events == (0,)
 
 
-@pytest.mark.parametrize("env,workers", [("5000", 3), ("2", 2), ("", 3)])
-def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
+@pytest.mark.parametrize("env,mask,workers", [
+    pytest.param("5000", None, 3, id="5000-3"), pytest.param("2", None, 2, id="2-2"),
+    pytest.param("", None, 3, id="-3"), pytest.param("", 1, 1, id="mask-1"),
+    pytest.param("2", 1, 1, id="mask-env2-1"), pytest.param("", "none", 3, id="no-mask-3")])
+def test_pool_capped_at_cpu_count(monkeypatch, env, mask, workers):
     # a stand-in executor records the pool size and its submissions and runs
     # each at once, so no thread is started; the calling thread is the last
-    # worker, so the pool gets one submission fewer than there are workers
+    # worker, so the pool gets one submission fewer than there are workers.
+    # The process may run on `mask` of the 3 CPUs os.cpu_count reports, on
+    # all of them when None; "none" is a platform with no affinity mask.
     seen, submitted = [], []
 
     class Recorder:
@@ -1134,7 +1148,9 @@ def test_pool_capped_at_cpu_count(monkeypatch, env, workers):
             return done
 
     monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    _report_cpus(monkeypatch, 3, None if mask == "none" else mask)
+    if mask == "none":
+        monkeypatch.delattr(sim.os, "sched_getaffinity")
     monkeypatch.setattr(sim, "OUTAGE_CHUNK", 100)
     monkeypatch.setenv("DMTLAB_THREADS", env)
     cfg = SystemConfig("real", n=2, m=1, r=0.5)
@@ -1185,7 +1201,7 @@ def test_failing_chunk_raises_from_the_sweep(monkeypatch, short_switch_interval,
     # a chunk that raises, on the calling thread or on a pool thread, ends
     # the sweep with its error, and the other thread takes no new chunk
     # after it: of the 32 chunks, about 1 runs (31 if the other went on)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    _report_cpus(monkeypatch, 2)
     monkeypatch.setenv("DMTLAB_THREADS", threads)
     _set_chunks(monkeypatch, 500)
     seen = _chunk_draws(monkeypatch, raise_on)
@@ -1199,7 +1215,7 @@ def test_every_chunk_runs_once(monkeypatch, short_switch_interval, threads):
     # each chunk of every point runs exactly once, on the calling thread or
     # on one of threads - 1 others, with the events of a one-thread sweep
     # (four threads on a 2-vCPU box: more workers than cores)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    _report_cpus(monkeypatch, 4)
     _set_chunks(monkeypatch, 300)
     cfg = SystemConfig("real", n=2, m=1, r=0.5)
     args = ([10.0, 13.0, 16.0], [7100, 4300, 2900], 7)
