@@ -6,7 +6,8 @@ criterion) calls.
 Each COMMAND is one quoted dmtlab argv, such as "curves --n 2 --m 1"; with
 none, the fixed list below runs: README's examples (their files written to a
 temporary directory), the real modes (a `split` sweep, a sweep and an audit
-of a JSON lattice, the real spectrum) and the benchmark's commands.
+of a JSON lattice, the real spectrum), an audit of `split_pi`, whose
+determinant form is not integral, and the benchmark's commands.
 --acceptance also runs tests/test_acceptance.py.  Every command goes through
 the console entry point, `dmtlab.cli.main`.  Calls are recorded with
 sys.setprofile on every thread; a function is every `def` of src/dmtlab,
@@ -37,6 +38,7 @@ COMMANDS = [
     "error --mode real --lattice split --n 2 --m 1 --r 0.5 --snr-db 10,20 --trials 2000 --seed 1",
     "error --mode real --lattice {m2z} --n 2 --m 1 --r 0 --snr-db 10,20 --trials 2000 --seed 1",
     "wishart-check --mode real --n 2 --m 1 --samples 100000 --seed 7",
+    "lattice-audit --lattice {split_pi} --radius 4",
 ]
 
 
@@ -74,7 +76,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         commands = [a.split() for a in argv if a != "--acceptance"] or (
-            [c.format(out=out, m2z=ROOT / "lattices" / "m2z.json").split() for c in COMMANDS]
+            [c.format(out=out, m2z=ROOT / "lattices" / "m2z.json",
+                      split_pi=ROOT / "lattices" / "split_pi.json").split() for c in COMMANDS]
             + [cmd for name in workloads.WORKLOADS
                for _, cmd in workloads.commands(name, workloads.DEFAULT_SEED)])
         sys.setprofile(profile)

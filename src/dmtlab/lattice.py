@@ -28,10 +28,14 @@ coordinates.
 
 A set of matrices is one read-only complex (N, n, n) array: a lattice's
 generators, a shell's points (`point_from_coordinates` of (N, k) coordinates)
-and a codebook's words.  An audit decides the determinant of a 2 x 2 point
-with the closed form ad - bc where its rounding bound settles the verdict
-(`_det_screen`), and hands the few points it cannot decide, and every larger
-point, to LAPACK in one stacked call.
+and a codebook's words.  The determinant of a point of a lattice of 2 x 2
+matrices is a quadratic form in its coordinates, whose coefficients are
+integers for the orders above (the reduced norm; Voight, "Quaternion
+Algebras", GTM 288, ch. 12 and 14).  An audit recovers that form
+(`_det_form`) and, where it is integral, evaluates every determinant
+exactly in int64, with no point built; every other lattice takes its
+determinants from LAPACK in one stacked call, and a rounding bound decides
+when their verdict is undecided.
 """
 
 from __future__ import annotations
@@ -209,88 +213,75 @@ def point_from_coordinates(lat, coords):
 
 # An NVD audit accepts a |det| within NVD_BAND of an integer >= 1.
 NVD_BAND = 1e-9
-# The moduli, besides 0, of the entries of a 2 x 2 point whose determinant
-# `_det_screen` may decide without LAPACK: within them the products of the
-# closed form and of LU stay far from underflow and overflow.
-DET_SCREEN_RANGE = (2.0 ** -250, 2.0 ** 250)
 
 
-def _in_nvd_band(dets):
-    """Whether each |det| of an (N,) array lies within NVD_BAND of an integer >= 1."""
-    nearest = np.round(dets)
-    return (np.abs(dets - nearest) <= NVD_BAND) & (nearest >= 1)
+def _det_form(lat):
+    """The integer determinant form of a lattice of 2 x 2 matrices, as
+    (i, j, U_ij) arrays over the nonzero U_ij, i <= j, with
+    det(sum x_i B_i) = sum U_ij x_i x_j, or None where the lattice is larger
+    or a coefficient is not integral.
 
-
-def _det_screen(x):
-    """(in_band, undecided) of a (N, 2, 2) stack [[a, b], [c, d]]: whether
-    each |det| lies in the NVD band as the closed form est = |ad - bc|
-    decides it, and which points it leaves to LAPACK (`linalg.determinant`):
-    those that could hold the minimum |det|, those within tol of a band edge
-    and those with an entry modulus outside DET_SCREEN_RANGE.
-
-    tol = 1e-12 (|a||d| + |b||c|) bounds |est - LAPACK's |det||.  Within
-    DET_SCREEN_RANGE the nonzero terms |a||d|, |b||c| and LU's |l||b| below
-    lie in [2^-750, 2^501], so no rounding, underflow included, errs by
-    more than a unit u = 2^-53 of its term (Higham, "Accuracy and Stability
-    of Numerical Algorithms", SIAM 2002, section 3.6).  Both complex
-    products and the subtraction and modulus leave est within a few u of
-    |a||d| + |b||c| of the exact |det|.  LU with partial pivoting on 2 x 2
-    matrices takes l = c / a (|l| <= sqrt 2 after the pivot), u22 = d - l b
-    and det = a u22 with the same few u of |a||d| + |b||c| (ch. 9); numpy
-    then forms exp(log|a| + log|u22|), whose terms are at most 920 in size
-    (|u22| may be subnormal), which adds at most about 1850 u of |det|.  The
-    two together stay below 1e-12 (about 9000 u) of |a||d| + |b||c|, with
-    room for the rounding of est +- tol and of the band tests.
-
-    Hence a point's LAPACK |det| lies in [est - tol, est + tol]: the least
-    LAPACK |det| is held by a point with est - tol <= min(est + tol), and a
-    point whose interval holds no band edge k +- NVD_BAND (k >= 1) has the
-    band verdict of its est.  The screen reuses a few (N,) arrays in place,
-    so that it stays under the peak memory the shell enumeration sets."""
-    a, b, c, d = x[:, 0, 0], x[:, 0, 1], x[:, 1, 0], x[:, 1, 1]
-    lo, hi = DET_SCREEN_RANGE
-    undecided = np.zeros(len(x), dtype=bool)
-    tol, mod = np.zeros(len(x)), np.empty((2, len(x)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, q in ((a, d), (b, c)):
-            np.abs(p, out=mod[0])
-            np.abs(q, out=mod[1])
-            undecided |= np.any((mod != 0) & ((mod < lo) | (mod > hi)), axis=0)
-            tol += np.multiply(mod[0], mod[1], out=mod[0])
-        tol *= 1e-12
-        est = np.abs(a * d - b * c)
-        bound = np.add(est, tol, out=mod[0])
-        bound[undecided] = np.inf
-        least = bound.min(initial=np.inf)
-        undecided |= np.subtract(est, tol, out=bound) <= least
-        nearest = np.round(est, out=mod[1])
-        in_band = nearest >= 1
-        gap = np.abs(np.subtract(est, nearest, out=bound), out=bound)
-        in_band &= gap <= NVD_BAND
-        gap -= NVD_BAND
-        undecided |= np.abs(gap, out=gap) <= tol
-    return in_band, undecided
+    U_ii = det B_i and U_ij = det(B_i + B_j) - det B_i - det B_j come from
+    one stacked LAPACK call.  A 2 x 2 |det| errs by at most 1e-12 of the
+    squared norm of its matrix (see `audit`), so U_ij lies within
+    e = 4e-12 (G_ii + G_jj) of its exact value, G being the Gram matrix; a
+    coefficient is integral when it lies within e of an integer and e < 1/4.
+    The test is relative: a scaled lattice's coefficients, whether tiny or
+    huge floats with integer values, exceed their bound or fail e < 1/4."""
+    if lat.basis.shape[1:] != (2, 2):
+        return None
+    i, j = np.triu_indices(lat.rank)
+    off = i != j
+    dets = linalg.determinant(lat.basis[i] + off[:, None, None] * lat.basis[j])
+    own = dets[~off]  # det B_0, ..., det B_(k-1)
+    coef = dets - off * (own[i] + own[j])
+    g = np.diag(lat.gram)
+    err = 4e-12 * (g[i] + g[j])
+    nearest = np.round(coef.real)
+    if err.max() >= 0.25 or np.any(np.abs(coef - nearest) > err):
+        return None
+    keep = nearest != 0
+    return i[keep], j[keep], nearest[keep].astype(np.int64)
 
 
 def audit(lat, radius):
     """NVD audit of the lattice points of norm <= radius: their number, the
     minimum |det| over the nonzero ones (None when there is none), and
-    whether every such |det| lies within NVD_BAND of an integer >= 1 (false
-    when there is none).
+    `nvd`, whether every such |det| lies within NVD_BAND of an integer >= 1:
+    true, false (also when there is no nonzero point) or None, undecided.
 
-    2 x 2 points are screened by the closed form ad - bc (`_det_screen`);
-    the points it leaves undecided, and all larger points, go to LAPACK in
-    one stacked call, whose values give min_det and their verdicts."""
+    Where a 2 x 2 lattice's determinant form is integral (`_det_form`) and
+    sum |U_ij| max|x|^2 < 2^62 over the shell, every |det| is evaluated
+    exactly in int64 on the coordinates: min_det is an exact integer and nvd
+    is whether every |det| is at least 1.  Every other lattice takes its
+    determinants from LAPACK in one stacked call.  For a 2 x 2 point
+    X = [[a, b], [c, d]], e = 1e-12 radius^2 bounds LAPACK's error: LU with
+    partial pivoting errs by a few units u = 2^-53 of |a||d| + |b||c| <=
+    |X|_F^2, and numpy's exp(log|a| + log|u22|) by at most about 1850 u of
+    |det| (Higham, "Accuracy and Stability of Numerical Algorithms", SIAM
+    2002, sections 3.6 and 9).  nvd is true when every |det| is in the band
+    and e <= NVD_BAND, false when some |det| lies more than e outside the
+    band, and undecided otherwise.  Larger points have no stated bound, so
+    their band verdict false stands and true reads undecided."""
     coords = shell_coordinates(lat, radius)
-    x = point_from_coordinates(lat, coords[np.any(coords != 0, axis=1)])
-    if x.shape[1:] == (2, 2):
-        in_band, undecided = _det_screen(x)
+    nonzero = coords[np.any(coords != 0, axis=1)]
+    form = _det_form(lat)
+    if form is not None and (int(np.abs(form[2]).sum())
+                             * int(np.abs(nonzero).max(initial=0)) ** 2 < 2 ** 62):
+        dets = np.zeros(len(nonzero), dtype=np.int64)
+        for i, j, u in zip(*form):
+            dets += u * nonzero[:, i] * nonzero[:, j]
+        dets = np.abs(dets)
+        nvd = bool(dets.size) and bool(dets.min() >= 1)
     else:
-        in_band, undecided = np.empty(len(x), dtype=bool), slice(None)
-    dets = np.abs(linalg.determinant(x[undecided]))
-    in_band[undecided] = _in_nvd_band(dets)
+        dets = np.abs(linalg.determinant(point_from_coordinates(lat, nonzero)))
+        gap = np.abs(dets - np.maximum(np.round(dets), 1)) - NVD_BAND  # distance outside the band
+        worst = float(gap.max()) if gap.size else math.inf
+        err = 1e-12 * float(radius) ** 2 if lat.ambient_n == 2 else 0.0
+        decided = worst > err or (worst <= 0 and err <= NVD_BAND and lat.ambient_n == 2)
+        nvd = worst <= 0 if decided else None
     return {"points": len(coords), "min_det": float(dets.min()) if dets.size else None,
-            "nvd": bool(in_band.size) and bool(np.all(in_band))}
+            "nvd": nvd}
 
 
 def shape_codebook(lat, rho, r):

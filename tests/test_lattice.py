@@ -134,19 +134,21 @@ def test_shell_huge_radius_hits_cap(radius):
 # audit (min_det)
 
 def test_min_det_hamilton():
-    for radius in (np.sqrt(2), 3.0, 4.0):
+    # an integral determinant form: min_det is the exact integer
+    for radius in (np.sqrt(2), 3.0, 4.0, 9.5):
         report = lattice.audit(HAMILTON, radius)
-        assert report["min_det"] == pytest.approx(1.0, abs=1e-9) and report["nvd"]
+        assert report["min_det"] == 1.0 and report["nvd"] is True
 
 
 def test_min_det_split():
-    report = lattice.audit(SPLIT, 5.0)
-    assert report["min_det"] == pytest.approx(1.0, abs=1e-9) and report["nvd"]
+    for radius in (5.0, 15.0):  # LAPACK reads 0.9999999999999785 at radius 15
+        report = lattice.audit(SPLIT, radius)
+        assert report["min_det"] == 1.0 and report["nvd"] is True
 
 
 def _audit_by_lapack(lat, radius):
-    """The audit with every determinant from LAPACK, the reference that the
-    screened `lattice.audit` must equal."""
+    """The audit with every determinant from LAPACK and the 1e-9 band as
+    the verdict, the reference that `lattice.audit` is compared with."""
     coords = lattice.shell_coordinates(lat, radius)
     nonzero = coords[np.any(coords != 0, axis=1)]
     dets = np.abs(linalg.determinant(lattice.point_from_coordinates(lat, nonzero)))
@@ -156,22 +158,46 @@ def _audit_by_lapack(lat, radius):
             "nvd": nvd}
 
 
+def _assert_audit_is(lat, radius, expect):
+    """`lattice.audit` reports `expect`; where the lattice's determinant form
+    is integral, its min_det is an exact integer within 1e-9 of expect's."""
+    report = lattice.audit(lat, radius)
+    if lattice._det_form(lat) is not None and report["min_det"] is not None:
+        assert report["min_det"] == round(report["min_det"])
+        assert report["min_det"] == pytest.approx(expect["min_det"], abs=1e-9)
+        report = {**report, "min_det": expect["min_det"]}
+    assert report == expect
+
+
 SQUAREFREE = [n for n in range(-11, 12) if n and all(abs(n) % (p * p) for p in (2, 3))]
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
 
 
 def test_audit_equals_lapack_over_squarefree_orders():
-    # the orders of all 136 algebras (a, b)_Q, a <= b squarefree in [-11, 11]
+    # the orders of all 136 algebras (a, b)_Q, a <= b squarefree in [-11, 11],
+    # all with an integral determinant form
     for a, b in itertools.combinations_with_replacement(SQUAREFREE, 2):
         lat = lattice.quaternion_order(a, b)
-        assert lattice.audit(lat, 12) == _audit_by_lapack(lat, 12), (a, b)
+        assert lattice._det_form(lat) is not None, (a, b)
+        _assert_audit_is(lat, 12, _audit_by_lapack(lat, 12))
+
+
+def test_det_form_of_controls():
+    # M2(Z): det = x0 x3 - x1 x2; split_pi's coefficients involve pi
+    m2z = lattice.load_lattice(str(LATTICES / "m2z.json"))
+    i, j, u = lattice._det_form(m2z)
+    assert {(a, b): c for a, b, c in zip(i, j, u)} == {(0, 3): 1, (1, 2): -1}
+    assert lattice._det_form(lattice.load_lattice(str(LATTICES / "split_pi.json"))) is None
+    i, j, u = lattice._det_form(SPLIT)
+    assert {(a, b): c for a, b, c in zip(i, j, u)} == {(0, 0): 1, (1, 1): -2,
+                                                     (2, 2): -3, (3, 3): 6}
 
 
 @pytest.mark.parametrize("name,radius", [("split_pi", r) for r in (2, 4, 8, 12, 16, 24, 32, 48)]
                          + [("m2z", r) for r in range(1, 9)])
 def test_audit_equals_lapack_on_controls(name, radius):
     lat = lattice.load_lattice(str(LATTICES / f"{name}.json"))
-    assert lattice.audit(lat, radius) == _audit_by_lapack(lat, radius)
+    _assert_audit_is(lat, radius, _audit_by_lapack(lat, radius))
 
 
 def _random_basis(rng, flavor, integer):
@@ -188,10 +214,12 @@ def _random_basis(rng, flavor, integer):
 @pytest.mark.parametrize("scale", [1.0, 1e70, 1e-70, 1e150, 1e-150])
 @pytest.mark.parametrize("flavor", ["real", "quaternionic"])
 def test_audit_equals_lapack_on_random_lattices(flavor, scale):
-    # entries of 1e+-150 lie outside the screen's range (products that could
-    # overflow or underflow), and at 1e70 the rounding of each |det| spans
-    # integers, so LAPACK takes every point of those; at 1 and 1e-70 the
-    # closed form decides all but a few
+    # scaled, no form is integral: its coefficients lie far from any integer
+    # at 1e-70 and 1e-150, and their rounding bound passes 1/4 at 1e70 and
+    # 1e150.  At those two LAPACK's error bound 1e-12 radius^2 spans many
+    # integers, so the band decides nothing (every |det| of 2^52 or more is
+    # an integer float, and the oracle reads true on every real normal
+    # draw): the audit is undecided wherever the shell holds a nonzero point
     rng = np.random.default_rng(35)
     for trial in range(12):
         integer = trial % 2 == 1
@@ -201,45 +229,41 @@ def test_audit_equals_lapack_on_random_lattices(flavor, scale):
         except ValueError:  # dependent generators
             continue
         radius = scale * float(rng.uniform(2.0, 6.0))
-        assert lattice.audit(lat, radius) == _audit_by_lapack(lat, radius), trial
+        expect = _audit_by_lapack(lat, radius)
+        if scale != 1:
+            assert lattice._det_form(lat) is None
+        if scale > 1:
+            expect["nvd"] = None if expect["points"] > 1 else False
+        _assert_audit_is(lat, radius, expect)
 
 
-def _assert_screen_sound(x):
-    """LAPACK's least |det| of the stack x lies among the points that
-    `_det_screen` leaves undecided, and every other point has LAPACK's band
-    verdict; returns the undecided mask."""
-    in_band, undecided = lattice._det_screen(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dets = np.abs(linalg.determinant(x))
-        assert dets.min() == dets[undecided].min()
-        assert np.array_equal(in_band[~undecided], lattice._in_nvd_band(dets[~undecided]))
-    return undecided
-
-
-def test_det_screen_leaves_lapack_what_it_cannot_decide():
-    # the first point's LU underflows (l b = 2^-1200), so LAPACK's |det| is
-    # 0, not the 2^-800 of the closed form, whose least value is the second
-    # point's 2^-900: only the range guard sends the first to LAPACK
-    pair = np.array([[[2.0 ** 400, 2.0 ** -400], [2.0 ** -400, 0.0]],
-                     [[2.0 ** -450, 0.0], [0.0, 2.0 ** -450]]], dtype=complex)
-    assert _assert_screen_sound(pair).all()
-    # stacks beyond any lattice's shell: entries from 2^-600 to 2^600, zeros
-    # included, or small integers with dets on and near the band edges
-    rng = np.random.default_rng(35)
-    n = 20000
-    size = np.ldexp(1.0, rng.integers(-600, 601, (n, 2, 2))) * (rng.random((n, 2, 2)) < 0.9)
-    wild = size * rng.choice([-1, 1], (n, 2, 2)) * np.exp(2j * np.pi * rng.random((n, 2, 2)))
-    near = rng.integers(-4, 5, (n, 2, 2)).astype(complex)
-    near[:, 1, 1] += rng.choice([0.0, 1e-9, -1e-9, 3e-10, 1e-15], n)
-    assert not _assert_screen_sound(np.where(rng.random((n, 1, 1)) < 0.5, wild, near)).all()
+def test_audit_guards_int64():
+    # an integral form whose shell reaches |det| = 2^32 x^2 = 2^64, which
+    # int64 would wrap to 0: the guard sends it to LAPACK, whose error bound
+    # 1e-12 radius^2 (3.7e7 here) exceeds NVD_BAND, so the audit is
+    # undecided.  LAPACK's |det| of 2^16 I reads 2^32 - 3.3e-6, outside the
+    # band, which the all-LAPACK oracle takes for false
+    c, top = 2.0 ** 16, 2 ** 16
+    lat = lattice.matrix_lattice([c * np.eye(2)], "real")
+    radius = c * np.sqrt(2) * (top + 0.5)
+    i, j, u = lattice._det_form(lat)
+    assert u.tolist() == [2 ** 32]
+    expect = _audit_by_lapack(lat, radius)
+    assert expect["points"] == 2 * top + 1
+    assert expect["min_det"] == pytest.approx(2.0 ** 32, rel=1e-12)
+    assert lattice.audit(lat, radius) == {**expect, "nvd": None}
 
 
 def test_audit_of_3x3_points_is_lapack():
-    # no closed form screens points larger than 2 x 2
+    # points larger than 2 x 2 have no determinant form and no stated error
+    # bound: LAPACK's band verdict false stands, and true reads undecided
     gens = [np.eye(3), np.diag([1.0, -1.0, 2.0]), np.roll(np.eye(3), 1, axis=0),
             np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])]
     lat = lattice.matrix_lattice(gens, "real")
     assert lattice.audit(lat, 5.0) == _audit_by_lapack(lat, 5.0)
+    scalars = lattice.matrix_lattice([np.eye(3)], "real")  # det x^3
+    assert _audit_by_lapack(scalars, 4.0)["nvd"] is True
+    assert lattice.audit(scalars, 4.0) == {"points": 5, "min_det": 1.0, "nvd": None}
 
 
 # ---------------------------------------------------------------------------
